@@ -48,11 +48,10 @@ from .serde import (
 )
 from .spectral import (
     CertificateGridConfig,
-    adjoint_exclusion,
     check_single_orbit,
     dense_eigs,
+    grid_certificates,
     lambda_grid,
-    shift_eigen_exclude,
     sup_abs_weight,
 )
 
@@ -135,12 +134,9 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
             raise UnsupportedClassError(
                 "certify needs a single-orbit shift permutation"
             )
-        certs = []
-        for lam in lambda_grid(cfg, sup_abs_weight(rec.shift.weights)):
-            certs.append(shift_eigen_exclude(rec.shift, lam, cfg.bound,
-                                             cfg.step_cap))
-            certs.append(adjoint_exclusion(rec.shift, lam, cfg.bound,
-                                           cfg.step_cap))
+        certs = grid_certificates(
+            rec.shift, lambda_grid(cfg, sup_abs_weight(rec.shift.weights)),
+            cfg.bound, cfg.step_cap)
         return {
             "analysis": spec.analysis,
             "certificates": [certificate_to_json(c) for c in certs],

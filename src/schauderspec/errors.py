@@ -17,8 +17,19 @@ class StepCapExceededError(SchauderSpecError):
     """No divergence witness was found within the step cap.
 
     This signals that the requested bound or cap was too aggressive for
-    the given data, not that an eigenvalue exists.
+    the given data, not that an eigenvalue exists.  An orbit walk sets
+    ``lam`` (the lambda walked), ``steps`` (steps walked), the best log
+    magnitude reached in either direction, and its ``gap`` to
+    ``log(bound)``; other raisers leave them None.
     """
+
+    def __init__(self, message: str, lam=None, steps=None,
+                 best_log_magnitude=None, gap=None):
+        super().__init__(message)
+        self.lam = lam
+        self.steps = steps
+        self.best_log_magnitude = best_log_magnitude
+        self.gap = gap
 
 
 class NotSummableError(SchauderSpecError):

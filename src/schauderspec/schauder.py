@@ -20,7 +20,7 @@ shift similarity), and interval-block models for continuous spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -63,12 +63,11 @@ from .spectral import (
     CertificateGridConfig,
     EigenExclusionCertificate,
     KernelRangeVerdict,
-    adjoint_exclusion,
     check_single_orbit,
     dense_eigs,
+    grid_certificates,
     kernel_trivial,
     lambda_grid,
-    shift_eigen_exclude,
     shields_similar,
     is_bounded_verdict,
     sup_abs_weight,
@@ -328,11 +327,8 @@ def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
             "certificate path requires weights certified to vanish"
         )
     zero = kernel_trivial(shift, probe_window)
-    certs = []
     grid = lambda_grid(cfg, sup_abs_weight(shift.weights))
-    for lam in grid:
-        certs.append(shift_eigen_exclude(shift, lam, cfg.bound, cfg.step_cap))
-        certs.append(adjoint_exclusion(shift, lam, cfg.bound, cfg.step_cap))
+    certs = grid_certificates(shift, grid, cfg.bound, cfg.step_cap)
     region = (
         f"grid of {len(grid)} points: {cfg.moduli} moduli in "
         f"[{cfg.min_modulus!r}, {max(abs(l) for l in grid)!r}] x {cfg.phases} "
@@ -345,11 +341,9 @@ def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
     else:
         members = FiniteSetMembers((0,))
         reasons = ((0, NOT_INJECTIVE if not zero.injective else RANGE_NOT_DENSE),)
-    report = SchauderSpectrumReport(members, reasons, None, region, (),
-                                    tuple(certs))
+    report = SchauderSpectrumReport(members, reasons, None, region, (), certs)
     case = classify_compact(report, True)
-    return SchauderSpectrumReport(members, reasons, case, region, (),
-                                  tuple(certs))
+    return SchauderSpectrumReport(members, reasons, case, region, (), certs)
 
 
 def _combine_block_reports(parts: Sequence[SchauderSpectrumReport],
@@ -533,18 +527,15 @@ def _sigma_deflation(rule: ScalarRule, strict: bool, lemma_path: str,
     sigma = sigma_bilateral()
     unitary = PermutationUnitary(sigma)
     shift = ShiftForm(sigma, rule, source_kind="unilateral")
-    grid = lambda_grid(cfg, sup_abs_weight(rule))
-    certs: list = []
-    for lam in grid:
-        certs.append(shift_eigen_exclude(shift, lam, cfg.bound, cfg.step_cap))
-        certs.append(adjoint_exclusion(shift, lam, cfg.bound, cfg.step_cap))
+    certs = grid_certificates(shift, lambda_grid(cfg, sup_abs_weight(rule)),
+                              cfg.bound, cfg.step_cap)
     zero = kernel_trivial(shift)
     return DeflationResult(
         unitary=unitary,
         deflated=shift.to_expr(),
         operator=Diagonal(rule),
         shift_form=shift,
-        certificates=tuple(certs),
+        certificates=certs,
         zero_check=zero,
         lemma_path=lemma_path,
         spreads=tuple(decompose_into_spreads(sigma, 64)),
@@ -577,56 +568,30 @@ def _scaled_unitary_certificates(value, grid, cfg: CertificateGridConfig,
     on it the coefficients have constant modulus 1 along an infinite
     orbit, which no square-summable vector supports.
     """
-    sigma = sigma_bilateral()
-    shift = ShiftForm(sigma, ConstantRule(value))
-    out = []
+    shift = ShiftForm(sigma_bilateral(), ConstantRule(value))
     v = float(_abs_exact(value))
-    for lam in grid:
-        r = abs(lam)
-        if abs(r - v) <= 1e-12 * max(v, 1.0):
-            for side in ("direct", "adjoint"):
-                out.append(EigenExclusionCertificate(
-                    lam=complex(lam), witness_index=1, attained_magnitude=1.0,
-                    recurrence_kind="scalar-shift", bound=0.0,
-                    regime="constant-floor", side=side,
-                    covered_region=f"circle |lambda| = {v!r}",
-                    details=(("block", block), ("scaled_unitary", v)),
-                ))
+    on_circle = [abs(abs(lam) - v) <= 1e-12 * max(v, 1.0) for lam in grid]
+    walked = iter(grid_certificates(
+        shift, [lam for lam, on in zip(grid, on_circle) if not on],
+        cfg.bound, cfg.step_cap, check_weights=False))
+    out = []
+    for lam, on in zip(grid, on_circle):
+        if not on:
+            out.extend(_tag_block((next(walked), next(walked)), block))
             continue
-        direct = shift_eigen_exclude(shift, lam, cfg.bound, cfg.step_cap,
-                                     check_weights=False)
-        adj = adjoint_exclusion(shift, lam, cfg.bound, cfg.step_cap)
-        out.append(EigenExclusionCertificate(
-            lam=direct.lam, witness_index=direct.witness_index,
-            attained_magnitude=direct.attained_magnitude,
-            recurrence_kind=direct.recurrence_kind, bound=direct.bound,
-            regime=direct.regime, side="direct",
-            covered_region=direct.covered_region,
-            details=direct.details + (("block", block),),
-        ))
-        out.append(EigenExclusionCertificate(
-            lam=adj.lam, witness_index=adj.witness_index,
-            attained_magnitude=adj.attained_magnitude,
-            recurrence_kind=adj.recurrence_kind, bound=adj.bound,
-            regime=adj.regime, side="adjoint",
-            covered_region=adj.covered_region,
-            details=adj.details + (("block", block),),
-        ))
+        for side in ("direct", "adjoint"):
+            out.append(EigenExclusionCertificate(
+                lam=complex(lam), witness_index=1, attained_magnitude=1.0,
+                recurrence_kind="scalar-shift", bound=0.0,
+                regime="constant-floor", side=side,
+                covered_region=f"circle |lambda| = {v!r}",
+                details=(("block", block), ("scaled_unitary", v)),
+            ))
     return out
 
 
 def _tag_block(certs, block: int) -> list:
-    return [
-        EigenExclusionCertificate(
-            lam=c.lam, witness_index=c.witness_index,
-            attained_magnitude=c.attained_magnitude,
-            recurrence_kind=c.recurrence_kind, bound=c.bound, regime=c.regime,
-            start_index=c.start_index, side=c.side,
-            covered_region=c.covered_region,
-            details=c.details + (("block", block),),
-        )
-        for c in certs
-    ]
+    return [replace(c, details=c.details + (("block", block),)) for c in certs]
 
 
 def deflate_discrete(m: MultiplicityList,
@@ -687,11 +652,7 @@ def deflate_discrete(m: MultiplicityList,
     max_w = max([sup_abs_weight(block0_rule)]
                 + [float(_abs_exact(v)) for v in infinite_values])
     grid = lambda_grid(cfg, max_w)
-    certs: list = []
-    for lam in grid:
-        certs.extend(_tag_block(
-            [shift_eigen_exclude(shift0, lam, cfg.bound, cfg.step_cap),
-             adjoint_exclusion(shift0, lam, cfg.bound, cfg.step_cap)], 0))
+    certs = _tag_block(grid_certificates(shift0, grid, cfg.bound, cfg.step_cap), 0)
     for b, v in enumerate(infinite_values, 1):
         certs.extend(_scaled_unitary_certificates(v, grid, cfg, b))
     zero = kernel_trivial(shift0)
@@ -777,15 +738,7 @@ def deflate_finite_spectrum(values: MultiplicityList,
         ("shields_C", float(verdict.C)),
     )
     block0 = _scaled_unitary_certificates(designated, grid, cfg, 0)
-    certs.extend(
-        EigenExclusionCertificate(
-            lam=c.lam, witness_index=c.witness_index,
-            attained_magnitude=c.attained_magnitude,
-            recurrence_kind=c.recurrence_kind, bound=c.bound, regime=c.regime,
-            side=c.side, covered_region=c.covered_region,
-            details=c.details + shields_details,
-        ) for c in block0
-    )
+    certs.extend(replace(c, details=c.details + shields_details) for c in block0)
     for b, v in enumerate(others, 1):
         certs.extend(_scaled_unitary_certificates(v, grid, cfg, b))
     zero = kernel_trivial(shift0)
@@ -887,13 +840,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
         base = block_norm_blowup(alpha_seq, m, M, lam, cfg.bound, cfg.step_cap,
                                  cfg.epsilon)
         certs.append(base)
-        certs.append(EigenExclusionCertificate(
-            lam=base.lam, witness_index=base.witness_index,
-            attained_magnitude=base.attained_magnitude,
-            recurrence_kind=base.recurrence_kind, bound=base.bound,
-            regime=base.regime, side="adjoint",
-            covered_region=base.covered_region, details=base.details,
-        ))
+        certs.append(replace(base, side="adjoint"))
 
     audit_n = min(dim * len(blocks), 64)
     eigs = dense_eigs([[complex(v) for v in row]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,37 +158,6 @@ def _walk_logs(s: ShiftForm, lam: Scalar, direction: str, steps: int,
     return total
 
 
-def _orbit_divergence(s: ShiftForm, lam: Scalar, bound: float, step_cap: int,
-                      start: int) -> Tuple[str, int, float]:
-    la = log_abs(lam)
-    log_bound = math.log(bound)
-    fwd_idx, fwd_log = start, 0.0
-    bwd_idx, bwd_log = start, 0.0
-    for k in range(1, step_cap + 1):
-        bwd_idx = s.perm.inverse(bwd_idx)
-        w = s.weights.value(bwd_idx)
-        if w == 0:
-            raise PreconditionViolatedError(
-                f"zero weight at index {bwd_idx}; run kernel_trivial instead"
-            )
-        bwd_log += la - log_abs(w)
-        if bwd_log > log_bound:
-            return "backward-orbit", k, bwd_log
-        w = s.weights.value(fwd_idx)
-        if w == 0:
-            raise PreconditionViolatedError(
-                f"zero weight at index {fwd_idx}; run kernel_trivial instead"
-            )
-        fwd_log += log_abs(w) - la
-        fwd_idx = s.perm.forward(fwd_idx)
-        if fwd_log > log_bound:
-            return "forward-orbit", k, fwd_log
-    raise StepCapExceededError(
-        f"no divergence witness within {step_cap} steps for lambda={lam}; "
-        "the bound/cap is too aggressive for these weights"
-    )
-
-
 def check_single_orbit(perm, window: int = 16, steps: int = 96) -> bool:
     """Whether the orbit of 1 visits all of [1..window] within ``steps``.
 
@@ -204,6 +173,157 @@ def check_single_orbit(perm, window: int = 16, steps: int = 96) -> bool:
         visited.add(f)
         visited.add(b)
     return all(k in visited for k in range(1, window + 1))
+
+
+class _Orbit:
+    """log|w| along the orbit of ``start``, cached as far as a walk needed it.
+
+    ``back[k]`` belongs to the weight at ``perm^-(k+1)(start)`` and
+    ``fwd[k]`` to the one at ``perm^k(start)``.  ``memo`` maps an exact
+    ``log|lam|`` to its ``(regime, witness step, log magnitude)``.
+    """
+
+    def __init__(self, s: ShiftForm, start: int, log_bound: float,
+                 step_cap: int):
+        self.s = s
+        self.log_bound = log_bound
+        self.step_cap = step_cap
+        self.back: list = []
+        self.fwd: list = []
+        self.back_idx = self.fwd_idx = start
+        self.memo: dict = {}
+
+    def _log_weight(self, idx: int) -> float:
+        w = self.s.weights.value(idx)
+        if w == 0:
+            raise PreconditionViolatedError(
+                f"zero weight at index {idx}; run kernel_trivial instead"
+            )
+        return log_abs(w)
+
+    def divergence(self, lam: Scalar) -> Tuple[str, int, float]:
+        """First step whose forced coefficient exceeds ``log_bound``.
+
+        Walks both directions in lockstep, backward first at each step;
+        the cached prefix is summed in the order a fresh walk would.
+        """
+        la = log_abs(lam)
+        hit = self.memo.get(la)
+        if hit is not None:
+            return hit
+        back, fwd = self.back, self.fwd
+        log_bound, step_cap = self.log_bound, self.step_cap
+        bwd_log = fwd_log = 0.0
+        cached = min(len(fwd), step_cap)
+        for k in range(step_cap):
+            if k >= cached and k == len(back):
+                idx = self.s.perm.inverse(self.back_idx)
+                back.append(self._log_weight(idx))
+                self.back_idx = idx
+            bwd_log += la - back[k]
+            if bwd_log > log_bound:
+                hit = ("backward-orbit", k + 1, bwd_log)
+                break
+            if k >= cached:
+                fwd.append(self._log_weight(self.fwd_idx))
+                self.fwd_idx = self.s.perm.forward(self.fwd_idx)
+            fwd_log += fwd[k] - la
+            if fwd_log > log_bound:
+                hit = ("forward-orbit", k + 1, fwd_log)
+                break
+        else:
+            best = bwd_log = fwd_log = 0.0
+            for b, f in zip(back, fwd):
+                bwd_log += la - b
+                fwd_log += f - la
+                best = max(best, bwd_log, fwd_log)
+            raise StepCapExceededError(
+                f"no divergence witness within {step_cap} steps for "
+                f"lambda={lam}; the best log magnitude {best:.6g} is "
+                f"{log_bound - best:.6g} short of log(bound) = "
+                f"{log_bound:.6g}; the bound/cap is too aggressive for "
+                "these weights",
+                lam=lam, steps=step_cap, best_log_magnitude=best,
+                gap=log_bound - best,
+            )
+        self.memo[la] = hit
+        return hit
+
+
+class _ShiftCertifier:
+    """Direct and adjoint orbit-walk certificates for one shift.
+
+    The adjoint form, each side's preconditions and each side's orbit
+    cache are set up before that side's first certificate, so a grid
+    walks each orbit once per distinct ``log|lam|`` and raises the same
+    errors, in the same order, as certifying its points one by one.
+    """
+
+    def __init__(self, s: ShiftForm, bound: float, step_cap: int,
+                 start: int = 1, check_weights: bool = True,
+                 require_single_orbit: bool = True):
+        self.s = s
+        self.bound = bound
+        self.step_cap = step_cap
+        self.start = start
+        self.check_weights = check_weights
+        self.require_single_orbit = require_single_orbit
+        self.orbits: dict = {}
+
+    def _orbit(self, side: str) -> _Orbit:
+        orbit = self.orbits.get(side)
+        if orbit is not None:
+            return orbit
+        s = self.s if side == "direct" else adjoint_shift_form(self.s)
+        if self.require_single_orbit and not check_single_orbit(s.perm):
+            raise PreconditionViolatedError(
+                "permutation is not single-orbit on the probe window; the "
+                "orbit-local claim requires require_single_orbit=False"
+            )
+        if side == "direct" and self.check_weights:
+            lim = s.weights.limit()
+            if lim is not None and lim != 0:
+                raise PreconditionViolatedError(
+                    f"weights do not vanish (limit {lim}); this exclusion "
+                    "requires weights decreasing to 0"
+                )
+            probe = [abs(s.weights.value(n)) for n in range(1, 33)]
+            if any(a < b for a, b in zip(probe, probe[1:])):
+                if s.weights.abs_nonincreasing() is not True:
+                    raise PreconditionViolatedError(
+                        "weight magnitudes are not nonincreasing on the probe window"
+                    )
+        orbit = self.orbits[side] = _Orbit(s, self.start, math.log(self.bound),
+                                           self.step_cap)
+        return orbit
+
+    def certificate(self, lam: Scalar,
+                    side: str = "direct") -> EigenExclusionCertificate:
+        # the adjoint side walks T* at conj(lam): the closure of the range
+        # of lam I - T is the orthocomplement of ker(conj(lam) I - T*)
+        walked = lam if side == "direct" else complex(lam).conjugate()
+        if walked == 0:
+            raise PreconditionViolatedError(
+                "lambda = 0 is handled structurally; use kernel_trivial"
+            )
+        regime, k, log_mag = self._orbit(side).divergence(walked)
+        details = (("log_magnitude", log_mag),)
+        if not self.require_single_orbit:
+            details += (("orbit_local", True),)
+        if side == "adjoint":
+            details = (("adjoint_lambda", walked),) + details
+        return EigenExclusionCertificate(
+            lam=complex(lam),
+            witness_index=k,
+            attained_magnitude=_safe_exp(log_mag),
+            recurrence_kind="scalar-shift",
+            bound=self.bound,
+            regime=regime,
+            start_index=self.start,
+            side=side,
+            covered_region=f"circle |lambda| = {abs(complex(walked))!r}",
+            details=details,
+        )
 
 
 def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
@@ -225,44 +345,8 @@ def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
     default insists the permutation act with a single orbit so the
     exclusion covers the whole space.
     """
-    if lam == 0:
-        raise PreconditionViolatedError(
-            "lambda = 0 is handled structurally; use kernel_trivial"
-        )
-    if require_single_orbit and not check_single_orbit(s.perm):
-        raise PreconditionViolatedError(
-            "permutation is not single-orbit on the probe window; the "
-            "orbit-local claim requires require_single_orbit=False"
-        )
-    if check_weights:
-        lim = s.weights.limit()
-        if lim is not None and lim != 0:
-            raise PreconditionViolatedError(
-                f"weights do not vanish (limit {lim}); this exclusion "
-                "requires weights decreasing to 0"
-            )
-        probe = [abs(s.weights.value(n)) for n in range(1, 33)]
-        if any(a < b for a, b in zip(probe, probe[1:])):
-            if s.weights.abs_nonincreasing() is not True:
-                raise PreconditionViolatedError(
-                    "weight magnitudes are not nonincreasing on the probe window"
-                )
-    direction, k, log_mag = _orbit_divergence(s, lam, bound, step_cap, start)
-    details = (("log_magnitude", log_mag),)
-    if not require_single_orbit:
-        details += (("orbit_local", True),)
-    return EigenExclusionCertificate(
-        lam=complex(lam),
-        witness_index=k,
-        attained_magnitude=_safe_exp(log_mag),
-        recurrence_kind="scalar-shift",
-        bound=bound,
-        regime=direction,
-        start_index=start,
-        side="direct",
-        covered_region=f"circle |lambda| = {abs(complex(lam))!r}",
-        details=details,
-    )
+    return _ShiftCertifier(s, bound, step_cap, start, check_weights,
+                           require_single_orbit).certificate(lam)
 
 
 def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> float:
@@ -340,23 +424,8 @@ def adjoint_exclusion(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
     ``ker(conj(lam) I - T*)``, so a divergence witness for the adjoint
     shift at ``conj(lam)`` certifies density.
     """
-    adj = adjoint_shift_form(s)
-    conj_lam = complex(lam).conjugate()
-    base = shift_eigen_exclude(adj, conj_lam, bound, step_cap, start,
-                               check_weights=False,
-                               require_single_orbit=require_single_orbit)
-    return EigenExclusionCertificate(
-        lam=complex(lam),
-        witness_index=base.witness_index,
-        attained_magnitude=base.attained_magnitude,
-        recurrence_kind="scalar-shift",
-        bound=bound,
-        regime=base.regime,
-        start_index=start,
-        side="adjoint",
-        covered_region=base.covered_region,
-        details=(("adjoint_lambda", conj_lam),) + base.details,
-    )
+    return _ShiftCertifier(s, bound, step_cap, start, False,
+                           require_single_orbit).certificate(lam, "adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -644,38 +713,6 @@ def similarity_diagonal(w: ScalarRule, v: ScalarRule,
     return Diagonal(CallableRule(value, "similarity intertwiner prod_{j<n} v_j/w_j"))
 
 
-def orbit_similarity_diagonal(perm, w: ScalarRule, v: ScalarRule,
-                              anchor: int = 1, cap: int = 1_000_000) -> Diagonal:
-    """Intertwiner for shifts along an arbitrary single-orbit permutation.
-
-    Solves ``x_{perm(j)} = x_j v_j / w_j`` along the orbit of ``anchor``
-    with ``x_anchor = 1``; then ``X (perm-shift with weights w) X^{-1}``
-    equals the perm-shift with weights ``v`` entrywise.
-    """
-    cache = {anchor: 1}
-    state = {"fwd": anchor, "bwd": anchor}
-
-    def value(n: int):
-        steps = 0
-        while n not in cache:
-            f = state["fwd"]
-            nxt = perm.forward(f)
-            cache[nxt] = cache[f] * v.value(f) / w.value(f)
-            state["fwd"] = nxt
-            b = state["bwd"]
-            prv = perm.inverse(b)
-            cache[prv] = cache[b] * w.value(prv) / v.value(prv)
-            state["bwd"] = prv
-            steps += 1
-            if steps > cap:
-                raise PreconditionViolatedError(
-                    f"index {n} not reached on the orbit of {anchor}"
-                )
-        return cache[n]
-
-    return Diagonal(CallableRule(value, "orbit similarity intertwiner"))
-
-
 # ---------------------------------------------------------------------------
 # Block-model norm blowup (continuous case)
 # ---------------------------------------------------------------------------
@@ -886,16 +923,18 @@ def lambda_grid(cfg: CertificateGridConfig, max_weight: float) -> Tuple[complex,
     return tuple(out)
 
 
-def grid_certificates(s: ShiftForm, cfg: Optional[CertificateGridConfig] = None
-                      ) -> Tuple[Tuple[EigenExclusionCertificate, ...],
-                                 Tuple[EigenExclusionCertificate, ...]]:
-    """Direct and adjoint certificates for every grid point, or fail loudly."""
-    cfg = cfg or CertificateGridConfig()
-    grid = lambda_grid(cfg, sup_abs_weight(s.weights))
-    direct = tuple(
-        shift_eigen_exclude(s, lam, cfg.bound, cfg.step_cap) for lam in grid
-    )
-    adjoint = tuple(
-        adjoint_exclusion(s, lam, cfg.bound, cfg.step_cap) for lam in grid
-    )
-    return direct, adjoint
+def grid_certificates(s: ShiftForm, grid: Sequence[Scalar],
+                      bound: float = DEFAULT_BOUND,
+                      step_cap: int = DEFAULT_STEP_CAP,
+                      check_weights: bool = True
+                      ) -> Tuple[EigenExclusionCertificate, ...]:
+    """Direct and adjoint certificates for every grid point, or fail loudly.
+
+    The certificates come interleaved, direct then adjoint for each
+    ``lam`` in grid order, each equal to what ``shift_eigen_exclude`` and
+    ``adjoint_exclusion`` return for that point alone; each side's orbit
+    is walked once per distinct ``log|lam|``.
+    """
+    certifier = _ShiftCertifier(s, bound, step_cap, check_weights=check_weights)
+    return tuple(certifier.certificate(lam, side)
+                 for lam in grid for side in ("direct", "adjoint"))

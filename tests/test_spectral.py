@@ -12,6 +12,7 @@ from schauderspec import (
     BoundedCertified,
     BoundedNumerically,
     CallableRule,
+    CertificateGridConfig,
     ConstantRule,
     Diagonal,
     ExplicitThenRule,
@@ -21,6 +22,7 @@ from schauderspec import (
     PowerLawRule,
     PreconditionViolatedError,
     Product,
+    SchauderSpecError,
     ShiftForm,
     Spread,
     SpreadSpec,
@@ -32,9 +34,11 @@ from schauderspec import (
     claim1_find_N,
     dense_eigs,
     forward_unilateral_shift,
+    grid_certificates,
     identity_permutation,
     infinite_product,
     kernel_trivial,
+    lambda_grid,
     naturals,
     replay_block_certificate,
     replay_shift_certificate,
@@ -44,7 +48,9 @@ from schauderspec import (
     similarity_diagonal,
     truncate,
 )
-from schauderspec.sequences import ArithmeticSequence
+from schauderspec import spectral
+from schauderspec.op_algebra import adjoint_shift_form
+from schauderspec.sequences import ArithmeticSequence, log_abs
 
 RECIP = PowerLawRule(Fraction(1), 1)  # t_k = 1/k
 GEO_HALF = GeometricRule(Fraction(1), Fraction(1, 2))  # 2^-k
@@ -123,6 +129,165 @@ class TestShiftEigenExclude:
         replayed = replay_shift_certificate(basic_shift(), cert)
         assert abs(replayed - cert.attained_magnitude) <= 1e-12 * cert.attained_magnitude
         assert cert.attained_magnitude > cert.bound
+
+
+def oracle_divergence(s, lam, bound, step_cap=100_000, start=1):
+    """A fresh per-lambda walk: no orbit cache, no memo, same float order."""
+    la, log_bound = log_abs(lam), math.log(bound)
+    fwd_idx = bwd_idx = start
+    fwd_log = bwd_log = 0.0
+    for k in range(1, step_cap + 1):
+        bwd_idx = s.perm.inverse(bwd_idx)
+        bwd_log += la - log_abs(s.weights.value(bwd_idx))
+        if bwd_log > log_bound:
+            return "backward-orbit", k, bwd_log
+        fwd_log += log_abs(s.weights.value(fwd_idx)) - la
+        fwd_idx = s.perm.forward(fwd_idx)
+        if fwd_log > log_bound:
+            return "forward-orbit", k, fwd_log
+    raise AssertionError("oracle found no witness")
+
+
+def per_lambda_certificates(s, grid, bound, step_cap=100_000,
+                            check_weights=True):
+    out = []
+    for lam in grid:
+        out.append(shift_eigen_exclude(s, lam, bound, step_cap,
+                                       check_weights=check_weights))
+        out.append(adjoint_exclusion(s, lam, bound, step_cap))
+    return out
+
+
+def first_error(fn):
+    try:
+        fn()
+    except SchauderSpecError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+vanishing_rules = st.one_of(
+    st.builds(PowerLawRule, st.floats(0.1, 10), st.floats(0.3, 2.0)),
+    st.builds(PowerLawRule, st.fractions(Fraction(1, 10), 10, max_denominator=20),
+              st.integers(1, 3)),
+    st.builds(GeometricRule, st.fractions(Fraction(1, 10), 10, max_denominator=20),
+              st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=10)),
+)
+grid_configs = st.builds(
+    CertificateGridConfig, moduli=st.integers(1, 6), phases=st.integers(1, 8),
+    min_modulus=st.floats(1e-3, 1.0),
+)
+extra_lambdas = st.lists(
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=20.0,
+                       allow_nan=False, allow_infinity=False),
+    max_size=6,
+)
+
+
+class TestGridCertificates:
+    @given(vanishing_rules, grid_configs, extra_lambdas,
+           st.sampled_from([1e6, 1e12, 1e30]))
+    @settings(max_examples=60, deadline=None)
+    def test_engine_matches_per_lambda_path(self, rule, cfg, extra, bound):
+        s = basic_shift(rule)
+        grid = lambda_grid(cfg, spectral.sup_abs_weight(rule)) + tuple(extra)
+        certs = grid_certificates(s, grid, bound)
+        assert list(certs) == per_lambda_certificates(s, grid, bound)
+        adj = adjoint_shift_form(s)
+        for lam, direct, adjoint in zip(grid, certs[::2], certs[1::2]):
+            assert (direct.side, adjoint.side) == ("direct", "adjoint")
+            assert (direct.regime, direct.witness_index,
+                    direct.detail("log_magnitude")) == oracle_divergence(s, lam, bound)
+            assert (adjoint.regime, adjoint.witness_index,
+                    adjoint.detail("log_magnitude")) == oracle_divergence(
+                        adj, complex(lam).conjugate(), bound)
+
+    def test_last_ulp_moduli_are_walked_separately(self):
+        # one ring of a 16 x 8 grid carries |lambda| values one ulp apart;
+        # a rounded memo key would hand one of them the other's witness
+        grid = lambda_grid(CertificateGridConfig(moduli=16, phases=8), 1.0)
+        rings = [grid[i:i + 8] for i in range(0, len(grid), 8)]
+        assert any(len({abs(lam) for lam in ring}) > 1 for ring in rings)
+        s = basic_shift(PowerLawRule(1.0, 0.5))
+        certifier = spectral._ShiftCertifier(s, 1e30, 100_000)
+        certs = [certifier.certificate(lam, side)
+                 for lam in grid for side in ("direct", "adjoint")]
+        assert certs == per_lambda_certificates(s, grid, 1e30)
+        assert len(certifier.orbits["direct"].memo) == len(
+            {log_abs(lam) for lam in grid})
+
+    def test_orbit_cache_grows_only_as_deep_as_the_walks(self):
+        s = basic_shift(PowerLawRule(1.0, 0.2))
+        grid = lambda_grid(CertificateGridConfig(moduli=8, phases=4), 1.0)
+        certifier = spectral._ShiftCertifier(s, 1e40, 100_000)
+        certs = [certifier.certificate(lam, side)
+                 for lam in grid for side in ("direct", "adjoint")]
+        for side in ("direct", "adjoint"):
+            deepest = max(c.witness_index for c in certs if c.side == side)
+            orbit = certifier.orbits[side]
+            # one growth chunk is one orbit step in each direction
+            assert deepest - 1 <= len(orbit.fwd) <= len(orbit.back) == deepest
+
+    @given(st.integers(1, 40), st.booleans(), st.sampled_from(["direct", "adjoint"]),
+           st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_weight_error_parity(self, steps, backward, side, moduli):
+        # a zero weight at orbit step ``steps`` of one side's walk: moduli
+        # that diverge earlier certify, the first walk that reaches it fails
+        sigma = sigma_bilateral()
+        step = sigma.inverse if (side == "direct") == backward else sigma.forward
+        walked = 1
+        for _ in range(steps if backward else steps - 1):
+            walked = step(walked)
+        # the adjoint weight at i is w(perm^-1(i))
+        zero_at = walked if side == "direct" else sigma.inverse(walked)
+        rule = CallableRule(lambda n: 0.0 if n == zero_at else 1.0 / n)
+        s = basic_shift(rule)
+        grid = [m * complex(math.cos(m), math.sin(m)) for m in moduli]
+        engine = first_error(lambda: grid_certificates(
+            s, grid, 1e12, check_weights=False))
+        assert engine == first_error(lambda: per_lambda_certificates(
+            s, grid, 1e12, check_weights=False))
+        if engine is not None:
+            assert engine[0] is PreconditionViolatedError
+            # either side's walk may meet the zero first; the adjoint walk
+            # names it by its own index, perm(zero_at)
+            assert engine[1].startswith(
+                (f"zero weight at index {zero_at};",
+                 f"zero weight at index {sigma.forward(zero_at)};"))
+
+    @given(st.integers(0, 30), st.lists(st.floats(1e-3, 10.0), min_size=1,
+                                       max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_step_cap_error_parity(self, step_cap, moduli):
+        s = basic_shift()
+        grid = [m * complex(math.cos(m), math.sin(m)) for m in moduli]
+        engine = first_error(lambda: grid_certificates(s, grid, 1e12, step_cap))
+        assert engine == first_error(lambda: per_lambda_certificates(
+            s, grid, 1e12, step_cap))
+        if engine is not None:
+            assert engine[0] is StepCapExceededError
+
+    def test_single_orbit_error_parity(self):
+        s = ShiftForm(identity_permutation(), RECIP)
+        grid = [0.5, 2.0]
+        engine = first_error(lambda: grid_certificates(s, grid, 1e12))
+        assert engine is not None
+        assert engine == first_error(lambda: per_lambda_certificates(s, grid, 1e12))
+
+    def test_step_cap_error_reports_walk_state(self):
+        s = basic_shift()
+        with pytest.raises(StepCapExceededError) as info:
+            shift_eigen_exclude(s, 1.0, bound=1e12, step_cap=3)
+        exc = info.value
+        walked = [spectral._walk_logs(s, 1.0, regime, k, 1)
+                  for regime in ("backward-orbit", "forward-orbit")
+                  for k in range(1, 4)]
+        assert exc.lam == 1.0
+        assert exc.steps == 3
+        assert exc.best_log_magnitude == max([0.0] + walked)
+        assert exc.gap == math.log(1e12) - exc.best_log_magnitude > 0
+        assert "short of log(bound)" in str(exc)
 
 
 class TestKernelTrivial:
