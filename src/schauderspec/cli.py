@@ -168,11 +168,10 @@ def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> 
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "re", "im"])
-        for i in range(truncation):
-            for j in range(truncation):
-                v = M[i, j]
-                if v != 0:
-                    writer.writerow([i + 1, j + 1, repr(v.real), repr(v.imag)])
+        for i, j in zip(*M.nonzero()):
+            v = M[i, j]
+            writer.writerow([int(i) + 1, int(j) + 1,
+                             repr(float(v.real)), repr(float(v.imag))])
     written.append(path.name)
     eig_n = min(truncation, 512)
     eigs = dense_eigs(M[:eig_n, :eig_n])

@@ -17,10 +17,10 @@ class StepCapExceededError(SchauderSpecError):
     """No divergence witness was found within the step cap.
 
     This signals that the requested bound or cap was too aggressive for
-    the given data, not that an eigenvalue exists.  An orbit walk sets
-    ``lam`` (the lambda walked), ``steps`` (steps walked), the best log
-    magnitude reached in either direction, and its ``gap`` to
-    ``log(bound)``; other raisers leave them None.
+    the given data, not that an eigenvalue exists.  Orbit and block walks
+    set ``lam`` (the lambda walked), ``steps`` (steps walked), the best
+    log magnitude reached (in either direction, for an orbit walk), and
+    its ``gap`` to ``log(bound)``.
     """
 
     def __init__(self, message: str, lam=None, steps=None,

@@ -396,23 +396,40 @@ def apply(T: OperatorExpr, x: FinVector) -> FinVector:
     return FinVector.from_dict(acc)
 
 
-def truncate(T: OperatorExpr, n: int) -> list:
-    """Leading ``n x n`` corner as nested lists, preserving exact scalars."""
+def corner_entries(T: OperatorExpr, n: int) -> dict:
+    """Supported entries of the leading ``n x n`` corner, exact scalars.
+
+    Keys are zero-based ``(row, column)`` positions, in column order and,
+    within a column, in the order ``column_support`` yields them.  Every
+    supported entry is kept, also one that evaluates to zero; positions
+    outside the support are absent and stand for the int ``0``.
+    """
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    M = [[0] * n for _ in range(n)]
+    out = {}
     for j in range(1, n + 1):
         for i in set(T.column_support(j)):
             if 1 <= i <= n:
-                M[i - 1][j - 1] = T.entry(i, j)
+                out[i - 1, j - 1] = T.entry(i, j)
+    return out
+
+
+def truncate(T: OperatorExpr, n: int) -> list:
+    """Leading ``n x n`` corner as nested lists, preserving exact scalars."""
+    entries = corner_entries(T, n)
+    M = [[0] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        M[i][j] = v
     return M
 
 
 def truncate_complex(T: OperatorExpr, n: int) -> np.ndarray:
     """Leading corner as a dense complex128 array (for numerics)."""
-    return np.array(
-        [[complex(v) for v in row] for row in truncate(T, n)], dtype=complex
-    )
+    entries = corner_entries(T, n)
+    M = np.zeros((n, n), dtype=complex)
+    for (i, j), v in entries.items():
+        M[i, j] = complex(v)
+    return M
 
 
 # ---------------------------------------------------------------------------

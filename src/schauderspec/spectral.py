@@ -778,6 +778,7 @@ def block_norm_blowup(alpha_seq: ScalarRule, m: float, M: float, lam: Scalar,
     if r < alpha_f:
         log_r = math.log(r)
         total = math.log(m) - log_r
+        best = max(0.0, total)
         if total > log_bound:
             return EigenExclusionCertificate(
                 complex(lam), 1, _safe_exp(total), "block-norm", bound,
@@ -792,13 +793,13 @@ def block_norm_blowup(alpha_seq: ScalarRule, m: float, M: float, lam: Scalar,
                     "forward", covered_region=f"0 < |lambda| <= {r!r}",
                     details=base_details,
                 )
-        raise StepCapExceededError(
-            f"no forward blowup witness within {step_cap} steps for |lambda|={r}"
-        )
+            if total > best:
+                best = total
+        raise _block_step_cap("forward", lam, r, step_cap, best, log_bound)
 
     log_r = math.log(r)
     log_alpha = math.log(alpha_f)
-    total = 0.0
+    total = best = 0.0
     for k in range(1, step_cap + 1):
         g = 1.0 - float(alpha_seq.value(k)) / alpha_f
         total += log_r - log_alpha - math.log1p(g)
@@ -808,8 +809,19 @@ def block_norm_blowup(alpha_seq: ScalarRule, m: float, M: float, lam: Scalar,
                 "backward", covered_region=f"|lambda| >= {r!r}",
                 details=base_details,
             )
-    raise StepCapExceededError(
-        f"no backward blowup witness within {step_cap} steps for |lambda|={r}"
+        if total > best:
+            best = total
+    raise _block_step_cap("backward", lam, r, step_cap, best, log_bound)
+
+
+def _block_step_cap(regime: str, lam: Scalar, r: float, step_cap: int,
+                    best: float, log_bound: float) -> StepCapExceededError:
+    return StepCapExceededError(
+        f"no {regime} blowup witness within {step_cap} steps for "
+        f"|lambda|={r}; the best log block-norm bound {best:.6g} is "
+        f"{log_bound - best:.6g} short of log(bound) = {log_bound:.6g}",
+        lam=lam, steps=step_cap, best_log_magnitude=best,
+        gap=log_bound - best,
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schauderspec import cibws, replay_shift_certificate
+from schauderspec import cibws, replay_shift_certificate, truncate_complex
 from schauderspec.cli import main
 from schauderspec.serde import parse_spec_document, validate_document
 from schauderspec.errors import SpecFormatError
@@ -90,7 +90,15 @@ class TestRun:
         rows = (out / "certificates.csv").read_text().strip().splitlines()
         assert rows[0].startswith("lambda_re,lambda_im,side")
         assert len(rows) == 1 + 2 * 16  # direct + adjoint per grid point
-        assert (out / "matrix.csv").exists()
+        cells = [row.split(",") for row in
+                 (out / "matrix.csv").read_text().splitlines()]
+        assert cells[0] == ["i", "j", "re", "im"]
+        got = [(int(i), int(j), float(re), float(im))
+               for i, j, re, im in cells[1:]]
+        M = truncate_complex(parse_spec_document(cibws_spec()).operator, 64)
+        want = [(i + 1, j + 1, M[i, j].real, M[i, j].imag)
+                for i in range(64) for j in range(64) if M[i, j] != 0]
+        assert got == want
         assert (out / "eigs.csv").exists()
 
     def test_csv_rows_replay(self, tmp_path):

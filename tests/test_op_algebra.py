@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +36,7 @@ from schauderspec import (
     one_line_permutation,
     recognize_shift_form,
     truncate,
+    truncate_complex,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
@@ -112,6 +115,33 @@ class TestTruncate:
         D = Diagonal(cibws_weight_rule())
         direct = cibws_from_z_definition().to_expr()
         assert truncate(Product(S, D), 50) == truncate(direct, 50)
+
+    @pytest.mark.parametrize("T", [
+        Diagonal(ExplicitThenRule((1.0, -0.0, 0.0, -2.5), PowerLawRule(1, 1))),
+        Product(bilateral_backward_unitary(), Diagonal(cibws_weight_rule())),
+        BlockDirectSum(
+            (Diagonal(ConstantRule(2)),
+             Product(PermutationUnitary(one_line_permutation([2, 1])),
+                     Diagonal(ConstantRule(-0.0)))),
+            (ArithmeticSequence(1, 2), ArithmeticSequence(2, 2))),
+        Sum((backward_unilateral_shift(), forward_unilateral_shift(),
+             Spread(SpreadSpec(ArithmeticSequence(2, 2),
+                               ArithmeticSequence(1, 3))))),
+        Adjoint(Product(bilateral_backward_unitary(),
+                        Diagonal(ExplicitThenRule((1j, -0.0, 2 - 1j),
+                                                  ConstantRule(0.5))))),
+        Scale(-1.0, Diagonal(ExplicitThenRule((0.0, 1.5), ConstantRule(0.0)))),
+        cibws().to_expr(),
+    ], ids=["diagonal", "product", "block-direct-sum", "sum-of-spreads",
+            "adjoint", "scale", "cibws"])
+    def test_truncate_complex_matches_dense_corner(self, T):
+        for n in (1, 2, 7, 33):
+            want = np.array([[complex(v) for v in row] for row in truncate(T, n)],
+                            dtype=complex)
+            got = truncate_complex(T, n)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            # byte equality also tells signed zeros apart
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRecognize:

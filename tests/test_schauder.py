@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,10 @@ from schauderspec import (
     PermutationUnitary,
     PowerLawRule,
     PreconditionViolatedError,
+    Product,
     SchauderSpectrumReport,
     SelfAdjointIntervalModel,
+    Sum,
     UnsupportedClassError,
     VanishingSequenceMembers,
     audit_deflation,
@@ -43,7 +46,9 @@ from schauderspec import (
     is_compact_structural,
     is_schauder,
     schauder_spectrum,
+    truncate,
 )
+from schauderspec.op_algebra import corner_entries
 from schauderspec.schauder import NOT_INJECTIVE, RANGE_NOT_DENSE, SELF_ADJOINT_NOTE
 
 RECIP = PowerLawRule(Fraction(1), 1)
@@ -242,6 +247,41 @@ class TestDeflateBasic:
     def test_spread_decomposition_attached(self):
         res = deflate_basic(RECIP, SMALL)
         assert len(res.spreads) == 2
+
+
+def dense_audit(result, n):
+    """Reference audit: compare every cell of both dense corners."""
+    left = truncate(Product(result.unitary, result.operator), n)
+    right = truncate(result.deflated, n)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            d = abs(complex(left[i][j]) - complex(right[i][j]))
+            if d > worst:
+                worst = d
+    return left == right, worst
+
+
+class TestAuditDeflation:
+    def test_mismatch_supported_on_both_sides(self):
+        res = deflate_basic(RECIP, SMALL)
+        bump = Diagonal(ExplicitThenRule((0, 0, Fraction(1, 7)), ConstantRule(0)))
+        bad = replace(res, deflated=Sum((res.deflated,
+                                         Product(res.deflated, bump))))
+        left = corner_entries(Product(res.unitary, res.operator), 16)
+        right = corner_entries(bad.deflated, 16)
+        assert left[4, 2] != right[4, 2]  # entry (5, 3): 1/3 against 8/21
+        assert audit_deflation(bad, 16) == dense_audit(bad, 16) == \
+            (False, abs(complex(Fraction(1, 21))))
+
+    def test_mismatch_supported_on_one_side(self):
+        res = deflate_basic(RECIP, SMALL)
+        extra = Diagonal(ExplicitThenRule((0, -0.25), ConstantRule(0)))
+        bad = replace(res, deflated=Sum((res.deflated, extra)))
+        left = corner_entries(Product(res.unitary, res.operator), 16)
+        right = corner_entries(bad.deflated, 16)
+        assert (1, 1) not in left and right[1, 1] == -0.25
+        assert audit_deflation(bad, 16) == dense_audit(bad, 16) == (False, 0.25)
 
 
 class TestDeflateDiscrete:

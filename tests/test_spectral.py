@@ -549,6 +549,26 @@ class TestBlockNormBlowup:
             assert abs(replayed - cert.attained_magnitude) <= \
                 1e-12 * cert.attained_magnitude
 
+    def test_step_cap_error_reports_walk_state(self):
+        log_bound = math.log(1e12)
+        # forward: log(m/r), then + log(alpha_{2n-3}/r) per further step
+        forward = [math.log(1.5 / 0.5), math.log(1.5 / 0.5),
+                   math.log(1.5 / 0.5 * 0.875 / 0.5)]
+        # backward: + log(r / (1 + g_k)) per step, g_k = 2^-k
+        backward = [sum(math.log(2.0 / (1.0 + 2.0 ** -i)) for i in range(1, k + 1))
+                    for k in range(1, 4)]
+        for lam, totals in ((0.5, forward), (2.0, backward)):
+            with pytest.raises(StepCapExceededError) as info:
+                block_norm_blowup(ALPHA_TO_ONE, 1.5, 2.0, lam, bound=1e12,
+                                  step_cap=3)
+            exc = info.value
+            assert exc.lam == lam
+            assert exc.steps == 3
+            assert math.isclose(exc.best_log_magnitude, max(totals),
+                                rel_tol=1e-12)
+            assert exc.gap == log_bound - exc.best_log_magnitude > 0
+            assert "short of log(bound)" in str(exc)
+
     def test_harmonic_gaps_rejected(self):
         with pytest.raises(PreconditionViolatedError):
             block_norm_blowup(AffineRule(1, PowerLawRule(-1, 1)), 0.1, 2.0, 0.5)
