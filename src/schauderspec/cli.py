@@ -41,10 +41,12 @@ from .schauder import (
 )
 from .serde import (
     certificate_to_json,
+    check_param,
     parse_spec_document,
     report_to_json,
     sequence_to_json,
     validate_document,
+    write_report,
 )
 from .spectral import (
     CertificateGridConfig,
@@ -217,18 +219,23 @@ def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
             "error": {"kind": "schema-error", "exitCode": EXIT_SCHEMA,
                       "message": f"invalid JSON: {exc}"},
         }
-        (out / "report.json").write_text(json.dumps(report, indent=2,
-                                                    sort_keys=True) + "\n")
+        write_report(out / "report.json", report)
         print(f"error: invalid JSON in {spec_path}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
     try:
         spec = parse_spec_document(doc)
         params = dict(spec.params)
-        params.update({k: v for k, v in overrides.items() if v is not None})
+        for key, value in overrides.items():
+            if value is not None:
+                check_param(key, value, f"--{key}")
+                params[key] = value
         cfg = _grid_config(params)
         truncation = params.get("truncation", 64)
         results = _run_analysis(spec, cfg, truncation)
+        artifacts = []
+        if write_csv:
+            artifacts = _write_csv_artifacts(out, spec, results, truncation)
     except Exception as exc:  # mapped to exit codes below
         code, block = _error_block(exc)
         report = {
@@ -237,14 +244,10 @@ def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
             "error": block,
             "wallTime": time.perf_counter() - started,
         }
-        (out / "report.json").write_text(json.dumps(report, indent=2,
-                                                    sort_keys=True) + "\n")
+        write_report(out / "report.json", report)
         print(f"error[{block['kind']}]: {block['message']}", file=sys.stderr)
         return code
 
-    artifacts = []
-    if write_csv:
-        artifacts = _write_csv_artifacts(out, spec, results, truncation)
     report = {
         "toolVersion": __version__,
         "inputs": spec.raw,
@@ -253,8 +256,7 @@ def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
         "artifacts": artifacts,
         "wallTime": time.perf_counter() - started,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2,
-                                                sort_keys=True) + "\n")
+    write_report(out / "report.json", report)
     print(f"ok: {spec.analysis} report written to {out / 'report.json'}")
     return EXIT_OK
 

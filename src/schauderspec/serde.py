@@ -9,8 +9,12 @@ offending node.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
+
 from .errors import SpecFormatError
 from .index_maps import (
     Permutation,
@@ -364,35 +368,40 @@ def parse_operator(node, path: str) -> OperatorExpr:
     raise SpecFormatError(f"unknown operator tag {tag!r}", path + ".op")
 
 
+def check_param(key: str, value, path: str) -> None:
+    """Raise ``SpecFormatError`` at ``path`` unless ``value`` suits ``key``.
+
+    The same rules hold for a document's ``params`` and for CLI flags.
+    """
+    if key not in _PARAM_KEYS:
+        raise SpecFormatError(f"unknown parameter {key!r}", path)
+    kind = _PARAM_KEYS[key]
+    if kind == "positive-int":
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise SpecFormatError(f"{key} must be an int >= 1", path)
+    elif kind == "positive-number":
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or value <= 0:
+            raise SpecFormatError(f"{key} must be a positive number", path)
+    elif kind == "positive-number-or-null":
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+            or value <= 0
+        ):
+            raise SpecFormatError(f"{key} must be a positive number or null", path)
+    elif kind == "unit-interval":
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not (0 < value < 1):
+            raise SpecFormatError(f"{key} must lie in (0, 1)", path)
+
+
 def parse_params(node, path: str) -> dict:
     if node is None:
         return {}
     node = _expect_dict(node, path)
-    out = {}
     for key, value in node.items():
-        if key not in _PARAM_KEYS:
-            raise SpecFormatError(f"unknown parameter {key!r}", f"{path}.{key}")
-        kind = _PARAM_KEYS[key]
-        p = f"{path}.{key}"
-        if kind == "positive-int":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise SpecFormatError(f"{key} must be an int >= 1", p)
-        elif kind == "positive-number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or value <= 0:
-                raise SpecFormatError(f"{key} must be a positive number", p)
-        elif kind == "positive-number-or-null":
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-                or value <= 0
-            ):
-                raise SpecFormatError(f"{key} must be a positive number or null", p)
-        elif kind == "unit-interval":
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not (0 < value < 1):
-                raise SpecFormatError(f"{key} must lie in (0, 1)", p)
-        out[key] = value
-    return out
+        check_param(key, value, f"{path}.{key}")
+    return dict(node)
 
 
 def parse_spec_document(doc) -> ParsedSpec:
@@ -502,3 +511,135 @@ def report_to_json(report: SchauderSpectrumReport) -> dict:
         "certificateCount": len(report.certificates),
         "certificates": [certificate_to_json(c) for c in report.certificates],
     }
+
+
+_FLUSH_PARTS = 4096
+# float.__repr__ spells the non-finite floats this way; json writes
+# NaN, Infinity and -Infinity.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _token(o):
+    """JSON token of a scalar, None for a container, in json.encoder's order.
+
+    This is the path for subclasses of the JSON types and for the top
+    level; exact types go through ``_TOKENS``.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        token = float.__repr__(o)
+        return _NONFINITE.get(token, token)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+# Token functions of the exact JSON types; None marks a container.  A
+# float token still goes through _NONFINITE.
+_TOKENS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    dict: None,
+    list: None,
+    tuple: None,
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _token(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def write_report(path, report) -> None:
+    """Write ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` to ``path``.
+
+    The text is streamed, never held whole: list loops hand the pending
+    parts to the file every ``_FLUSH_PARTS`` parts.  It goes to a
+    temporary file beside ``path`` that replaces ``path`` only once it is
+    complete, so a reader never sees a partial report.  Unlike
+    ``json.dumps`` it does not look for reference cycles.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    parts = []
+    key_heads = {}  # str key -> '"key": '
+    token_of, float_repr = _TOKENS.get, float.__repr__
+
+    def emit(o, nl):
+        # Append the text of the container ``o``, which opens at indent ``nl``.
+        if not o:
+            parts.append("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = nl + "  "
+        head, sep = inner, "," + inner
+        if isinstance(o, dict):
+            parts.append("{")
+            # Distinct dict keys never compare equal, so sorting the keys
+            # gives the order json.dumps gets from sorting the items.
+            for key in sorted(o):
+                value = o[key]
+                if type(key) is str:
+                    key_head = key_heads.get(key)
+                    if key_head is None:
+                        key_head = key_heads[key] = \
+                            encode_basestring_ascii(key) + ": "
+                else:
+                    key_head = encode_basestring_ascii(_key_text(key)) + ": "
+                to = token_of(type(value), _token)
+                token = to and to(value)
+                if token is None:
+                    parts.append(head + key_head)
+                    emit(value, inner)
+                else:
+                    if to is float_repr:
+                        token = _NONFINITE.get(token, token)
+                    parts.append(f"{head}{key_head}{token}")
+                head = sep
+            parts.append(nl + "}")
+        else:
+            parts.append("[")
+            for value in o:
+                to = token_of(type(value), _token)
+                token = to and to(value)
+                if token is None:
+                    parts.append(head)
+                    emit(value, inner)
+                else:
+                    if to is float_repr:
+                        token = _NONFINITE.get(token, token)
+                    parts.append(head + token)
+                head = sep
+                if len(parts) > _FLUSH_PARTS:
+                    fh.write("".join(parts))
+                    parts.clear()
+            parts.append(nl + "]")
+
+    try:
+        with tmp.open("w") as fh:
+            token = _token(report)
+            if token is None:
+                emit(report, "\n")
+            else:
+                parts.append(token)
+            parts.append("\n")
+            fh.write("".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

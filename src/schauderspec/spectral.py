@@ -452,6 +452,7 @@ def infinite_product(a: ScalarRule, t0: Scalar, tol: float) -> ProductEstimate:
     partial = 1.0
     n = 0
     if classification is not None and math.isfinite(classification):
+        tail_bound = math.inf
         while n < _PRODUCT_ITER_CAP:
             tail = a.tail_abs_sum(n + 1)
             if tail is not None and tail / abs_t0 < 0.5:
@@ -469,7 +470,9 @@ def infinite_product(a: ScalarRule, t0: Scalar, tol: float) -> ProductEstimate:
                     )
             partial = partial * factor
         raise ConvergenceFailureError(
-            f"tail tolerance {tol} not reached within {_PRODUCT_ITER_CAP} terms"
+            f"tail tolerance {tol} not reached within {n} terms: "
+            f"last tail bound {tail_bound:.6g}",
+            terms=n, tail_bound=tail_bound, tol=tol,
         )
 
     # divergent or unknown tail: numeric partial products only; factors
@@ -884,8 +887,13 @@ def dense_eigs(M) -> list:
     scale = norm * np.linalg.norm(vecs, axis=0)
     bad = residuals > _EIG_RESIDUAL_TOL * np.maximum(scale, 1e-300)
     if norm > 0 and np.any(bad):
+        failing = int(bad.sum())
+        worst = float(np.max(residuals / np.maximum(scale, 1e-300)))
         raise ConvergenceFailureError(
-            f"residual guarantee violated for {int(bad.sum())} eigenpairs"
+            f"residual guarantee violated for {failing} eigenpairs: "
+            f"worst relative residual {worst:.3g} against tol "
+            f"{_EIG_RESIDUAL_TOL:g}",
+            failing=failing, worst_residual=worst, tol=_EIG_RESIDUAL_TOL,
         )
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 

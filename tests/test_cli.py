@@ -1,11 +1,16 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schauderspec import cibws, replay_shift_certificate, truncate_complex
+from schauderspec import cli
 from schauderspec.cli import main
-from schauderspec.serde import parse_spec_document, validate_document
-from schauderspec.errors import SpecFormatError
+from schauderspec.serde import parse_spec_document, validate_document, write_report
+from schauderspec.errors import ConvergenceFailureError, SpecFormatError
 
 SMALL_PARAMS = {"grid-moduli": 4, "grid-phases": 4}
 
@@ -144,6 +149,39 @@ class TestRun:
                 for c in report["results"]["certificates"]}
         assert len(lams) == 4
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--truncation", "0"),
+        ("--grid-moduli", "0"),
+        ("--grid-phases", "-1"),
+        ("--step-cap", "0"),
+        ("--bound", "0"),
+        ("--epsilon", "1.5"),
+        ("--min-modulus", "-1e-3"),
+        ("--max-modulus", "0"),
+    ])
+    def test_bad_flag_is_schema_error(self, tmp_path, flag, value):
+        spec = write_spec(tmp_path, "cibws.json", cibws_spec())
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out), f"{flag}={value}"]) == 1
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["kind"] == "schema-error"
+        assert error["exitCode"] == 1
+        assert error["path"] == flag
+
+    def test_csv_artifact_failure_maps_to_exit_code(self, tmp_path, monkeypatch):
+        def fail(M):
+            raise ConvergenceFailureError("residual guarantee violated")
+
+        monkeypatch.setattr(cli, "dense_eigs", fail)
+        spec = write_spec(tmp_path, "cibws.json", cibws_spec())
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out), "--csv"]) == 4
+        report = json.loads((out / "report.json").read_text())
+        assert "results" not in report
+        assert report["error"]["kind"] == "certificate-failure"
+        assert report["error"]["exitCode"] == 4
+        assert "residual guarantee" in report["error"]["message"]
+
     def test_classify_analysis(self, tmp_path):
         spec = write_spec(tmp_path, "diag.json", diag_spec("classify"))
         out = tmp_path / "out"
@@ -266,3 +304,106 @@ class TestGoldens:
         got = json.loads((out / "report.json").read_text())["results"]
         want = json.loads((golden_dir / "diag-spectrum.results.json").read_text())
         assert got == want
+
+
+class MyInt(int):
+    def __repr__(self):
+        return "MyInt()"
+
+
+class MyFloat(float):
+    def __repr__(self):
+        return "MyFloat()"
+
+
+class MyStr(str):
+    pass
+
+
+class MyDict(dict):
+    pass
+
+
+class MyList(list):
+    pass
+
+
+def stdlib_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def written_text(tmp_path, obj):
+    path = tmp_path / "report.json"
+    write_report(path, obj)
+    return path.read_text()
+
+
+_texts = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f é€\U0001F600ab')
+_floats = st.floats() | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+     1e100, 1e16, 0.1])
+_scalars = (
+    st.none() | st.booleans() | st.integers(min_value=-2**200, max_value=2**200)
+    | _floats | _texts | st.integers().map(MyInt) | _floats.map(MyFloat)
+    | _texts.map(MyStr)
+)
+# json.dumps sorts the keys, so each dict holds keys of one comparable kind.
+_key_kinds = (_texts, st.integers() | st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=5).map(MyList),
+        st.dictionaries(_texts, children, max_size=5).map(MyDict),
+        *(st.dictionaries(keys, children, max_size=5) for keys in _key_kinds),
+    )
+
+
+_trees = st.recursive(_scalars, _containers, max_leaves=40)
+_DEEP = {"a": [{"b": [{"c": [{"d": [1.5, None, True, "x\n"]}]}]}, (), {}, []]}
+
+
+class TestWriteReport:
+    @settings(max_examples=200, deadline=None)
+    @given(_trees)
+    @example(_DEEP)
+    @example({1: "int", 2.5: "float"})
+    @example({True: 1, False: 0})
+    @example({None: []})
+    @example([math.nan, -math.inf, math.inf, -0.0, 5e-324, 2**64 + 1])
+    def test_bytes_match_stdlib(self, tmp_path_factory, tree):
+        tmp_path = tmp_path_factory.mktemp("w")
+        assert written_text(tmp_path, tree) == stdlib_text(tree)
+
+    def test_long_list_streams_in_chunks(self, tmp_path):
+        tree = {"rows": [{"i": i, "x": i / 7, "s": f"r{i}"} for i in range(20000)]}
+        assert written_text(tmp_path, tree) == stdlib_text(tree)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 3), 1j, {1, 2}])
+    def test_unserializable_raises_type_error(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError, match=f"Object of type {type(bad).__name__} "
+                                            "is not JSON serializable"):
+            write_report(path, {"rows": [1, 2], "value": bad})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_scalar_key_raises_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="keys must be str"):
+            write_report(tmp_path / "report.json", {(1, 2): 3})
+
+    @pytest.mark.parametrize("name, flags, code", [
+        ("diag-spectrum", (), 0),
+        ("cibws-deflate", ("--csv",), 0),
+        ("cibws-deflate", ("--truncation=0",), 1),
+    ])
+    def test_cli_report_is_stdlib_encoding(self, tmp_path, name, flags, code):
+        from pathlib import Path
+
+        golden_dir = Path(__file__).resolve().parent.parent / "docs" / "goldens"
+        out = tmp_path / "out"
+        assert main(["run", str(golden_dir / f"{name}.json"), "--out", str(out),
+                     *flags]) == code
+        text = (out / "report.json").read_text()
+        assert stdlib_text(json.loads(text)) == text

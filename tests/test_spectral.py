@@ -14,6 +14,7 @@ from schauderspec import (
     CallableRule,
     CertificateGridConfig,
     ConstantRule,
+    ConvergenceFailureError,
     Diagonal,
     ExplicitThenRule,
     GeometricRule,
@@ -368,6 +369,19 @@ class TestInfiniteProduct:
         est = infinite_product(rule, 1, tol=1e-10)
         assert est.convergent is None
 
+    def test_tail_tolerance_failure_reports_terms_and_bound(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_PRODUCT_ITER_CAP", 50)
+        rule = PowerLawRule(Fraction(1), 2)  # tail after 50 terms ~ 1/50
+        with pytest.raises(ConvergenceFailureError) as err:
+            infinite_product(rule, 2, tol=1e-12)
+        exc = err.value
+        s = rule.tail_abs_sum(50) / 2
+        assert exc.terms == 50
+        assert exc.tail_bound == s / (1.0 - s)
+        assert exc.tail_bound > exc.tol == 1e-12
+        assert "within 50 terms" in str(exc)
+        assert f"{exc.tail_bound:.6g}" in str(exc)
+
     def test_later_partials_within_certified_tail(self):
         est = infinite_product(GEO_HALF, 1, tol=1e-6)
         budget = est.tail_bound * est.limit_estimate * math.exp(est.tail_bound)
@@ -600,3 +614,19 @@ class TestDenseEigs:
     def test_dimension_cap(self):
         with pytest.raises(PreconditionViolatedError):
             dense_eigs(np.eye(513))
+
+    def test_residual_failure_reports_count_and_worst(self, monkeypatch):
+        tol = 1e-300  # below any float residual, so the check must fail
+        monkeypatch.setattr(spectral, "_EIG_RESIDUAL_TOL", tol)
+        A = np.random.default_rng(7).standard_normal((6, 6)).astype(complex)
+        with pytest.raises(ConvergenceFailureError) as err:
+            dense_eigs(A)
+        exc = err.value
+        vals, vecs = np.linalg.eig(A)
+        ratios = (np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+                  / (np.linalg.norm(A, 2) * np.linalg.norm(vecs, axis=0)))
+        assert exc.failing == int((ratios > tol).sum()) >= 1
+        assert math.isclose(exc.worst_residual, ratios.max(), rel_tol=1e-12)
+        assert exc.tol == tol
+        assert f"for {exc.failing} eigenpairs" in str(exc)
+        assert f"{exc.worst_residual:.3g}" in str(exc)
