@@ -64,6 +64,7 @@ from .spectral import (
     CertificateGridConfig,
     EigenExclusionCertificate,
     KernelRangeVerdict,
+    _grid_top,
     check_single_orbit,
     dense_eigs,
     grid_certificates,
@@ -487,7 +488,7 @@ def classify_compact(report: SchauderSpectrumReport, compact: bool) -> int:
 
 
 def _region_string(cfg: CertificateGridConfig, max_weight: float) -> str:
-    top = cfg.max_modulus if cfg.max_modulus is not None else 10.0 * max_weight
+    top = _grid_top(cfg, max_weight)
     return (
         f"grid of {cfg.moduli} moduli in [{cfg.min_modulus!r}, {top!r}] x "
         f"{cfg.phases} phases (each certificate covers its modulus circle); "

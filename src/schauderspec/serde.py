@@ -9,6 +9,7 @@ offending node.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,6 +369,13 @@ def parse_operator(node, path: str) -> OperatorExpr:
     raise SpecFormatError(f"unknown operator tag {tag!r}", path + ".op")
 
 
+def _positive_finite(value) -> bool:
+    # NaN fails every comparison, so ``value <= 0`` alone lets it through.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value > 0 and (isinstance(value, int) or math.isfinite(value))
+
+
 def check_param(key: str, value, path: str) -> None:
     """Raise ``SpecFormatError`` at ``path`` unless ``value`` suits ``key``.
 
@@ -380,15 +388,12 @@ def check_param(key: str, value, path: str) -> None:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SpecFormatError(f"{key} must be an int >= 1", path)
     elif kind == "positive-number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
-            raise SpecFormatError(f"{key} must be a positive number", path)
+        if not _positive_finite(value):
+            raise SpecFormatError(f"{key} must be a finite positive number", path)
     elif kind == "positive-number-or-null":
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-            or value <= 0
-        ):
-            raise SpecFormatError(f"{key} must be a positive number or null", path)
+        if value is not None and not _positive_finite(value):
+            raise SpecFormatError(
+                f"{key} must be a finite positive number or null", path)
     elif kind == "unit-interval":
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not (0 < value < 1):

@@ -870,7 +870,10 @@ def dense_eigs(M) -> list:
 
     Each returned eigenvalue comes from a pair ``(lam, x)`` with
     ``||Mx - lam x|| <= 1e-8 ||M|| ||x||``; the list is sorted by real
-    part, then imaginary part, for deterministic output.
+    part, then imaginary part, for deterministic output.  Pairs are first
+    held to the largest column norm, a lower bound on ``||M||``; the
+    exact 2-norm (an SVD) is computed only when some pair misses it, and
+    it alone decides a rejection.
     """
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -882,19 +885,28 @@ def dense_eigs(M) -> list:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
-    norm = np.linalg.norm(A, 2)
     residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
-    scale = norm * np.linalg.norm(vecs, axis=0)
-    bad = residuals > _EIG_RESIDUAL_TOL * np.maximum(scale, 1e-300)
-    if norm > 0 and np.any(bad):
-        failing = int(bad.sum())
-        worst = float(np.max(residuals / np.maximum(scale, 1e-300)))
-        raise ConvergenceFailureError(
-            f"residual guarantee violated for {failing} eigenpairs: "
-            f"worst relative residual {worst:.3g} against tol "
-            f"{_EIG_RESIDUAL_TOL:g}",
-            failing=failing, worst_residual=worst, tol=_EIG_RESIDUAL_TOL,
-        )
+    vec_norms = np.linalg.norm(vecs, axis=0)
+    # The largest column norm, of |A| / max|a_ij| so squares neither
+    # overflow nor round up as subnormals, shrunk so that rounding cannot
+    # lift it above the computed 2-norm: whatever passes it passes below.
+    abs_a = np.abs(A)
+    top = abs_a.max(initial=0.0)
+    floor = top * np.linalg.norm(abs_a / (top or 1.0), axis=0).max(
+        initial=0.0) * (1.0 - 1e-12)
+    if not np.all(residuals <= _EIG_RESIDUAL_TOL * (floor * vec_norms)):
+        norm = np.linalg.norm(A, 2)
+        scale = norm * vec_norms
+        bad = residuals > _EIG_RESIDUAL_TOL * np.maximum(scale, 1e-300)
+        if norm > 0 and np.any(bad):
+            failing = int(bad.sum())
+            worst = float(np.max(residuals / np.maximum(scale, 1e-300)))
+            raise ConvergenceFailureError(
+                f"residual guarantee violated for {failing} eigenpairs: "
+                f"worst relative residual {worst:.3g} against tol "
+                f"{_EIG_RESIDUAL_TOL:g}",
+                failing=failing, worst_residual=worst, tol=_EIG_RESIDUAL_TOL,
+            )
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
@@ -922,15 +934,22 @@ def sup_abs_weight(rule: ScalarRule, probe: int = 64) -> float:
     return max(float(abs(rule.value(n))) for n in range(1, probe + 1))
 
 
-def lambda_grid(cfg: CertificateGridConfig, max_weight: float) -> Tuple[complex, ...]:
-    """Logarithmically spaced moduli times equally spaced phases."""
+def _grid_top(cfg: CertificateGridConfig, max_weight: float) -> float:
+    """The largest modulus of ``lambda_grid``."""
+    if cfg.moduli == 1:
+        return cfg.min_modulus
     top = cfg.max_modulus if cfg.max_modulus is not None else 10.0 * max_weight
     if top <= cfg.min_modulus:
         top = cfg.min_modulus * 10.0
+    return top
+
+
+def lambda_grid(cfg: CertificateGridConfig, max_weight: float) -> Tuple[complex, ...]:
+    """Logarithmically spaced moduli times equally spaced phases."""
     if cfg.moduli == 1:
         radii = [cfg.min_modulus]
     else:
-        lo, hi = math.log(cfg.min_modulus), math.log(top)
+        lo, hi = math.log(cfg.min_modulus), math.log(_grid_top(cfg, max_weight))
         radii = [
             math.exp(lo + (hi - lo) * i / (cfg.moduli - 1))
             for i in range(cfg.moduli)

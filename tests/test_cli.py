@@ -158,6 +158,12 @@ class TestRun:
         ("--epsilon", "1.5"),
         ("--min-modulus", "-1e-3"),
         ("--max-modulus", "0"),
+        ("--bound", "nan"),
+        ("--bound", "inf"),
+        ("--min-modulus", "inf"),
+        ("--min-modulus", "nan"),
+        ("--max-modulus", "nan"),
+        ("--max-modulus", "inf"),
     ])
     def test_bad_flag_is_schema_error(self, tmp_path, flag, value):
         spec = write_spec(tmp_path, "cibws.json", cibws_spec())
@@ -167,6 +173,35 @@ class TestRun:
         assert error["kind"] == "schema-error"
         assert error["exitCode"] == 1
         assert error["path"] == flag
+
+    @pytest.mark.parametrize("key", ["bound", "min-modulus", "max-modulus"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_param_in_file_is_schema_error(self, tmp_path, key, value):
+        doc = cibws_spec()
+        doc["params"][key] = value
+        spec = write_spec(tmp_path, "cibws.json", doc)  # NaN / Infinity tokens
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 1
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["kind"] == "schema-error"
+        assert error["path"] == f"$.params.{key}"
+
+    @pytest.mark.parametrize("flags, lo, hi", [
+        (["--min-modulus", "2", "--max-modulus", "0.5"], 2.0, 20.0),
+        # the default top, 10 x the largest weight (1), is not above 10
+        (["--min-modulus", "10"], 10.0, 100.0),
+        (["--grid-moduli", "1"], 0.001, 0.001),  # only min-modulus is walked
+    ])
+    def test_covered_region_states_walked_moduli(self, tmp_path, flags, lo, hi):
+        spec = write_spec(tmp_path, "cibws.json", cibws_spec())
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out), *flags]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert f"moduli in [{lo!r}, {hi!r}]" in results["coveredRegion"]
+        moduli = [abs(complex(c["lambdaRe"], c["lambdaIm"]))
+                  for c in results["certificates"]]
+        assert math.isclose(min(moduli), lo, rel_tol=1e-12)
+        assert math.isclose(max(moduli), hi, rel_tol=1e-12)
 
     def test_csv_artifact_failure_maps_to_exit_code(self, tmp_path, monkeypatch):
         def fail(M):

@@ -592,6 +592,53 @@ class TestBlockNormBlowup:
             block_norm_blowup(ALPHA_TO_ONE, 0.1, 2.0, 0)
 
 
+def _svd_always_eigs(A, tol):
+    """The residual check held to the exact 2-norm for every matrix.
+
+    Returns the sorted eigenvalues, or ``(failing, worst_residual)`` where
+    ``dense_eigs`` must raise.
+    """
+    vals, vecs = np.linalg.eig(A)
+    norm = np.linalg.norm(A, 2)
+    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    scale = norm * np.linalg.norm(vecs, axis=0)
+    bad = residuals > tol * np.maximum(scale, 1e-300)
+    if norm > 0 and np.any(bad):
+        return int(bad.sum()), float(np.max(residuals / np.maximum(scale, 1e-300)))
+    return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
+
+
+def _residual_test_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "monomial":  # at most one nonzero per row and per column
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w[rng.random(n) < 0.3] = 0
+        A = np.zeros((n, n), dtype=complex)
+        A[rng.permutation(n), np.arange(n)] = w
+        return A
+    if kind == "dense":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "jordan":
+        return np.eye(n, k=1, dtype=complex)
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    return np.ones((n, n), dtype=complex)
+
+
+def _spy_two_norms(monkeypatch):
+    """Record every ``np.linalg.norm(A, 2)`` call made while the test runs."""
+    calls = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and axis is None:
+            calls.append(np.shape(x))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
+
+
 class TestDenseEigs:
     def test_diagonal_matrix(self):
         vals = dense_eigs(np.diag([3.0, 1.0, 2.0]))
@@ -630,3 +677,42 @@ class TestDenseEigs:
         assert exc.tol == tol
         assert f"for {exc.failing} eigenpairs" in str(exc)
         assert f"{exc.worst_residual:.3g}" in str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["monomial", "dense", "jordan", "zero", "ones"]),
+           n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e150, 1e-150, 1e160, 1e-160]),
+           tol=st.sampled_from([1e-8, 1e-14, 1e-15, 1e-16, 1e-300]))
+    def test_matches_svd_always_check(self, kind, n, seed, scale, tol):
+        A = _residual_test_matrix(kind, n, seed) * scale
+        want = _svd_always_eigs(A, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_EIG_RESIDUAL_TOL", tol)
+            try:
+                got = dense_eigs(A)
+            except ConvergenceFailureError as exc:
+                got = (exc.failing, exc.worst_residual)
+                assert exc.tol == tol
+        assert got == want
+
+    def test_exact_norm_accepts_what_the_floor_misses(self, monkeypatch):
+        n = 16
+        A = np.ones((n, n), dtype=complex)  # floor sqrt(n), 2-norm n
+        vals, vecs = np.linalg.eig(A)
+        ratio = np.max(np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+                       / np.linalg.norm(vecs, axis=0))
+        assert ratio > 0
+        # Above the worst residual against n, below it against sqrt(n).
+        tol = ratio / n * n ** 0.25
+        monkeypatch.setattr(spectral, "_EIG_RESIDUAL_TOL", tol)
+        calls = _spy_two_norms(monkeypatch)
+        assert dense_eigs(A) == sorted((complex(v) for v in vals),
+                                       key=lambda z: (z.real, z.imag))
+        assert calls == [(n, n)]
+
+    def test_diagonal_skips_exact_norm(self, monkeypatch):
+        weights = np.arange(1, 513) ** -0.1
+        calls = _spy_two_norms(monkeypatch)
+        vals = dense_eigs(np.diag(weights.astype(complex)))
+        assert calls == []
+        assert vals == [complex(w) for w in weights[::-1]]
