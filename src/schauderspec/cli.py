@@ -31,7 +31,7 @@ from .errors import (
     StepCapExceededError,
     UnsupportedClassError,
 )
-from .op_algebra import recognize_shift_form, truncate_complex
+from .op_algebra import corner_array, corner_entries, recognize_shift_form
 from .schauder import (
     audit_deflation,
     classify_compact,
@@ -51,7 +51,7 @@ from .serde import (
 from .spectral import (
     CertificateGridConfig,
     check_single_orbit,
-    dense_eigs,
+    corner_eigs,
     grid_certificates,
     lambda_grid,
     sup_abs_weight,
@@ -165,18 +165,19 @@ def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> 
                     c["witnessIndex"], repr(c["magnitude"]), repr(c["bound"]),
                 ])
         written.append(path.name)
-    M = truncate_complex(spec.operator, truncation)
+    # Row-major over the numerically nonzero entries; no dense corner is
+    # built beyond the eigensolve's.
+    entries = corner_entries(spec.operator, truncation)
+    cells = sorted((key, complex(v)) for key, v in entries.items())
     path = outdir / "matrix.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "re", "im"])
-        for i, j in zip(*M.nonzero()):
-            v = M[i, j]
-            writer.writerow([int(i) + 1, int(j) + 1,
-                             repr(float(v.real)), repr(float(v.imag))])
+        for (i, j), z in cells:
+            if z:
+                writer.writerow([i + 1, j + 1, repr(z.real), repr(z.imag)])
     written.append(path.name)
-    eig_n = min(truncation, 512)
-    eigs = dense_eigs(M[:eig_n, :eig_n])
+    eigs = corner_eigs(corner_array(entries, min(truncation, 512)))
     path = outdir / "eigs.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,7 +11,7 @@ both coordinates, else opens a new spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyInputError
 from .sequences import (
@@ -203,6 +203,39 @@ def decompose_into_spreads(p: Permutation, window: int) -> list:
         )
         for pile in piles
     ]
+
+
+def cycles_and_chains(nodes: Iterable[int], succ: Mapping[int, int]) -> Tuple[list, list]:
+    """Split a partial injection on finitely many nodes into cycles and chains.
+
+    ``succ`` maps a node to its successor.  A node without one, or whose
+    successor is not among ``nodes``, ends a chain; a node that no node
+    maps to heads one.  Every node lies on exactly one cycle or one
+    maximal chain.  Returns ``(cycles, chains)`` as lists of tuples in
+    walking order: chains from head to end, ordered by head; each cycle
+    starts at its first node in ``nodes`` order.  Raises ``ValueError``
+    when two nodes share a successor.
+    """
+    order = list(nodes)
+    members = set(order)
+    pred: dict = {}
+    for a in order:
+        b = succ.get(a)
+        if b in members:
+            if b in pred:
+                raise ValueError(f"nodes {pred[b]} and {a} share the successor {b}")
+            pred[b] = a
+    cycles, chains, seen = [], [], set()
+    # Walk the chains from their heads first; every node left is on a cycle.
+    for a in [a for a in order if a not in pred] + order:
+        if a not in seen:
+            path, b = [a], succ.get(a)
+            while b in members and b != a:
+                path.append(b)
+                b = succ.get(b)
+            seen.update(path)
+            (cycles if b == a else chains).append(tuple(path))
+    return cycles, chains
 
 
 # ---------------------------------------------------------------------------

@@ -423,13 +423,18 @@ def truncate(T: OperatorExpr, n: int) -> list:
     return M
 
 
-def truncate_complex(T: OperatorExpr, n: int) -> np.ndarray:
-    """Leading corner as a dense complex128 array (for numerics)."""
-    entries = corner_entries(T, n)
+def corner_array(entries: dict, n: int) -> np.ndarray:
+    """The leading ``n x n`` part of ``corner_entries`` as complex128."""
     M = np.zeros((n, n), dtype=complex)
     for (i, j), v in entries.items():
-        M[i, j] = complex(v)
+        if i < n and j < n:
+            M[i, j] = complex(v)
     return M
+
+
+def truncate_complex(T: OperatorExpr, n: int) -> np.ndarray:
+    """Leading corner as a dense complex128 array (for numerics)."""
+    return corner_array(corner_entries(T, n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ from .spectral import (
     KernelRangeVerdict,
     _grid_top,
     check_single_orbit,
-    dense_eigs,
+    corner_eigs,
     grid_certificates,
     kernel_trivial,
     lambda_grid,
@@ -845,7 +845,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
         certs.append(replace(base, side="adjoint"))
 
     audit_n = min(dim * len(blocks), 64)
-    eigs = dense_eigs(truncate_complex(deflated, audit_n))
+    eigs = corner_eigs(truncate_complex(deflated, audit_n))
     max_eig = max((abs(e) for e in eigs), default=0.0)
     min_lo = min(lo for (lo, _hi), _ in blocks)
     zero = KernelRangeVerdict(

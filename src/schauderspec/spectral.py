@@ -32,6 +32,7 @@ from .errors import (
     PreconditionViolatedError,
     StepCapExceededError,
 )
+from .index_maps import cycles_and_chains
 from .op_algebra import (
     Diagonal,
     OperatorExpr,
@@ -866,14 +867,17 @@ _EIG_RESIDUAL_TOL = 1e-8
 
 
 def dense_eigs(M) -> list:
-    """Eigenvalues of a dense matrix with a residual guarantee.
+    """Eigenvalues of a general matrix through LAPACK, with a residual guarantee.
 
     Each returned eigenvalue comes from a pair ``(lam, x)`` with
     ``||Mx - lam x|| <= 1e-8 ||M|| ||x||``; the list is sorted by real
     part, then imaginary part, for deterministic output.  Pairs are first
     held to the largest column norm, a lower bound on ``||M||``; the
     exact 2-norm (an SVD) is computed only when some pair misses it, and
-    it alone decides a rejection.
+    it alone decides a rejection.  When the residual norms overflow, both
+    sides of the check are taken for ``M / max|m_ij|``, the same ratio.
+    Truncation corners go through :func:`corner_eigs`; this is its
+    fallback and the reference it is tested against.
     """
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -885,17 +889,25 @@ def dense_eigs(M) -> list:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
-    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
     vec_norms = np.linalg.norm(vecs, axis=0)
+    abs_a = np.abs(A)
+    top = abs_a.max(initial=0.0)
+    # Squares of residuals near the top of the float range overflow; then
+    # every norm below is taken in units of max|a_ij|.
+    unit = 1.0
+    if not np.all(np.isfinite(residuals)):
+        unit = top
+        residuals = np.linalg.norm((A / unit) @ vecs - vecs * (vals / unit),
+                                   axis=0)
     # The largest column norm, of |A| / max|a_ij| so squares neither
     # overflow nor round up as subnormals, shrunk so that rounding cannot
     # lift it above the computed 2-norm: whatever passes it passes below.
-    abs_a = np.abs(A)
-    top = abs_a.max(initial=0.0)
-    floor = top * np.linalg.norm(abs_a / (top or 1.0), axis=0).max(
+    floor = (top / unit) * np.linalg.norm(abs_a / (top or 1.0), axis=0).max(
         initial=0.0) * (1.0 - 1e-12)
     if not np.all(residuals <= _EIG_RESIDUAL_TOL * (floor * vec_norms)):
-        norm = np.linalg.norm(A, 2)
+        norm = np.linalg.norm(A / unit, 2)
         scale = norm * vec_norms
         bad = residuals > _EIG_RESIDUAL_TOL * np.maximum(scale, 1e-300)
         if norm > 0 and np.any(bad):
@@ -908,6 +920,85 @@ def dense_eigs(M) -> list:
                 failing=failing, worst_residual=worst, tol=_EIG_RESIDUAL_TOL,
             )
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
+
+
+def corner_eigs(M) -> list:
+    """Eigenvalues of a truncation corner, read off its cycles and chains.
+
+    The corners the package builds are partial monomial: at most one
+    numerically nonzero entry per row and per column.  Then
+    ``M e_j = m_ij e_i`` is a partial injection ``j -> i``, and
+    :func:`~schauderspec.index_maps.cycles_and_chains` splits it.  A node
+    on a chain or a 1-cycle contributes its diagonal entry as stored
+    (numerically zero on a chain), as LAPACK returns the eigenvalues it
+    isolates.  A k-cycle (k >= 2) contributes the k-th roots of its
+    weight product, formed as modulus ``exp(mean log|w|)`` and phase, so
+    a long cycle of small weights does not underflow.  Those are exact
+    eigenvalues of explicit eigenvectors; for a k-cycle root only the
+    closing component of ``Mx - lam x`` is nonzero, and it is held, in
+    scaled form, to the guarantee of :func:`dense_eigs` with
+    ``||M||_2 = max|m_ij|``.  Any other matrix, a non-finite entry, or a
+    cycle that misses the check goes whole to :func:`dense_eigs`, which
+    alone decides a rejection.  Sorted as :func:`dense_eigs` sorts; on
+    corners with cycles the values may differ from LAPACK's by ulps.
+    """
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] > _EIG_MAX_DIM:
+        return dense_eigs(A)
+    n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    norm = np.abs(A[rows, cols]).max(initial=0.0)
+    if (not np.isfinite(norm)
+            or np.bincount(rows, minlength=n).max(initial=0) > 1
+            or np.bincount(cols, minlength=n).max(initial=0) > 1):
+        return dense_eigs(A)
+    succ = dict(zip(cols.tolist(), rows.tolist()))
+    cycles, _chains = cycles_and_chains(range(n), succ)
+    on_cycles: set = set()
+    vals = []
+    for cycle in cycles:
+        if len(cycle) > 1:
+            roots = _cycle_roots(A[[succ[j] for j in cycle], cycle], norm)
+            if roots is None:
+                return dense_eigs(A)
+            vals.extend(roots)
+            on_cycles.update(cycle)
+    diagonal = A.diagonal().tolist()
+    vals.extend(diagonal[j] for j in range(n) if j not in on_cycles)
+    return sorted(vals, key=lambda z: (z.real, z.imag))
+
+
+def _cycle_roots(w: np.ndarray, norm: float) -> Optional[list]:
+    """The k-th roots of ``prod(w)``, or None if one misses the residual check.
+
+    For a root ``lam``, ``x_0 = 1`` and ``x_{t+1} = w_t x_t / lam`` give
+    ``Mx - lam x`` zero off the cycle's first node, and there
+    ``lam (prod(w) / lam^k - 1)``.  With ``||x|| >= max_t |x_t|`` the
+    guarantee holds when ``(|lam| / norm) |prod(w) / lam^k - 1| /
+    max_t |x_t| <= tol``; every factor is formed from logarithms and
+    phases taken in units of ``max|w|``.
+    """
+    k = len(w)
+    mags = np.abs(w)
+    big = mags.max()
+    # A ratio below the float range gives -inf or nan here, and the check
+    # below then fails.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = np.log(mags / big)
+        log_prod = math.fsum(logs)
+        arg_prod = math.fsum(np.angle(w))
+        phases = (arg_prod + 2 * math.pi * np.arange(k)) / k
+        roots = big * np.exp(log_prod / k) * np.exp(1j * phases)
+        log_mods = np.log(np.abs(roots) / big)
+        turns = arg_prod - k * np.angle(roots)
+        turns -= 2 * math.pi * np.round(turns / (2 * math.pi))
+        closing = np.abs(np.expm1((log_prod - k * log_mods) + 1j * turns))
+        log_x = np.cumsum(logs[:-1] - log_mods.max())
+        ratios = (np.abs(roots) / norm * closing
+                  * np.exp(-max(0.0, log_x.max(initial=0.0))))
+    if not np.all(ratios <= _EIG_RESIDUAL_TOL):
+        return None
+    return roots.tolist()
 
 
 # ---------------------------------------------------------------------------

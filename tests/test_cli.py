@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -203,11 +204,29 @@ class TestRun:
         assert math.isclose(min(moduli), lo, rel_tol=1e-12)
         assert math.isclose(max(moduli), hi, rel_tol=1e-12)
 
+    def test_large_truncation_csv_builds_no_dense_corner(self, tmp_path):
+        # A dense 3000 x 3000 complex corner alone would take 144 MB.
+        spec = write_spec(tmp_path, "diag.json", diag_spec())
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["run", str(spec), "--out", str(out),
+                         "--truncation", "3000", "--csv"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = (out / "matrix.csv").read_text().splitlines()
+        assert rows[1:] == [f"{k},{k},{1 / k!r},0.0" for k in range(1, 3001)]
+        eigs = (out / "eigs.csv").read_text().splitlines()
+        assert eigs[1:] == [f"{1 / k!r},0.0" for k in range(512, 0, -1)]
+        assert peak < 16e6
+
     def test_csv_artifact_failure_maps_to_exit_code(self, tmp_path, monkeypatch):
         def fail(M):
             raise ConvergenceFailureError("residual guarantee violated")
 
-        monkeypatch.setattr(cli, "dense_eigs", fail)
+        monkeypatch.setattr(cli, "corner_eigs", fail)
         spec = write_spec(tmp_path, "cibws.json", cibws_spec())
         out = tmp_path / "out"
         assert main(["run", str(spec), "--out", str(out), "--csv"]) == 4

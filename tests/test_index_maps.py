@@ -8,6 +8,7 @@ from schauderspec import (
     INFINITE,
     EmptyInputError,
     MultiplicityList,
+    cycles_and_chains,
     decompose_into_spreads,
     deinterleave,
     expand_multiplicities,
@@ -142,6 +143,72 @@ class TestDecomposeIntoSpreads:
         for sp in spreads:
             seen.extend(sp.domain.elems(sp.domain.length()))
         assert sorted(seen) == list(range(1, 13))
+
+
+@st.composite
+def partial_injections(draw):
+    """Nodes in a random order and an injective successor map on some of them.
+
+    Successors may fall outside the nodes, so walks can leave the set.
+    """
+    universe = draw(st.integers(1, 30))
+    nodes = draw(st.permutations(range(universe)))
+    nodes = nodes[:draw(st.integers(0, universe))]
+    sources = draw(st.lists(st.sampled_from(range(universe)), unique=True))
+    targets = draw(st.permutations(range(universe + 5)))
+    return nodes, dict(zip(sources, targets))
+
+
+def _brute_cycle(nodes, succ, a):
+    """The cycle through ``a`` inside ``nodes``, found by walking, or None."""
+    members, orbit, b = set(nodes), [a], succ.get(a)
+    for _ in range(len(nodes)):
+        if b == a:
+            return set(orbit)
+        if b not in members:
+            return None
+        orbit.append(b)
+        b = succ.get(b)
+    return None
+
+
+class TestCyclesAndChains:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_injections())
+    def test_against_brute_force(self, case):
+        nodes, succ = case
+        members = set(nodes)
+        cycles, chains = cycles_and_chains(nodes, succ)
+        walked = [a for part in cycles + chains for a in part]
+        assert sorted(walked) == sorted(nodes)
+        position = {a: k for k, a in enumerate(nodes)}
+        for cycle in cycles:
+            assert set(cycle) == _brute_cycle(nodes, succ, cycle[0])
+            assert [succ[a] for a in cycle] == list(cycle[1:] + cycle[:1])
+            assert cycle[0] == min(cycle, key=position.get)
+        for chain in chains:
+            assert _brute_cycle(nodes, succ, chain[0]) is None
+            assert [succ[a] for a in chain[:-1]] == list(chain[1:])
+            assert succ.get(chain[-1]) not in members
+            assert all(succ.get(a) != chain[0] for a in nodes)
+        for part in (cycles, chains):
+            heads = [position[p[0]] for p in part]
+            assert heads == sorted(heads)
+
+    def test_permutations_on_a_window(self):
+        window = range(1, 8)
+        p = one_line_permutation([2, 3, 1, 5, 4, 6])
+        cycles, chains = cycles_and_chains(window, {k: p.forward(k) for k in window})
+        assert cycles == [(1, 2, 3), (4, 5), (6,), (7,)]
+        assert chains == []
+        s = sigma_bilateral()  # one infinite orbit: a single chain
+        cycles, chains = cycles_and_chains(window, {k: s.forward(k) for k in window})
+        assert cycles == []
+        assert chains == [(6, 4, 2, 1, 3, 5, 7)]  # 7 -> 9 leaves the window
+
+    def test_shared_successor_rejected(self):
+        with pytest.raises(ValueError, match="share the successor 3"):
+            cycles_and_chains(range(5), {0: 3, 1: 3})
 
 
 class TestExpandMultiplicities:

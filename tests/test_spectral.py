@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from schauderspec import (
     block_norm_blowup,
     cibws,
     claim1_find_N,
+    corner_eigs,
     dense_eigs,
     forward_unilateral_shift,
     grid_certificates,
@@ -50,7 +52,7 @@ from schauderspec import (
     truncate,
 )
 from schauderspec import spectral
-from schauderspec.op_algebra import adjoint_shift_form
+from schauderspec.op_algebra import adjoint_shift_form, truncate_complex
 from schauderspec.sequences import ArithmeticSequence, log_abs
 
 RECIP = PowerLawRule(Fraction(1), 1)  # t_k = 1/k
@@ -716,3 +718,132 @@ class TestDenseEigs:
         vals = dense_eigs(np.diag(weights.astype(complex)))
         assert calls == []
         assert vals == [complex(w) for w in weights[::-1]]
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales_accept(self, scale):
+        # Squares of residuals near 1e300 overflow unless taken in units
+        # of max|a_ij|; near 1e-300 the check must still pass.
+        A = np.random.default_rng(3).standard_normal((4, 4)) * scale
+        vals = np.linalg.eig(A.astype(complex))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dense_eigs(A)
+        assert got == sorted((complex(v) for v in vals),
+                             key=lambda z: (z.real, z.imag))
+
+
+def _spy_eig(monkeypatch):
+    """Count the ``np.linalg.eig`` calls made while the test runs."""
+    calls = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return calls
+
+
+@st.composite
+def partial_monomial(draw):
+    """Cycles and chains with complex or real weights, numeric and signed zeros."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    w = rng.standard_normal(n)
+    if draw(st.booleans()):
+        w = w + 1j * rng.standard_normal(n)
+    w = w * scale
+    w[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0
+    A = np.zeros((n, n), dtype=complex)
+    A[rng.permutation(n), np.arange(n)] = w
+    signed = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for i, j in zip(rng.integers(0, n, size=n), rng.integers(0, n, size=n)):
+        if A[i, j] == 0 and rng.random() < 0.5:
+            A[i, j] = signed[rng.integers(3)]
+    return A
+
+
+def _assert_same_multiset(got, want, tol):
+    assert len(got) == len(want)
+    left = list(want)
+    for z in got:
+        k = min(range(len(left)), key=lambda i: abs(left[i] - z))
+        assert abs(left[k] - z) <= tol, (z, left[k])
+        left.pop(k)
+
+
+class TestCornerEigs:
+    @settings(max_examples=200, deadline=None)
+    @given(A=partial_monomial())
+    def test_matches_lapack(self, A):
+        want = dense_eigs(A)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_eig(mp)
+            got = corner_eigs(A)
+        assert calls == []
+        _assert_same_multiset(got, want, 1e-12 * np.linalg.norm(A, 2))
+        assert got == sorted(got, key=lambda z: (z.real, z.imag))
+
+    def test_long_cycle_of_small_weights(self):
+        n = 512
+        A = np.zeros((n, n), dtype=complex)
+        A[(np.arange(n) + 1) % n, np.arange(n)] = 1e-3
+        assert np.prod(np.full(n, 1e-3)) == 0  # the product underflows
+        vals = corner_eigs(A)
+        assert len(vals) == n
+        for z in vals:
+            assert math.isclose(abs(z), 1e-3, rel_tol=1e-15)
+        turns = sorted(np.angle(vals) % (2 * math.pi))
+        assert np.allclose(np.diff(turns), 2 * math.pi / n, atol=1e-12)
+
+    @pytest.mark.parametrize("operator", [
+        Diagonal(PowerLawRule(1.0, 0.1)), cibws().to_expr()],
+        ids=["diag-slowdecay", "cibws"])
+    def test_production_corners_skip_lapack(self, operator, monkeypatch):
+        A = truncate_complex(operator, 512)
+        want = dense_eigs(A)
+        calls = _spy_eig(monkeypatch)
+        got = corner_eigs(A)
+        assert calls == []
+        assert [repr(z) for z in got] == [repr(z) for z in want]
+
+    def test_signed_zeros_kept_as_stored(self, monkeypatch):
+        A = np.zeros((4, 4), dtype=complex)
+        A[1, 0], A[2, 1] = 2.0, 3.0  # the chain 0 -> 1 -> 2
+        A[0, 0], A[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        A[3, 3] = complex(-0.0, -0.0)  # an isolated zero entry
+        want = sorted(repr(z) for z in dense_eigs(A))
+        calls = _spy_eig(monkeypatch)
+        assert sorted(repr(z) for z in corner_eigs(A)) == want
+        assert calls == []
+
+    def test_dense_matrix_goes_through_lapack(self, monkeypatch):
+        A = _residual_test_matrix("dense", 8, 11)
+        want = dense_eigs(A)
+        calls = _spy_eig(monkeypatch)
+        assert corner_eigs(A) == want
+        assert calls == [(8, 8)]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_goes_through_lapack(self, bad, monkeypatch):
+        A = np.diag([1.0, bad, 2.0]).astype(complex)
+        calls = _spy_eig(monkeypatch)
+        with pytest.raises(ConvergenceFailureError):
+            corner_eigs(A)
+        assert calls == [(3, 3)]
+
+    def test_cycle_missing_the_check_goes_through_lapack(self, monkeypatch):
+        A = np.zeros((3, 3), dtype=complex)
+        A[[1, 2, 0], [0, 1, 2]] = [0.3 + 0.7j, -1.9 + 0.2j, 0.6 - 1.1j]
+        monkeypatch.setattr(spectral, "_EIG_RESIDUAL_TOL", 1e-300)
+        with pytest.raises(ConvergenceFailureError) as want:
+            dense_eigs(A)
+        calls = _spy_eig(monkeypatch)
+        with pytest.raises(ConvergenceFailureError) as got:
+            corner_eigs(A)
+        assert calls == [(3, 3)]
+        assert (got.value.failing, got.value.worst_residual) == \
+            (want.value.failing, want.value.worst_residual)
+
