@@ -56,13 +56,6 @@ class OperatorExpr:
         """Columns that may hold a nonzero entry of row ``i``."""
         raise NotImplementedError
 
-    def column_bound(self) -> int:
-        """Structural bound on nonzero entries per column."""
-        raise NotImplementedError
-
-    def row_bound(self) -> int:
-        raise NotImplementedError
-
     def __matmul__(self, other: "OperatorExpr") -> "Product":
         return Product(self, other)
 
@@ -88,12 +81,6 @@ class Diagonal(OperatorExpr):
 
     def row_support(self, i):
         return (i,)
-
-    def column_bound(self):
-        return 1
-
-    def row_bound(self):
-        return 1
 
 
 @dataclass(frozen=True)
@@ -122,12 +109,6 @@ class Spread(OperatorExpr):
             return ()
         return (self.spread.domain.elem(k),)
 
-    def column_bound(self):
-        return 1
-
-    def row_bound(self):
-        return 1
-
 
 @dataclass(frozen=True)
 class PermutationUnitary(OperatorExpr):
@@ -142,12 +123,6 @@ class PermutationUnitary(OperatorExpr):
 
     def row_support(self, i):
         return (self.perm.inverse(i),)
-
-    def column_bound(self):
-        return 1
-
-    def row_bound(self):
-        return 1
 
 
 @dataclass(frozen=True)
@@ -175,12 +150,6 @@ class Sum(OperatorExpr):
         for t in self.terms:
             out.extend(t.row_support(i))
         return tuple(out)
-
-    def column_bound(self):
-        return sum(t.column_bound() for t in self.terms)
-
-    def row_bound(self):
-        return sum(t.row_bound() for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -215,12 +184,6 @@ class Product(OperatorExpr):
             out.extend(self.right.row_support(k))
         return tuple(out)
 
-    def column_bound(self):
-        return self.left.column_bound() * self.right.column_bound()
-
-    def row_bound(self):
-        return self.left.row_bound() * self.right.row_bound()
-
 
 @dataclass(frozen=True)
 class Adjoint(OperatorExpr):
@@ -236,12 +199,6 @@ class Adjoint(OperatorExpr):
     def row_support(self, i):
         return self.inner.column_support(i)
 
-    def column_bound(self):
-        return self.inner.row_bound()
-
-    def row_bound(self):
-        return self.inner.column_bound()
-
 
 @dataclass(frozen=True)
 class Scale(OperatorExpr):
@@ -256,12 +213,6 @@ class Scale(OperatorExpr):
 
     def row_support(self, i):
         return self.inner.row_support(i)
-
-    def column_bound(self):
-        return self.inner.column_bound()
-
-    def row_bound(self):
-        return self.inner.row_bound()
 
 
 @dataclass(frozen=True)
@@ -281,12 +232,6 @@ class LambdaShift(OperatorExpr):
 
     def row_support(self, i):
         return (i,) + tuple(self.inner.row_support(i))
-
-    def column_bound(self):
-        return self.inner.column_bound() + 1
-
-    def row_bound(self):
-        return self.inner.row_bound() + 1
 
 
 @dataclass(frozen=True)
@@ -326,12 +271,6 @@ class BlockDirectSum(OperatorExpr):
         c, k = self.locate(i)
         cell = self.partition[c]
         return tuple(cell.elem(r) for r in set(self.blocks[c].row_support(k)))
-
-    def column_bound(self):
-        return max(b.column_bound() for b in self.blocks)
-
-    def row_bound(self):
-        return max(b.row_bound() for b in self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -759,37 +698,25 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
     except ValueError:
         return None
 
+    pairs = []
+    rows = set()
+    for j in range(1, window + 1):
+        nz = _column_scan(expr, j)
+        if len(nz) != 1 or nz[0][0] in rows:
+            return None
+        rows.add(nz[0][0])
+        pairs.append(nz[0])
+
     verified = candidate
     if verified is not None:
         try:
-            rows = set()
-            for j in range(1, window + 1):
-                nz = _column_scan(expr, j)
-                if len(nz) != 1:
-                    verified = None
-                    break
-                (r, v) = nz[0]
-                if r != verified.perm.forward(j) or v != verified.weights.value(j):
-                    verified = None
-                    break
-                if r in rows:
-                    verified = None
-                    break
-                rows.add(r)
+            if any(r != verified.perm.forward(j) or v != verified.weights.value(j)
+                   for j, (r, v) in enumerate(pairs, 1)):
+                verified = None
         except ValueError:
             verified = None
 
     if verified is None:
-        rows = set()
-        for j in range(1, window + 1):
-            nz = _column_scan(expr, j)
-            if len(nz) != 1:
-                return None
-            r, _ = nz[0]
-            if r in rows:
-                return None
-            rows.add(r)
-
         def forward(j: int) -> int:
             nz = _column_scan(expr, j)
             if len(nz) != 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import (
     NotCompactError,
@@ -219,14 +219,7 @@ def is_schauder(T, probe_window: int = 512) -> SchauderVerdict:
                                        f"block {b}: {sub.detail}")
         return SchauderVerdict(True, detail="every block injective with dense range")
     if isinstance(T, ShiftForm):
-        verdict = kernel_trivial(T, probe_window)
-        if not verdict.injective:
-            return SchauderVerdict(False, NOT_INJECTIVE, verdict.offending_index,
-                                   verdict.detail)
-        if verdict.dense_range is False:
-            return SchauderVerdict(False, RANGE_NOT_DENSE, verdict.offending_index,
-                                   verdict.detail)
-        return SchauderVerdict(True, detail=verdict.detail)
+        return _kernel_verdict(kernel_trivial(T, probe_window))
     if isinstance(T, PermutationUnitary):
         return SchauderVerdict(True, detail="permutation unitary")
     if isinstance(T, OperatorExpr):
@@ -239,14 +232,18 @@ def is_schauder(T, probe_window: int = 512) -> SchauderVerdict:
                 "operator is not diagonal, shift-form or block-structured; "
                 + verdict.detail
             )
-        if not verdict.injective:
-            return SchauderVerdict(False, NOT_INJECTIVE, verdict.offending_index,
-                                   verdict.detail)
-        if verdict.dense_range is False:
-            return SchauderVerdict(False, RANGE_NOT_DENSE, verdict.offending_index,
-                                   verdict.detail)
-        return SchauderVerdict(True, detail=verdict.detail)
+        return _kernel_verdict(verdict)
     raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
+
+
+def _kernel_verdict(verdict: KernelRangeVerdict) -> SchauderVerdict:
+    if not verdict.injective:
+        return SchauderVerdict(False, NOT_INJECTIVE, verdict.offending_index,
+                               verdict.detail)
+    if verdict.dense_range is False:
+        return SchauderVerdict(False, RANGE_NOT_DENSE, verdict.offending_index,
+                               verdict.detail)
+    return SchauderVerdict(True, detail=verdict.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +289,20 @@ def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumRep
             f"zero-freeness probed on [1..{probe_window}] only; tail uncertified"
         )
     finite_values = _finite_value_set(rule)
-    if finite_values is not None and rule.length() is not None:
+    vanishing = rule.limit() == 0  # never for a finite-length rule
+    if finite_values is not None:
         members: Members = FiniteSetMembers(_sorted_values(finite_values))
         reasons = tuple((v, NOT_INJECTIVE) for v in members.values)
-        return SchauderSpectrumReport(members, reasons, None, None, tuple(notes))
-    if finite_values is not None:
-        members = FiniteSetMembers(_sorted_values(finite_values))
-        reasons = tuple((v, NOT_INJECTIVE) for v in members.values)
-        case = None
-        if rule.limit() == 0:
-            case = classify_compact(
-                SchauderSpectrumReport(members, reasons), True
-            )
-        return SchauderSpectrumReport(members, reasons, case, None, tuple(notes))
-    if rule.limit() == 0:
+    elif vanishing:
         members = VanishingSequenceMembers(rule, includes_zero=hit)
         reasons = (("*", NOT_INJECTIVE),)
-        report = SchauderSpectrumReport(members, reasons, None, None, tuple(notes))
-        case = classify_compact(report, True)
-        return SchauderSpectrumReport(members, reasons, case, None, tuple(notes))
-    raise UnsupportedClassError(
-        "diagonal values neither finite in variety nor vanishing; the "
-        "spectrum shape is outside the report vocabulary"
-    )
+    else:
+        raise UnsupportedClassError(
+            "diagonal values neither finite in variety nor vanishing; the "
+            "spectrum shape is outside the report vocabulary"
+        )
+    case = _members_case(members) if vanishing else None
+    return SchauderSpectrumReport(members, reasons, case, None, tuple(notes))
 
 
 def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
@@ -343,9 +331,8 @@ def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
     else:
         members = FiniteSetMembers((0,))
         reasons = ((0, NOT_INJECTIVE if not zero.injective else RANGE_NOT_DENSE),)
-    report = SchauderSpectrumReport(members, reasons, None, region, (), certs)
-    case = classify_compact(report, True)
-    return SchauderSpectrumReport(members, reasons, case, region, (), certs)
+    return SchauderSpectrumReport(members, reasons, _members_case(members),
+                                  region, (), certs)
 
 
 def _combine_block_reports(parts: Sequence[SchauderSpectrumReport],
@@ -466,7 +453,10 @@ def classify_compact(report: SchauderSpectrumReport, compact: bool) -> int:
     """
     if not compact:
         raise NotCompactError("classification applies to compact operators only")
-    m = report.members
+    return _members_case(report.members)
+
+
+def _members_case(m: Members) -> int:
     if isinstance(m, EmptySetMembers):
         return 1
     if isinstance(m, FiniteSetMembers):
@@ -523,28 +513,68 @@ def _probe_positive_monotone(rule: ScalarRule, strict: bool, probe: int = 64) ->
         )
 
 
+_RANGE_NOTE = ("range of the product equals the range of the diagonal "
+              "factor, which is dense when all weights are nonzero")
+
+
+def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
+                  lemma_path: str, note: str,
+                  block0_certificates: Optional[Callable] = None
+                  ) -> DeflationResult:
+    """Sigma-unitary deflation of ``diag(rule)`` plus one block per value.
+
+    Block 0 carries ``rule`` behind the two-spread unitary; each value
+    ``v`` gets its own block ``v * sigma``, and the blocks interleave
+    along residues mod their count.  Block 0's certificates come from
+    ``block0_certificates(grid)``, by default the grid walk of its
+    weighted shift, tagged ``block 0`` when other blocks exist.  With no
+    values the result is the plain shift.
+    """
+    sigma = sigma_bilateral()
+    shift = ShiftForm(sigma, rule, source_kind="unilateral")
+    if values:
+        count = 1 + len(values)
+        partition = tuple(ArithmeticSequence(b + 1, count) for b in range(count))
+        unitary: OperatorExpr = BlockDirectSum(
+            tuple(PermutationUnitary(sigma) for _ in range(count)), partition)
+        operator: OperatorExpr = BlockDirectSum(
+            (Diagonal(rule),) + tuple(Diagonal(ConstantRule(v)) for v in values),
+            partition)
+        deflated: OperatorExpr = BlockDirectSum(
+            (shift.to_expr(),)
+            + tuple(Scale(v, PermutationUnitary(sigma)) for v in values),
+            partition)
+    else:
+        unitary, operator, deflated = (PermutationUnitary(sigma), Diagonal(rule),
+                                       shift.to_expr())
+    max_w = max([sup_abs_weight(rule)] + [float(_abs_exact(v)) for v in values])
+    grid = lambda_grid(cfg, max_w)
+    if block0_certificates is None:
+        certs = list(grid_certificates(shift, grid, cfg.bound, cfg.step_cap))
+        if values:
+            certs = _tag_block(certs, 0)
+    else:
+        certs = list(block0_certificates(grid))
+    for b, v in enumerate(values, 1):
+        certs.extend(_scaled_unitary_certificates(v, grid, cfg, b))
+    return DeflationResult(
+        unitary=unitary,
+        deflated=deflated,
+        operator=operator,
+        shift_form=None if values else shift,
+        certificates=tuple(certs),
+        zero_check=kernel_trivial(shift),
+        lemma_path=lemma_path,
+        spreads=tuple(decompose_into_spreads(sigma, 64)),
+        covered_region=_region_string(cfg, max_w),
+        notes=(note,),
+    )
+
+
 def _sigma_deflation(rule: ScalarRule, strict: bool, lemma_path: str,
                      cfg: CertificateGridConfig) -> DeflationResult:
     _probe_positive_monotone(rule, strict)
-    sigma = sigma_bilateral()
-    unitary = PermutationUnitary(sigma)
-    shift = ShiftForm(sigma, rule, source_kind="unilateral")
-    certs = grid_certificates(shift, lambda_grid(cfg, sup_abs_weight(rule)),
-                              cfg.bound, cfg.step_cap)
-    zero = kernel_trivial(shift)
-    return DeflationResult(
-        unitary=unitary,
-        deflated=shift.to_expr(),
-        operator=Diagonal(rule),
-        shift_form=shift,
-        certificates=certs,
-        zero_check=zero,
-        lemma_path=lemma_path,
-        spreads=tuple(decompose_into_spreads(sigma, 64)),
-        covered_region=_region_string(cfg, sup_abs_weight(rule)),
-        notes=("range of the product equals the range of the diagonal "
-               "factor, which is dense when all weights are nonzero",),
-    )
+    return _sigma_blocks(rule, (), cfg, lemma_path, _RANGE_NOTE)
 
 
 def deflate_basic(t: ScalarRule,
@@ -622,57 +652,16 @@ def deflate_discrete(m: MultiplicityList,
     if not m.entries:
         return deflate_basic(m.tail, cfg)
 
-    sigma = sigma_bilateral()
-    borrowed = tuple(expanded.infinite_values)
+    infinite_values = expanded.infinite_values
     block0_rule: ScalarRule = MergedAbsDecreasingRule(
-        finite_parts=[expanded.finite_prefix + borrowed],
+        finite_parts=[expanded.finite_prefix + infinite_values],
         rule_parts=[expanded.finite_tail] if expanded.finite_tail else [],
     )
     _probe_positive_monotone(block0_rule, strict=False)
-    infinite_values = expanded.infinite_values
-    shift0 = ShiftForm(sigma, block0_rule, source_kind="unilateral")
-
-    if not infinite_values:
-        base = _sigma_deflation(block0_rule, strict=False,
-                                lemma_path="discrete", cfg=cfg)
-        return base
-
-    count = 1 + len(infinite_values)
-    partition = tuple(ArithmeticSequence(b + 1, count) for b in range(count))
-    unitary = BlockDirectSum(tuple(PermutationUnitary(sigma) for _ in range(count)),
-                             partition)
-    operator = BlockDirectSum(
-        (Diagonal(block0_rule),)
-        + tuple(Diagonal(ConstantRule(v)) for v in infinite_values),
-        partition,
-    )
-    deflated = BlockDirectSum(
-        (shift0.to_expr(),)
-        + tuple(Scale(v, PermutationUnitary(sigma)) for v in infinite_values),
-        partition,
-    )
-    max_w = max([sup_abs_weight(block0_rule)]
-                + [float(_abs_exact(v)) for v in infinite_values])
-    grid = lambda_grid(cfg, max_w)
-    certs = _tag_block(grid_certificates(shift0, grid, cfg.bound, cfg.step_cap), 0)
-    for b, v in enumerate(infinite_values, 1):
-        certs.extend(_scaled_unitary_certificates(v, grid, cfg, b))
-    zero = kernel_trivial(shift0)
-    return DeflationResult(
-        unitary=unitary,
-        deflated=deflated,
-        operator=operator,
-        shift_form=None,
-        certificates=tuple(certs),
-        zero_check=zero,
-        lemma_path="discrete",
-        spreads=tuple(decompose_into_spreads(sigma, 64)),
-        covered_region=_region_string(cfg, max_w),
-        notes=(
-            "one unit vector borrowed from each infinite-multiplicity "
-            "eigenspace into the expanded block",
-        ),
-    )
+    note = _RANGE_NOTE if not infinite_values else (
+        "one unit vector borrowed from each infinite-multiplicity "
+        "eigenspace into the expanded block")
+    return _sigma_blocks(block0_rule, infinite_values, cfg, "discrete", note)
 
 
 def deflate_finite_spectrum(values: MultiplicityList,
@@ -701,66 +690,31 @@ def deflate_finite_spectrum(values: MultiplicityList,
     infinite_sorted = tuple(sorted(expanded.infinite_values,
                                    key=_abs_exact, reverse=True))
     designated = infinite_sorted[0]
-    others = infinite_sorted[1:]
 
-    sigma = sigma_bilateral()
     block0_rule = ExplicitThenRule(expanded.finite_prefix,
                                    ConstantRule(designated))
-    shift0 = ShiftForm(sigma, block0_rule, source_kind="unilateral")
     verdict = shields_similar(block0_rule, ConstantRule(designated), horizon)
     if not is_bounded_verdict(verdict):
         raise PreconditionViolatedError(
             f"window ratio products unbounded: {verdict}"
         )
-
-    count = 1 + len(others)
-    partition = tuple(ArithmeticSequence(b + 1, count) for b in range(count))
-    if count == 1:
-        unitary: OperatorExpr = PermutationUnitary(sigma)
-        operator: OperatorExpr = Diagonal(block0_rule)
-        deflated: OperatorExpr = shift0.to_expr()
-    else:
-        unitary = BlockDirectSum(
-            tuple(PermutationUnitary(sigma) for _ in range(count)), partition)
-        operator = BlockDirectSum(
-            (Diagonal(block0_rule),)
-            + tuple(Diagonal(ConstantRule(v)) for v in others), partition)
-        deflated = BlockDirectSum(
-            (shift0.to_expr(),)
-            + tuple(Scale(v, PermutationUnitary(sigma)) for v in others),
-            partition)
-
-    max_w = max([sup_abs_weight(block0_rule)]
-                + [float(_abs_exact(v)) for v in others])
-    grid = lambda_grid(cfg, max_w)
-    certs: list = []
     shields_details = (
         ("via", "shields-similarity"),
         ("shields_c", float(verdict.c)),
         ("shields_C", float(verdict.C)),
     )
-    block0 = _scaled_unitary_certificates(designated, grid, cfg, 0)
-    certs.extend(replace(c, details=c.details + shields_details) for c in block0)
-    for b, v in enumerate(others, 1):
-        certs.extend(_scaled_unitary_certificates(v, grid, cfg, b))
-    zero = kernel_trivial(shift0)
-    return DeflationResult(
-        unitary=unitary,
-        deflated=deflated,
-        operator=operator,
-        shift_form=shift0 if count == 1 else None,
-        certificates=tuple(certs),
-        zero_check=zero,
-        lemma_path="finite-spectrum",
-        spreads=tuple(decompose_into_spreads(sigma, 64)),
-        covered_region=_region_string(cfg, max_w),
-        notes=(
-            "block 0 weights differ from the constant weight in finitely "
-            f"many places; window ratio products in [{verdict.c!r}, "
-            f"{verdict.C!r}] certify similarity to the scaled unitary, "
-            "whose point spectrum and adjoint point spectrum are empty",
-        ),
-    )
+
+    def block0_certificates(grid):
+        return [replace(c, details=c.details + shields_details)
+                for c in _scaled_unitary_certificates(designated, grid, cfg, 0)]
+
+    return _sigma_blocks(
+        block0_rule, infinite_sorted[1:], cfg, "finite-spectrum",
+        "block 0 weights differ from the constant weight in finitely "
+        f"many places; window ratio products in [{verdict.c!r}, "
+        f"{verdict.C!r}] certify similarity to the scaled unitary, "
+        "whose point spectrum and adjoint point spectrum are empty",
+        block0_certificates)
 
 
 def _block_z_shift(dim: int) -> Permutation:
@@ -793,7 +747,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
     assembled finite model is additionally audited by the dense
     eigensolver on a truncation of the product.
     """
-    from .spectral import block_norm_blowup, _gap_tail_sum
+    from .spectral import block_norm_blowup, _ratio_deviation_tail
 
     cfg = cfg or CertificateGridConfig()
     if not blocks:
@@ -816,7 +770,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
     alpha = alpha_seq.limit()
     if alpha is None or float(alpha) <= 0:
         raise PreconditionViolatedError("alpha sequence needs a positive limit")
-    gaps = _gap_tail_sum(alpha_seq, alpha, 1)
+    gaps = _ratio_deviation_tail(alpha_seq, ConstantRule(alpha), 1)
     if gaps is None or math.isinf(gaps):
         raise PreconditionViolatedError("interval gaps are not certifiably summable")
 
@@ -923,18 +877,8 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
         unitary = base.unitary
     else:
         unitary = Product(base.unitary, Adjoint(rec_unitary))
-    return DeflationResult(
-        unitary=unitary,
-        deflated=base.deflated,
-        operator=operator,
-        shift_form=base.shift_form,
-        certificates=base.certificates,
-        zero_check=base.zero_check,
-        lemma_path="recognize+" + base.lemma_path,
-        spreads=base.spreads,
-        covered_region=base.covered_region,
-        notes=base.notes,
-    )
+    return replace(base, unitary=unitary, operator=operator,
+                   lemma_path="recognize+" + base.lemma_path)
 
 
 def audit_deflation(result: DeflationResult, n: int = 64) -> Tuple[bool, float]:

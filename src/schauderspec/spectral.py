@@ -492,29 +492,6 @@ def infinite_product(a: ScalarRule, t0: Scalar, tol: float) -> ProductEstimate:
     return ProductEstimate(None, abs(partial), None, n)
 
 
-def _gap_tail_sum(alpha_seq: ScalarRule, alpha, start: int) -> Optional[float]:
-    """Bound on ``sum_{n>=start} (1 - alpha_n/alpha)`` from the rule family."""
-    if isinstance(alpha_seq, ConstantRule):
-        return 0.0 if alpha_seq.c == alpha else None
-    if isinstance(alpha_seq, AffineRule) and alpha_seq.base == alpha:
-        inner_tail = alpha_seq.inner.tail_abs_sum(start)
-        if inner_tail is None:
-            return None
-        return inner_tail / float(abs(alpha))
-    if isinstance(alpha_seq, ExplicitThenRule) and alpha_seq.tail is not None:
-        if start <= len(alpha_seq.prefix):
-            head = sum(
-                abs(1.0 - float(v) / float(alpha))
-                for v in alpha_seq.prefix[start - 1:]
-            )
-            rest = _gap_tail_sum(alpha_seq.tail, alpha, 1)
-        else:
-            head = 0.0
-            rest = _gap_tail_sum(alpha_seq.tail, alpha, start - len(alpha_seq.prefix))
-        return None if rest is None else head + rest
-    return None
-
-
 def claim1_find_N(alpha_seq: ScalarRule, alpha, epsilon: float) -> int:
     """Smallest cutoff (within the rule's tail slack) for near-unit products.
 
@@ -533,7 +510,8 @@ def claim1_find_N(alpha_seq: ScalarRule, alpha, epsilon: float) -> int:
         raise PreconditionViolatedError(
             f"rule limit {lim} disagrees with alpha = {alpha}"
         )
-    total_gap = _gap_tail_sum(alpha_seq, alpha, 1)
+    target = ConstantRule(alpha)
+    total_gap = _ratio_deviation_tail(alpha_seq, target, 1)
     if total_gap is None or math.isinf(total_gap):
         raise NotSummableError(
             "sum(1 - alpha_n/alpha) has no finite certified bound"
@@ -548,7 +526,7 @@ def claim1_find_N(alpha_seq: ScalarRule, alpha, epsilon: float) -> int:
     eta = min(math.log1p(epsilon), -math.log1p(-epsilon))
 
     def log_tail(start: int) -> Optional[float]:
-        g = _gap_tail_sum(alpha_seq, alpha, start)
+        g = _ratio_deviation_tail(alpha_seq, target, start)
         if g is None or math.isinf(g):
             return None
         if g >= 0.5:
@@ -750,7 +728,7 @@ def block_norm_blowup(alpha_seq: ScalarRule, m: float, M: float, lam: Scalar,
     alpha_f = float(alpha)
     if alpha_f <= 0:
         raise PreconditionViolatedError("alpha must be positive")
-    gap_total = _gap_tail_sum(alpha_seq, alpha, 1)
+    gap_total = _ratio_deviation_tail(alpha_seq, ConstantRule(alpha), 1)
     if gap_total is None or math.isinf(gap_total):
         raise PreconditionViolatedError(
             "interval gaps are not certifiably summable"
@@ -864,6 +842,8 @@ def replay_block_certificate(alpha_seq: ScalarRule,
 
 _EIG_MAX_DIM = 512
 _EIG_RESIDUAL_TOL = 1e-8
+# Below this max|a_ij| the squares of residual norms underflow.
+_EIG_TINY_TOP = 2.0 ** -512
 
 
 def dense_eigs(M) -> list:
@@ -874,8 +854,9 @@ def dense_eigs(M) -> list:
     part, then imaginary part, for deterministic output.  Pairs are first
     held to the largest column norm, a lower bound on ``||M||``; the
     exact 2-norm (an SVD) is computed only when some pair misses it, and
-    it alone decides a rejection.  When the residual norms overflow, both
-    sides of the check are taken for ``M / max|m_ij|``, the same ratio.
+    it alone decides a rejection.  When the residual norms overflow, or
+    ``max|m_ij|`` is so small that their squares underflow, both sides of
+    the check are taken for ``M / max|m_ij|``, the same ratio.
     Truncation corners go through :func:`corner_eigs`; this is its
     fallback and the reference it is tested against.
     """
@@ -889,14 +870,16 @@ def dense_eigs(M) -> list:
         vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
     vec_norms = np.linalg.norm(vecs, axis=0)
     abs_a = np.abs(A)
     top = abs_a.max(initial=0.0)
-    # Squares of residuals near the top of the float range overflow; then
-    # every norm below is taken in units of max|a_ij|.
-    unit = 1.0
+    # Squares of residuals overflow near the top of the float range and
+    # underflow near its bottom; there every norm below is taken in units
+    # of max|a_ij|.
+    unit = top if 0 < top < _EIG_TINY_TOP else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm((A / unit) @ vecs - vecs * (vals / unit),
+                                   axis=0)
     if not np.all(np.isfinite(residuals)):
         unit = top
         residuals = np.linalg.norm((A / unit) @ vecs - vecs * (vals / unit),

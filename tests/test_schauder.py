@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -49,6 +51,7 @@ from schauderspec import (
     truncate,
 )
 from schauderspec.op_algebra import corner_entries
+from schauderspec.serde import certificate_to_json, sequence_to_json
 from schauderspec.schauder import NOT_INJECTIVE, RANGE_NOT_DENSE, SELF_ADJOINT_NOTE
 
 RECIP = PowerLawRule(Fraction(1), 1)
@@ -356,6 +359,61 @@ class TestDeflateFiniteSpectrum:
             MultiplicityList(((1, INFINITE), (Fraction(1, 2), INFINITE))), SMALL)
         assert isinstance(res.deflated, BlockDirectSum)
         assert audit_deflation(res, 48) == (True, 0.0)
+
+
+# A grid whose moduli 1/2 and 1 meet the scaled-unitary circles below.
+ON_CIRCLE = CertificateGridConfig(moduli=3, phases=2, min_modulus=0.5,
+                                  max_modulus=2.0)
+PINNED_DEFLATIONS = {
+    "basic": lambda: deflate_basic(RECIP, SMALL),
+    "discrete-tail-only": lambda: deflate_discrete(
+        MultiplicityList((), RECIP), SMALL),
+    "discrete-finite": lambda: deflate_discrete(MultiplicityList(
+        tuple((Fraction(1, k), 2) for k in range(1, 6)), OffsetRule(RECIP, 5)),
+        SMALL),
+    "discrete-one-infinite": lambda: deflate_discrete(MultiplicityList(
+        ((Fraction(1, 2), INFINITE), (Fraction(1, 3), 1)), OffsetRule(RECIP, 3)),
+        ON_CIRCLE),
+    "discrete-two-infinite": lambda: deflate_discrete(MultiplicityList(
+        ((Fraction(1, 2), INFINITE), (Fraction(1, 3), 2),
+         (Fraction(1, 4), INFINITE)), OffsetRule(RECIP, 4)), SMALL),
+    "finite-one-infinite": lambda: deflate_finite_spectrum(
+        MultiplicityList(((1, INFINITE), (2, 3))), ON_CIRCLE),
+    "finite-two-infinite": lambda: deflate_finite_spectrum(MultiplicityList(
+        ((1, INFINITE), (Fraction(1, 2), INFINITE), (2, 1))), ON_CIRCLE),
+}
+PINNED_DIGESTS = {
+    "basic": "d7f5ccc5d732b4c0a72a7ffdad95993a788f707856d7044cc411eea5cc5c42e8",
+    "discrete-finite": "ffc4c67c61a94deba0e7ae5cbc85dfdec6ad1b28afd846af307ef50b86c5a983",
+    "discrete-one-infinite": "2427c7156565bf11c0bdfbd6d63d2ece57867d7e06223cbf30d8cf552de3af59",
+    "discrete-tail-only": "d7f5ccc5d732b4c0a72a7ffdad95993a788f707856d7044cc411eea5cc5c42e8",
+    "discrete-two-infinite": "49ddc551de8fd5bd3444469f4cf4df50038370cefe1d9e8e1dd2288c6a875fec",
+    "finite-one-infinite": "5432794dac5178543cd0a3f77df9104dbee78fcfe0ba95b10ef69c4b00986348",
+    "finite-two-infinite": "bf244db6fc8ef9db053a667e024bac1f0c18ee850cc9664f2aec7a69fb138bc5",
+}
+
+
+def deflation_digest(res) -> str:
+    """SHA-256 over every observable field of a deflation result."""
+    doc = {
+        "certificates": [certificate_to_json(c) for c in res.certificates],
+        "notes": list(res.notes),
+        "lemma_path": res.lemma_path,
+        "covered_region": res.covered_region,
+        "zero_check": repr(res.zero_check),
+        "spreads": [(sequence_to_json(s.domain), sequence_to_json(s.image))
+                    for s in res.spreads],
+        "shift_form_is_none": res.shift_form is None,
+        "operators": [(type(op).__name__, repr(truncate(op, 48)))
+                      for op in (res.unitary, res.operator, res.deflated)],
+    }
+    text = json.dumps(doc, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEFLATIONS))
+def test_deflation_digest_pinned(name):
+    assert deflation_digest(PINNED_DEFLATIONS[name]()) == PINNED_DIGESTS[name]
 
 
 class TestDeflateBlockContinuous:

@@ -454,6 +454,67 @@ class TestClaim1:
             claim1_find_N(ALPHA_TO_ONE, 1, 1.5)
 
 
+def reference_gap_tail_sum(alpha_seq, alpha, start):
+    """Bound on ``sum_{n>=start} (1 - alpha_n/alpha)``, written out per rule."""
+    if isinstance(alpha_seq, ConstantRule):
+        return 0.0 if alpha_seq.c == alpha else None
+    if isinstance(alpha_seq, AffineRule) and alpha_seq.base == alpha:
+        inner_tail = alpha_seq.inner.tail_abs_sum(start)
+        if inner_tail is None:
+            return None
+        return inner_tail / float(abs(alpha))
+    if isinstance(alpha_seq, ExplicitThenRule) and alpha_seq.tail is not None:
+        if start <= len(alpha_seq.prefix):
+            head = sum(abs(1.0 - float(v) / float(alpha))
+                       for v in alpha_seq.prefix[start - 1:])
+            rest = reference_gap_tail_sum(alpha_seq.tail, alpha, 1)
+        else:
+            head = 0.0
+            rest = reference_gap_tail_sum(alpha_seq.tail, alpha,
+                                          start - len(alpha_seq.prefix))
+        return None if rest is None else head + rest
+    return None
+
+
+gap_values = st.one_of(
+    st.fractions(min_value=Fraction(1, 100), max_value=4, max_denominator=100),
+    st.integers(1, 5),
+    st.floats(0.01, 4.0),
+)
+
+
+@st.composite
+def gap_rules(draw, alpha):
+    tail = draw(st.sampled_from(["constant", "wrong-constant", "affine",
+                                 "affine-off", "power-law"]))
+    rule = {
+        "constant": ConstantRule(alpha),
+        "wrong-constant": ConstantRule(alpha + 1),
+        "affine": AffineRule(alpha, GeometricRule(-1, Fraction(1, 3))),
+        "affine-off": AffineRule(alpha + 1, GeometricRule(-1, Fraction(1, 3))),
+        "power-law": AffineRule(alpha, PowerLawRule(draw(gap_values),
+                                                    draw(st.sampled_from([1, 2, 3])))),
+    }[tail]
+    for _ in range(draw(st.integers(0, 2))):
+        rule = ExplicitThenRule(tuple(draw(st.lists(gap_values, max_size=5))), rule)
+    return rule
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_gap_tail_bound_matches_reference(data):
+    alpha = data.draw(gap_values)
+    rule = data.draw(gap_rules(alpha))
+    start = data.draw(st.integers(1, 12))
+    want = reference_gap_tail_sum(rule, alpha, start)
+    got = spectral._ratio_deviation_tail(rule, ConstantRule(alpha), start)
+    if want is None or math.isinf(want):
+        # both spellings of "not summable" that every caller accepts
+        assert got is None or math.isinf(got)
+    else:
+        assert got == want
+
+
 class TestShieldsSimilar:
     def test_equal_rules_certified_unit(self):
         v = shields_similar(RECIP, RECIP, 100)
@@ -597,12 +658,16 @@ class TestBlockNormBlowup:
 def _svd_always_eigs(A, tol):
     """The residual check held to the exact 2-norm for every matrix.
 
+    Matrices with max|a_ij| below 2**-512 are checked in units of it.
+
     Returns the sorted eigenvalues, or ``(failing, worst_residual)`` where
     ``dense_eigs`` must raise.
     """
     vals, vecs = np.linalg.eig(A)
-    norm = np.linalg.norm(A, 2)
-    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    top = np.abs(A).max(initial=0.0)
+    unit = top if 0 < top < 2.0 ** -512 else 1.0  # squares would underflow
+    norm = np.linalg.norm(A / unit, 2)
+    residuals = np.linalg.norm(A / unit @ vecs - vecs * (vals / unit), axis=0)
     scale = norm * np.linalg.norm(vecs, axis=0)
     bad = residuals > tol * np.maximum(scale, 1e-300)
     if norm > 0 and np.any(bad):
@@ -718,6 +783,25 @@ class TestDenseEigs:
         vals = dense_eigs(np.diag(weights.astype(complex)))
         assert calls == []
         assert vals == [complex(w) for w in weights[::-1]]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 1e-200])
+    def test_perturbed_pair_rejected_at_every_scale(self, scale, monkeypatch):
+        # One eigenvalue off by relative 1e-4: its residual squared must
+        # not underflow to an accepted 0 on tiny matrices.
+        eig = np.linalg.eig
+
+        def perturbed(a):
+            vals, vecs = eig(a)
+            vals = vals.copy()
+            vals[0] *= 1 + 1e-4
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        A = np.random.default_rng(5).standard_normal((4, 4)) * scale
+        with pytest.raises(ConvergenceFailureError) as err:
+            dense_eigs(A)
+        assert err.value.failing == 1
+        assert 1e-6 < err.value.worst_residual < 1e-3
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_extreme_scales_accept(self, scale):
