@@ -391,7 +391,6 @@ class ShiftForm:
 
     perm: Permutation
     weights: ScalarRule
-    source_kind: str = "generic"
 
     def to_expr(self) -> Product:
         return Product(PermutationUnitary(self.perm), Diagonal(self.weights))
@@ -533,7 +532,7 @@ def adjoint_shift_form(s: ShiftForm) -> ShiftForm:
         f"inverse of {s.perm.description}",
         tag=None,
     )
-    return ShiftForm(inv, AdjointWeightsRule(s.weights, s.perm), s.source_kind)
+    return ShiftForm(inv, AdjointWeightsRule(s.weights, s.perm))
 
 
 def is_real_rule_certified_nonnegative(rule: ScalarRule) -> bool:
@@ -614,7 +613,7 @@ def _structural_shift(T) -> Optional[ShiftForm]:
         inner = _structural_shift(T.inner)
         if inner is None:
             return None
-        return ShiftForm(inner.perm, ScaledRule(T.scalar, inner.weights), inner.source_kind)
+        return ShiftForm(inner.perm, ScaledRule(T.scalar, inner.weights))
     if isinstance(T, Adjoint):
         inner = _structural_shift(T.inner)
         if inner is None:
@@ -643,30 +642,17 @@ def _structural_shift(T) -> Optional[ShiftForm]:
                 weights = ProductWeightsRule(rf.weights, composed)
         return ShiftForm(perm, weights)
     if isinstance(T, Sum):
-        spreads = []
-        for t in T.terms:
-            if not isinstance(t, Spread):
-                return None
-            spreads.append(t.spread)
+        if not all(isinstance(t, Spread) for t in T.terms):
+            return None
 
         def forward(j: int) -> int:
-            hits = [
-                sp.image.elem(k)
-                for sp in spreads
-                for k in [sp.domain.position_of(j)]
-                if k is not None and (sp.domain.length() is None or k <= sp.domain.length())
-            ]
+            hits = T.column_support(j)
             if len(hits) != 1:
                 raise ValueError(f"column {j} is hit by {len(hits)} spreads")
             return hits[0]
 
         def inverse(i: int) -> int:
-            hits = [
-                sp.domain.elem(k)
-                for sp in spreads
-                for k in [sp.image.position_of(i)]
-                if k is not None and (sp.image.length() is None or k <= sp.image.length())
-            ]
+            hits = T.row_support(i)
             if len(hits) != 1:
                 raise ValueError(f"row {i} is hit by {len(hits)} spreads")
             return hits[0]
@@ -780,11 +766,7 @@ def cibws_weight_rule() -> ExplicitThenRule:
 
 def cibws() -> ShiftForm:
     """Compact injective bilateral weighted shift with weights ``1/(1+|j|)``."""
-    return ShiftForm(
-        z_translation_permutation(-1),
-        cibws_weight_rule(),
-        source_kind="bilateral-via-interleave",
-    )
+    return ShiftForm(z_translation_permutation(-1), cibws_weight_rule())
 
 
 def cibws_from_z_definition() -> ShiftForm:
@@ -797,8 +779,5 @@ def cibws_from_z_definition() -> ShiftForm:
     def weight(n: int) -> Fraction:
         return Fraction(1, 1 + abs(deinterleave(n)))
 
-    return ShiftForm(
-        z_translation_permutation(-1),
-        CallableRule(weight, "1/(1+|j|) via deinterleave", limit_hint=0),
-        source_kind="bilateral-via-interleave",
-    )
+    return ShiftForm(z_translation_permutation(-1),
+                     CallableRule(weight, "1/(1+|j|) via deinterleave", limit_hint=0))

@@ -65,6 +65,7 @@ from .spectral import (
     EigenExclusionCertificate,
     KernelRangeVerdict,
     _grid_top,
+    _zero_scan,
     check_single_orbit,
     corner_eigs,
     grid_certificates,
@@ -93,13 +94,12 @@ RANGE_NOT_DENSE = "range-not-dense"
 
 @dataclass(frozen=True)
 class EmptySetMembers:
-    kind: str = "empty"
+    """The empty set."""
 
 
 @dataclass(frozen=True)
 class FiniteSetMembers:
     values: Tuple[Scalar, ...]
-    kind: str = "finite"
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,6 @@ class VanishingSequenceMembers:
 
     rule: ScalarRule
     includes_zero: bool
-    kind: str = "sequence-to-zero"
 
 
 Members = Union[EmptySetMembers, FiniteSetMembers, VanishingSequenceMembers]
@@ -177,23 +176,6 @@ class SelfAdjointIntervalModel:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_zero_scan(rule: ScalarRule, probe_window: int):
-    """(attains_zero, witness index, certified) for a diagonal rule."""
-    ln = rule.length()
-    cap = probe_window if ln is None else min(ln, probe_window)
-    az = rule.attains_zero()
-    if az is False:
-        return False, None, True
-    for n in range(1, cap + 1):
-        if rule.value(n) == 0:
-            return True, n, True
-    if ln is not None and ln <= cap:
-        return False, None, True
-    if az is True:
-        return True, None, True
-    return False, None, False
-
-
 def is_schauder(T, probe_window: int = 512) -> SchauderVerdict:
     """Exact structural verdict: injective with dense range, or why not."""
     if isinstance(T, SelfAdjointIntervalModel):
@@ -203,7 +185,7 @@ def is_schauder(T, probe_window: int = 512) -> SchauderVerdict:
         return SchauderVerdict(True, detail="0 is not a declared eigenvalue; "
                                "a self-adjoint operator with trivial kernel has dense range")
     if isinstance(T, Diagonal):
-        hit, idx, certified = _diagonal_zero_scan(T.weights, probe_window)
+        hit, idx, certified = _zero_scan(T.weights, probe_window)
         if hit:
             return SchauderVerdict(False, NOT_INJECTIVE, idx,
                                    "zero diagonal entry")
@@ -251,21 +233,25 @@ def _kernel_verdict(verdict: KernelRangeVerdict) -> SchauderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _finite_value_set(rule: ScalarRule) -> Optional[tuple]:
-    """Distinct values of rules that take only finitely many values."""
+def _finite_value_set(rule: ScalarRule, skip: int = 0) -> Optional[tuple]:
+    """Distinct values, past the first ``skip`` terms, of rules that take
+    only finitely many values."""
     from .sequences import OffsetRule, RepeatedRule
 
     if isinstance(rule, ConstantRule):
         return (rule.c,)
     if isinstance(rule, ExplicitThenRule):
+        prefix = tuple(rule.prefix[skip:])
         if rule.tail is None:
-            return tuple(dict.fromkeys(rule.prefix))
-        tail = _finite_value_set(rule.tail)
+            return tuple(dict.fromkeys(prefix))
+        tail = _finite_value_set(rule.tail, max(skip - len(rule.prefix), 0))
         if tail is None:
             return None
-        return tuple(dict.fromkeys(tuple(rule.prefix) + tail))
-    if isinstance(rule, (OffsetRule, RepeatedRule)):
-        return _finite_value_set(rule.inner)
+        return tuple(dict.fromkeys(prefix + tail))
+    if isinstance(rule, OffsetRule):
+        return _finite_value_set(rule.inner, skip + rule.offset)
+    if isinstance(rule, RepeatedRule):
+        return _finite_value_set(rule.inner, skip // rule.times)
     return None
 
 
@@ -283,7 +269,7 @@ def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumRep
     notes = []
     if _is_real_valued(rule):
         notes.append(SELF_ADJOINT_NOTE)
-    hit, idx, certified = _diagonal_zero_scan(rule, probe_window)
+    hit, idx, certified = _zero_scan(rule, probe_window)
     if not certified:
         notes.append(
             f"zero-freeness probed on [1..{probe_window}] only; tail uncertified"
@@ -486,13 +472,20 @@ def _region_string(cfg: CertificateGridConfig, max_weight: float) -> str:
     )
 
 
-def _probe_positive_monotone(rule: ScalarRule, strict: bool, probe: int = 64) -> None:
+def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool],
+                             probe: int = 64) -> bool:
+    """Check the first ``probe`` weights and the limit; returns ``strict``.
+
+    With ``strict=None`` strictness is read off the probed values.
+    """
     vals = rule.values(probe)
     for n, v in enumerate(vals, 1):
         if isinstance(v, complex) or v <= 0:
             raise PreconditionViolatedError(
                 f"weight at index {n} is {v!r}; positive reals required"
             )
+    if strict is None:
+        strict = all(a > b for a, b in zip(vals, vals[1:]))
     for n, (a, b) in enumerate(zip(vals, vals[1:]), 1):
         if strict and not a > b:
             raise PreconditionViolatedError(
@@ -511,6 +504,7 @@ def _probe_positive_monotone(rule: ScalarRule, strict: bool, probe: int = 64) ->
         raise PreconditionViolatedError(
             f"weights do not vanish: certified limit {lim!r}"
         )
+    return strict
 
 
 _RANGE_NOTE = ("range of the product equals the range of the diagonal "
@@ -528,10 +522,15 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
     along residues mod their count.  Block 0's certificates come from
     ``block0_certificates(grid)``, by default the grid walk of its
     weighted shift, tagged ``block 0`` when other blocks exist.  With no
-    values the result is the plain shift.
+    values the result is the plain shift.  Block 0's shift must pass the
+    zero check (injective with dense range) before anything is built.
     """
     sigma = sigma_bilateral()
-    shift = ShiftForm(sigma, rule, source_kind="unilateral")
+    shift = ShiftForm(sigma, rule)
+    zero_check = kernel_trivial(shift)
+    if not (zero_check.injective and zero_check.dense_range):
+        raise PreconditionViolatedError(
+            f"weights fail the zero check: {zero_check.detail}")
     if values:
         count = 1 + len(values)
         partition = tuple(ArithmeticSequence(b + 1, count) for b in range(count))
@@ -563,18 +562,12 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
         operator=operator,
         shift_form=None if values else shift,
         certificates=tuple(certs),
-        zero_check=kernel_trivial(shift),
+        zero_check=zero_check,
         lemma_path=lemma_path,
         spreads=tuple(decompose_into_spreads(sigma, 64)),
         covered_region=_region_string(cfg, max_w),
         notes=(note,),
     )
-
-
-def _sigma_deflation(rule: ScalarRule, strict: bool, lemma_path: str,
-                     cfg: CertificateGridConfig) -> DeflationResult:
-    _probe_positive_monotone(rule, strict)
-    return _sigma_blocks(rule, (), cfg, lemma_path, _RANGE_NOTE)
 
 
 def deflate_basic(t: ScalarRule,
@@ -588,8 +581,9 @@ def deflate_basic(t: ScalarRule,
     grid; ``lambda = 0`` is settled by the kernel/range structure of the
     diagonal factor.
     """
-    return _sigma_deflation(t, strict=True, lemma_path="basic",
-                            cfg=cfg or CertificateGridConfig())
+    _probe_positive_monotone(t, strict=True)
+    return _sigma_blocks(t, (), cfg or CertificateGridConfig(), "basic",
+                         _RANGE_NOTE)
 
 
 def _scaled_unitary_certificates(value, grid, cfg: CertificateGridConfig,
@@ -868,11 +862,9 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
             "use deflate_finite_spectrum or deflate_block_continuous "
             "with explicit spectral data"
         )
-    probe = rule.values(64)
-    strict = all(a > b for a, b in zip(probe, probe[1:]))
-    base = _sigma_deflation(rule, strict=strict,
-                            lemma_path="basic" if strict else "discrete",
-                            cfg=cfg)
+    strict = _probe_positive_monotone(rule, strict=None)
+    base = _sigma_blocks(rule, (), cfg, "basic" if strict else "discrete",
+                         _RANGE_NOTE)
     if rec_unitary is None:
         unitary = base.unitary
     else:

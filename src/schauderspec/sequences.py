@@ -18,6 +18,9 @@ to numeric instead of silently overclaiming.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -479,46 +482,20 @@ class MergedAbsDecreasingRule(ScalarRule):
                 raise ValueError("rule source is not |.|-nonincreasing")
         self._rules = list(rule_parts)
         self._cache: list = []
-        self._finite_pos = [0] * len(self._finite)
-        self._rule_pos = [1] * len(self._rules)
-
-    def _head(self, kind: str, i: int):
-        if kind == "finite":
-            pos = self._finite_pos[i]
-            if pos >= len(self._finite[i]):
-                return None
-            return self._finite[i][pos]
-        rule = self._rules[i]
-        n = self._rule_pos[i]
-        ln = rule.length()
-        if ln is not None and n > ln:
-            return None
-        return rule.value(n)
-
-    def _pull(self):
-        best = None
-        for kind, count in (("finite", len(self._finite)), ("rule", len(self._rules))):
-            for i in range(count):
-                head = self._head(kind, i)
-                if head is None:
-                    continue
-                key = _abs_exact(head)
-                if best is None or key > best[0]:
-                    best = (key, kind, i, head)
-        if best is None:
-            raise ValueError("merged rule exhausted: all sources finite")
-        _, kind, i, head = best
-        if kind == "finite":
-            self._finite_pos[i] += 1
-        else:
-            self._rule_pos[i] += 1
-        self._cache.append(head)
+        # ties go to the earlier source: finite parts first, then rules
+        self._merged = heapq.merge(
+            *self._finite,
+            *(map(r.value, itertools.count(1) if r.length() is None
+                  else range(1, r.length() + 1)) for r in self._rules),
+            key=_abs_exact, reverse=True)
 
     def value(self, n: int) -> Scalar:
         if n < 1:
             raise ValueError("rule index must be >= 1")
-        while len(self._cache) < n:
-            self._pull()
+        if n > len(self._cache):
+            self._cache.extend(itertools.islice(self._merged, n - len(self._cache)))
+        if n > len(self._cache):
+            raise ValueError("merged rule exhausted: all sources finite")
         return self._cache[n - 1]
 
     def length(self):
@@ -562,8 +539,6 @@ class MergedAbsDecreasingRule(ScalarRule):
 class IndexSequence:
     """A strictly increasing sequence of positive integers."""
 
-    kind: str = "closed-form"
-
     def elem(self, n: int) -> int:
         raise NotImplementedError
 
@@ -585,8 +560,6 @@ class IndexSequence:
 class ArithmeticSequence(IndexSequence):
     start: int
     step: int
-
-    kind = "arithmetic"
 
     def __post_init__(self):
         if self.start < 1 or self.step < 1:
@@ -618,8 +591,6 @@ class ExplicitPrefixSequence(IndexSequence):
     prefix: tuple
     tail: Optional[IndexSequence] = None
 
-    kind = "explicit-prefix-then-rule"
-
     def __post_init__(self):
         if not self.prefix and self.tail is None:
             raise ValueError("empty sequence")
@@ -644,13 +615,7 @@ class ExplicitPrefixSequence(IndexSequence):
         return self.tail.elem(n - len(self.prefix))
 
     def position_of(self, value: int):
-        lo, hi = 0, len(self.prefix)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.prefix[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(self.prefix, value)
         if lo < len(self.prefix) and self.prefix[lo] == value:
             return lo + 1
         if self.tail is None:
@@ -672,8 +637,6 @@ class ExplicitPrefixSequence(IndexSequence):
 class ClosedFormSequence(IndexSequence):
     """Sequence given by a closed-form callable ``n -> elem``."""
 
-    kind = "closed-form"
-
     def __init__(self, fn: Callable[[int], int], description: str = ""):
         self._fn = fn
         self._description = description or "closed-form sequence"
@@ -686,17 +649,8 @@ class ClosedFormSequence(IndexSequence):
     def position_of(self, value: int):
         # elem is strictly increasing with elem(n) >= n, so binary search
         # over [1, value] is exhaustive.
-        lo, hi = 1, max(value, 1)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            e = self.elem(mid)
-            if e == value:
-                return mid
-            if e < value:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        n = bisect.bisect_left(range(1, max(value, 1) + 1), value, key=self.elem) + 1
+        return n if n <= value and self.elem(n) == value else None
 
     def describe(self):
         return self._description

@@ -361,6 +361,28 @@ def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> f
     return _safe_exp(log_mag)
 
 
+def _zero_scan(rule: ScalarRule, probe_window: int):
+    """(attains_zero, witness index, certified) for a weight rule.
+
+    The rule's own ``attains_zero`` answers first; otherwise the first
+    ``probe_window`` values (all of them for a shorter finite rule) are
+    scanned for an exact zero.
+    """
+    ln = rule.length()
+    cap = probe_window if ln is None else min(ln, probe_window)
+    az = rule.attains_zero()
+    if az is False:
+        return False, None, True
+    for n in range(1, cap + 1):
+        if rule.value(n) == 0:
+            return True, n, True
+    if ln is not None and ln <= cap:
+        return False, None, True
+    if az is True:
+        return True, None, True
+    return False, None, False
+
+
 def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
                    probe_window: int = 4096) -> KernelRangeVerdict:
     """Structural injectivity check, with a dense-range flag.
@@ -372,24 +394,21 @@ def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
     and an empty row kills dense range.
     """
     if isinstance(s, ShiftForm):
-        az = s.weights.attains_zero()
-        if az is False:
-            return KernelRangeVerdict(True, True, None, True,
-                                      "weights certified nonzero; permutation total")
-        cap = probe_window
-        for n in range(1, cap + 1):
-            if s.weights.value(n) == 0:
-                return KernelRangeVerdict(
-                    False, False, n, True, f"weight at index {n} is zero"
-                )
-        if az is True:
+        hit, idx, certified = _zero_scan(s.weights, probe_window)
+        if idx is not None:
+            return KernelRangeVerdict(False, False, idx, True,
+                                      f"weight at index {idx} is zero")
+        if hit:
             return KernelRangeVerdict(
                 False, False, None, False,
-                f"a zero weight exists beyond the probe window {cap}"
+                f"a zero weight exists beyond the probe window {probe_window}"
             )
+        if certified:
+            return KernelRangeVerdict(True, True, None, True,
+                                      "weights certified nonzero; permutation total")
         return KernelRangeVerdict(
             True, True, None, False,
-            f"no zero weight on the probe window [1..{cap}]; tail uncertified"
+            f"no zero weight on the probe window [1..{probe_window}]; tail uncertified"
         )
     # expression tree: structural column/row coverage on a window
     window = min(probe_window, 512)

@@ -78,6 +78,27 @@ class TestRun:
         })
         assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 3
 
+    def test_zero_weight_past_the_schauder_probe_exit(self, tmp_path):
+        # the zero at index 1001 escapes is_schauder's 512-index probe but
+        # not the deflation's own zero check
+        prefix = [1] + [{"fraction": [1, k]} for k in range(2, 11)] + [0]
+        weights = {"rule": "offset", "offset": 0, "inner": {
+            "rule": "repeated", "times": 100, "inner": {
+                "rule": "explicit-then", "prefix": prefix,
+                "tail": {"rule": "power-law", "scale": {"fraction": [1, 11]},
+                         "exponent": 1}}}}
+        spec = write_spec(tmp_path, "late-zero.json", {
+            "version": 1,
+            "operator": {"op": "diagonal", "weights": weights},
+            "analysis": "deflate",
+            "params": {"grid-moduli": 8, "grid-phases": 2},
+        })
+        out = tmp_path / "o"
+        assert main(["run", str(spec), "--out", str(out)]) == 3
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["kind"] == "precondition-violation"
+        assert "weight at index 1001 is zero" in error["message"]
+
     def test_step_cap_exit_code(self, tmp_path):
         spec = write_spec(tmp_path, "cap.json", diag_spec("deflate"))
         code = main(["run", str(spec), "--out", str(tmp_path / "o"),

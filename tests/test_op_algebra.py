@@ -11,6 +11,7 @@ from schauderspec import (
     BlockDirectSum,
     ConstantRule,
     Diagonal,
+    ExplicitPrefixSequence,
     ExplicitThenRule,
     FinVector,
     LambdaShift,
@@ -28,6 +29,7 @@ from schauderspec import (
     cibws,
     cibws_from_z_definition,
     cibws_weight_rule,
+    decompose_into_spreads,
     entry,
     forward_unilateral_shift,
     identity_permutation,
@@ -35,6 +37,7 @@ from schauderspec import (
     naturals,
     one_line_permutation,
     recognize_shift_form,
+    sigma_bilateral,
     truncate,
     truncate_complex,
 )
@@ -337,3 +340,63 @@ class TestClosedFormSequence:
         assert squares.position_of(49) == 7
         assert squares.position_of(50) is None
         assert squares.position_of(1) == 1
+
+
+@st.composite
+def spread_sums(draw):
+    """Sums of spreads: finite pieces, arithmetic progressions, and mixed
+    finite-domain/infinite-image spreads, so lines may be hit 0, 1 or more
+    times."""
+
+    def seq(finite):
+        if finite:
+            return ExplicitPrefixSequence(tuple(sorted(
+                draw(st.sets(st.integers(1, 24), min_size=1, max_size=6)))))
+        return ArithmeticSequence(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["finite", "infinite", "finite-domain"]))
+        if kind == "finite":
+            dom = seq(True)
+            img = ExplicitPrefixSequence(tuple(sorted(draw(st.sets(
+                st.integers(1, 24), min_size=len(dom.prefix),
+                max_size=len(dom.prefix))))))
+        else:
+            dom, img = seq(kind == "finite-domain"), seq(False)
+        terms.append(Spread(SpreadSpec(dom, img)))
+    return Sum(tuple(terms))
+
+
+class TestSumOfSpreadsShift:
+    @settings(max_examples=200, deadline=None)
+    @given(T=spread_sums())
+    def test_permutation_agrees_with_supports(self, T):
+        perm = op_algebra._structural_shift(T).perm
+        for k in range(1, 30):
+            for step, support, line in ((perm.forward, T.column_support, "column"),
+                                        (perm.inverse, T.row_support, "row")):
+                hits = support(k)
+                if len(hits) == 1:
+                    assert step(k) == hits[0]
+                else:
+                    with pytest.raises(ValueError,
+                                       match=f"^{line} {k} is hit by {len(hits)} spreads$"):
+                        step(k)
+
+    def test_row_beyond_a_finite_domain_is_hit_by_no_spread(self):
+        T = Sum((Spread(SpreadSpec(ExplicitPrefixSequence((1, 2, 3)), naturals())),
+                 Spread(SpreadSpec(ArithmeticSequence(4, 1), ArithmeticSequence(10, 1)))))
+        perm = op_algebra._structural_shift(T).perm
+        assert [perm.inverse(i) for i in (1, 2, 3, 10, 11)] == [1, 2, 3, 4, 5]
+        assert perm.forward(5) == 11
+        with pytest.raises(ValueError, match="^row 5 is hit by 0 spreads$"):
+            perm.inverse(5)
+
+    def test_sigma_spreads_recognized(self):
+        sigma = sigma_bilateral()
+        T = Sum(tuple(Spread(sp) for sp in decompose_into_spreads(sigma, 64)))
+        perm = op_algebra._structural_shift(T).perm
+        for k in range(1, 200):
+            assert perm.forward(k) == sigma.forward(k)
+            assert perm.inverse(k) == sigma.inverse(k)

@@ -28,6 +28,7 @@ from schauderspec import (
     PowerLawRule,
     PreconditionViolatedError,
     Product,
+    RepeatedRule,
     SchauderSpectrumReport,
     SelfAdjointIntervalModel,
     Sum,
@@ -97,6 +98,32 @@ class TestIsSchauder:
         assert v.reason == NOT_INJECTIVE
 
 
+FEW_VALUES = st.sampled_from([0, 1, 2, Fraction(1, 2), 0.5, -1, 1j])
+
+
+# Constants behind nested prefixes, offsets and repeats.
+FINITELY_VALUED_RULES = st.recursive(
+    st.builds(ConstantRule, FEW_VALUES),
+    lambda inner: st.one_of(
+        st.builds(ExplicitThenRule, st.lists(FEW_VALUES, max_size=4).map(tuple), inner),
+        st.builds(OffsetRule, inner, st.integers(0, 6)),
+        st.builds(RepeatedRule, inner, st.integers(1, 3)),
+    ),
+    max_leaves=4)
+
+
+def value_horizon(rule):
+    """A count ``N``: past any number ``s`` of skipped terms, every value
+    the rule still takes is among terms ``s+1 .. s+N``."""
+    if isinstance(rule, ConstantRule):
+        return 1
+    if isinstance(rule, ExplicitThenRule):
+        return len(rule.prefix) + value_horizon(rule.tail)
+    if isinstance(rule, RepeatedRule):
+        return rule.times * value_horizon(rule.inner)
+    return value_horizon(rule.inner)
+
+
 class TestSchauderSpectrum:
     def test_reciprocal_diagonal(self):
         rep = schauder_spectrum(Diagonal(RECIP))
@@ -159,6 +186,18 @@ class TestSchauderSpectrum:
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedClassError):
             schauder_spectrum(Diagonal(AffineRule(1, RECIP)))  # values -> 1
+
+    @pytest.mark.parametrize("prefix, members", [((5,), (1,)), ((0,), (1,))])
+    def test_offset_drops_its_skipped_terms(self, prefix, members):
+        T = Diagonal(OffsetRule(ExplicitThenRule(prefix, ConstantRule(1)), 1))
+        assert schauder_spectrum(T).members == FiniteSetMembers(members)
+        assert is_schauder(T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule=FINITELY_VALUED_RULES)
+    def test_finite_value_set_is_the_set_of_values(self, rule):
+        rep = schauder_spectrum(Diagonal(rule), probe_window=64)
+        assert set(rep.members.values) == set(rule.values(value_horizon(rule)))
 
 
 class TestClassifyCompact:
@@ -485,6 +524,36 @@ class TestDeflatePipeline:
         assert all(entry_of(Z, i, j) == 0 for i in range(1, 6) for j in range(1, 6))
         v = is_schauder(Z)
         assert not v and v.reason == NOT_INJECTIVE
+
+    def test_zero_past_the_schauder_probe_is_refused(self):
+        # is_schauder probes 512 weights; the zero at 1001 lies beyond
+        prefix = tuple(Fraction(1, k) for k in range(1, 11)) + (0,)
+        rule = OffsetRule(RepeatedRule(
+            ExplicitThenRule(prefix, PowerLawRule(Fraction(1, 11), 1)), 100), 0)
+        assert is_schauder(Diagonal(rule))
+        with pytest.raises(PreconditionViolatedError,
+                           match="weight at index 1001 is zero"):
+            deflate(Diagonal(rule), SMALL)
+
+    def test_basic_refuses_a_zero_past_the_monotone_probe(self):
+        prefix = tuple(Fraction(1, k) for k in range(1, 100)) + (0,)
+        with pytest.raises(PreconditionViolatedError,
+                           match="weight at index 100 is zero"):
+            deflate_basic(ExplicitThenRule(prefix, RECIP), SMALL)
+
+    def test_weights_probed_once(self, monkeypatch):
+        from schauderspec.sequences import ScalarRule
+
+        probes = []
+        values = ScalarRule.values
+
+        def counting(self, count, start=1):
+            probes.append(count)
+            return values(self, count, start)
+
+        monkeypatch.setattr(ScalarRule, "values", counting)
+        deflate(Diagonal(PowerLawRule(1, 1)), SMALL)
+        assert probes.count(64) == 1
 
     def test_certificates_cover_grid_loudly(self):
         res = deflate(Diagonal(RECIP), SMALL)

@@ -1,0 +1,167 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schauderspec import (
+    ArithmeticSequence,
+    ClosedFormSequence,
+    ConstantRule,
+    ExplicitPrefixSequence,
+    ExplicitThenRule,
+    GeometricRule,
+    MergedAbsDecreasingRule,
+    PowerLawRule,
+)
+from schauderspec.sequences import _abs_exact
+
+
+def reference_merge(finite_parts, rule_parts, count):
+    """The k-way merge as a pull loop that re-reads every source's head.
+
+    Each pull takes the head of largest magnitude, the earliest source
+    on ties (finite parts first, then rules).  Returns the first
+    ``count`` merged values, or the values before exhaustion and
+    ``True``.
+    """
+    finite = [sorted(part, key=_abs_exact, reverse=True) for part in finite_parts]
+    finite_pos = [0] * len(finite)
+    rule_pos = [1] * len(rule_parts)
+    out = []
+    while len(out) < count:
+        best = None
+        for kind, count_k in (("finite", len(finite)), ("rule", len(rule_parts))):
+            for i in range(count_k):
+                if kind == "finite":
+                    if finite_pos[i] >= len(finite[i]):
+                        continue
+                    head = finite[i][finite_pos[i]]
+                else:
+                    ln = rule_parts[i].length()
+                    if ln is not None and rule_pos[i] > ln:
+                        continue
+                    head = rule_parts[i].value(rule_pos[i])
+                key = _abs_exact(head)
+                if best is None or key > best[0]:
+                    best = (key, kind, i, head)
+        if best is None:
+            return out, True
+        _, kind, i, head = best
+        if kind == "finite":
+            finite_pos[i] += 1
+        else:
+            rule_pos[i] += 1
+        out.append(head)
+    return out, False
+
+
+# Values with many equal magnitudes across types: 1 = -1 = 1j = 1.0,
+# 1/2 = 0.5 = -0.5j, 1/4 = 0.25.
+TIE_VALUES = st.sampled_from([
+    1, -1, 1j, 1.0, Fraction(1, 2), 0.5, -0.5j, Fraction(-1, 2),
+    Fraction(1, 4), 0.25, Fraction(1, 3), 2, -2.0, 0,
+])
+
+
+@st.composite
+def merge_rules(draw):
+    """A |.|-nonincreasing rule: finite, constant, geometric or power law."""
+    kind = draw(st.sampled_from(["finite", "prefix-then", "constant",
+                                 "geometric", "power-law"]))
+    prefix = tuple(sorted(draw(st.lists(TIE_VALUES, max_size=4)),
+                          key=_abs_exact, reverse=True))
+    if kind == "finite":
+        return ExplicitThenRule(prefix or (1,))
+    if kind == "constant":
+        return ConstantRule(draw(TIE_VALUES))
+    if kind == "geometric":
+        return GeometricRule(draw(st.sampled_from([1, 2, 1.0, -1])),
+                             draw(st.sampled_from([Fraction(1, 2), 0.5])))
+    tail = PowerLawRule(draw(st.sampled_from([Fraction(1, 4), 0.25, 1])), 1)
+    if kind == "power-law":
+        return tail
+    return ExplicitThenRule(tuple(v for v in prefix if _abs_exact(v) >= 1), tail)
+
+
+def same(a, b):
+    return type(a) is type(b) and a == b
+
+
+class TestMergedAbsDecreasingRule:
+    @settings(max_examples=300, deadline=None)
+    @given(finite_parts=st.lists(st.lists(TIE_VALUES, max_size=5), max_size=3),
+           rule_parts=st.lists(merge_rules(), max_size=3),
+           queries=st.lists(st.integers(1, 25), min_size=1, max_size=8))
+    def test_matches_reference_pull_loop(self, finite_parts, rule_parts, queries):
+        merged = MergedAbsDecreasingRule(finite_parts, rule_parts)
+        want, exhausted = reference_merge(finite_parts, rule_parts, max(queries))
+        for n in queries:
+            if n <= len(want):
+                assert same(merged.value(n), want[n - 1])
+            else:
+                assert exhausted
+                with pytest.raises(ValueError, match="merged rule exhausted"):
+                    merged.value(n)
+
+    def test_ties_go_to_finite_parts_then_rules_in_order(self):
+        merged = MergedAbsDecreasingRule(
+            [(0.5, 1), (Fraction(1, 2),)],
+            [ExplicitThenRule((1.0,)), ExplicitThenRule((-1j, 0.5j))])
+        want = [1, 1.0, -1j, 0.5, Fraction(1, 2), 0.5j]
+        assert all(same(merged.value(n), v) for n, v in enumerate(want, 1))
+        with pytest.raises(ValueError, match="merged rule exhausted"):
+            merged.value(7)
+
+    def test_exhaustion_is_an_error(self):
+        merged = MergedAbsDecreasingRule([(1, 2)], [ExplicitThenRule((3,))])
+        assert [merged.value(n) for n in (3, 1, 2)] == [1, 3, 2]
+        with pytest.raises(ValueError, match="merged rule exhausted"):
+            merged.value(4)
+        assert merged.value(2) == 2
+
+
+def linear_position(seq, value):
+    """``position_of`` by walking the sequence from its first element."""
+    n = 1
+    while seq.length() is None or n <= seq.length():
+        e = seq.elem(n)
+        if e == value:
+            return n
+        if e > value:
+            return None
+        n += 1
+    return None
+
+
+@st.composite
+def index_sequences(draw):
+    kind = draw(st.sampled_from(["prefix", "prefix-then-arithmetic",
+                                 "prefix-then-closed-form", "closed-form"]))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    closed = ClosedFormSequence(lambda n: a * n * n + b * n, f"{a}n^2 + {b}n")
+    if kind == "closed-form":
+        return closed
+    prefix = tuple(sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=8))))
+    if kind == "prefix":
+        return ExplicitPrefixSequence(prefix)
+    if kind == "prefix-then-arithmetic":
+        return ExplicitPrefixSequence(
+            prefix, ArithmeticSequence(prefix[-1] + draw(st.integers(1, 3)),
+                                       draw(st.integers(1, 4))))
+    shift = prefix[-1]
+    return ExplicitPrefixSequence(
+        prefix, ClosedFormSequence(lambda n: shift + a * n * n + b * n))
+
+
+class TestPositionOf:
+    @settings(max_examples=200, deadline=None)
+    @given(seq=index_sequences())
+    def test_matches_linear_scan(self, seq):
+        for v in range(-2, 80):
+            assert seq.position_of(v) == linear_position(seq, v)
+
+    def test_every_element_found(self):
+        seq = ExplicitPrefixSequence((2, 3, 7), ClosedFormSequence(lambda n: 7 + n * n))
+        for n in range(1, 30):
+            assert seq.position_of(seq.elem(n)) == n

@@ -19,11 +19,14 @@ from schauderspec import (
     Diagonal,
     ExplicitThenRule,
     GeometricRule,
+    KernelRangeVerdict,
     NotSummableError,
     OffsetRule,
     PowerLawRule,
     PreconditionViolatedError,
     Product,
+    RepeatedRule,
+    ScaledRule,
     SchauderSpecError,
     ShiftForm,
     Spread,
@@ -316,6 +319,64 @@ class TestKernelTrivial:
         verdict = kernel_trivial(ShiftForm(sigma_bilateral(), rule))
         assert not verdict.injective
         assert verdict.offending_index == 2
+
+
+def reference_shift_kernel_verdict(s, probe_window):
+    """The shift-form zero check as ``kernel_trivial`` wrote it inline."""
+    az = s.weights.attains_zero()
+    if az is False:
+        return KernelRangeVerdict(True, True, None, True,
+                                  "weights certified nonzero; permutation total")
+    for n in range(1, probe_window + 1):
+        if s.weights.value(n) == 0:
+            return KernelRangeVerdict(False, False, n, True,
+                                      f"weight at index {n} is zero")
+    if az is True:
+        return KernelRangeVerdict(
+            False, False, None, False,
+            f"a zero weight exists beyond the probe window {probe_window}")
+    return KernelRangeVerdict(
+        True, True, None, False,
+        f"no zero weight on the probe window [1..{probe_window}]; tail uncertified")
+
+
+@st.composite
+def zero_check_rules(draw):
+    """Finite, exactly-zero, zero-beyond-the-window and uncertified rules."""
+    values = st.lists(st.sampled_from([1, Fraction(1, 2), 0.25, 0, 1j]),
+                      min_size=1, max_size=50)
+    late_zero = ExplicitThenRule((1, 0), ConstantRule(1))
+    kind = draw(st.sampled_from(["finite", "zero", "late-zero", "offset",
+                                 "callable", "nonzero"]))
+    if kind == "finite":
+        return ExplicitThenRule(tuple(draw(values)))
+    if kind == "zero":
+        return draw(st.sampled_from([
+            ConstantRule(0), GeometricRule(0, Fraction(1, 2)),
+            ScaledRule(0, RECIP), ExplicitThenRule(tuple(draw(values)) + (0,), RECIP)]))
+    if kind == "late-zero":
+        return RepeatedRule(late_zero, draw(st.integers(1, 60)))
+    if kind == "offset":
+        return OffsetRule(RepeatedRule(late_zero, draw(st.integers(1, 60))),
+                          draw(st.integers(0, 80)))
+    if kind == "callable":
+        return CallableRule(lambda n: 0 if n == 37 else Fraction(1, n))
+    return draw(st.sampled_from([RECIP, GEO_HALF, ExplicitThenRule((2, 1), RECIP)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=zero_check_rules(), probe_window=st.integers(1, 60))
+def test_shift_zero_check_matches_reference(rule, probe_window):
+    s = ShiftForm(sigma_bilateral(), rule)
+    try:
+        want = reference_shift_kernel_verdict(s, probe_window)
+    except ValueError:
+        # the inline scan probed a finite rule past its end; the scan now
+        # stops at the end and finds every weight nonzero
+        assert 0 not in rule.values(rule.length())
+        want = KernelRangeVerdict(True, True, None, True,
+                                  "weights certified nonzero; permutation total")
+    assert kernel_trivial(s, probe_window) == want
 
 
 class TestAdjointExclusion:
