@@ -42,6 +42,7 @@ from .schauder import (
 from .serde import (
     certificate_to_json,
     check_param,
+    float_texts,
     parse_spec_document,
     report_to_json,
     sequence_to_json,
@@ -152,6 +153,7 @@ def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> 
         "certificates", [])
     if certs:
         path = outdir / "certificates.csv"
+        text = float_texts(repr)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([
@@ -160,9 +162,9 @@ def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> 
             ])
             for c in certs:
                 writer.writerow([
-                    repr(c["lambdaRe"]), repr(c["lambdaIm"]), c["side"],
+                    text(c["lambdaRe"]), text(c["lambdaIm"]), c["side"],
                     c["kind"], c["regime"], c["details"].get("block", 0),
-                    c["witnessIndex"], repr(c["magnitude"]), repr(c["bound"]),
+                    c["witnessIndex"], text(c["magnitude"]), text(c["bound"]),
                 ])
         written.append(path.name)
     # Row-major over the numerically nonzero entries; no dense corner is

@@ -65,6 +65,7 @@ from .spectral import (
     EigenExclusionCertificate,
     KernelRangeVerdict,
     _grid_top,
+    _weights_zero_check,
     _zero_scan,
     check_single_orbit,
     corner_eigs,
@@ -176,7 +177,10 @@ class SelfAdjointIntervalModel:
 # ---------------------------------------------------------------------------
 
 
-def is_schauder(T, probe_window: int = 512) -> SchauderVerdict:
+_SCHAUDER_WINDOW = 512
+
+
+def is_schauder(T, probe_window: int = _SCHAUDER_WINDOW) -> SchauderVerdict:
     """Exact structural verdict: injective with dense range, or why not."""
     if isinstance(T, SelfAdjointIntervalModel):
         if 0 in T.point_spectrum:
@@ -513,8 +517,8 @@ _RANGE_NOTE = ("range of the product equals the range of the diagonal "
 
 def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
                   lemma_path: str, note: str,
-                  block0_certificates: Optional[Callable] = None
-                  ) -> DeflationResult:
+                  block0_certificates: Optional[Callable] = None,
+                  known_nonzero: int = 0) -> DeflationResult:
     """Sigma-unitary deflation of ``diag(rule)`` plus one block per value.
 
     Block 0 carries ``rule`` behind the two-spread unitary; each value
@@ -523,11 +527,12 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
     ``block0_certificates(grid)``, by default the grid walk of its
     weighted shift, tagged ``block 0`` when other blocks exist.  With no
     values the result is the plain shift.  Block 0's shift must pass the
-    zero check (injective with dense range) before anything is built.
+    zero check (injective with dense range) before anything is built; it
+    does not read the first ``known_nonzero`` weights again.
     """
     sigma = sigma_bilateral()
     shift = ShiftForm(sigma, rule)
-    zero_check = kernel_trivial(shift)
+    zero_check = _weights_zero_check(rule, start=known_nonzero + 1)
     if not (zero_check.injective and zero_check.dense_range):
         raise PreconditionViolatedError(
             f"weights fail the zero check: {zero_check.detail}")
@@ -863,8 +868,12 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
             "with explicit spectral data"
         )
     strict = _probe_positive_monotone(rule, strict=None)
+    # is_schauder read the first weights of a diagonal or a shift form,
+    # and the polar split keeps their zeros: |w| is 0 exactly where w is
+    known_nonzero = (_SCHAUDER_WINDOW if isinstance(T, (Diagonal, ShiftForm))
+                     and rec.shift.weights is T.weights else 0)
     base = _sigma_blocks(rule, (), cfg, "basic" if strict else "discrete",
-                         _RANGE_NOTE)
+                         _RANGE_NOTE, known_nonzero=known_nonzero)
     if rec_unitary is None:
         unitary = base.unitary
     else:

@@ -528,7 +528,7 @@ def _token(o):
     """JSON token of a scalar, None for a container, in json.encoder's order.
 
     This is the path for subclasses of the JSON types and for the top
-    level; exact types go through ``_TOKENS``.
+    level; exact types go through ``write_report``'s token table.
     """
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -548,18 +548,42 @@ def _token(o):
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-# Token functions of the exact JSON types; None marks a container.  A
-# float token still goes through _NONFINITE.
+# Token functions of the exact JSON types but float, whose tokens
+# write_report memoizes; None marks a container.
 _TOKENS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
     dict: None,
     list: None,
     tuple: None,
 }
+
+
+def _float_token(x: float) -> str:
+    token = float.__repr__(x)
+    return _NONFINITE.get(token, token)
+
+
+def float_texts(fmt):
+    """``fmt`` that formats each distinct nonzero exact float once.
+
+    Zeros are formatted every time: ``0.0 == -0.0``, so one memo entry
+    would give one sign the other's text.  Anything that is not an exact
+    float goes straight to ``fmt``.
+    """
+    texts = {}
+
+    def text(x):
+        if type(x) is not float or not x:
+            return fmt(x)
+        t = texts.get(x)
+        if t is None:
+            t = texts[x] = fmt(x)
+        return t
+
+    return text
 
 
 def _key_text(key) -> str:
@@ -584,7 +608,7 @@ def write_report(path, report) -> None:
     tmp = path.with_name(path.name + ".tmp")
     parts = []
     key_heads = {}  # str key -> '"key": '
-    token_of, float_repr = _TOKENS.get, float.__repr__
+    token_of = {**_TOKENS, float: float_texts(_float_token)}.get
 
     def emit(o, nl):
         # Append the text of the container ``o``, which opens at indent ``nl``.
@@ -612,8 +636,6 @@ def write_report(path, report) -> None:
                     parts.append(head + key_head)
                     emit(value, inner)
                 else:
-                    if to is float_repr:
-                        token = _NONFINITE.get(token, token)
                     parts.append(f"{head}{key_head}{token}")
                 head = sep
             parts.append(nl + "}")
@@ -626,8 +648,6 @@ def write_report(path, report) -> None:
                     parts.append(head)
                     emit(value, inner)
                 else:
-                    if to is float_repr:
-                        token = _NONFINITE.get(token, token)
                     parts.append(head + token)
                 head = sep
                 if len(parts) > _FLUSH_PARTS:

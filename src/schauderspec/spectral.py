@@ -176,31 +176,63 @@ def check_single_orbit(perm, window: int = 16, steps: int = 96) -> bool:
     return all(k in visited for k in range(1, window + 1))
 
 
-class _Orbit:
-    """log|w| along the orbit of ``start``, cached as far as a walk needed it.
+class _Rays:
+    """log|w| along both directions of the orbit of ``start``, for T and T*.
 
     ``back[k]`` belongs to the weight at ``perm^-(k+1)(start)`` and
-    ``fwd[k]`` to the one at ``perm^k(start)``.  ``memo`` maps an exact
-    ``log|lam|`` to its ``(regime, witness step, log magnitude)``.
+    ``fwd[k]`` to the one at ``perm^k(start)``; each ray is grown only as
+    deep as some walk read it.  The adjoint walks the same moduli,
+    ``|conj w| = |w|``, along the inverse permutation: its backward step k
+    reads ``fwd[k]`` and its forward step k reads ``back[k]``.
     """
 
-    def __init__(self, s: ShiftForm, start: int, log_bound: float,
-                 step_cap: int):
+    def __init__(self, s: ShiftForm, start: int):
         self.s = s
-        self.log_bound = log_bound
-        self.step_cap = step_cap
         self.back: list = []
         self.fwd: list = []
         self.back_idx = self.fwd_idx = start
-        self.memo: dict = {}
 
-    def _log_weight(self, idx: int) -> float:
+    def _log_weight(self, idx: int, side: str) -> float:
         w = self.s.weights.value(idx)
         if w == 0:
+            # each side names the zero by its own index; the adjoint
+            # weight at perm(i) is conj(w_i)
+            named = idx if side == "direct" else self.s.perm.forward(idx)
             raise PreconditionViolatedError(
-                f"zero weight at index {idx}; run kernel_trivial instead"
+                f"zero weight at index {named}; run kernel_trivial instead"
             )
         return log_abs(w)
+
+    def grow_back(self, side: str) -> None:
+        idx = self.s.perm.inverse(self.back_idx)
+        self.back.append(self._log_weight(idx, side))
+        self.back_idx = idx
+
+    def grow_fwd(self, side: str) -> None:
+        self.fwd.append(self._log_weight(self.fwd_idx, side))
+        self.fwd_idx = self.s.perm.forward(self.fwd_idx)
+
+
+class _Orbit:
+    """One side's divergence walks over the shared rays.
+
+    The side's backward walk reads ``near`` and its forward walk ``far``;
+    ``memo`` maps an exact ``log|lam|`` to its ``(regime, witness step,
+    log magnitude)``.
+    """
+
+    def __init__(self, rays: _Rays, side: str, log_bound: float,
+                 step_cap: int):
+        self.side = side
+        if side == "direct":
+            self.near, self.far = rays.back, rays.fwd
+            self.grow_near, self.grow_far = rays.grow_back, rays.grow_fwd
+        else:
+            self.near, self.far = rays.fwd, rays.back
+            self.grow_near, self.grow_far = rays.grow_fwd, rays.grow_back
+        self.log_bound = log_bound
+        self.step_cap = step_cap
+        self.memo: dict = {}
 
     def divergence(self, lam: Scalar) -> Tuple[str, int, float]:
         """First step whose forced coefficient exceeds ``log_bound``.
@@ -212,29 +244,28 @@ class _Orbit:
         hit = self.memo.get(la)
         if hit is not None:
             return hit
-        back, fwd = self.back, self.fwd
+        near, far, side = self.near, self.far, self.side
         log_bound, step_cap = self.log_bound, self.step_cap
+        have_near, have_far = len(near), len(far)
         bwd_log = fwd_log = 0.0
-        cached = min(len(fwd), step_cap)
         for k in range(step_cap):
-            if k >= cached and k == len(back):
-                idx = self.s.perm.inverse(self.back_idx)
-                back.append(self._log_weight(idx))
-                self.back_idx = idx
-            bwd_log += la - back[k]
+            if k == have_near:
+                self.grow_near(side)
+                have_near += 1
+            bwd_log += la - near[k]
             if bwd_log > log_bound:
                 hit = ("backward-orbit", k + 1, bwd_log)
                 break
-            if k >= cached:
-                fwd.append(self._log_weight(self.fwd_idx))
-                self.fwd_idx = self.s.perm.forward(self.fwd_idx)
-            fwd_log += fwd[k] - la
+            if k == have_far:
+                self.grow_far(side)
+                have_far += 1
+            fwd_log += far[k] - la
             if fwd_log > log_bound:
                 hit = ("forward-orbit", k + 1, fwd_log)
                 break
         else:
             best = bwd_log = fwd_log = 0.0
-            for b, f in zip(back, fwd):
+            for b, f in zip(near, far):
                 bwd_log += la - b
                 fwd_log += f - la
                 best = max(best, bwd_log, fwd_log)
@@ -254,10 +285,11 @@ class _Orbit:
 class _ShiftCertifier:
     """Direct and adjoint orbit-walk certificates for one shift.
 
-    The adjoint form, each side's preconditions and each side's orbit
-    cache are set up before that side's first certificate, so a grid
-    walks each orbit once per distinct ``log|lam|`` and raises the same
-    errors, in the same order, as certifying its points one by one.
+    Each side's preconditions and walks are set up before that side's
+    first certificate, so a grid walks each orbit once per side and
+    distinct ``log|lam|`` and raises the same errors, in the same order,
+    as certifying its points one by one.  Both sides read one ``_Rays``,
+    so each orbit weight is evaluated at most once.
     """
 
     def __init__(self, s: ShiftForm, bound: float, step_cap: int,
@@ -269,18 +301,23 @@ class _ShiftCertifier:
         self.start = start
         self.check_weights = check_weights
         self.require_single_orbit = require_single_orbit
+        self.rays: Optional[_Rays] = None
         self.orbits: dict = {}
+        self.regions: dict = {}
 
     def _orbit(self, side: str) -> _Orbit:
         orbit = self.orbits.get(side)
         if orbit is not None:
             return orbit
-        s = self.s if side == "direct" else adjoint_shift_form(self.s)
-        if self.require_single_orbit and not check_single_orbit(s.perm):
-            raise PreconditionViolatedError(
-                "permutation is not single-orbit on the probe window; the "
-                "orbit-local claim requires require_single_orbit=False"
-            )
+        s = self.s
+        # T and T* have the same orbits, so one check serves both sides
+        if self.rays is None:
+            if self.require_single_orbit and not check_single_orbit(s.perm):
+                raise PreconditionViolatedError(
+                    "permutation is not single-orbit on the probe window; the "
+                    "orbit-local claim requires require_single_orbit=False"
+                )
+            self.rays = _Rays(s, self.start)
         if side == "direct" and self.check_weights:
             lim = s.weights.limit()
             if lim is not None and lim != 0:
@@ -294,7 +331,7 @@ class _ShiftCertifier:
                     raise PreconditionViolatedError(
                         "weight magnitudes are not nonincreasing on the probe window"
                     )
-        orbit = self.orbits[side] = _Orbit(s, self.start, math.log(self.bound),
+        orbit = self.orbits[side] = _Orbit(self.rays, side, math.log(self.bound),
                                            self.step_cap)
         return orbit
 
@@ -313,6 +350,10 @@ class _ShiftCertifier:
             details += (("orbit_local", True),)
         if side == "adjoint":
             details = (("adjoint_lambda", walked),) + details
+        modulus = abs(complex(walked))
+        region = self.regions.get(modulus)
+        if region is None:
+            region = self.regions[modulus] = f"circle |lambda| = {modulus!r}"
         return EigenExclusionCertificate(
             lam=complex(lam),
             witness_index=k,
@@ -322,7 +363,7 @@ class _ShiftCertifier:
             regime=regime,
             start_index=self.start,
             side=side,
-            covered_region=f"circle |lambda| = {abs(complex(walked))!r}",
+            covered_region=region,
             details=details,
         )
 
@@ -361,19 +402,20 @@ def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> f
     return _safe_exp(log_mag)
 
 
-def _zero_scan(rule: ScalarRule, probe_window: int):
+def _zero_scan(rule: ScalarRule, probe_window: int, start: int = 1):
     """(attains_zero, witness index, certified) for a weight rule.
 
     The rule's own ``attains_zero`` answers first; otherwise the first
     ``probe_window`` values (all of them for a shorter finite rule) are
-    scanned for an exact zero.
+    scanned for an exact zero.  The values before ``start`` must be known
+    nonzero already; they are not read again.
     """
     ln = rule.length()
     cap = probe_window if ln is None else min(ln, probe_window)
     az = rule.attains_zero()
     if az is False:
         return False, None, True
-    for n in range(1, cap + 1):
+    for n in range(start, cap + 1):
         if rule.value(n) == 0:
             return True, n, True
     if ln is not None and ln <= cap:
@@ -383,8 +425,32 @@ def _zero_scan(rule: ScalarRule, probe_window: int):
     return False, None, False
 
 
+_KERNEL_WINDOW = 4096
+
+
+def _weights_zero_check(weights: ScalarRule, probe_window: int = _KERNEL_WINDOW,
+                        start: int = 1) -> KernelRangeVerdict:
+    """``kernel_trivial`` of a total shift form with these weights."""
+    hit, idx, certified = _zero_scan(weights, probe_window, start)
+    if idx is not None:
+        return KernelRangeVerdict(False, False, idx, True,
+                                  f"weight at index {idx} is zero")
+    if hit:
+        return KernelRangeVerdict(
+            False, False, None, False,
+            f"a zero weight exists beyond the probe window {probe_window}"
+        )
+    if certified:
+        return KernelRangeVerdict(True, True, None, True,
+                                  "weights certified nonzero; permutation total")
+    return KernelRangeVerdict(
+        True, True, None, False,
+        f"no zero weight on the probe window [1..{probe_window}]; tail uncertified"
+    )
+
+
 def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
-                   probe_window: int = 4096) -> KernelRangeVerdict:
+                   probe_window: int = _KERNEL_WINDOW) -> KernelRangeVerdict:
     """Structural injectivity check, with a dense-range flag.
 
     For a total shift form, the kernel is trivial exactly when every
@@ -394,22 +460,7 @@ def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
     and an empty row kills dense range.
     """
     if isinstance(s, ShiftForm):
-        hit, idx, certified = _zero_scan(s.weights, probe_window)
-        if idx is not None:
-            return KernelRangeVerdict(False, False, idx, True,
-                                      f"weight at index {idx} is zero")
-        if hit:
-            return KernelRangeVerdict(
-                False, False, None, False,
-                f"a zero weight exists beyond the probe window {probe_window}"
-            )
-        if certified:
-            return KernelRangeVerdict(True, True, None, True,
-                                      "weights certified nonzero; permutation total")
-        return KernelRangeVerdict(
-            True, True, None, False,
-            f"no zero weight on the probe window [1..{probe_window}]; tail uncertified"
-        )
+        return _weights_zero_check(s.weights, probe_window)
     # expression tree: structural column/row coverage on a window
     window = min(probe_window, 512)
     for j in range(1, window + 1):

@@ -128,6 +128,37 @@ class TestRun:
         assert got == want
         assert (out / "eigs.csv").exists()
 
+    def test_certificate_table_matches_uncached_repr(self, tmp_path):
+        # signed zeros compare equal, so each must keep its own text
+        import csv
+        import io
+
+        from schauderspec import grid_certificates
+        from schauderspec.serde import certificate_to_json
+
+        spec = parse_spec_document(cibws_spec())
+        grid = [complex(re, im) for re, im in
+                [(0.5, 0.0), (0.5, -0.0), (-0.5, -0.0), (-0.5, 0.0),
+                 (0.0, 2.0), (-0.0, 2.0), (-0.0, -2.0), (0.5, 0.0), (0.5, -0.0)]]
+        certs = [certificate_to_json(c)
+                 for c in grid_certificates(cibws(), grid, 1e12)]
+        written = cli._write_csv_artifacts(tmp_path, spec,
+                                           {"certificates": certs}, 16)
+        assert written[0] == "certificates.csv"
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime",
+                         "block", "witness_index", "magnitude", "bound"])
+        for c in certs:
+            writer.writerow([repr(c["lambdaRe"]), repr(c["lambdaIm"]), c["side"],
+                             c["kind"], c["regime"], c["details"].get("block", 0),
+                             c["witnessIndex"], repr(c["magnitude"]),
+                             repr(c["bound"])])
+        got = (tmp_path / "certificates.csv").read_bytes().decode()
+        assert got == want.getvalue()
+        assert "-0.0,direct" in got and ",0.0,direct" in got
+        assert "\n-0.0,2.0," in got and "\n0.0,2.0," in got
+
     def test_csv_rows_replay(self, tmp_path):
         spec = write_spec(tmp_path, "cibws.json", cibws_spec())
         out = tmp_path / "out"
@@ -448,6 +479,15 @@ class TestWriteReport:
     @example({True: 1, False: 0})
     @example({None: []})
     @example([math.nan, -math.inf, math.inf, -0.0, 5e-324, 2**64 + 1])
+    # float tokens are memoized per value: zeros compare equal across
+    # signs, nan never equals itself, and a subclass takes its own path
+    @example([0.0, -0.0, 0.0, -0.0, {"a": -0.0, "b": 0.0}, [-0.0, 0.0]])
+    @example([-0.0, 0.0, {"im": -0.0}, {"im": 0.0}, MyFloat(-0.0), MyFloat(0.0)])
+    @example([math.nan, math.nan, math.inf, -math.inf, math.inf, -math.inf,
+              {"x": math.nan, "y": math.inf, "z": -math.inf}, float("nan")])
+    @example([2.5, MyFloat(2.5), 2.5, {"k": MyFloat(2.5), "v": 2.5},
+              MyFloat(-0.0), 1e100, MyFloat(1e100)])
+    @example([MyFloat(2.5), 2.5, MyFloat(math.inf), math.inf, MyFloat(math.nan)])
     def test_bytes_match_stdlib(self, tmp_path_factory, tree):
         tmp_path = tmp_path_factory.mktemp("w")
         assert written_text(tmp_path, tree) == stdlib_text(tree)

@@ -535,6 +535,54 @@ class TestDeflatePipeline:
                            match="weight at index 1001 is zero"):
             deflate(Diagonal(rule), SMALL)
 
+    @pytest.mark.parametrize("zero_at, message", [
+        (512, r"not a Schauder operator: not-injective \(witness index 512\); "
+              "zero diagonal entry"),
+        (513, "weights fail the zero check: weight at index 513 is zero"),
+        (4096, "weights fail the zero check: weight at index 4096 is zero"),
+    ])
+    @pytest.mark.parametrize("as_shift", [False, True])
+    def test_zero_at_the_schauder_probe_edge(self, zero_at, message, as_shift):
+        from schauderspec import CallableRule, ShiftForm
+
+        rule = CallableRule(lambda n: 0.0 if n == zero_at else 1.0 / n,
+                            limit_hint=0)
+        T = ShiftForm(identity_permutation(), rule) if as_shift else Diagonal(rule)
+        if as_shift:
+            message = message.replace("zero diagonal entry",
+                                      f"weight at index {zero_at} is zero")
+        with pytest.raises(PreconditionViolatedError, match=f"^{message}$"):
+            deflate(T, SMALL)
+
+    def test_zero_checks_read_each_weight_once(self, monkeypatch):
+        # is_schauder reads weights 1..512 and the sigma-block zero check
+        # goes on from 513 to its window of 4096
+        from collections import Counter
+
+        from schauderspec import CallableRule, schauder, spectral
+
+        read, scanning = Counter(), []
+
+        def weight(n):
+            if scanning:
+                read[n] += 1
+            return 1.0 / n
+
+        def scan(rule, probe_window, start=1, _scan=spectral._zero_scan):
+            scanning.append(rule)
+            try:
+                return _scan(rule, probe_window, start)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(spectral, "_zero_scan", scan)
+        monkeypatch.setattr(schauder, "_zero_scan", scan)
+        res = deflate(Diagonal(CallableRule(weight, limit_hint=0)), SMALL)
+        assert res.zero_check.detail == (
+            "no zero weight on the probe window [1..4096]; tail uncertified")
+        assert read[100] == 1
+        assert read == Counter(range(1, 4097))
+
     def test_basic_refuses_a_zero_past_the_monotone_probe(self):
         prefix = tuple(Fraction(1, k) for k in range(1, 100)) + (0,)
         with pytest.raises(PreconditionViolatedError,

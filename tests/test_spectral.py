@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -174,6 +175,11 @@ def first_error(fn):
 
 vanishing_rules = st.one_of(
     st.builds(PowerLawRule, st.floats(0.1, 10), st.floats(0.3, 2.0)),
+    # complex weights: the adjoint reads |conj w| from the direct rays
+    st.builds(ScaledRule,
+              st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                 allow_nan=False, allow_infinity=False),
+              st.builds(PowerLawRule, st.floats(0.1, 10), st.floats(0.3, 2.0))),
     st.builds(PowerLawRule, st.fractions(Fraction(1, 10), 10, max_denominator=20),
               st.integers(1, 3)),
     st.builds(GeometricRule, st.fractions(Fraction(1, 10), 10, max_denominator=20),
@@ -228,11 +234,44 @@ class TestGridCertificates:
         certifier = spectral._ShiftCertifier(s, 1e40, 100_000)
         certs = [certifier.certificate(lam, side)
                  for lam in grid for side in ("direct", "adjoint")]
-        for side in ("direct", "adjoint"):
-            deepest = max(c.witness_index for c in certs if c.side == side)
-            orbit = certifier.orbits[side]
-            # one growth chunk is one orbit step in each direction
-            assert deepest - 1 <= len(orbit.fwd) <= len(orbit.back) == deepest
+        # a walk reads its backward ray through the witness step and its
+        # forward ray one step less when the backward walk diverged; the
+        # adjoint's backward walk reads the direct forward ray and vice versa
+        read = {"back": 0, "fwd": 0}
+        for c in certs:
+            near, far = ("back", "fwd") if c.side == "direct" else ("fwd", "back")
+            k = c.witness_index
+            read[near] = max(read[near], k)
+            read[far] = max(read[far], k - (c.regime == "backward-orbit"))
+        rays = certifier.rays
+        assert (len(rays.back), len(rays.fwd)) == (read["back"], read["fwd"])
+
+    def test_grid_evaluates_each_orbit_weight_once(self):
+        counts = Counter()
+
+        def weight(n):
+            counts[n] += 1
+            return 1.0 / n
+
+        s = basic_shift(CallableRule(weight))
+        grid = lambda_grid(CertificateGridConfig(moduli=8, phases=4), 1.0)
+        certifier = spectral._ShiftCertifier(s, 1e40, 100_000, check_weights=False)
+        certs = [certifier.certificate(lam, side)
+                 for lam in grid for side in ("direct", "adjoint")]
+        assert certs == per_lambda_certificates(
+            basic_shift(CallableRule(lambda n: 1.0 / n)), grid, 1e40,
+            check_weights=False)
+        rays, sigma = certifier.rays, sigma_bilateral()
+        orbit, idx = [], 1
+        for _ in rays.back:
+            idx = sigma.inverse(idx)
+            orbit.append(idx)
+        idx = 1
+        for _ in rays.fwd:
+            orbit.append(idx)
+            idx = sigma.forward(idx)
+        assert len(rays.back) > 10 and len(rays.fwd) > 10
+        assert dict(counts) == {n: 1 for n in orbit}
 
     @given(st.integers(1, 40), st.booleans(), st.sampled_from(["direct", "adjoint"]),
            st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8))
@@ -254,13 +293,33 @@ class TestGridCertificates:
             s, grid, 1e12, check_weights=False))
         assert engine == first_error(lambda: per_lambda_certificates(
             s, grid, 1e12, check_weights=False))
+        failed = None
+        for lam in grid:
+            if first_error(lambda: shift_eigen_exclude(
+                    s, lam, 1e12, check_weights=False)) is not None:
+                failed = lam, "direct"
+                break
+            if first_error(lambda: adjoint_exclusion(s, lam, 1e12)) is not None:
+                failed = lam, "adjoint"
+                break
+        assert (engine is None) == (failed is None)
         if engine is not None:
             assert engine[0] is PreconditionViolatedError
-            # either side's walk may meet the zero first; the adjoint walk
-            # names it by its own index, perm(zero_at)
-            assert engine[1].startswith(
-                (f"zero weight at index {zero_at};",
-                 f"zero weight at index {sigma.forward(zero_at)};"))
+            # the zero is one weight on both sides' walks (the direct
+            # backward step k is the adjoint forward step k); each side
+            # names it by its own index, as the reference walk does
+            lam, failed_side = failed
+            regime = ("backward-orbit" if backward == (failed_side == side)
+                      else "forward-orbit")
+            if failed_side == "direct":
+                shift, walked_lam = s, lam
+            else:
+                shift, walked_lam = adjoint_shift_form(s), complex(lam).conjugate()
+            with pytest.raises(PreconditionViolatedError) as ref:
+                spectral._walk_logs(shift, walked_lam, regime, steps, 1)
+            assert engine[1] == f"{ref.value}; run kernel_trivial instead"
+            named = zero_at if failed_side == "direct" else sigma.forward(zero_at)
+            assert str(ref.value) == f"zero weight at index {named}"
 
     @given(st.integers(0, 30), st.lists(st.floats(1e-3, 10.0), min_size=1,
                                        max_size=8))
