@@ -22,10 +22,6 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     ConvergenceFailureError,
-    EmptyInputError,
-    NotCompactError,
-    NotSummableError,
-    PreconditionViolatedError,
     SchauderSpecError,
     SpecFormatError,
     StepCapExceededError,
@@ -33,6 +29,7 @@ from .errors import (
 )
 from .op_algebra import corner_array, corner_entries, recognize_shift_form
 from .schauder import (
+    _analysed_subject,
     audit_deflation,
     classify_compact,
     deflate,
@@ -69,23 +66,23 @@ _ERROR_KINDS = (
     (UnsupportedClassError, EXIT_UNSUPPORTED, "unsupported-class"),
     (StepCapExceededError, EXIT_CERTIFICATE, "certificate-failure"),
     (ConvergenceFailureError, EXIT_CERTIFICATE, "certificate-failure"),
-    (PreconditionViolatedError, EXIT_PRECONDITION, "precondition-violation"),
-    (NotSummableError, EXIT_PRECONDITION, "precondition-violation"),
-    (NotCompactError, EXIT_PRECONDITION, "precondition-violation"),
-    (EmptyInputError, EXIT_PRECONDITION, "precondition-violation"),
+    (SchauderSpecError, EXIT_PRECONDITION, "precondition-violation"),
 )
+
+_GRID_FIELDS = {
+    "grid-moduli": "moduli",
+    "grid-phases": "phases",
+    "min-modulus": "min_modulus",
+    "max-modulus": "max_modulus",
+    "bound": "bound",
+    "step-cap": "step_cap",
+    "epsilon": "epsilon",
+}
 
 
 def _grid_config(params: dict) -> CertificateGridConfig:
-    return CertificateGridConfig(
-        moduli=params.get("grid-moduli", 16),
-        phases=params.get("grid-phases", 8),
-        min_modulus=params.get("min-modulus", 1e-3),
-        max_modulus=params.get("max-modulus"),
-        bound=params.get("bound", 1e12),
-        step_cap=params.get("step-cap", 100_000),
-        epsilon=params.get("epsilon", 0.01),
-    )
+    return CertificateGridConfig(**{
+        field: params[key] for key, field in _GRID_FIELDS.items() if key in params})
 
 
 def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
@@ -94,8 +91,9 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
         report = schauder_spectrum(spec.operator, cfg)
         return {"analysis": spec.analysis, "report": report_to_json(report)}
     if spec.analysis == "classify":
-        report = schauder_spectrum(spec.operator, cfg)
-        compact = is_compact_structural(spec.operator)
+        subject = _analysed_subject(spec.operator)
+        report = schauder_spectrum(subject, cfg)
+        compact = is_compact_structural(subject)
         if compact is None:
             raise UnsupportedClassError("compactness is not structurally decidable")
         case = classify_compact(report, compact)
@@ -197,12 +195,6 @@ def _error_block(exc: Exception):
             if isinstance(exc, SpecFormatError):
                 block["path"] = exc.path
             return code, block
-    if isinstance(exc, SchauderSpecError):
-        return EXIT_PRECONDITION, {
-            "kind": "precondition-violation",
-            "exitCode": EXIT_PRECONDITION,
-            "message": str(exc),
-        }
     raise exc
 
 

@@ -209,17 +209,22 @@ def is_schauder(T, probe_window: int = _SCHAUDER_WINDOW) -> SchauderVerdict:
     if isinstance(T, PermutationUnitary):
         return SchauderVerdict(True, detail="permutation unitary")
     if isinstance(T, OperatorExpr):
-        rec = recognize_shift_form(T, window=min(probe_window, 64))
-        if rec is not None:
-            return is_schauder(rec.shift, probe_window)
-        verdict = kernel_trivial(T, probe_window)
-        if not verdict.certified and verdict.injective:
-            raise UnsupportedClassError(
-                "operator is not diagonal, shift-form or block-structured; "
-                + verdict.detail
-            )
-        return _kernel_verdict(verdict)
+        return _expression_verdict(
+            T, recognize_shift_form(T, window=min(probe_window, 64)), probe_window)
     raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
+
+
+def _expression_verdict(T: OperatorExpr, rec, probe_window: int) -> SchauderVerdict:
+    """``is_schauder`` of an expression given its recognition ``rec``."""
+    if rec is not None:
+        return is_schauder(rec.shift, probe_window)
+    verdict = kernel_trivial(T, probe_window)
+    if not verdict.certified and verdict.injective:
+        raise UnsupportedClassError(
+            "operator is not diagonal, shift-form or block-structured; "
+            + verdict.detail
+        )
+    return _kernel_verdict(verdict)
 
 
 def _kernel_verdict(verdict: KernelRangeVerdict) -> SchauderVerdict:
@@ -325,16 +330,21 @@ def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
                                   region, (), certs)
 
 
-def _combine_block_reports(parts: Sequence[SchauderSpectrumReport],
-                           zero_failure: Optional[str]) -> SchauderSpectrumReport:
+def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
+                           ) -> SchauderSpectrumReport:
+    """One report for a block sum: 0 is a member, with the first such
+    part's reason, exactly when it is a member of some part."""
     finite_values: list = []
     reasons: list = []
     rules: list = []
-    includes_zero = zero_failure is not None
+    zero_failure = None
     notes: list = []
     certs: list = []
     regions: list = []
     for rep in parts:
+        if zero_failure is None and _members_case(rep.members) in (2, 4, 6):
+            own = rep.reasons()
+            zero_failure = own.get(0, own.get("*"))
         notes.extend(rep.notes)
         certs.extend(rep.certificates)
         if rep.covered_region:
@@ -344,6 +354,7 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport],
         elif isinstance(rep.members, VanishingSequenceMembers):
             rules.append(rep.members.rule)
         reasons.extend(kv for kv in rep.per_member_reason if kv[0] != 0)
+    includes_zero = zero_failure is not None
     if includes_zero:
         reasons.append((0, zero_failure))
     region = "; ".join(dict.fromkeys(regions)) or None
@@ -364,8 +375,29 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport],
                                   notes, tuple(certs))
 
 
+def _analysed_subject(T):
+    """The form in which ``T`` is analysed.
+
+    A plain operator expression is read as its shift form, recognized
+    once at window 64; a diagonal, a shift form, a block sum or an input
+    of any other type is read as given.
+    """
+    if not isinstance(T, OperatorExpr) or isinstance(T, (Diagonal, BlockDirectSum)):
+        return T
+    rec = recognize_shift_form(T, window=64)
+    if rec is None:
+        raise UnsupportedClassError(
+            "operator is not diagonal, block, or shift-form recognizable"
+        )
+    return rec.shift
+
+
 def is_compact_structural(T) -> Optional[bool]:
     """Structural compactness: vanishing weights, or finite blocks thereof."""
+    try:
+        T = _analysed_subject(T)
+    except UnsupportedClassError:
+        return None
     if isinstance(T, Diagonal):
         if T.weights.length() is not None:
             return True
@@ -381,11 +413,6 @@ def is_compact_structural(T) -> Optional[bool]:
             return True
         if any(v is False for v in verdicts):
             return False
-        return None
-    if isinstance(T, OperatorExpr):
-        rec = recognize_shift_form(T, window=32)
-        if rec is not None:
-            return is_compact_structural(rec.shift)
     return None
 
 
@@ -407,31 +434,17 @@ def schauder_spectrum(T, cfg: Optional[CertificateGridConfig] = None,
         return SchauderSpectrumReport(
             members, reasons, None, f"interval [{T.lower}, {T.upper}] by "
             "declared spectral data", (SELF_ADJOINT_NOTE,))
+    T = _analysed_subject(T)
     if isinstance(T, Diagonal):
         return _diagonal_report(T.weights, probe_window)
     if isinstance(T, BlockDirectSum):
-        parts = []
-        zero_failure = None
-        for b, block in enumerate(T.blocks):
-            sub = is_schauder(block, probe_window)
-            if not sub and zero_failure is None:
-                zero_failure = sub.reason
-            parts.append(schauder_spectrum(block, cfg, probe_window))
-        return _combine_block_reports(parts, zero_failure)
-    if isinstance(T, ShiftForm):
-        shift = T
-    elif isinstance(T, OperatorExpr):
-        rec = recognize_shift_form(T, window=64)
-        if rec is None:
-            raise UnsupportedClassError(
-                "operator is not diagonal, block, or shift-form recognizable"
-            )
-        shift = rec.shift
-    else:
+        return _combine_block_reports(
+            [schauder_spectrum(block, cfg, probe_window) for block in T.blocks])
+    if not isinstance(T, ShiftForm):
         raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
-    if shift.perm.tag == ("identity",):
-        return _diagonal_report(shift.weights, probe_window)
-    return _shift_certificate_report(shift, cfg, probe_window)
+    if T.perm.tag == ("identity",):
+        return _diagonal_report(T.weights, probe_window)
+    return _shift_certificate_report(T, cfg, probe_window)
 
 
 def classify_compact(report: SchauderSpectrumReport, compact: bool) -> int:
@@ -834,14 +847,23 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
     and block entry points cover the rest explicitly.
     """
     cfg = cfg or CertificateGridConfig()
-    verdict = is_schauder(T)
+    # is_schauder recognizes a plain expression at this window before it
+    # reads any weight, so it is handed this recognition instead
+    plain = isinstance(T, OperatorExpr) and not isinstance(
+        T, (Diagonal, BlockDirectSum, PermutationUnitary))
+    if plain:
+        rec = recognize_shift_form(T, window=64)
+        verdict = _expression_verdict(T, rec, _SCHAUDER_WINDOW)
+    else:
+        verdict = is_schauder(T)
     if not verdict:
         raise PreconditionViolatedError(
             f"not a Schauder operator: {verdict.reason} "
             f"(witness index {verdict.witness_index}); {verdict.detail}"
         )
     operator: OperatorExpr = T.to_expr() if isinstance(T, ShiftForm) else T
-    rec = recognize_shift_form(T, window=64)
+    if not plain:
+        rec = recognize_shift_form(T, window=64)
     if rec is None:
         raise UnsupportedClassError(
             "operator is not recognizable as a permutation-weighted form"
@@ -868,12 +890,12 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
             "with explicit spectral data"
         )
     strict = _probe_positive_monotone(rule, strict=None)
-    # is_schauder read the first weights of a diagonal or a shift form,
-    # and the polar split keeps their zeros: |w| is 0 exactly where w is
-    known_nonzero = (_SCHAUDER_WINDOW if isinstance(T, (Diagonal, ShiftForm))
-                     and rec.shift.weights is T.weights else 0)
+    # is_schauder read the first weights of the recognized shift (of a
+    # block sum, those of each block; its cells increase, so they cover
+    # as many), and the polar split keeps their zeros: |w| is 0 exactly
+    # where w is
     base = _sigma_blocks(rule, (), cfg, "basic" if strict else "discrete",
-                         _RANGE_NOTE, known_nonzero=known_nonzero)
+                         _RANGE_NOTE, known_nonzero=_SCHAUDER_WINDOW)
     if rec_unitary is None:
         unitary = base.unitary
     else:

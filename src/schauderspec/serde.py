@@ -202,36 +202,6 @@ def parse_rule(node, path: str) -> ScalarRule:
     raise SpecFormatError(f"unknown rule tag {tag!r}", path + ".rule")
 
 
-def rule_to_json(rule: ScalarRule) -> dict:
-    if isinstance(rule, ConstantRule):
-        return {"rule": "constant", "value": scalar_to_json(rule.c)}
-    if isinstance(rule, GeometricRule):
-        return {"rule": "geometric", "scale": scalar_to_json(rule.scale),
-                "ratio": scalar_to_json(rule.ratio)}
-    if isinstance(rule, PowerLawRule):
-        return {"rule": "power-law", "scale": scalar_to_json(rule.scale),
-                "exponent": rule.exponent}
-    if isinstance(rule, AffineRule):
-        return {"rule": "affine", "base": scalar_to_json(rule.base),
-                "inner": rule_to_json(rule.inner)}
-    if isinstance(rule, ScaledRule):
-        return {"rule": "scaled", "factor": scalar_to_json(rule.factor),
-                "inner": rule_to_json(rule.inner)}
-    if isinstance(rule, OffsetRule):
-        return {"rule": "offset", "inner": rule_to_json(rule.inner),
-                "offset": rule.offset}
-    if isinstance(rule, RepeatedRule):
-        return {"rule": "repeated", "inner": rule_to_json(rule.inner),
-                "times": rule.times}
-    if isinstance(rule, ExplicitThenRule):
-        return {
-            "rule": "explicit-then",
-            "prefix": [scalar_to_json(v) for v in rule.prefix],
-            "tail": None if rule.tail is None else rule_to_json(rule.tail),
-        }
-    return {"rule": "opaque", "description": rule.describe()}
-
-
 def parse_sequence(node, path: str) -> IndexSequence:
     node = _expect_dict(node, path)
     tag = _expect_key(node, "sequence", path)

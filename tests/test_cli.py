@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schauderspec import cibws, replay_shift_certificate, truncate_complex
-from schauderspec import cli
+from schauderspec import CertificateGridConfig, cli, errors
 from schauderspec.cli import main
 from schauderspec.serde import parse_spec_document, validate_document, write_report
 from schauderspec.errors import ConvergenceFailureError, SpecFormatError
@@ -38,6 +39,20 @@ def diag_spec(analysis="schauder-spectrum", params=SMALL_PARAMS):
 def cibws_spec(analysis="deflate"):
     return {"version": 1, "operator": {"op": "cibws"}, "analysis": analysis,
             "params": dict(SMALL_PARAMS)}
+
+
+# (exit code, error kind) for each library error class
+ERROR_OUTCOMES = {
+    errors.SpecFormatError: (1, "schema-error"),
+    errors.UnsupportedClassError: (2, "unsupported-class"),
+    errors.PreconditionViolatedError: (3, "precondition-violation"),
+    errors.StepCapExceededError: (4, "certificate-failure"),
+    errors.NotSummableError: (3, "precondition-violation"),
+    errors.EmptyInputError: (3, "precondition-violation"),
+    errors.NotCompactError: (3, "precondition-violation"),
+    errors.ConvergenceFailureError: (4, "certificate-failure"),
+    errors.SchauderSpecError: (3, "precondition-violation"),
+}
 
 
 class TestRun:
@@ -303,6 +318,53 @@ class TestRun:
         certs = report["results"]["certificates"]
         assert len(certs) == 2 * 16
         assert all(c["magnitude"] > c["bound"] for c in certs)
+
+    @pytest.mark.parametrize("error", ERROR_OUTCOMES, ids=lambda e: e.__name__)
+    def test_library_error_exit_codes(self, tmp_path, monkeypatch, error):
+        code, kind = ERROR_OUTCOMES[error]
+
+        def fail(spec, cfg, truncation):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_run_analysis", fail)
+        spec = write_spec(tmp_path, "diag.json", diag_spec())
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == code
+        block = json.loads((out / "report.json").read_text())["error"]
+        assert (block["exitCode"], block["kind"]) == (code, kind)
+        assert block["message"].endswith("boom")
+
+    def test_foreign_errors_propagate(self, tmp_path, monkeypatch):
+        def fail(spec, cfg, truncation):
+            raise KeyError("not a library error")
+
+        monkeypatch.setattr(cli, "_run_analysis", fail)
+        spec = write_spec(tmp_path, "diag.json", diag_spec())
+        with pytest.raises(KeyError):
+            main(["run", str(spec), "--out", str(tmp_path / "out")])
+
+    def test_every_library_error_class_has_an_outcome(self):
+        classes = {v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, errors.SchauderSpecError)}
+        assert classes == set(ERROR_OUTCOMES)
+
+
+class TestGridConfig:
+    def test_no_params_is_the_default_config(self):
+        assert cli._grid_config({}) == CertificateGridConfig()
+
+    @pytest.mark.parametrize("key, field, value", [
+        ("grid-moduli", "moduli", 3),
+        ("grid-phases", "phases", 5),
+        ("min-modulus", "min_modulus", 0.25),
+        ("max-modulus", "max_modulus", 7.5),
+        ("bound", "bound", 1e30),
+        ("step-cap", "step_cap", 77),
+        ("epsilon", "epsilon", 0.125),
+    ])
+    def test_each_param_sets_its_field(self, key, field, value):
+        assert cli._grid_config({key: value, "truncation": 9}) == replace(
+            CertificateGridConfig(), **{field: value})
 
 
 class TestValidate:

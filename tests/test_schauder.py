@@ -554,12 +554,14 @@ class TestDeflatePipeline:
         with pytest.raises(PreconditionViolatedError, match=f"^{message}$"):
             deflate(T, SMALL)
 
-    def test_zero_checks_read_each_weight_once(self, monkeypatch):
-        # is_schauder reads weights 1..512 and the sigma-block zero check
-        # goes on from 513 to its window of 4096
+    @pytest.mark.parametrize("shape", ["diagonal", "shift-form", "product"])
+    def test_zero_checks_read_each_weight_once(self, monkeypatch, shape):
+        # is_schauder reads weights 1..512 of the recognized shift and the
+        # sigma-block zero check goes on from 513 to its window of 4096
         from collections import Counter
 
-        from schauderspec import CallableRule, schauder, spectral
+        from schauderspec import (CallableRule, ShiftForm, schauder,
+                                  sigma_bilateral, spectral)
 
         read, scanning = Counter(), []
 
@@ -577,7 +579,12 @@ class TestDeflatePipeline:
 
         monkeypatch.setattr(spectral, "_zero_scan", scan)
         monkeypatch.setattr(schauder, "_zero_scan", scan)
-        res = deflate(Diagonal(CallableRule(weight, limit_hint=0)), SMALL)
+        rule = CallableRule(weight, limit_hint=0)
+        T = {"diagonal": Diagonal(rule),
+             "shift-form": ShiftForm(identity_permutation(), rule),
+             "product": Product(PermutationUnitary(sigma_bilateral()),
+                                Diagonal(rule))}[shape]
+        res = deflate(T, SMALL)
         assert res.zero_check.detail == (
             "no zero weight on the probe window [1..4096]; tail uncertified")
         assert read[100] == 1
@@ -610,6 +617,105 @@ class TestDeflatePipeline:
             per_lam.setdefault((c.lam.real, c.lam.imag), set()).add(c.side)
         assert len(per_lam) == SMALL.moduli * SMALL.phases
         assert all(v == {"direct", "adjoint"} for v in per_lam.values())
+
+
+class TestRecognizedOnce:
+    @pytest.fixture
+    def recognitions(self, monkeypatch):
+        from schauderspec import schauder
+
+        calls = []
+
+        def counting(T, window=64, _recognize=schauder.recognize_shift_form):
+            calls.append(window)
+            return _recognize(T, window)
+
+        monkeypatch.setattr(schauder, "recognize_shift_form", counting)
+        return calls
+
+    def test_deflate_of_a_product(self, recognitions):
+        from schauderspec import sigma_bilateral
+
+        deflate(Product(PermutationUnitary(sigma_bilateral()), Diagonal(RECIP)),
+                SMALL)
+        assert recognitions == [64]
+
+    def test_classify_through_the_cli(self, recognitions, tmp_path):
+        from schauderspec.cli import main
+
+        spec = tmp_path / "cibws.json"
+        spec.write_text(json.dumps({
+            "version": 1, "analysis": "classify", "operator": {"op": "cibws"},
+            "params": {"grid-moduli": 4, "grid-phases": 4}}))
+        assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
+        assert recognitions == [64]
+
+    def test_block_spectrum_with_one_cibws_block(self, recognitions):
+        part = (ExplicitPrefixSequence((1,)), ArithmeticSequence(2, 1))
+        block = BlockDirectSum(
+            (Diagonal(ExplicitThenRule((1,))), cibws().to_expr()), part)
+        assert schauder_spectrum(block, SMALL).members == FiniteSetMembers((1,))
+        assert recognitions == [64]
+
+
+# A zero weight at index 5001 of block 0, past every weight probe
+LATE_ZERO_BLOCKS = {
+    "version": 1, "analysis": "schauder-spectrum",
+    "params": {"grid-moduli": 2, "grid-phases": 2},
+    "operator": {
+        "op": "block-direct-sum",
+        "blocks": [
+            {"op": "diagonal", "weights": {
+                "rule": "offset", "offset": 0, "inner": {
+                    "rule": "repeated", "times": 5000, "inner": {
+                        "rule": "explicit-then", "prefix": [1, 0],
+                        "tail": {"rule": "constant", "value": 1}}}}},
+            {"op": "diagonal", "weights": {
+                "rule": "constant", "value": {"fraction": [1, 2]}}}],
+        "partition": [{"sequence": "arithmetic", "start": 1, "step": 2},
+                      {"sequence": "arithmetic", "start": 2, "step": 2}]}}
+
+
+class TestBlockSumZero:
+    def test_zero_of_a_block_is_a_member(self):
+        from schauderspec.serde import parse_spec_document
+
+        T = parse_spec_document(LATE_ZERO_BLOCKS).operator
+        assert schauder_spectrum(T.blocks[0]).members == FiniteSetMembers((1, 0))
+        rep = schauder_spectrum(T)
+        assert rep.members == FiniteSetMembers((1, Fraction(1, 2), 0))
+        assert rep.reasons()[0] == NOT_INJECTIVE
+
+    def test_zero_of_a_block_through_the_cli(self, tmp_path):
+        from schauderspec.cli import main
+
+        spec = tmp_path / "late-zero-blocks.json"
+        spec.write_text(json.dumps(LATE_ZERO_BLOCKS))
+        assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        got = report["results"]["report"]
+        assert got["members"] == {
+            "kind": "finite", "values": [1, {"fraction": [1, 2]}, 0]}
+        assert got["perMemberReason"][-1] == {
+            "member": 0, "reason": NOT_INJECTIVE}
+
+    def test_zero_reason_of_a_vanishing_block(self):
+        from schauderspec import CallableRule
+
+        part = (ArithmeticSequence(1, 2), ArithmeticSequence(2, 2))
+        late = CallableRule(lambda n: 0.0 if n == 7 else 1.0 / n, limit_hint=0)
+        B = BlockDirectSum((Diagonal(ConstantRule(1)), Diagonal(late)), part)
+        rep = schauder_spectrum(B, SMALL)
+        assert rep.members.includes_zero
+        assert rep.reasons()[0] == NOT_INJECTIVE
+
+    def test_unrecognized_block_gets_the_spectrum_message(self):
+        part = (ArithmeticSequence(1, 2), ArithmeticSequence(2, 2))
+        two_per_column = Sum((Diagonal(ConstantRule(1)), forward_unilateral_shift()))
+        B = BlockDirectSum((Diagonal(RECIP), two_per_column), part)
+        with pytest.raises(UnsupportedClassError, match=(
+                "^operator is not diagonal, block, or shift-form recognizable$")):
+            schauder_spectrum(B, SMALL)
 
 
 class TestCompactnessFlag:
