@@ -37,6 +37,7 @@ from .schauder import (
     schauder_spectrum,
 )
 from .serde import (
+    RUN_PARAMS,
     certificate_to_json,
     check_param,
     float_texts,
@@ -69,20 +70,19 @@ _ERROR_KINDS = (
     (SchauderSpecError, EXIT_PRECONDITION, "precondition-violation"),
 )
 
-_GRID_FIELDS = {
-    "grid-moduli": "moduli",
-    "grid-phases": "phases",
-    "min-modulus": "min_modulus",
-    "max-modulus": "max_modulus",
-    "bound": "bound",
-    "step-cap": "step_cap",
-    "epsilon": "epsilon",
-}
+DEFAULT_TRUNCATION = 64
 
 
-def _grid_config(params: dict) -> CertificateGridConfig:
-    return CertificateGridConfig(**{
-        field: params[key] for key, field in _GRID_FIELDS.items() if key in params})
+def _run_config(params: dict) -> tuple:
+    """The certificate grid and the audit truncation that ``params`` set.
+
+    The truncation's row in ``RUN_PARAMS`` names no grid field, so it is
+    the value left under ``None``.
+    """
+    fields = {field: params[key] for key, _kind, field in RUN_PARAMS
+              if key in params}
+    truncation = fields.pop(None, DEFAULT_TRUNCATION)
+    return CertificateGridConfig(**fields), truncation
 
 
 def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
@@ -225,8 +225,7 @@ def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
             if value is not None:
                 check_param(key, value, f"--{key}")
                 params[key] = value
-        cfg = _grid_config(params)
-        truncation = params.get("truncation", 64)
+        cfg, truncation = _run_config(params)
         results = _run_analysis(spec, cfg, truncation)
         artifacts = []
         if write_csv:
@@ -286,14 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run an analysis from a spec file")
     runp.add_argument("spec", help="operator-description JSON file")
     runp.add_argument("--out", default=".", help="output directory")
-    runp.add_argument("--truncation", type=int, default=None)
-    runp.add_argument("--grid-moduli", type=int, default=None)
-    runp.add_argument("--grid-phases", type=int, default=None)
-    runp.add_argument("--bound", type=float, default=None)
-    runp.add_argument("--step-cap", type=int, default=None)
-    runp.add_argument("--epsilon", type=float, default=None)
-    runp.add_argument("--min-modulus", type=float, default=None)
-    runp.add_argument("--max-modulus", type=float, default=None)
+    for key, kind, _field in RUN_PARAMS:
+        runp.add_argument(f"--{key}", dest=key, default=None,
+                          type=int if kind == "positive-int" else float)
     runp.add_argument("--csv", action="store_true",
                       help="write matrix/certificate/eigenvalue CSV artifacts")
 
@@ -306,16 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         return validate(args.spec)
-    overrides = {
-        "truncation": args.truncation,
-        "grid-moduli": args.grid_moduli,
-        "grid-phases": args.grid_phases,
-        "bound": args.bound,
-        "step-cap": args.step_cap,
-        "epsilon": args.epsilon,
-        "min-modulus": args.min_modulus,
-        "max-modulus": args.max_modulus,
-    }
+    overrides = {key: getattr(args, key) for key, _kind, _field in RUN_PARAMS}
     return run(args.spec, args.out, overrides, args.csv)
 
 

@@ -59,6 +59,7 @@ from .sequences import (
     Scalar,
     ScalarRule,
     _abs_exact,
+    _values_past,
 )
 from .spectral import (
     CertificateGridConfig,
@@ -242,26 +243,14 @@ def _kernel_verdict(verdict: KernelRangeVerdict) -> SchauderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _finite_value_set(rule: ScalarRule, skip: int = 0) -> Optional[tuple]:
-    """Distinct values, past the first ``skip`` terms, of rules that take
-    only finitely many values."""
-    from .sequences import OffsetRule, RepeatedRule
-
-    if isinstance(rule, ConstantRule):
-        return (rule.c,)
-    if isinstance(rule, ExplicitThenRule):
-        prefix = tuple(rule.prefix[skip:])
-        if rule.tail is None:
-            return tuple(dict.fromkeys(prefix))
-        tail = _finite_value_set(rule.tail, max(skip - len(rule.prefix), 0))
-        if tail is None:
-            return None
-        return tuple(dict.fromkeys(prefix + tail))
-    if isinstance(rule, OffsetRule):
-        return _finite_value_set(rule.inner, skip + rule.offset)
-    if isinstance(rule, RepeatedRule):
-        return _finite_value_set(rule.inner, skip // rule.times)
-    return None
+def _finite_value_set(rule: ScalarRule) -> Optional[tuple]:
+    """Distinct values of rules that take only finitely many values."""
+    values, rest, _skip = _values_past(rule, 0)
+    if isinstance(rest, ConstantRule):
+        values += (rest.c,)
+    elif rest is not None:
+        return None
+    return tuple(dict.fromkeys(values))
 
 
 def _sorted_values(values) -> tuple:
@@ -278,17 +267,18 @@ def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumRep
     notes = []
     if _is_real_valued(rule):
         notes.append(SELF_ADJOINT_NOTE)
-    hit, idx, certified = _zero_scan(rule, probe_window)
-    if not certified:
-        notes.append(
-            f"zero-freeness probed on [1..{probe_window}] only; tail uncertified"
-        )
     finite_values = _finite_value_set(rule)
     vanishing = rule.limit() == 0  # never for a finite-length rule
     if finite_values is not None:
+        # exact members: 0 is one exactly when the rule takes it
         members: Members = FiniteSetMembers(_sorted_values(finite_values))
         reasons = tuple((v, NOT_INJECTIVE) for v in members.values)
     elif vanishing:
+        hit, _idx, certified = _zero_scan(rule, probe_window)
+        if not certified:
+            notes.append(
+                f"zero-freeness probed on [1..{probe_window}] only; tail uncertified"
+            )
         members = VanishingSequenceMembers(rule, includes_zero=hit)
         reasons = (("*", NOT_INJECTIVE),)
     else:
@@ -805,8 +795,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
     grid = lambda_grid(cfg, M)
     certs: list = []
     for lam in grid:
-        base = block_norm_blowup(alpha_seq, m, M, lam, cfg.bound, cfg.step_cap,
-                                 cfg.epsilon)
+        base = block_norm_blowup(alpha_seq, m, M, lam, cfg.bound, cfg.step_cap)
         certs.append(base)
         certs.append(replace(base, side="adjoint"))
 

@@ -323,10 +323,16 @@ class OffsetRule(ScalarRule):
         return self.inner.tail_abs_sum(start + self.offset)
 
     def attains_zero(self):
-        # a zero confined to the dropped prefix is skipped, so a True
-        # from the inner rule does not transfer
-        az = self.inner.attains_zero()
-        return False if az is False else None
+        values, rest, skip = _values_past(self.inner, self.offset)
+        if any(v == 0 for v in values):
+            return True
+        if rest is None:
+            return False
+        if skip == 0 or isinstance(rest, ConstantRule):
+            return rest.attains_zero()
+        # a zero confined to the skipped terms of ``rest`` is dropped, so
+        # only a False transfers
+        return False if rest.attains_zero() is False else None
 
     def abs_nonincreasing(self):
         return self.inner.abs_nonincreasing()
@@ -441,6 +447,29 @@ class ExplicitThenRule(ScalarRule):
     def describe(self):
         tail = "end" if self.tail is None else self.tail.describe()
         return f"prefix {list(self.prefix)} then {tail}"
+
+
+def _values_past(rule: ScalarRule, skip: int) -> tuple:
+    """``(values, rest, rest_skip)``: the terms of ``rule`` past its first
+    ``skip``, walked through explicit-then, offset and repeated rules.
+
+    Those terms take exactly the explicit ``values`` met on the walk and
+    the values of ``rest`` past its first ``rest_skip`` terms; ``rest``
+    is the rule the walk stopped at, ``None`` when the terms run out.
+    """
+    values: tuple = ()
+    while rule is not None:
+        if isinstance(rule, ExplicitThenRule):
+            values += tuple(rule.prefix[skip:])
+            rule, skip = rule.tail, max(skip - len(rule.prefix), 0)
+        elif isinstance(rule, OffsetRule):
+            rule, skip = rule.inner, skip + rule.offset
+        elif isinstance(rule, RepeatedRule):
+            # inner term m fills indices (m-1)*times+1 .. m*times
+            rule, skip = rule.inner, skip // rule.times
+        else:
+            break
+    return values, rule, skip
 
 
 class CallableRule(ScalarRule):

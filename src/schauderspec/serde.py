@@ -62,18 +62,6 @@ from .spectral import EigenExclusionCertificate
 
 ANALYSES = ("schauder-spectrum", "classify", "deflate", "certify")
 
-_PARAM_KEYS = {
-    "truncation": "positive-int",
-    "grid-moduli": "positive-int",
-    "grid-phases": "positive-int",
-    "step-cap": "positive-int",
-    "bound": "positive-number",
-    "epsilon": "unit-interval",
-    "min-modulus": "positive-number",
-    "max-modulus": "positive-number-or-null",
-}
-
-
 @dataclass(frozen=True)
 class ParsedSpec:
     version: int
@@ -339,6 +327,22 @@ def parse_operator(node, path: str) -> OperatorExpr:
     raise SpecFormatError(f"unknown operator tag {tag!r}", path + ".op")
 
 
+# The run parameters, one row each: the key (a document's ``params`` key
+# and, prefixed ``--``, the CLI flag), its kind, and the
+# ``CertificateGridConfig`` field it sets.  The truncation sets no field.
+# A ``positive-int`` flag parses as an int, every other kind as a float.
+RUN_PARAMS = (
+    ("truncation", "positive-int", None),
+    ("grid-moduli", "positive-int", "moduli"),
+    ("grid-phases", "positive-int", "phases"),
+    ("bound", "positive-number", "bound"),
+    ("step-cap", "positive-int", "step_cap"),
+    ("min-modulus", "positive-number", "min_modulus"),
+    ("max-modulus", "positive-number-or-null", "max_modulus"),
+)
+_PARAM_KINDS = {key: kind for key, kind, _field in RUN_PARAMS}
+
+
 def _positive_finite(value) -> bool:
     # NaN fails every comparison, so ``value <= 0`` alone lets it through.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -351,9 +355,9 @@ def check_param(key: str, value, path: str) -> None:
 
     The same rules hold for a document's ``params`` and for CLI flags.
     """
-    if key not in _PARAM_KEYS:
+    kind = _PARAM_KINDS.get(key)
+    if kind is None:
         raise SpecFormatError(f"unknown parameter {key!r}", path)
-    kind = _PARAM_KEYS[key]
     if kind == "positive-int":
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SpecFormatError(f"{key} must be an int >= 1", path)
@@ -364,10 +368,6 @@ def check_param(key: str, value, path: str) -> None:
         if value is not None and not _positive_finite(value):
             raise SpecFormatError(
                 f"{key} must be a finite positive number or null", path)
-    elif kind == "unit-interval":
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not (0 < value < 1):
-            raise SpecFormatError(f"{key} must lie in (0, 1)", path)
 
 
 def parse_params(node, path: str) -> dict:

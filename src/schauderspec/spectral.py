@@ -177,20 +177,20 @@ def check_single_orbit(perm, window: int = 16, steps: int = 96) -> bool:
 
 
 class _Rays:
-    """log|w| along both directions of the orbit of ``start``, for T and T*.
+    """log|w| along both directions of the orbit of 1, for T and T*.
 
-    ``back[k]`` belongs to the weight at ``perm^-(k+1)(start)`` and
-    ``fwd[k]`` to the one at ``perm^k(start)``; each ray is grown only as
+    ``back[k]`` belongs to the weight at ``perm^-(k+1)(1)`` and
+    ``fwd[k]`` to the one at ``perm^k(1)``; each ray is grown only as
     deep as some walk read it.  The adjoint walks the same moduli,
     ``|conj w| = |w|``, along the inverse permutation: its backward step k
     reads ``fwd[k]`` and its forward step k reads ``back[k]``.
     """
 
-    def __init__(self, s: ShiftForm, start: int):
+    def __init__(self, s: ShiftForm):
         self.s = s
         self.back: list = []
         self.fwd: list = []
-        self.back_idx = self.fwd_idx = start
+        self.back_idx = self.fwd_idx = 1
 
     def _log_weight(self, idx: int, side: str) -> float:
         w = self.s.weights.value(idx)
@@ -293,14 +293,11 @@ class _ShiftCertifier:
     """
 
     def __init__(self, s: ShiftForm, bound: float, step_cap: int,
-                 start: int = 1, check_weights: bool = True,
-                 require_single_orbit: bool = True):
+                 check_weights: bool = True):
         self.s = s
         self.bound = bound
         self.step_cap = step_cap
-        self.start = start
         self.check_weights = check_weights
-        self.require_single_orbit = require_single_orbit
         self.rays: Optional[_Rays] = None
         self.orbits: dict = {}
         self.regions: dict = {}
@@ -312,12 +309,11 @@ class _ShiftCertifier:
         s = self.s
         # T and T* have the same orbits, so one check serves both sides
         if self.rays is None:
-            if self.require_single_orbit and not check_single_orbit(s.perm):
+            if not check_single_orbit(s.perm):
                 raise PreconditionViolatedError(
-                    "permutation is not single-orbit on the probe window; the "
-                    "orbit-local claim requires require_single_orbit=False"
+                    "permutation is not single-orbit on the probe window"
                 )
-            self.rays = _Rays(s, self.start)
+            self.rays = _Rays(s)
         if side == "direct" and self.check_weights:
             lim = s.weights.limit()
             if lim is not None and lim != 0:
@@ -346,8 +342,6 @@ class _ShiftCertifier:
             )
         regime, k, log_mag = self._orbit(side).divergence(walked)
         details = (("log_magnitude", log_mag),)
-        if not self.require_single_orbit:
-            details += (("orbit_local", True),)
         if side == "adjoint":
             details = (("adjoint_lambda", walked),) + details
         modulus = abs(complex(walked))
@@ -361,7 +355,6 @@ class _ShiftCertifier:
             recurrence_kind="scalar-shift",
             bound=self.bound,
             regime=regime,
-            start_index=self.start,
             side=side,
             covered_region=region,
             details=details,
@@ -369,26 +362,19 @@ class _ShiftCertifier:
 
 
 def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
-                        step_cap: int = DEFAULT_STEP_CAP, start: int = 1,
-                        check_weights: bool = True,
-                        require_single_orbit: bool = True
-                        ) -> EigenExclusionCertificate:
+                        step_cap: int = DEFAULT_STEP_CAP,
+                        check_weights: bool = True) -> EigenExclusionCertificate:
     """Certify that ``lam != 0`` is not an eigenvalue of the shift ``s``.
 
-    Walks the orbit of ``start`` in both directions and returns the
+    Walks the orbit of 1 in both directions and returns the
     first step at which the coefficient forced on an l2 eigenvector
     exceeds ``bound``; since all orbit coordinates are multiples of the
     anchor coordinate, the witness forces the anchor (and the orbit) to
     vanish.  The witness depends on ``|lam|`` only, so one certificate
-    covers the whole circle of that modulus.
-
-    With ``require_single_orbit=False`` the certificate's claim is
-    scoped to the orbit of ``start`` (recorded in the details); the
-    default insists the permutation act with a single orbit so the
-    exclusion covers the whole space.
+    covers the whole circle of that modulus.  The permutation must act
+    with a single orbit, so the exclusion covers the whole space.
     """
-    return _ShiftCertifier(s, bound, step_cap, start, check_weights,
-                           require_single_orbit).certificate(lam)
+    return _ShiftCertifier(s, bound, step_cap, check_weights).certificate(lam)
 
 
 def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> float:
@@ -486,8 +472,7 @@ def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
 
 
 def adjoint_exclusion(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
-                      step_cap: int = DEFAULT_STEP_CAP, start: int = 1,
-                      require_single_orbit: bool = True
+                      step_cap: int = DEFAULT_STEP_CAP
                       ) -> EigenExclusionCertificate:
     """Exclusion on the adjoint shift, certifying dense range of ``lam I - s``.
 
@@ -495,8 +480,7 @@ def adjoint_exclusion(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
     ``ker(conj(lam) I - T*)``, so a divergence witness for the adjoint
     shift at ``conj(lam)`` certifies density.
     """
-    return _ShiftCertifier(s, bound, step_cap, start, False,
-                           require_single_orbit).certificate(lam, "adjoint")
+    return _ShiftCertifier(s, bound, step_cap, False).certificate(lam, "adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1053,6 @@ class CertificateGridConfig:
     max_modulus: Optional[float] = None
     bound: float = DEFAULT_BOUND
     step_cap: int = DEFAULT_STEP_CAP
-    epsilon: float = DEFAULT_EPSILON
 
 
 def sup_abs_weight(rule: ScalarRule, probe: int = 64) -> float:

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +13,15 @@ from hypothesis import strategies as st
 from schauderspec import cibws, replay_shift_certificate, truncate_complex
 from schauderspec import CertificateGridConfig, cli, errors
 from schauderspec.cli import main
-from schauderspec.serde import parse_spec_document, validate_document, write_report
+from schauderspec.serde import (
+    RUN_PARAMS,
+    parse_spec_document,
+    validate_document,
+    write_report,
+)
 from schauderspec.errors import ConvergenceFailureError, SpecFormatError
 
+REPO = Path(__file__).resolve().parent.parent
 SMALL_PARAMS = {"grid-moduli": 4, "grid-phases": 4}
 
 
@@ -94,8 +102,8 @@ class TestRun:
         assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 3
 
     def test_zero_weight_past_the_schauder_probe_exit(self, tmp_path):
-        # the zero at index 1001 escapes is_schauder's 512-index probe but
-        # not the deflation's own zero check
+        # the zero at index 1001 escapes is_schauder's 512-index probe, but
+        # the offset rule decides from its prefix that it is a term
         prefix = [1] + [{"fraction": [1, k]} for k in range(2, 11)] + [0]
         weights = {"rule": "offset", "offset": 0, "inner": {
             "rule": "repeated", "times": 100, "inner": {
@@ -112,7 +120,8 @@ class TestRun:
         assert main(["run", str(spec), "--out", str(out)]) == 3
         error = json.loads((out / "report.json").read_text())["error"]
         assert error["kind"] == "precondition-violation"
-        assert "weight at index 1001 is zero" in error["message"]
+        assert error["message"] == ("not a Schauder operator: not-injective "
+                                    "(witness index None); zero diagonal entry")
 
     def test_step_cap_exit_code(self, tmp_path):
         spec = write_spec(tmp_path, "cap.json", diag_spec("deflate"))
@@ -223,7 +232,6 @@ class TestRun:
         ("--grid-phases", "-1"),
         ("--step-cap", "0"),
         ("--bound", "0"),
-        ("--epsilon", "1.5"),
         ("--min-modulus", "-1e-3"),
         ("--max-modulus", "0"),
         ("--bound", "nan"),
@@ -351,7 +359,8 @@ class TestRun:
 
 class TestGridConfig:
     def test_no_params_is_the_default_config(self):
-        assert cli._grid_config({}) == CertificateGridConfig()
+        assert cli._run_config({}) == (CertificateGridConfig(),
+                                       cli.DEFAULT_TRUNCATION)
 
     @pytest.mark.parametrize("key, field, value", [
         ("grid-moduli", "moduli", 3),
@@ -360,11 +369,64 @@ class TestGridConfig:
         ("max-modulus", "max_modulus", 7.5),
         ("bound", "bound", 1e30),
         ("step-cap", "step_cap", 77),
-        ("epsilon", "epsilon", 0.125),
     ])
     def test_each_param_sets_its_field(self, key, field, value):
-        assert cli._grid_config({key: value, "truncation": 9}) == replace(
-            CertificateGridConfig(), **{field: value})
+        assert cli._run_config({key: value, "truncation": 9}) == (
+            replace(CertificateGridConfig(), **{field: value}), 9)
+
+
+def _run_param_defaults() -> dict:
+    cfg, truncation = cli._run_config({})
+    return {key: truncation if field is None else getattr(cfg, field)
+            for key, _kind, field in RUN_PARAMS}
+
+
+def _stated_default(text: str, name: str):
+    """The default that ``text`` states as ``name (default x)`` or ``name (x)``."""
+    found = re.search(re.escape(name) + r"\s+\((?:default )?([^)\s]+)", text)
+    assert found, f"{name} is not listed with its default"
+    stated = found.group(1)
+    return None if stated == "null" else float(stated)
+
+
+class TestRunParams:
+    """One table states the run parameters; everything else follows it."""
+
+    def test_run_options_are_the_table_keys(self):
+        runp = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+        options = {o for a in runp._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == (
+            {f"--{key}" for key, _kind, _field in RUN_PARAMS} | {"--out", "--csv"})
+
+    @pytest.mark.parametrize("doc, lead, prefix", [
+        ("docs/formats.md", "### Params\n\n", ""),
+        ("README.md", "Flags ", "--"),
+    ])
+    def test_docs_name_every_key_with_its_default(self, doc, lead, prefix):
+        # the paragraph after ``lead``
+        text = (REPO / doc).read_text()
+        text = text[text.index(lead) + len(lead):]
+        text = text[:text.index("\n\n")]
+        for key, default in _run_param_defaults().items():
+            assert _stated_default(text, f"`{prefix}{key}`") == default, key
+
+    def test_epsilon_in_a_document_is_a_schema_error(self, tmp_path):
+        doc = cibws_spec()
+        doc["params"]["epsilon"] = 0.01
+        spec = write_spec(tmp_path, "eps.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 1
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["kind"] == "schema-error"
+        assert error["path"] == "$.params.epsilon"
+
+    def test_epsilon_flag_is_rejected(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "cibws.json", cibws_spec())
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", str(spec), "--out", str(tmp_path / "out"),
+                  "--epsilon", "0.5"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -193,6 +193,19 @@ class TestSchauderSpectrum:
         assert schauder_spectrum(T).members == FiniteSetMembers(members)
         assert is_schauder(T)
 
+    def test_exact_members_need_no_zero_probe(self, monkeypatch):
+        # the value set is exact, 0 included, so no weight is scanned for
+        # a zero and no probe caveat is added
+        reads = []
+        value = ExplicitThenRule.value
+        monkeypatch.setattr(ExplicitThenRule, "value",
+                            lambda self, n: reads.append(n) or value(self, n))
+        inner = ExplicitThenRule((1, Fraction(1, 2), 0), ConstantRule(1))
+        rep = schauder_spectrum(Diagonal(RepeatedRule(OffsetRule(inner, 0), 5000)))
+        assert rep.members == FiniteSetMembers((1, Fraction(1, 2), 0))
+        assert rep.notes == (SELF_ADJOINT_NOTE,)
+        assert len(reads) <= 16
+
     @settings(max_examples=300, deadline=None)
     @given(rule=FINITELY_VALUED_RULES)
     def test_finite_value_set_is_the_set_of_values(self, rule):
@@ -526,13 +539,16 @@ class TestDeflatePipeline:
         assert not v and v.reason == NOT_INJECTIVE
 
     def test_zero_past_the_schauder_probe_is_refused(self):
-        # is_schauder probes 512 weights; the zero at 1001 lies beyond
+        # is_schauder probes 512 weights; the zero at 1001 lies beyond,
+        # but the offset rule decides from its prefix that it is a term
         prefix = tuple(Fraction(1, k) for k in range(1, 11)) + (0,)
         rule = OffsetRule(RepeatedRule(
             ExplicitThenRule(prefix, PowerLawRule(Fraction(1, 11), 1)), 100), 0)
-        assert is_schauder(Diagonal(rule))
-        with pytest.raises(PreconditionViolatedError,
-                           match="weight at index 1001 is zero"):
+        verdict = is_schauder(Diagonal(rule))
+        assert not verdict and verdict.reason == NOT_INJECTIVE
+        with pytest.raises(PreconditionViolatedError, match=(
+                r"^not a Schauder operator: not-injective \(witness index "
+                r"None\); zero diagonal entry$")):
             deflate(Diagonal(rule), SMALL)
 
     @pytest.mark.parametrize("zero_at, message", [

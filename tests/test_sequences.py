@@ -12,7 +12,10 @@ from schauderspec import (
     ExplicitThenRule,
     GeometricRule,
     MergedAbsDecreasingRule,
+    OffsetRule,
     PowerLawRule,
+    RepeatedRule,
+    ScaledRule,
 )
 from schauderspec.sequences import _abs_exact
 
@@ -165,3 +168,36 @@ class TestPositionOf:
         seq = ExplicitPrefixSequence((2, 3, 7), ClosedFormSequence(lambda n: 7 + n * n))
         for n in range(1, 30):
             assert seq.position_of(seq.elem(n)) == n
+
+
+def ones_with_zero_at(z):
+    return ExplicitThenRule((1,) * (z - 1) + (0,), ConstantRule(1))
+
+
+# rules whose zeros sit at index z (the repeated one at z and its twin)
+ZERO_SHAPES = {
+    "explicit-then": ones_with_zero_at,
+    "in-the-tail": lambda z: ExplicitThenRule((1, 1), ones_with_zero_at(z - 2)),
+    "nested-offset": lambda z: OffsetRule(ones_with_zero_at(z + 2), 2),
+    "repeated": lambda z: RepeatedRule(ones_with_zero_at((z + 1) // 2), 2),
+}
+
+
+class TestOffsetAttainsZero:
+    @pytest.mark.parametrize("zero_at", [3, 6, 7, 9],
+                             ids=["before", "at", "just-past", "past"])
+    @pytest.mark.parametrize("shape", sorted(ZERO_SHAPES))
+    def test_zero_before_at_and_past_the_offset(self, shape, zero_at):
+        rule = OffsetRule(ZERO_SHAPES[shape](zero_at), 6)
+        # only a zero past the 6 dropped terms is still a term
+        assert (0 in rule.values(20)) == (zero_at > 6)
+        assert rule.attains_zero() is (zero_at > 6)
+
+    @pytest.mark.parametrize("c, zero", [(0, True), (2, False)])
+    def test_constant_inner_rule(self, c, zero):
+        assert OffsetRule(ConstantRule(c), 5).attains_zero() is zero
+
+    def test_other_rules_stay_undecided(self):
+        # a scaled rule's zero may lie among the dropped terms
+        assert OffsetRule(ScaledRule(2, ones_with_zero_at(9)), 6).attains_zero() is None
+        assert OffsetRule(ScaledRule(2, PowerLawRule(1, 1)), 6).attains_zero() is False

@@ -448,13 +448,19 @@ class TestAdjointExclusion:
 
     def test_self_adjoint_diagonal_coincides(self):
         # identity permutation, real weights: the adjoint shift is the
-        # operator itself, so both exclusions see the same recurrence
+        # operator itself, so both sides walk the same recurrence
         diag_as_shift = ShiftForm(identity_permutation(), RECIP)
-        direct = shift_eigen_exclude(diag_as_shift, 2.0,
-                                     require_single_orbit=False)
-        adj = adjoint_exclusion(diag_as_shift, 2.0, require_single_orbit=False)
-        assert direct.witness_index == adj.witness_index
-        assert direct.attained_magnitude == adj.attained_magnitude
+        adj = adjoint_shift_form(diag_as_shift)
+        for direction in ("backward-orbit", "forward-orbit"):
+            for start in (1, 2, 7):
+                for steps in (1, 5, 40):
+                    assert spectral._walk_logs(
+                        diag_as_shift, 2.0, direction, steps, start
+                    ) == spectral._walk_logs(adj, 2.0, direction, steps, start)
+        # every index is its own orbit, so neither side certifies
+        for exclude in (shift_eigen_exclude, adjoint_exclusion):
+            with pytest.raises(PreconditionViolatedError, match="single-orbit"):
+                exclude(diag_as_shift, 2.0)
 
     def test_grid_of_moduli_and_phases(self):
         for e in (-3, -2, -1, 0, 1):
