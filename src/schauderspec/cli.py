@@ -49,7 +49,6 @@ from .serde import (
 )
 from .spectral import (
     CertificateGridConfig,
-    check_single_orbit,
     corner_eigs,
     grid_certificates,
     lambda_grid,
@@ -130,10 +129,6 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
         if rec is None:
             raise UnsupportedClassError(
                 "certify needs a shift-form recognizable operator"
-            )
-        if not check_single_orbit(rec.shift.perm):
-            raise UnsupportedClassError(
-                "certify needs a single-orbit shift permutation"
             )
         certs = grid_certificates(
             rec.shift, lambda_grid(cfg, sup_abs_weight(rec.shift.weights)),

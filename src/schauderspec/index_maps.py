@@ -47,14 +47,15 @@ def deinterleave(n: int) -> int:
 class Permutation:
     """A total bijection of N with lazily evaluated direction maps.
 
-    ``tag`` identifies named constructions for serialization; composed
-    or scanned permutations carry ``tag=None``.
+    ``tag`` records how it was built: a named construction such as
+    ``("z-translation", step)``, ``("compose", p, q)``, ``("inverse", p)``,
+    or a leaf known only by its maps, ``("sum-of-spreads",)`` or ``("scanned",)``.
     """
 
     forward_fn: Callable[[int], int]
     inverse_fn: Callable[[int], int]
     description: str
-    tag: Optional[tuple] = None
+    tag: tuple
 
     def forward(self, k: int) -> int:
         if k < 1:
@@ -142,6 +143,53 @@ def one_line_permutation(images: Sequence[int]) -> Permutation:
     return Permutation(
         forward, inverse, f"one-line({n})", tag=("one-line", images)
     )
+
+
+def block_z_shift(dim: int) -> Permutation:
+    """Cell-to-next-cell permutation for contiguous cells in interleaved order."""
+
+    def forward(g: int) -> int:
+        c, k = divmod(g - 1, dim)
+        n = deinterleave(c + 1)
+        return (interleave_z(n + 1) - 1) * dim + k + 1
+
+    def inverse(g: int) -> int:
+        c, k = divmod(g - 1, dim)
+        n = deinterleave(c + 1)
+        return (interleave_z(n - 1) - 1) * dim + k + 1
+
+    return Permutation(forward, inverse, f"block-z-shift({dim})",
+                       tag=("block-z-shift", dim))
+
+
+def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
+    """``p o q`` (``q`` first); an identity factor is dropped."""
+    if q.tag == ("identity",):
+        return p
+    if p.tag == ("identity",):
+        return q
+    return Permutation(lambda k: p.forward(q.forward(k)),
+                       lambda k: q.inverse(p.inverse(k)),
+                       f"{p.description} o {q.description}", tag=("compose", p, q))
+
+
+def inverse_permutation(p: Permutation) -> Permutation:
+    """``p^-1``; the identity is its own inverse and a double inverse unwraps."""
+    if p.tag == ("identity",):
+        return p
+    if p.tag[0] == "inverse":
+        return p.tag[1]
+    return Permutation(p.inverse_fn, p.forward_fn, f"inverse of {p.description}",
+                       tag=("inverse", p))
+
+
+def single_orbit(p: Permutation) -> bool:
+    """Whether ``p`` is built as one whose orbit of 1 is all of N: sigma-bilateral,
+    z-translation(+-1) or an inverse of one.  Any other tag answers False.
+    """
+    if p.tag[0] == "inverse":
+        return single_orbit(p.tag[1])
+    return p.tag in (("sigma-bilateral",), ("z-translation", 1), ("z-translation", -1))
 
 
 @dataclass(frozen=True)

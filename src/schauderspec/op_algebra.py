@@ -10,6 +10,7 @@ examples are therefore exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -19,8 +20,12 @@ import numpy as np
 from .index_maps import (
     Permutation,
     SpreadSpec,
+    compose_permutations,
+    decompose_into_spreads,
     deinterleave,
     identity_permutation,
+    inverse_permutation,
+    sigma_bilateral,
     z_translation_permutation,
 )
 from .sequences import (
@@ -526,13 +531,7 @@ class PhaseRule(ScalarRule):
 
 def adjoint_shift_form(s: ShiftForm) -> ShiftForm:
     """Shift form of ``T*``: inverted permutation, conjugated reindexed weights."""
-    inv = Permutation(
-        s.perm.inverse_fn,
-        s.perm.forward_fn,
-        f"inverse of {s.perm.description}",
-        tag=None,
-    )
-    return ShiftForm(inv, AdjointWeightsRule(s.weights, s.perm))
+    return ShiftForm(inverse_permutation(s.perm), AdjointWeightsRule(s.weights, s.perm))
 
 
 def is_real_rule_certified_nonnegative(rule: ScalarRule) -> bool:
@@ -624,18 +623,12 @@ def _structural_shift(T) -> Optional[ShiftForm]:
         rf = _structural_shift(T.right)
         if lf is None or rf is None:
             return None
-        lp, rp = lf.perm, rf.perm
-        perm = Permutation(
-            lambda j: lp.forward(rp.forward(j)),
-            lambda i: rp.inverse(lp.inverse(i)),
-            f"{lp.description} o {rp.description}",
-            tag=None,
-        )
+        perm = compose_permutations(lf.perm, rf.perm)
         left_w = lf.weights
         if isinstance(left_w, ConstantRule) and left_w.c == 1:
             weights: ScalarRule = rf.weights
         else:
-            composed = ComposedWeightsRule(left_w, rp)
+            composed = ComposedWeightsRule(left_w, rf.perm)
             if isinstance(rf.weights, ConstantRule) and rf.weights.c == 1:
                 weights = composed
             else:
@@ -644,6 +637,10 @@ def _structural_shift(T) -> Optional[ShiftForm]:
     if isinstance(T, Sum):
         if not all(isinstance(t, Spread) for t in T.terms):
             return None
+        spreads = Counter(t.spread for t in T.terms)
+        for named in (identity_permutation(), sigma_bilateral()):
+            if spreads == Counter(decompose_into_spreads(named, 1)):
+                return ShiftForm(named, ConstantRule(1))
 
         def forward(j: int) -> int:
             hits = T.column_support(j)
@@ -657,7 +654,7 @@ def _structural_shift(T) -> Optional[ShiftForm]:
                 raise ValueError(f"row {i} is hit by {len(hits)} spreads")
             return hits[0]
 
-        perm = Permutation(forward, inverse, "sum-of-spreads", tag=None)
+        perm = Permutation(forward, inverse, "sum-of-spreads", tag=("sum-of-spreads",))
         return ShiftForm(perm, ConstantRule(1))
     return None
 
@@ -721,7 +718,7 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
                 raise ValueError(f"column {j} has {len(nz)} nonzero entries")
             return nz[0][1]
 
-        perm = Permutation(forward, inverse, "scanned shift", tag=None)
+        perm = Permutation(forward, inverse, "scanned shift", tag=("scanned",))
         verified = ShiftForm(perm, CallableRule(weight, "scanned column weights"))
 
     w = verified.weights

@@ -30,11 +30,9 @@ from .errors import (
 )
 from .index_maps import (
     MultiplicityList,
-    Permutation,
+    block_z_shift,
     decompose_into_spreads,
-    deinterleave,
     expand_multiplicities,
-    interleave_z,
     sigma_bilateral,
 )
 from .op_algebra import (
@@ -68,7 +66,6 @@ from .spectral import (
     _grid_top,
     _weights_zero_check,
     _zero_scan,
-    check_single_orbit,
     corner_eigs,
     grid_certificates,
     kernel_trivial,
@@ -292,10 +289,6 @@ def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumRep
 
 def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
                               probe_window: int) -> SchauderSpectrumReport:
-    if not check_single_orbit(shift.perm):
-        raise UnsupportedClassError(
-            "certificate path requires a single-orbit shift permutation"
-        )
     lim = shift.weights.limit()
     if lim != 0:
         raise UnsupportedClassError(
@@ -719,23 +712,6 @@ def deflate_finite_spectrum(values: MultiplicityList,
         block0_certificates)
 
 
-def _block_z_shift(dim: int) -> Permutation:
-    """Cell-to-next-cell permutation for contiguous cells in interleaved order."""
-
-    def forward(g: int) -> int:
-        c, k = divmod(g - 1, dim)
-        n = deinterleave(c + 1)
-        return (interleave_z(n + 1) - 1) * dim + k + 1
-
-    def inverse(g: int) -> int:
-        c, k = divmod(g - 1, dim)
-        n = deinterleave(c + 1)
-        return (interleave_z(n - 1) - 1) * dim + k + 1
-
-    return Permutation(forward, inverse, f"block-z-shift({dim})",
-                       tag=("block-z-shift", dim))
-
-
 def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
                              alpha_seq: ScalarRule, m: float, M: float,
                              cfg: Optional[CertificateGridConfig] = None
@@ -788,7 +764,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
             vals = tuple(lo + (hi - lo) * k / (dim - 1) for k in range(dim))
         model_blocks.append(Diagonal(ExplicitThenRule(vals)))
     operator = BlockDirectSum(tuple(model_blocks), cells)
-    perm = _block_z_shift(dim)
+    perm = block_z_shift(dim)
     unitary = PermutationUnitary(perm)
     deflated = Product(unitary, operator)
 

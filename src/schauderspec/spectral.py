@@ -31,8 +31,9 @@ from .errors import (
     NotSummableError,
     PreconditionViolatedError,
     StepCapExceededError,
+    UnsupportedClassError,
 )
-from .index_maps import cycles_and_chains
+from .index_maps import cycles_and_chains, single_orbit
 from .op_algebra import (
     Diagonal,
     OperatorExpr,
@@ -157,23 +158,6 @@ def _walk_logs(s: ShiftForm, lam: Scalar, direction: str, steps: int,
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return total
-
-
-def check_single_orbit(perm, window: int = 16, steps: int = 96) -> bool:
-    """Whether the orbit of 1 visits all of [1..window] within ``steps``.
-
-    The exclusion recurrence kills coordinates on one orbit; the full
-    no-eigenvector claim needs the permutation to act with a single
-    orbit, which the sigma-type constructions do.
-    """
-    visited = {1}
-    f = b = 1
-    for _ in range(steps):
-        f = perm.forward(f)
-        b = perm.inverse(b)
-        visited.add(f)
-        visited.add(b)
-    return all(k in visited for k in range(1, window + 1))
 
 
 class _Rays:
@@ -307,12 +291,12 @@ class _ShiftCertifier:
         if orbit is not None:
             return orbit
         s = self.s
-        # T and T* have the same orbits, so one check serves both sides
+        # the walk kills only the orbit of 1; T* has the orbits of T
         if self.rays is None:
-            if not check_single_orbit(s.perm):
-                raise PreconditionViolatedError(
-                    "permutation is not single-orbit on the probe window"
-                )
+            if not single_orbit(s.perm):
+                raise UnsupportedClassError(
+                    "certificate path requires a single-orbit shift "
+                    f"permutation, not {s.perm.description}")
             self.rays = _Rays(s)
         if side == "direct" and self.check_weights:
             lim = s.weights.limit()
@@ -371,8 +355,9 @@ def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
     exceeds ``bound``; since all orbit coordinates are multiples of the
     anchor coordinate, the witness forces the anchor (and the orbit) to
     vanish.  The witness depends on ``|lam|`` only, so one certificate
-    covers the whole circle of that modulus.  The permutation must act
-    with a single orbit, so the exclusion covers the whole space.
+    covers the whole circle of that modulus.  The orbit must be all of N:
+    a permutation that ``index_maps.single_orbit`` does not accept, a
+    composed or scanned one included, raises ``UnsupportedClassError``.
     """
     return _ShiftCertifier(s, bound, step_cap, check_weights).certificate(lam)
 

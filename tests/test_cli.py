@@ -327,6 +327,28 @@ class TestRun:
         assert len(certs) == 2 * 16
         assert all(c["magnitude"] > c["bound"] for c in certs)
 
+    @pytest.mark.parametrize("analysis", ["schauder-spectrum", "classify", "certify"])
+    def test_multi_orbit_composition_is_unsupported(self, tmp_path, analysis):
+        # sigma o (101 <-> 103) o diag(1/n): the swap closes 103 into a
+        # fixed point, T e_103 = (1/103) e_103, so no certificate may
+        # claim the spectrum is empty
+        images = list(range(1, 104))
+        images[100], images[102] = 103, 101
+        unitary = {"op": "permutation-unitary", "of": {"permutation": "sigma-bilateral"}}
+        swap = {"op": "permutation-unitary",
+                "of": {"permutation": "one-line", "images": images}}
+        spec = write_spec(tmp_path, "swap.json", {
+            "version": 1, "analysis": analysis, "params": {"grid-moduli": 2, "grid-phases": 2},
+            "operator": {"op": "product", "left": unitary, "right": {
+                "op": "product", "left": swap,
+                "right": diag_spec()["operator"]}},
+        })
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 2
+        block = json.loads((out / "report.json").read_text())["error"]
+        assert block["kind"] == "unsupported-class"
+        assert "single-orbit" in block["message"]
+
     @pytest.mark.parametrize("error", ERROR_OUTCOMES, ids=lambda e: e.__name__)
     def test_library_error_exit_codes(self, tmp_path, monkeypatch, error):
         code, kind = ERROR_OUTCOMES[error]

@@ -18,6 +18,12 @@ from schauderspec import (
     sigma_bilateral,
     z_translation_permutation,
 )
+from schauderspec.index_maps import (
+    block_z_shift,
+    compose_permutations,
+    inverse_permutation,
+    single_orbit,
+)
 from schauderspec.sequences import ArithmeticSequence, ExplicitPrefixSequence
 
 
@@ -72,6 +78,56 @@ class TestZTranslation:
     def test_roundtrip(self, step, k):
         p = z_translation_permutation(step)
         assert p.inverse(p.forward(k)) == k
+
+
+def _orbit_of_one(p, steps):
+    """Indices the orbit of 1 visits within ``steps`` steps each way."""
+    seen, f, b = {1}, 1, 1
+    for _ in range(steps):
+        f, b = p.forward(f), p.inverse(b)
+        seen.update((f, b))
+    return seen
+
+
+SWAP = one_line_permutation([2, 1])
+SINGLE_ORBIT = [sigma_bilateral(), z_translation_permutation(1),
+                z_translation_permutation(-1)]
+SINGLE_ORBIT += [inverse_permutation(p) for p in SINGLE_ORBIT]
+MULTI_ORBIT = [
+    identity_permutation(), z_translation_permutation(2),
+    z_translation_permutation(-3), SWAP, block_z_shift(2),
+    compose_permutations(sigma_bilateral(), SWAP),
+    inverse_permutation(compose_permutations(SWAP, z_translation_permutation(1))),
+]
+
+
+class TestSingleOrbit:
+    @pytest.mark.parametrize("p", SINGLE_ORBIT, ids=repr)
+    def test_accepted_orbit_of_one_is_everything(self, p):
+        # brute force: within W steps each way the orbit covers [1..W]
+        assert single_orbit(p)
+        for window in (1, 2, 17, 400):
+            assert set(range(1, window + 1)) <= _orbit_of_one(p, window)
+
+    @pytest.mark.parametrize("p", MULTI_ORBIT, ids=repr)
+    def test_rejected_constructions_have_other_orbits(self, p):
+        assert not single_orbit(p)
+        # these really have more than one orbit: each leaves a small index
+        # out of the orbit of 1, however far it is walked
+        assert not set(range(1, 5)) <= _orbit_of_one(p, 400)
+
+    def test_identity_factors_drop_and_double_inverses_unwrap(self):
+        ident, sigma = identity_permutation(), sigma_bilateral()
+        assert compose_permutations(ident, sigma) is sigma
+        assert compose_permutations(sigma, ident) is sigma
+        assert inverse_permutation(ident) is ident
+        assert inverse_permutation(inverse_permutation(sigma)) is sigma
+        both = compose_permutations(sigma, SWAP)
+        assert both.tag == ("compose", sigma, SWAP)
+        assert [both.forward(k) for k in range(1, 6)] == [1, 3, 5, 2, 7]
+        assert inverse_permutation(both).tag == ("inverse", both)
+        assert all(inverse_permutation(both).forward(both.forward(k)) == k
+                   for k in range(1, 50))
 
 
 def _reassemble(spreads, window):

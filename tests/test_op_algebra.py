@@ -400,3 +400,22 @@ class TestSumOfSpreadsShift:
         for k in range(1, 200):
             assert perm.forward(k) == sigma.forward(k)
             assert perm.inverse(k) == sigma.inverse(k)
+
+    @pytest.mark.parametrize("named", [sigma_bilateral(), identity_permutation()],
+                             ids=repr)
+    def test_named_spreads_recognize_with_their_tag(self, named):
+        # in either order, so the spreads are matched as a multiset
+        spreads = [Spread(sp) for sp in decompose_into_spreads(named, 1)]
+        for terms in (spreads, spreads[::-1]):
+            assert op_algebra._structural_shift(Sum(tuple(terms))).perm.tag == named.tag
+        rec = recognize_shift_form(Product(Sum(tuple(spreads)), Diagonal(ConstantRule(2))))
+        assert rec.shift.perm.tag == named.tag
+
+    def test_other_spread_sums_keep_their_maps(self):
+        twice = Spread(SpreadSpec(naturals(), naturals()))
+        assert op_algebra._structural_shift(Sum((twice,))).perm.tag == ("identity",)
+        # the spread twice is not the identity's multiset: its closure
+        # raises, and recognition falls back to the scanned columns
+        doubled = Sum((twice, twice))
+        assert op_algebra._structural_shift(doubled).perm.tag == ("sum-of-spreads",)
+        assert recognize_shift_form(doubled, window=8).shift.perm.tag == ("scanned",)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from schauderspec import (
     INFINITE,
+    Adjoint,
     AffineRule,
     ArithmeticSequence,
     BlockDirectSum,
@@ -45,11 +46,16 @@ from schauderspec import (
     deflate_finite_spectrum,
     entry,
     forward_unilateral_shift,
+    grid_certificates,
     identity_permutation,
     is_compact_structural,
     is_schauder,
+    one_line_permutation,
+    recognize_shift_form,
     schauder_spectrum,
+    sigma_bilateral,
     truncate,
+    z_translation_permutation,
 )
 from schauderspec.op_algebra import corner_entries
 from schauderspec.serde import certificate_to_json, sequence_to_json
@@ -211,6 +217,42 @@ class TestSchauderSpectrum:
     def test_finite_value_set_is_the_set_of_values(self, rule):
         rep = schauder_spectrum(Diagonal(rule), probe_window=64)
         assert set(rep.members.values) == set(rule.values(value_horizon(rule)))
+
+
+@st.composite
+def perturbed_single_orbit_shifts(draw):
+    """sigma or z-translation(k) composed, on either side, with a
+    non-identity one-line permutation that moves some index past 16."""
+    k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    base = draw(st.sampled_from([sigma_bilateral(), z_translation_permutation(k)]))
+    n = draw(st.integers(17, 40))
+    images = draw(st.permutations(list(range(1, n + 1))).filter(
+        lambda im: any(im[j] != j + 1 for j in range(16, n))))
+    factors = (PermutationUnitary(base), PermutationUnitary(one_line_permutation(images)))
+    return factors if draw(st.booleans()) else factors[::-1]
+
+
+class TestOrbitStructure:
+    @settings(max_examples=60, deadline=None)
+    @given(factors=perturbed_single_orbit_shifts())
+    def test_perturbed_orbits_are_refused(self, factors):
+        left, right = factors
+        T = Product(left, Product(right, Diagonal(RECIP)))
+        # the orbits of the composition are not known, so no report, an
+        # empty member set least of all, may come back
+        with pytest.raises(UnsupportedClassError, match="single-orbit"):
+            schauder_spectrum(T, CertificateGridConfig(moduli=2, phases=2))
+        with pytest.raises(UnsupportedClassError, match="single-orbit"):
+            grid_certificates(recognize_shift_form(T).shift, [0.5, 0.01j])
+
+    @pytest.mark.parametrize("T", [
+        Adjoint(Diagonal(PowerLawRule(1, 1))),
+        Product(PermutationUnitary(identity_permutation()), Diagonal(PowerLawRule(1, 1))),
+    ], ids=["adjoint", "identity-product"])
+    def test_identity_factor_keeps_the_diagonal_report(self, T):
+        rep = schauder_spectrum(T, SMALL)
+        assert isinstance(rep.members, VanishingSequenceMembers)
+        assert rep.classification_case == 5
 
 
 class TestClassifyCompact:

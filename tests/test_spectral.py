@@ -34,6 +34,7 @@ from schauderspec import (
     SpreadSpec,
     StepCapExceededError,
     UnboundedWitness,
+    UnsupportedClassError,
     adjoint_exclusion,
     block_norm_blowup,
     cibws,
@@ -109,7 +110,7 @@ class TestShiftEigenExclude:
 
     def test_multi_orbit_rejected_by_default(self):
         diag_as_shift = ShiftForm(identity_permutation(), RECIP)
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(UnsupportedClassError, match="single-orbit"):
             shift_eigen_exclude(diag_as_shift, 2.0)
 
     def test_step_cap_exceeded_is_loud(self):
@@ -459,7 +460,7 @@ class TestAdjointExclusion:
                     ) == spectral._walk_logs(adj, 2.0, direction, steps, start)
         # every index is its own orbit, so neither side certifies
         for exclude in (shift_eigen_exclude, adjoint_exclusion):
-            with pytest.raises(PreconditionViolatedError, match="single-orbit"):
+            with pytest.raises(UnsupportedClassError, match="single-orbit"):
                 exclude(diag_as_shift, 2.0)
 
     def test_grid_of_moduli_and_phases(self):
