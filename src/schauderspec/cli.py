@@ -27,7 +27,7 @@ from .errors import (
     StepCapExceededError,
     UnsupportedClassError,
 )
-from .op_algebra import corner_array, corner_entries, recognize_shift_form
+from .op_algebra import corner_entries, recognize_shift_form
 from .schauder import (
     _analysed_subject,
     audit_deflation,
@@ -140,46 +140,37 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
     raise UnsupportedClassError(f"unknown analysis {spec.analysis!r}")
 
 
+def _write_csv(path: Path, header: list, rows) -> str:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.name
+
+
 def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> list:
     written = []
     certs = results.get("certificates") or results.get("report", {}).get(
         "certificates", [])
     if certs:
-        path = outdir / "certificates.csv"
         text = float_texts(repr)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "lambda_re", "lambda_im", "side", "kind", "regime", "block",
-                "witness_index", "magnitude", "bound",
-            ])
-            for c in certs:
-                writer.writerow([
-                    text(c["lambdaRe"]), text(c["lambdaIm"]), c["side"],
-                    c["kind"], c["regime"], c["details"].get("block", 0),
-                    c["witnessIndex"], text(c["magnitude"]), text(c["bound"]),
-                ])
-        written.append(path.name)
-    # Row-major over the numerically nonzero entries; no dense corner is
-    # built beyond the eigensolve's.
+        written.append(_write_csv(outdir / "certificates.csv", [
+            "lambda_re", "lambda_im", "side", "kind", "regime", "block",
+            "witness_index", "magnitude", "bound",
+        ], ([
+            text(c["lambdaRe"]), text(c["lambdaIm"]), c["side"],
+            c["kind"], c["regime"], c["details"].get("block", 0),
+            c["witnessIndex"], text(c["magnitude"]), text(c["bound"]),
+        ] for c in certs)))
+    # Row-major over the numerically nonzero entries; the eigensolve reads
+    # the same entries, and builds a dense corner only to fall back on LAPACK.
     entries = corner_entries(spec.operator, truncation)
     cells = sorted((key, complex(v)) for key, v in entries.items())
-    path = outdir / "matrix.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "re", "im"])
-        for (i, j), z in cells:
-            if z:
-                writer.writerow([i + 1, j + 1, repr(z.real), repr(z.imag)])
-    written.append(path.name)
-    eigs = corner_eigs(corner_array(entries, min(truncation, 512)))
-    path = outdir / "eigs.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im"])
-        for e in eigs:
-            writer.writerow([repr(e.real), repr(e.imag)])
-    written.append(path.name)
+    written.append(_write_csv(outdir / "matrix.csv", ["i", "j", "re", "im"], (
+        [i + 1, j + 1, repr(z.real), repr(z.imag)] for (i, j), z in cells if z)))
+    eigs = corner_eigs(entries, min(truncation, 512))
+    written.append(_write_csv(outdir / "eigs.csv", ["re", "im"], (
+        [repr(e.real), repr(e.imag)] for e in eigs)))
     return written
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .index_maps import (
     Permutation,
     SpreadSpec,
@@ -367,8 +365,9 @@ def truncate(T: OperatorExpr, n: int) -> list:
     return M
 
 
-def corner_array(entries: dict, n: int) -> np.ndarray:
+def corner_array(entries: dict, n: int):
     """The leading ``n x n`` part of ``corner_entries`` as complex128."""
+    import numpy as np
     M = np.zeros((n, n), dtype=complex)
     for (i, j), v in entries.items():
         if i < n and j < n:
@@ -376,7 +375,7 @@ def corner_array(entries: dict, n: int) -> np.ndarray:
     return M
 
 
-def truncate_complex(T: OperatorExpr, n: int) -> np.ndarray:
+def truncate_complex(T: OperatorExpr, n: int):
     """Leading corner as a dense complex128 array (for numerics)."""
     return corner_array(corner_entries(T, n), n)
 

@@ -46,7 +46,6 @@ from .op_algebra import (
     ShiftForm,
     corner_entries,
     recognize_shift_form,
-    truncate_complex,
 )
 from .sequences import (
     ArithmeticSequence,
@@ -776,7 +775,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
         certs.append(replace(base, side="adjoint"))
 
     audit_n = min(dim * len(blocks), 64)
-    eigs = corner_eigs(truncate_complex(deflated, audit_n))
+    eigs = corner_eigs(corner_entries(deflated, audit_n), audit_n)
     max_eig = max((abs(e) for e in eigs), default=0.0)
     min_lo = min(lo for (lo, _hi), _ in blocks)
     zero = KernelRangeVerdict(

@@ -472,6 +472,25 @@ def _values_past(rule: ScalarRule, skip: int) -> tuple:
     return values, rule, skip
 
 
+def _first_zero(rule: ScalarRule, skip: int = 0) -> Optional[int]:
+    """The least ``n`` with ``rule.value(skip + n) == 0``, placed by the
+    walk of ``_values_past``; None when the walk ends on no known zero."""
+    if isinstance(rule, ExplicitThenRule):
+        head = rule.prefix[skip:]
+        if 0 in head or rule.tail is None:
+            return head.index(0) + 1 if 0 in head else None
+        n = _first_zero(rule.tail, max(skip - len(rule.prefix), 0))
+        return None if n is None else len(head) + n
+    if isinstance(rule, OffsetRule):
+        return _first_zero(rule.inner, skip + rule.offset)
+    if isinstance(rule, RepeatedRule):
+        # inner term k fills indices (k - 1) * times + 1 .. k * times
+        done = skip // rule.times
+        m = _first_zero(rule.inner, done)
+        return None if m is None else max((done + m - 1) * rule.times + 1 - skip, 1)
+    return 1 if isinstance(rule, ConstantRule) and rule.c == 0 else None
+
+
 class CallableRule(ScalarRule):
     """Catch-all rule backed by a Python callable; no tail certificates."""
 

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import (
     ConvergenceFailureError,
     NotSummableError,
@@ -41,6 +39,7 @@ from .op_algebra import (
     adjoint_shift_form,
     _column_scan,
     _row_scan,
+    corner_array,
 )
 from .sequences import (
     AffineRule,
@@ -49,6 +48,7 @@ from .sequences import (
     ExplicitThenRule,
     Scalar,
     ScalarRule,
+    _first_zero,
     log_abs,
 )
 
@@ -379,7 +379,8 @@ def _zero_scan(rule: ScalarRule, probe_window: int, start: int = 1):
     The rule's own ``attains_zero`` answers first; otherwise the first
     ``probe_window`` values (all of them for a shorter finite rule) are
     scanned for an exact zero.  The values before ``start`` must be known
-    nonzero already; they are not read again.
+    nonzero already; they are not read again.  A zero the rule attains
+    past the window is placed by ``sequences._first_zero``, or not at all.
     """
     ln = rule.length()
     cap = probe_window if ln is None else min(ln, probe_window)
@@ -392,7 +393,7 @@ def _zero_scan(rule: ScalarRule, probe_window: int, start: int = 1):
     if ln is not None and ln <= cap:
         return False, None, True
     if az is True:
-        return True, None, True
+        return True, _first_zero(rule), True
     return False, None, False
 
 
@@ -899,6 +900,7 @@ def dense_eigs(M) -> list:
     Truncation corners go through :func:`corner_eigs`; this is its
     fallback and the reference it is tested against.
     """
+    import numpy as np
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise PreconditionViolatedError("matrix must be square")
@@ -944,53 +946,51 @@ def dense_eigs(M) -> list:
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
-def corner_eigs(M) -> list:
-    """Eigenvalues of a truncation corner, read off its cycles and chains.
+def corner_eigs(entries: dict, n: int) -> list:
+    """Eigenvalues of the leading ``n x n`` part of ``corner_entries`` output.
 
     The corners the package builds are partial monomial: at most one
     numerically nonzero entry per row and per column.  Then
     ``M e_j = m_ij e_i`` is a partial injection ``j -> i``, and
     :func:`~schauderspec.index_maps.cycles_and_chains` splits it.  A node
     on a chain or a 1-cycle contributes its diagonal entry as stored
-    (numerically zero on a chain), as LAPACK returns the eigenvalues it
-    isolates.  A k-cycle (k >= 2) contributes the k-th roots of its
-    weight product, formed as modulus ``exp(mean log|w|)`` and phase, so
-    a long cycle of small weights does not underflow.  Those are exact
-    eigenvalues of explicit eigenvectors; for a k-cycle root only the
-    closing component of ``Mx - lam x`` is nonzero, and it is held, in
-    scaled form, to the guarantee of :func:`dense_eigs` with
-    ``||M||_2 = max|m_ij|``.  Any other matrix, a non-finite entry, or a
-    cycle that misses the check goes whole to :func:`dense_eigs`, which
-    alone decides a rejection.  Sorted as :func:`dense_eigs` sorts; on
-    corners with cycles the values may differ from LAPACK's by ulps.
+    (``0`` when absent), as LAPACK returns the eigenvalues it isolates.
+    A k-cycle (k >= 2) contributes the k-th roots of its weight product,
+    formed as modulus ``exp(mean log|w|)`` and phase, so a long cycle of
+    small weights does not underflow.  Those are exact eigenvalues of
+    explicit eigenvectors; for a k-cycle root only the closing component
+    of ``Mx - lam x`` is nonzero, and it is held, in scaled form, to the
+    guarantee of :func:`dense_eigs` with ``||M||_2 = max|m_ij|``.  Any
+    other corner, a non-finite entry, or a cycle that misses the check is
+    built dense only then and goes whole to :func:`dense_eigs`, which
+    alone decides a rejection.  Sorted as :func:`dense_eigs` sorts; cycle
+    roots may differ from LAPACK's by ulps.
     """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] > _EIG_MAX_DIM:
-        return dense_eigs(A)
-    n = A.shape[0]
-    rows, cols = np.nonzero(A)
-    norm = np.abs(A[rows, cols]).max(initial=0.0)
-    if (not np.isfinite(norm)
-            or np.bincount(rows, minlength=n).max(initial=0) > 1
-            or np.bincount(cols, minlength=n).max(initial=0) > 1):
-        return dense_eigs(A)
-    succ = dict(zip(cols.tolist(), rows.tolist()))
+    if n > _EIG_MAX_DIM:
+        raise PreconditionViolatedError(f"dimension {n} exceeds cap {_EIG_MAX_DIM}")
+    succ, weight, norm = {}, {}, 0.0
+    for (i, j), v in entries.items():
+        if i < n and j < n and (z := complex(v)):
+            if j in succ or not math.isfinite(abs(z)):
+                return dense_eigs(corner_array(entries, n))
+            succ[j], weight[j], norm = i, z, max(norm, abs(z))
+    if len(set(succ.values())) < len(succ):
+        return dense_eigs(corner_array(entries, n))
     cycles, _chains = cycles_and_chains(range(n), succ)
-    on_cycles: set = set()
-    vals = []
+    on_cycles, vals = set(), []
     for cycle in cycles:
         if len(cycle) > 1:
-            roots = _cycle_roots(A[[succ[j] for j in cycle], cycle], norm)
+            roots = _cycle_roots([weight[j] for j in cycle], norm)
             if roots is None:
-                return dense_eigs(A)
+                return dense_eigs(corner_array(entries, n))
             vals.extend(roots)
             on_cycles.update(cycle)
-    diagonal = A.diagonal().tolist()
-    vals.extend(diagonal[j] for j in range(n) if j not in on_cycles)
+    vals.extend(complex(entries.get((j, j), 0))
+                for j in range(n) if j not in on_cycles)
     return sorted(vals, key=lambda z: (z.real, z.imag))
 
 
-def _cycle_roots(w: np.ndarray, norm: float) -> Optional[list]:
+def _cycle_roots(w: list, norm: float) -> Optional[list]:
     """The k-th roots of ``prod(w)``, or None if one misses the residual check.
 
     For a root ``lam``, ``x_0 = 1`` and ``x_{t+1} = w_t x_t / lam`` give
@@ -1000,6 +1000,8 @@ def _cycle_roots(w: np.ndarray, norm: float) -> Optional[list]:
     max_t |x_t| <= tol``; every factor is formed from logarithms and
     phases taken in units of ``max|w|``.
     """
+    import numpy as np
+    w = np.asarray(w, dtype=complex)
     k = len(w)
     mags = np.abs(w)
     big = mags.max()

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -121,7 +124,7 @@ class TestRun:
         error = json.loads((out / "report.json").read_text())["error"]
         assert error["kind"] == "precondition-violation"
         assert error["message"] == ("not a Schauder operator: not-injective "
-                                    "(witness index None); zero diagonal entry")
+                                    "(witness index 1001); zero diagonal entry")
 
     def test_step_cap_exit_code(self, tmp_path):
         spec = write_spec(tmp_path, "cap.json", diag_spec("deflate"))
@@ -297,8 +300,30 @@ class TestRun:
         assert eigs[1:] == [f"{1 / k!r},0.0" for k in range(512, 0, -1)]
         assert peak < 16e6
 
+    def test_overlapping_sum_corner_goes_through_lapack(self, tmp_path, monkeypatch):
+        # diag(1/n) + sigma's unitary: two nonzero entries in most columns
+        import numpy as np
+
+        from schauderspec import dense_eigs
+
+        spec = parse_spec_document({
+            "version": 1, "analysis": "schauder-spectrum", "operator": {
+                "op": "sum", "terms": [
+                    diag_spec()["operator"],
+                    {"op": "permutation-unitary",
+                     "of": {"permutation": "sigma-bilateral"}}]}})
+        want = dense_eigs(truncate_complex(spec.operator, 16))
+        calls, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(np.shape(a)) or eig(a))
+        assert cli._write_csv_artifacts(tmp_path, spec, {}, 16) == [
+            "matrix.csv", "eigs.csv"]
+        assert calls == [(16, 16)]
+        rows = (tmp_path / "eigs.csv").read_text().splitlines()
+        assert rows[1:] == [f"{z.real!r},{z.imag!r}" for z in want]
+
     def test_csv_artifact_failure_maps_to_exit_code(self, tmp_path, monkeypatch):
-        def fail(M):
+        def fail(entries, n):
             raise ConvergenceFailureError("residual guarantee violated")
 
         monkeypatch.setattr(cli, "corner_eigs", fail)
@@ -668,3 +693,40 @@ class TestWriteReport:
                      *flags]) == code
         text = (out / "report.json").read_text()
         assert stdlib_text(json.loads(text)) == text
+
+
+class TestColdStart:
+    """The package starts, and runs partial monomial corners, without numpy."""
+
+    def _python(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", *args], env=env,
+                              capture_output=True, text=True)
+
+    def test_import_loads_no_numpy(self):
+        proc = self._python(
+            "import sys, schauderspec, schauderspec.cli; "
+            "print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_golden_at_the_eigensolve_cap_runs_with_numpy_blocked(self, tmp_path):
+        args = ["run", str(REPO / "docs" / "goldens" / "cibws-deflate.json"),
+                "--truncation", "512", "--csv", "--out"]
+        proc = self._python(
+            "import sys; sys.modules['numpy'] = None; "
+            "from schauderspec.cli import main; sys.exit(main(sys.argv[1:]))",
+            *args, str(tmp_path / "blocked"))
+        assert proc.returncode == 0, proc.stderr
+        assert main(args + [str(tmp_path / "free")]) == 0
+        blocked, free = tmp_path / "blocked", tmp_path / "free"
+
+        def results(out):
+            return json.loads((out / "report.json").read_text())["results"]
+
+        assert json.dumps(results(blocked)) == json.dumps(results(free))
+        for name in ("certificates.csv", "matrix.csv", "eigs.csv"):
+            assert (blocked / name).read_bytes() == (free / name).read_bytes()
+        assert len((blocked / "eigs.csv").read_text().splitlines()) == 513

@@ -590,7 +590,7 @@ class TestDeflatePipeline:
         assert not verdict and verdict.reason == NOT_INJECTIVE
         with pytest.raises(PreconditionViolatedError, match=(
                 r"^not a Schauder operator: not-injective \(witness index "
-                r"None\); zero diagonal entry$")):
+                r"1001\); zero diagonal entry$")):
             deflate(Diagonal(rule), SMALL)
 
     @pytest.mark.parametrize("zero_at, message", [

@@ -17,7 +17,7 @@ from schauderspec import (
     RepeatedRule,
     ScaledRule,
 )
-from schauderspec.sequences import _abs_exact
+from schauderspec.sequences import _abs_exact, _first_zero
 
 
 def reference_merge(finite_parts, rule_parts, count):
@@ -201,3 +201,45 @@ class TestOffsetAttainsZero:
         # a scaled rule's zero may lie among the dropped terms
         assert OffsetRule(ScaledRule(2, ones_with_zero_at(9)), 6).attains_zero() is None
         assert OffsetRule(ScaledRule(2, PowerLawRule(1, 1)), 6).attains_zero() is False
+
+
+@st.composite
+def walked_rules(draw, depth=3):
+    """Explicit-then, offset and repeated rules over leaves that are a
+    constant (possibly 0), a never-zero power law, or the end of the terms."""
+    kind = draw(st.sampled_from(["leaf", "explicit", "offset", "repeated"]
+                                if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.sampled_from([ConstantRule(0), ConstantRule(2),
+                                     PowerLawRule(1, 1)]))
+    inner = draw(walked_rules(depth - 1))
+    if kind == "offset":
+        return OffsetRule(inner, draw(st.integers(0, 7)))
+    if kind == "repeated":
+        return RepeatedRule(inner, draw(st.integers(1, 4)))
+    prefix = tuple(draw(st.lists(st.sampled_from([0, 1, Fraction(1, 2)]),
+                                 max_size=4)))
+    tail = draw(st.one_of(st.none(), st.just(inner)))
+    return ExplicitThenRule(prefix or (1,), tail)
+
+
+class TestFirstZero:
+    @settings(max_examples=300, deadline=None)
+    @given(rule=walked_rules())
+    def test_matches_a_scan(self, rule):
+        # every zero of these rules lies on the walk, so a None means none
+        ln = rule.length()
+        scanned = next((n for n in range(1, 2001 if ln is None else ln + 1)
+                        if rule.value(n) == 0), None)
+        assert _first_zero(rule) == scanned
+
+    def test_zero_past_a_repeated_prefix(self):
+        prefix = tuple(Fraction(1, k) for k in range(1, 11)) + (0,)
+        inner = RepeatedRule(ExplicitThenRule(prefix, PowerLawRule(1, 1)), 100)
+        assert _first_zero(OffsetRule(inner, 0)) == 1001
+        assert _first_zero(OffsetRule(inner, 950)) == 51
+        assert _first_zero(OffsetRule(inner, 1050)) == 1
+        assert _first_zero(OffsetRule(inner, 1100)) is None
+
+    def test_other_leaves_place_no_zero(self):
+        assert _first_zero(ScaledRule(0, PowerLawRule(1, 1))) is None

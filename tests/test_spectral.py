@@ -57,7 +57,11 @@ from schauderspec import (
     truncate,
 )
 from schauderspec import spectral
-from schauderspec.op_algebra import adjoint_shift_form, truncate_complex
+from schauderspec.op_algebra import (
+    adjoint_shift_form,
+    corner_entries,
+    truncate_complex,
+)
 from schauderspec.sequences import ArithmeticSequence, log_abs
 
 RECIP = PowerLawRule(Fraction(1), 1)  # t_k = 1/k
@@ -382,12 +386,16 @@ class TestKernelTrivial:
 
 
 def reference_shift_kernel_verdict(s, probe_window):
-    """The shift-form zero check as ``kernel_trivial`` wrote it inline."""
+    """The shift-form zero check as ``kernel_trivial`` wrote it inline.
+
+    A zero that ``attains_zero`` vouches for past the window is named by
+    scanning on, up to index 10 000.
+    """
     az = s.weights.attains_zero()
     if az is False:
         return KernelRangeVerdict(True, True, None, True,
                                   "weights certified nonzero; permutation total")
-    for n in range(1, probe_window + 1):
+    for n in range(1, probe_window + 1 if az is not True else 10_001):
         if s.weights.value(n) == 0:
             return KernelRangeVerdict(False, False, n, True,
                                       f"weight at index {n} is zero")
@@ -976,6 +984,14 @@ def partial_monomial(draw):
     return A
 
 
+def _stored(A):
+    """A dense test matrix as ``corner_eigs`` arguments: all n^2 entries
+    stored, so its signed zeros stay as stored."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    return {(i, j): complex(A[i, j]) for j in range(n) for i in range(n)}, n
+
+
 def _assert_same_multiset(got, want, tol):
     assert len(got) == len(want)
     left = list(want)
@@ -992,7 +1008,7 @@ class TestCornerEigs:
         want = dense_eigs(A)
         with pytest.MonkeyPatch.context() as mp:
             calls = _spy_eig(mp)
-            got = corner_eigs(A)
+            got = corner_eigs(*_stored(A))
         assert calls == []
         _assert_same_multiset(got, want, 1e-12 * np.linalg.norm(A, 2))
         assert got == sorted(got, key=lambda z: (z.real, z.imag))
@@ -1002,7 +1018,7 @@ class TestCornerEigs:
         A = np.zeros((n, n), dtype=complex)
         A[(np.arange(n) + 1) % n, np.arange(n)] = 1e-3
         assert np.prod(np.full(n, 1e-3)) == 0  # the product underflows
-        vals = corner_eigs(A)
+        vals = corner_eigs(*_stored(A))
         assert len(vals) == n
         for z in vals:
             assert math.isclose(abs(z), 1e-3, rel_tol=1e-15)
@@ -1013,10 +1029,9 @@ class TestCornerEigs:
         Diagonal(PowerLawRule(1.0, 0.1)), cibws().to_expr()],
         ids=["diag-slowdecay", "cibws"])
     def test_production_corners_skip_lapack(self, operator, monkeypatch):
-        A = truncate_complex(operator, 512)
-        want = dense_eigs(A)
+        want = dense_eigs(truncate_complex(operator, 512))
         calls = _spy_eig(monkeypatch)
-        got = corner_eigs(A)
+        got = corner_eigs(corner_entries(operator, 512), 512)
         assert calls == []
         assert [repr(z) for z in got] == [repr(z) for z in want]
 
@@ -1027,14 +1042,29 @@ class TestCornerEigs:
         A[3, 3] = complex(-0.0, -0.0)  # an isolated zero entry
         want = sorted(repr(z) for z in dense_eigs(A))
         calls = _spy_eig(monkeypatch)
-        assert sorted(repr(z) for z in corner_eigs(A)) == want
+        assert sorted(repr(z) for z in corner_eigs(*_stored(A))) == want
+        assert calls == []
+
+    def test_reads_only_the_leading_corner_of_exact_entries(self, monkeypatch):
+        # a 2-cycle of Fractions, and entries past n that would make the
+        # corner dense if they were read
+        entries = {(1, 0): Fraction(1, 4), (0, 1): 1, (2, 2): Fraction(1, 3),
+                   (0, 3): 5.0, (3, 1): 7.0}
+        calls = _spy_eig(monkeypatch)
+        _assert_same_multiset(corner_eigs(entries, 3), [-0.5, 1 / 3, 0.5], 1e-15)
+        assert calls == []
+
+    def test_over_the_cap_is_refused_before_lapack(self, monkeypatch):
+        calls = _spy_eig(monkeypatch)
+        with pytest.raises(PreconditionViolatedError, match="exceeds cap 512"):
+            corner_eigs({(0, 0): 1.0}, 513)
         assert calls == []
 
     def test_dense_matrix_goes_through_lapack(self, monkeypatch):
         A = _residual_test_matrix("dense", 8, 11)
         want = dense_eigs(A)
         calls = _spy_eig(monkeypatch)
-        assert corner_eigs(A) == want
+        assert corner_eigs(*_stored(A)) == want
         assert calls == [(8, 8)]
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -1042,7 +1072,7 @@ class TestCornerEigs:
         A = np.diag([1.0, bad, 2.0]).astype(complex)
         calls = _spy_eig(monkeypatch)
         with pytest.raises(ConvergenceFailureError):
-            corner_eigs(A)
+            corner_eigs(*_stored(A))
         assert calls == [(3, 3)]
 
     def test_cycle_missing_the_check_goes_through_lapack(self, monkeypatch):
@@ -1053,7 +1083,7 @@ class TestCornerEigs:
             dense_eigs(A)
         calls = _spy_eig(monkeypatch)
         with pytest.raises(ConvergenceFailureError) as got:
-            corner_eigs(A)
+            corner_eigs(*_stored(A))
         assert calls == [(3, 3)]
         assert (got.value.failing, got.value.worst_residual) == \
             (want.value.failing, want.value.worst_residual)
