@@ -186,7 +186,11 @@ def _error_block(exc: Exception):
 
 def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     started = time.perf_counter()
     try:
         with open(spec_path) as fh:

@@ -10,10 +10,10 @@ both coordinates, else opens a new spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyInputError
+from .records import record
 from .sequences import (
     ArithmeticSequence,
     ExplicitPrefixSequence,
@@ -43,7 +43,7 @@ def deinterleave(n: int) -> int:
     return -(n // 2)
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A total bijection of N with lazily evaluated direction maps.
 
@@ -192,7 +192,7 @@ def single_orbit(p: Permutation) -> bool:
     return p.tag in (("sigma-bilateral",), ("z-translation", 1), ("z-translation", -1))
 
 
-@dataclass(frozen=True)
+@record
 class SpreadSpec:
     """The spread from ``domain`` to ``image``: e_{a_k} -> e_{b_k}."""
 
@@ -309,7 +309,7 @@ INFINITE = _Infinite()
 Multiplicity = Union[int, _Infinite]
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicityList:
     """Distinct eigenvalues with multiplicities, plus an optional tail.
 
@@ -339,7 +339,7 @@ class MultiplicityList:
         return [v for v, m in self.entries if isinstance(m, _Infinite)]
 
 
-@dataclass(frozen=True)
+@record
 class ExpandedSpectrum:
     """Result of multiplicity expansion.
 

@@ -11,10 +11,10 @@ examples are therefore exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .errors import UnsupportedClassError
 from .index_maps import (
     Permutation,
     SpreadSpec,
@@ -26,6 +26,7 @@ from .index_maps import (
     sigma_bilateral,
     z_translation_permutation,
 )
+from .records import record
 from .sequences import (
     ArithmeticSequence,
     CallableRule,
@@ -71,7 +72,7 @@ def _check_indices(i: int, j: int) -> None:
         raise ValueError("matrix indices must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class Diagonal(OperatorExpr):
     weights: ScalarRule
 
@@ -86,7 +87,7 @@ class Diagonal(OperatorExpr):
         return (i,)
 
 
-@dataclass(frozen=True)
+@record
 class Spread(OperatorExpr):
     spread: SpreadSpec
 
@@ -113,7 +114,7 @@ class Spread(OperatorExpr):
         return (self.spread.domain.elem(k),)
 
 
-@dataclass(frozen=True)
+@record
 class PermutationUnitary(OperatorExpr):
     perm: Permutation
 
@@ -128,7 +129,7 @@ class PermutationUnitary(OperatorExpr):
         return (self.perm.inverse(i),)
 
 
-@dataclass(frozen=True)
+@record
 class Sum(OperatorExpr):
     terms: Tuple[OperatorExpr, ...]
 
@@ -155,7 +156,7 @@ class Sum(OperatorExpr):
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Product(OperatorExpr):
     """Composition ``left . right``; entries via the finite middle index set."""
 
@@ -188,7 +189,7 @@ class Product(OperatorExpr):
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Adjoint(OperatorExpr):
     inner: OperatorExpr
 
@@ -203,7 +204,7 @@ class Adjoint(OperatorExpr):
         return self.inner.column_support(i)
 
 
-@dataclass(frozen=True)
+@record
 class Scale(OperatorExpr):
     scalar: Scalar
     inner: OperatorExpr
@@ -218,7 +219,7 @@ class Scale(OperatorExpr):
         return self.inner.row_support(i)
 
 
-@dataclass(frozen=True)
+@record
 class LambdaShift(OperatorExpr):
     """``lambda I - inner``."""
 
@@ -237,7 +238,7 @@ class LambdaShift(OperatorExpr):
         return (i,) + tuple(self.inner.row_support(i))
 
 
-@dataclass(frozen=True)
+@record
 class BlockDirectSum(OperatorExpr):
     """Orthogonal direct sum along a partition of N into index cells."""
 
@@ -281,7 +282,7 @@ class BlockDirectSum(OperatorExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FinVector:
     """Vector with finite support; entries stored sparsely and exactly."""
 
@@ -385,7 +386,7 @@ def truncate_complex(T: OperatorExpr, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ShiftForm:
     """The operator ``T e_j = w(j) e_{perm(j)}``.
 
@@ -404,7 +405,7 @@ class ShiftForm:
         return self.weights.value(j) if self.perm.forward(j) == i else 0
 
 
-@dataclass(frozen=True)
+@record
 class AdjointWeightsRule(ScalarRule):
     """Weights of the adjoint shift: ``w*(i) = conj(w(perm^{-1}(i)))``.
 
@@ -430,7 +431,7 @@ class AdjointWeightsRule(ScalarRule):
         return f"adjoint weights of ({self.inner.describe()})"
 
 
-@dataclass(frozen=True)
+@record
 class ComposedWeightsRule(ScalarRule):
     """``w(j) = inner(perm(j))`` -- diagonal weights seen through a shift."""
 
@@ -450,7 +451,7 @@ class ComposedWeightsRule(ScalarRule):
         return f"({self.inner.describe()}) o perm"
 
 
-@dataclass(frozen=True)
+@record
 class ProductWeightsRule(ScalarRule):
     a: ScalarRule
     b: ScalarRule
@@ -486,7 +487,7 @@ class ProductWeightsRule(ScalarRule):
         return f"({self.a.describe()}) * ({self.b.describe()})"
 
 
-@dataclass(frozen=True)
+@record
 class AbsRule(ScalarRule):
     inner: ScalarRule
 
@@ -507,7 +508,7 @@ class AbsRule(ScalarRule):
         return f"|{self.inner.describe()}|"
 
 
-@dataclass(frozen=True)
+@record
 class PhaseRule(ScalarRule):
     """Unimodular phases ``w/|w|``; exact 1/-1 for exact real weights."""
 
@@ -573,7 +574,7 @@ def is_real_rule_certified_nonnegative(rule: ScalarRule) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class ShiftRecognition:
     """Exact polar factorization of a recognized shift: ``T = unitary . diagonal``."""
 
@@ -677,7 +678,7 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
     try:
         if any(len(_row_scan(expr, i)) != 1 for i in range(1, window + 1)):
             return None
-    except ValueError:
+    except (ValueError, UnsupportedClassError):
         return None
 
     pairs = []
@@ -695,26 +696,26 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
             if any(r != verified.perm.forward(j) or v != verified.weights.value(j)
                    for j, (r, v) in enumerate(pairs, 1)):
                 verified = None
-        except ValueError:
+        except (ValueError, UnsupportedClassError):
             verified = None
 
     if verified is None:
         def forward(j: int) -> int:
             nz = _column_scan(expr, j)
             if len(nz) != 1:
-                raise ValueError(f"column {j} has {len(nz)} nonzero entries")
+                raise UnsupportedClassError(f"column {j} has {len(nz)} nonzero entries")
             return nz[0][0]
 
         def inverse(i: int) -> int:
             nz = _row_scan(expr, i)
             if len(nz) != 1:
-                raise ValueError(f"row {i} has {len(nz)} nonzero entries")
+                raise UnsupportedClassError(f"row {i} has {len(nz)} nonzero entries")
             return nz[0][0]
 
         def weight(j: int) -> Scalar:
             nz = _column_scan(expr, j)
             if len(nz) != 1:
-                raise ValueError(f"column {j} has {len(nz)} nonzero entries")
+                raise UnsupportedClassError(f"column {j} has {len(nz)} nonzero entries")
             return nz[0][1]
 
         perm = Permutation(forward, inverse, "scanned shift", tag=("scanned",))

@@ -20,7 +20,6 @@ shift similarity), and interval-block models for continuous spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -47,6 +46,7 @@ from .op_algebra import (
     corner_entries,
     recognize_shift_form,
 )
+from .records import record, replace
 from .sequences import (
     ArithmeticSequence,
     ConstantRule,
@@ -90,17 +90,17 @@ RANGE_NOT_DENSE = "range-not-dense"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EmptySetMembers:
     """The empty set."""
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSetMembers:
     values: Tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VanishingSequenceMembers:
     """Members form a sequence of nonzero values accumulating only at 0."""
 
@@ -111,7 +111,7 @@ class VanishingSequenceMembers:
 Members = Union[EmptySetMembers, FiniteSetMembers, VanishingSequenceMembers]
 
 
-@dataclass(frozen=True)
+@record
 class SchauderSpectrumReport:
     members: Members
     per_member_reason: Tuple[Tuple[object, str], ...] = ()
@@ -124,7 +124,7 @@ class SchauderSpectrumReport:
         return dict(self.per_member_reason)
 
 
-@dataclass(frozen=True)
+@record
 class SchauderVerdict:
     is_schauder: bool
     reason: Optional[str] = None  # NOT_INJECTIVE | RANGE_NOT_DENSE
@@ -135,7 +135,7 @@ class SchauderVerdict:
         return self.is_schauder
 
 
-@dataclass(frozen=True)
+@record
 class DeflationResult:
     """A constructed unitary, the deflated product, and its evidence."""
 
@@ -151,7 +151,7 @@ class DeflationResult:
     notes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class SelfAdjointIntervalModel:
     """Declared spectral data of a self-adjoint operator.
 

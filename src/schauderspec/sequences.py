@@ -22,9 +22,10 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
+
+from .records import record
 
 Scalar = Union[int, float, complex, Fraction]
 
@@ -92,7 +93,7 @@ class ScalarRule:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
+@record
 class ConstantRule(ScalarRule):
     c: Scalar
 
@@ -117,7 +118,7 @@ class ConstantRule(ScalarRule):
         return f"constant {self.c}"
 
 
-@dataclass(frozen=True)
+@record
 class GeometricRule(ScalarRule):
     """``a_n = scale * ratio**n``."""
 
@@ -163,7 +164,7 @@ class GeometricRule(ScalarRule):
         return f"{self.scale} * ({self.ratio})^n"
 
 
-@dataclass(frozen=True)
+@record
 class PowerLawRule(ScalarRule):
     """``a_n = scale / n**exponent`` with ``exponent >= 0``."""
 
@@ -208,7 +209,7 @@ class PowerLawRule(ScalarRule):
         return f"{self.scale} / n^{self.exponent}"
 
 
-@dataclass(frozen=True)
+@record
 class AffineRule(ScalarRule):
     """``a_n = base + inner(n)``; covers rules like ``alpha (1 - r^n)``."""
 
@@ -259,7 +260,7 @@ class AffineRule(ScalarRule):
         return f"{self.base} + {self.inner.describe()}"
 
 
-@dataclass(frozen=True)
+@record
 class ScaledRule(ScalarRule):
     factor: Scalar
     inner: ScalarRule
@@ -296,7 +297,7 @@ class ScaledRule(ScalarRule):
         return f"{self.factor} * ({self.inner.describe()})"
 
 
-@dataclass(frozen=True)
+@record
 class OffsetRule(ScalarRule):
     """``a_n = inner(n + offset)`` -- drops the first ``offset`` terms."""
 
@@ -341,7 +342,7 @@ class OffsetRule(ScalarRule):
         return f"({self.inner.describe()}) shifted by {self.offset}"
 
 
-@dataclass(frozen=True)
+@record
 class RepeatedRule(ScalarRule):
     """Each inner term repeated ``times`` in a row."""
 
@@ -380,7 +381,7 @@ class RepeatedRule(ScalarRule):
         return f"({self.inner.describe()}) each repeated {self.times}x"
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitThenRule(ScalarRule):
     """Explicit prefix, then an optional rule-based tail.
 
@@ -604,7 +605,7 @@ class IndexSequence:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
+@record
 class ArithmeticSequence(IndexSequence):
     start: int
     step: int
@@ -628,7 +629,7 @@ class ArithmeticSequence(IndexSequence):
         return f"{{{self.start}, {self.start + self.step}, ...}} step {self.step}"
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitPrefixSequence(IndexSequence):
     """Explicit increasing prefix, then an optional rule-based tail.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -38,6 +37,7 @@ from .op_algebra import (
     Sum,
     cibws,
 )
+from .records import record
 from .schauder import (
     EmptySetMembers,
     FiniteSetMembers,
@@ -62,7 +62,7 @@ from .spectral import EigenExclusionCertificate
 
 ANALYSES = ("schauder-spectrum", "classify", "deflate", "certify")
 
-@dataclass(frozen=True)
+@record
 class ParsedSpec:
     version: int
     operator: OperatorExpr

@@ -21,7 +21,6 @@ magnitude could overflow before its logarithm is examined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -41,6 +40,7 @@ from .op_algebra import (
     _row_scan,
     corner_array,
 )
+from .records import record
 from .sequences import (
     AffineRule,
     CallableRule,
@@ -62,7 +62,7 @@ DEFAULT_EPSILON = 0.01
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EigenExclusionCertificate:
     """A divergence witness excluding eigenvalues on a lambda region.
 
@@ -91,7 +91,7 @@ class EigenExclusionCertificate:
         return default
 
 
-@dataclass(frozen=True)
+@record
 class ProductEstimate:
     """Partial-product estimate with a certified tail when available.
 
@@ -107,7 +107,7 @@ class ProductEstimate:
     terms_used: int
 
 
-@dataclass(frozen=True)
+@record
 class KernelRangeVerdict:
     """Structural injectivity/dense-range verdict for shift-like operators."""
 
@@ -605,7 +605,7 @@ def claim1_find_N(alpha_seq: ScalarRule, alpha, epsilon: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BoundedCertified:
     c: float
     C: float
@@ -613,14 +613,14 @@ class BoundedCertified:
     tail_log_bound: float
 
 
-@dataclass(frozen=True)
+@record
 class BoundedNumerically:
     c: float
     C: float
     horizon: int
 
 
-@dataclass(frozen=True)
+@record
 class UnboundedWitness:
     window: Tuple[int, int]
     value: float
@@ -1030,7 +1030,7 @@ def _cycle_roots(w: list, norm: float) -> Optional[list]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CertificateGridConfig:
     """Grid + certificate parameters shared by the deflation pipelines."""
 

@@ -42,6 +42,7 @@ from schauderspec import (
     truncate_complex,
 )
 from schauderspec import op_algebra
+from schauderspec.errors import UnsupportedClassError
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
     lambda f: f != 0
@@ -199,6 +200,23 @@ class TestRecognize:
         rec = recognize_shift_form(Diagonal(ConstantRule(2)), window=8)
         assert rec.shift.perm.description == "scanned shift"
         assert rec.shift.weights.values(8) == [2] * 8
+
+    def test_scanned_shift_refuses_a_column_past_its_window(self):
+        # diag(1/n) + the spread {100, ..} -> {101, ..}: one entry per
+        # column up to 99, two from column 100 on
+        late = Spread(SpreadSpec(ArithmeticSequence(100, 1), ArithmeticSequence(101, 1)))
+        rec = recognize_shift_form(Sum((Diagonal(PowerLawRule(Fraction(1), 1)), late)))
+        shift = rec.shift
+        assert shift.perm.forward(99) == 99
+        for read, index, line in ((shift.perm.forward, 100, "column 100"),
+                                  (shift.weights.value, 100, "column 100"),
+                                  (shift.perm.inverse, 101, "row 101")):
+            with pytest.raises(UnsupportedClassError,
+                               match=f"^{line} has 2 nonzero entries$"):
+                read(index)
+        # a wider window that reads the bad row of the embedded shift
+        # answers "not recognized", as for any failed window scan
+        assert recognize_shift_form(rec.unitary, window=128) is None
 
     @given(st.permutations(list(range(1, 13))),
            st.lists(rationals, min_size=12, max_size=12))

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -58,6 +57,7 @@ from schauderspec import (
     z_translation_permutation,
 )
 from schauderspec.op_algebra import corner_entries
+from schauderspec.records import replace
 from schauderspec.serde import certificate_to_json, sequence_to_json
 from schauderspec.schauder import NOT_INJECTIVE, RANGE_NOT_DENSE, SELF_ADJOINT_NOTE
 
