@@ -256,7 +256,7 @@ class BlockDirectSum(OperatorExpr):
                 ln = cell.length()
                 if ln is None or pos <= ln:
                     return c, pos
-        raise ValueError(f"index {g} not covered by the partition")
+        raise UnsupportedClassError(f"index {g} not covered by the partition")
 
     def entry(self, i, j):
         _check_indices(i, j)
@@ -645,13 +645,13 @@ def _structural_shift(T) -> Optional[ShiftForm]:
         def forward(j: int) -> int:
             hits = T.column_support(j)
             if len(hits) != 1:
-                raise ValueError(f"column {j} is hit by {len(hits)} spreads")
+                raise UnsupportedClassError(f"column {j} is hit by {len(hits)} spreads")
             return hits[0]
 
         def inverse(i: int) -> int:
             hits = T.row_support(i)
             if len(hits) != 1:
-                raise ValueError(f"row {i} is hit by {len(hits)} spreads")
+                raise UnsupportedClassError(f"row {i} is hit by {len(hits)} spreads")
             return hits[0]
 
         perm = Permutation(forward, inverse, "sum-of-spreads", tag=("sum-of-spreads",))

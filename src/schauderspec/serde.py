@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import SpecFormatError
 from .index_maps import (
-    Permutation,
     SpreadSpec,
     identity_permutation,
     one_line_permutation,
@@ -55,7 +55,6 @@ from .sequences import (
     OffsetRule,
     PowerLawRule,
     RepeatedRule,
-    ScalarRule,
     ScaledRule,
 )
 from .spectral import EigenExclusionCertificate
@@ -77,16 +76,21 @@ def _expect_dict(node, path: str) -> dict:
     return node
 
 
-def _expect_key(node: dict, key: str, path: str):
-    if key not in node:
-        raise SpecFormatError(f"missing required key {key!r}", path)
-    return node[key]
-
-
 def _check_no_extra(node: dict, allowed, path: str) -> None:
-    extra = sorted(set(node) - set(allowed))
+    extra = node.keys() - allowed
     if extra:
-        raise SpecFormatError(f"unknown keys {extra}", path)
+        raise SpecFormatError(f"unknown keys {sorted(extra)}", path)
+
+
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _value(node: dict, key: str, default, path: str):
+    """``node[key]``, or ``default`` when ``key`` is absent."""
+    value = node.get(key, default)
+    if value is _REQUIRED:
+        raise SpecFormatError(f"missing required key {key!r}", path)
+    return value
 
 
 def parse_scalar(node, path: str):
@@ -125,99 +129,6 @@ def scalar_to_json(v):
     return v
 
 
-def parse_rule(node, path: str) -> ScalarRule:
-    node = _expect_dict(node, path)
-    tag = _expect_key(node, "rule", path)
-    if tag == "constant":
-        _check_no_extra(node, ("rule", "value"), path)
-        return ConstantRule(parse_scalar(_expect_key(node, "value", path),
-                                         path + ".value"))
-    if tag == "geometric":
-        _check_no_extra(node, ("rule", "scale", "ratio"), path)
-        return GeometricRule(
-            parse_scalar(_expect_key(node, "scale", path), path + ".scale"),
-            parse_scalar(_expect_key(node, "ratio", path), path + ".ratio"),
-        )
-    if tag == "power-law":
-        _check_no_extra(node, ("rule", "scale", "exponent"), path)
-        exponent = node.get("exponent", 1)
-        if isinstance(exponent, bool) or not isinstance(exponent, (int, float)):
-            raise SpecFormatError("exponent must be a number", path + ".exponent")
-        if exponent < 0:
-            raise SpecFormatError("exponent must be >= 0", path + ".exponent")
-        return PowerLawRule(
-            parse_scalar(_expect_key(node, "scale", path), path + ".scale"),
-            exponent,
-        )
-    if tag == "affine":
-        _check_no_extra(node, ("rule", "base", "inner"), path)
-        return AffineRule(
-            parse_scalar(_expect_key(node, "base", path), path + ".base"),
-            parse_rule(_expect_key(node, "inner", path), path + ".inner"),
-        )
-    if tag == "scaled":
-        _check_no_extra(node, ("rule", "factor", "inner"), path)
-        return ScaledRule(
-            parse_scalar(_expect_key(node, "factor", path), path + ".factor"),
-            parse_rule(_expect_key(node, "inner", path), path + ".inner"),
-        )
-    if tag == "offset":
-        _check_no_extra(node, ("rule", "inner", "offset"), path)
-        offset = _expect_key(node, "offset", path)
-        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-            raise SpecFormatError("offset must be an int >= 0", path + ".offset")
-        return OffsetRule(parse_rule(_expect_key(node, "inner", path),
-                                     path + ".inner"), offset)
-    if tag == "repeated":
-        _check_no_extra(node, ("rule", "inner", "times"), path)
-        times = node.get("times", 2)
-        if isinstance(times, bool) or not isinstance(times, int) or times < 1:
-            raise SpecFormatError("times must be an int >= 1", path + ".times")
-        return RepeatedRule(parse_rule(_expect_key(node, "inner", path),
-                                       path + ".inner"), times)
-    if tag == "explicit-then":
-        _check_no_extra(node, ("rule", "prefix", "tail"), path)
-        prefix_node = _expect_key(node, "prefix", path)
-        if not isinstance(prefix_node, list):
-            raise SpecFormatError("prefix must be a list", path + ".prefix")
-        prefix = tuple(
-            parse_scalar(v, f"{path}.prefix[{i}]")
-            for i, v in enumerate(prefix_node)
-        )
-        tail_node = node.get("tail")
-        tail = None if tail_node is None else parse_rule(tail_node, path + ".tail")
-        return ExplicitThenRule(prefix, tail)
-    raise SpecFormatError(f"unknown rule tag {tag!r}", path + ".rule")
-
-
-def parse_sequence(node, path: str) -> IndexSequence:
-    node = _expect_dict(node, path)
-    tag = _expect_key(node, "sequence", path)
-    if tag == "arithmetic":
-        _check_no_extra(node, ("sequence", "start", "step"), path)
-        start = _expect_key(node, "start", path)
-        step = node.get("step", 1)
-        for name, v in (("start", start), ("step", step)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise SpecFormatError(f"{name} must be an int >= 1",
-                                      f"{path}.{name}")
-        return ArithmeticSequence(start, step)
-    if tag == "explicit-prefix":
-        _check_no_extra(node, ("sequence", "prefix", "tail"), path)
-        prefix_node = _expect_key(node, "prefix", path)
-        if not isinstance(prefix_node, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in prefix_node
-        ):
-            raise SpecFormatError("prefix must be a list of ints", path + ".prefix")
-        tail_node = node.get("tail")
-        tail = None if tail_node is None else parse_sequence(tail_node, path + ".tail")
-        try:
-            return ExplicitPrefixSequence(tuple(prefix_node), tail)
-        except ValueError as exc:
-            raise SpecFormatError(str(exc), path + ".prefix") from exc
-    raise SpecFormatError(f"unknown sequence tag {tag!r}", path + ".sequence")
-
-
 def sequence_to_json(seq: IndexSequence) -> dict:
     if isinstance(seq, ArithmeticSequence):
         return {"sequence": "arithmetic", "start": seq.start, "step": seq.step}
@@ -230,101 +141,152 @@ def sequence_to_json(seq: IndexSequence) -> dict:
     return {"sequence": "opaque", "description": seq.describe()}
 
 
-def parse_permutation(node, path: str) -> Permutation:
-    node = _expect_dict(node, path)
-    tag = _expect_key(node, "permutation", path)
-    if tag == "identity":
-        _check_no_extra(node, ("permutation",), path)
-        return identity_permutation()
-    if tag == "sigma-bilateral":
-        _check_no_extra(node, ("permutation",), path)
-        return sigma_bilateral()
-    if tag == "z-translation":
-        _check_no_extra(node, ("permutation", "step"), path)
-        step = _expect_key(node, "step", path)
-        if isinstance(step, bool) or not isinstance(step, int):
-            raise SpecFormatError("step must be an int", path + ".step")
-        return z_translation_permutation(step)
-    if tag == "one-line":
-        _check_no_extra(node, ("permutation", "images"), path)
-        images = _expect_key(node, "images", path)
-        if not isinstance(images, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in images
-        ):
-            raise SpecFormatError("images must be a list of ints", path + ".images")
-        try:
-            return one_line_permutation(images)
-        except ValueError as exc:
-            raise SpecFormatError(str(exc), path + ".images") from exc
-    raise SpecFormatError(f"unknown permutation tag {tag!r}", path + ".permutation")
+def _int(key: str, value, path: str, low=None) -> int:
+    """``value`` if it is an int (not a bool) of at least ``low``, if given."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or low is not None and value < low):
+        raise SpecFormatError(
+            f"{key} must be an int" + ("" if low is None else f" >= {low}"), path)
+    return value
 
 
-def parse_operator(node, path: str) -> OperatorExpr:
+def _ints(key: str, value, path: str) -> tuple:
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise SpecFormatError(f"{key} must be a list of ints", path)
+    return tuple(value)
+
+
+def _exponent(value, path: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecFormatError("exponent must be a number", path)
+    if value < 0:
+        raise SpecFormatError("exponent must be >= 0", path)
+    return value
+
+
+def _list(item, message: str, nonempty=False):
+    """Parser of a list field whose items ``item`` reads, as a tuple."""
+    def parse(value, path):
+        if not isinstance(value, list) or nonempty and not value:
+            raise SpecFormatError(message, path)
+        parsed = []
+        for i, v in enumerate(value):
+            if item in _ROWS:
+                parsed.append(_parse(v, f"{path}[{i}]", item))
+            else:
+                parsed.append(item(v, f"{path}[{i}]"))
+        return tuple(parsed)
+
+    return parse
+
+
+def _unparsed(value, path: str) -> tuple:
+    return value, path
+
+
+def _block_direct_sum(blocks, partition) -> BlockDirectSum:
+    """Both keys are required, and both lists checked, before any item is parsed."""
+    (blocks, blocks_path), (cells, cells_path) = blocks, partition
+    if not isinstance(blocks, list) or not blocks:
+        raise SpecFormatError("blocks must be a nonempty list", blocks_path)
+    if not isinstance(cells, list) or len(cells) != len(blocks):
+        raise SpecFormatError("partition must list one cell per block", cells_path)
+    parsed_blocks, parsed_cells = [], []
+    for i, block in enumerate(blocks):
+        parsed_blocks.append(_parse(block, f"{blocks_path}[{i}]", "operator"))
+    for i, cell in enumerate(cells):
+        parsed_cells.append(_parse(cell, f"{cells_path}[{i}]", "sequence"))
+    return BlockDirectSum(tuple(parsed_blocks), tuple(parsed_cells))
+
+
+# The grammar of the tagged nodes.  For each family: the key that holds
+# the tag, and for each tag the constructor and its fields in the order
+# they are checked, as ``(key, parse)`` or, when the key may be left
+# out, ``(key, parse, default)``; a None default also admits null.
+# ``parse`` is a family name or a function ``parse(value, path)``.  A
+# ValueError of the constructor is a schema error at the first field.
+# docs/formats.md lists the same tags and fields.
+GRAMMAR = {
+    "rule": ("rule", {
+        "constant": (ConstantRule, ("value", parse_scalar)),
+        "geometric": (GeometricRule, ("scale", parse_scalar), ("ratio", parse_scalar)),
+        "power-law": (lambda exponent, scale: PowerLawRule(scale, exponent),
+                      ("exponent", _exponent, 1), ("scale", parse_scalar)),
+        "affine": (AffineRule, ("base", parse_scalar), ("inner", "rule")),
+        "scaled": (ScaledRule, ("factor", parse_scalar), ("inner", "rule")),
+        "offset": (lambda offset, inner: OffsetRule(inner, offset),
+                   ("offset", partial(_int, "offset", low=0)), ("inner", "rule")),
+        "repeated": (lambda times, inner: RepeatedRule(inner, times),
+                     ("times", partial(_int, "times", low=1), 2), ("inner", "rule")),
+        "explicit-then": (ExplicitThenRule,
+                          ("prefix", _list(parse_scalar, "prefix must be a list")),
+                          ("tail", "rule", None)),
+    }),
+    "sequence": ("sequence", {
+        "arithmetic": (ArithmeticSequence, ("start", partial(_int, "start", low=1)),
+                       ("step", partial(_int, "step", low=1), 1)),
+        "explicit-prefix": (ExplicitPrefixSequence, ("prefix", partial(_ints, "prefix")),
+                            ("tail", "sequence", None)),
+    }),
+    "permutation": ("permutation", {
+        "identity": (identity_permutation,),
+        "sigma-bilateral": (sigma_bilateral,),
+        "z-translation": (z_translation_permutation, ("step", partial(_int, "step"))),
+        "one-line": (one_line_permutation, ("images", partial(_ints, "images"))),
+    }),
+    "operator": ("op", {
+        "diagonal": (Diagonal, ("weights", "rule")),
+        "spread": (lambda domain, image: Spread(SpreadSpec(domain, image)),
+                   ("domain", "sequence"), ("image", "sequence")),
+        "permutation-unitary": (PermutationUnitary, ("of", "permutation")),
+        "sum": (Sum, ("terms", _list("operator", "terms must be a nonempty list", True))),
+        "product": (Product, ("left", "operator"), ("right", "operator")),
+        "adjoint": (Adjoint, ("inner", "operator")),
+        "scale": (Scale, ("scalar", parse_scalar), ("inner", "operator")),
+        "lambda-shift": (LambdaShift, ("lambda", parse_scalar), ("inner", "operator")),
+        "block-direct-sum": (_block_direct_sum, ("blocks", _unparsed),
+                             ("partition", _unparsed)),
+        "cibws": (lambda: cibws().to_expr(),),
+    }),
+}
+# family -> (tag key, {tag: (constructor, field triples, allowed keys)})
+_ROWS = {family: (tag_key, {
+    tag: (build, tuple((*field, _REQUIRED)[:3] for field in fields),
+          {tag_key, *(field[0] for field in fields)})
+    for tag, (build, *fields) in rows.items()
+}) for family, (tag_key, rows) in GRAMMAR.items()}
+
+
+def _parse(node, path: str, family: str):
+    """The ``family`` node at ``path``, read by its grammar row.
+
+    Nested nodes and list items come back here from a loop, with no
+    wrapper or comprehension between: before Python 3.12 each would cost
+    a frame per level and halve how deeply a document can nest.
+    """
+    tag_key, rows = _ROWS[family]
     node = _expect_dict(node, path)
-    tag = _expect_key(node, "op", path)
-    if tag == "diagonal":
-        _check_no_extra(node, ("op", "weights"), path)
-        return Diagonal(parse_rule(_expect_key(node, "weights", path),
-                                   path + ".weights"))
-    if tag == "spread":
-        _check_no_extra(node, ("op", "domain", "image"), path)
-        return Spread(SpreadSpec(
-            parse_sequence(_expect_key(node, "domain", path), path + ".domain"),
-            parse_sequence(_expect_key(node, "image", path), path + ".image"),
-        ))
-    if tag == "permutation-unitary":
-        _check_no_extra(node, ("op", "of"), path)
-        return PermutationUnitary(parse_permutation(
-            _expect_key(node, "of", path), path + ".of"))
-    if tag == "sum":
-        _check_no_extra(node, ("op", "terms"), path)
-        terms = _expect_key(node, "terms", path)
-        if not isinstance(terms, list) or not terms:
-            raise SpecFormatError("terms must be a nonempty list", path + ".terms")
-        return Sum(tuple(
-            parse_operator(t, f"{path}.terms[{i}]") for i, t in enumerate(terms)
-        ))
-    if tag == "product":
-        _check_no_extra(node, ("op", "left", "right"), path)
-        return Product(
-            parse_operator(_expect_key(node, "left", path), path + ".left"),
-            parse_operator(_expect_key(node, "right", path), path + ".right"),
-        )
-    if tag == "adjoint":
-        _check_no_extra(node, ("op", "inner"), path)
-        return Adjoint(parse_operator(_expect_key(node, "inner", path),
-                                      path + ".inner"))
-    if tag == "scale":
-        _check_no_extra(node, ("op", "scalar", "inner"), path)
-        return Scale(
-            parse_scalar(_expect_key(node, "scalar", path), path + ".scalar"),
-            parse_operator(_expect_key(node, "inner", path), path + ".inner"),
-        )
-    if tag == "lambda-shift":
-        _check_no_extra(node, ("op", "lambda", "inner"), path)
-        return LambdaShift(
-            parse_scalar(_expect_key(node, "lambda", path), path + ".lambda"),
-            parse_operator(_expect_key(node, "inner", path), path + ".inner"),
-        )
-    if tag == "block-direct-sum":
-        _check_no_extra(node, ("op", "blocks", "partition"), path)
-        blocks = _expect_key(node, "blocks", path)
-        partition = _expect_key(node, "partition", path)
-        if not isinstance(blocks, list) or not blocks:
-            raise SpecFormatError("blocks must be a nonempty list", path + ".blocks")
-        if not isinstance(partition, list) or len(partition) != len(blocks):
-            raise SpecFormatError("partition must list one cell per block",
-                                  path + ".partition")
-        return BlockDirectSum(
-            tuple(parse_operator(b, f"{path}.blocks[{i}]")
-                  for i, b in enumerate(blocks)),
-            tuple(parse_sequence(s, f"{path}.partition[{i}]")
-                  for i, s in enumerate(partition)),
-        )
-    if tag == "cibws":
-        _check_no_extra(node, ("op",), path)
-        return cibws().to_expr()
-    raise SpecFormatError(f"unknown operator tag {tag!r}", path + ".op")
+    tag = _value(node, tag_key, _REQUIRED, path)
+    try:
+        build, fields, allowed = rows[tag]
+    except (KeyError, TypeError):  # an unhashable tag is unknown too
+        raise SpecFormatError(f"unknown {family} tag {tag!r}",
+                              f"{path}.{tag_key}") from None
+    _check_no_extra(node, allowed, path)
+    values = []
+    for key, parse, default in fields:
+        value = _value(node, key, default, path)
+        if value is None and default is None:
+            values.append(None)
+        elif parse in _ROWS:
+            values.append(_parse(value, f"{path}.{key}", parse))
+        else:
+            values.append(parse(value, f"{path}.{key}"))
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc), f"{path}.{fields[0][0]}") from exc
 
 
 # The run parameters, one row each: the key (a document's ``params`` key
@@ -379,57 +341,55 @@ def parse_params(node, path: str) -> dict:
     return dict(node)
 
 
-def parse_spec_document(doc) -> ParsedSpec:
-    doc = _expect_dict(doc, "$")
-    _check_no_extra(doc, ("version", "operator", "analysis", "params"), "$")
-    version = _expect_key(doc, "version", "$")
-    if version != 1:
-        raise SpecFormatError(f"unsupported version {version!r}", "$.version")
-    analysis = _expect_key(doc, "analysis", "$")
-    if analysis not in ANALYSES:
+def _version(value, path: str) -> int:
+    if value != 1:
+        raise SpecFormatError(f"unsupported version {value!r}", path)
+    return 1  # a version of true or 1.0 passes, and is stored as 1
+
+
+def _analysis(value, path: str) -> str:
+    if value not in ANALYSES:
         raise SpecFormatError(
-            f"unknown analysis {analysis!r}; expected one of {list(ANALYSES)}",
-            "$.analysis",
-        )
-    operator = parse_operator(_expect_key(doc, "operator", "$"), "$.operator")
-    params = parse_params(doc.get("params"), "$.params")
-    return ParsedSpec(version=1, operator=operator, analysis=analysis,
-                      params=params, raw=doc)
+            f"unknown analysis {value!r}; expected one of {list(ANALYSES)}", path)
+    return value
+
+
+# The document's sections as ``(key, parse, default)`` fields, in the
+# order they are read: parse_spec_document stops at the first error,
+# validate_document lists them all.
+SECTIONS = (
+    ("version", _version, _REQUIRED),
+    ("analysis", _analysis, _REQUIRED),
+    ("operator", partial(_parse, family="operator"), _REQUIRED),
+    ("params", parse_params, None),
+)
+
+
+def _sections(doc, parsed: dict):
+    """Yield the schema error of each faulty section; fill ``parsed`` with the rest."""
+    try:
+        _check_no_extra(_expect_dict(doc, "$"), {s[0] for s in SECTIONS}, "$")
+    except SpecFormatError as exc:
+        yield exc
+        if not isinstance(doc, dict):
+            return
+    for key, parse, default in SECTIONS:
+        try:
+            parsed[key] = parse(_value(doc, key, default, "$"), f"$.{key}")
+        except SpecFormatError as exc:
+            yield exc
+
+
+def parse_spec_document(doc) -> ParsedSpec:
+    parsed = {}
+    for exc in _sections(doc, parsed):
+        raise exc
+    return ParsedSpec(raw=doc, **parsed)
 
 
 def validate_document(doc) -> list:
-    """All schema diagnostics found by sectionwise parsing."""
-    diagnostics = []
-    try:
-        doc = _expect_dict(doc, "$")
-    except SpecFormatError as exc:
-        return [(exc.path, exc.message)]
-    try:
-        _check_no_extra(doc, ("version", "operator", "analysis", "params"), "$")
-    except SpecFormatError as exc:
-        diagnostics.append((exc.path, exc.message))
-    if "version" not in doc:
-        diagnostics.append(("$", "missing required key 'version'"))
-    elif doc["version"] != 1:
-        diagnostics.append(("$.version", f"unsupported version {doc['version']!r}"))
-    try:
-        analysis = _expect_key(doc, "analysis", "$")
-        if analysis not in ANALYSES:
-            raise SpecFormatError(
-                f"unknown analysis {analysis!r}; expected one of {list(ANALYSES)}",
-                "$.analysis",
-            )
-    except SpecFormatError as exc:
-        diagnostics.append((exc.path, exc.message))
-    try:
-        parse_operator(_expect_key(doc, "operator", "$"), "$.operator")
-    except SpecFormatError as exc:
-        diagnostics.append((exc.path, exc.message))
-    try:
-        parse_params(doc.get("params"), "$.params")
-    except SpecFormatError as exc:
-        diagnostics.append((exc.path, exc.message))
-    return diagnostics
+    """The ``(path, message)`` of every section's schema error, in order."""
+    return [(exc.path, exc.message) for exc in _sections(doc, {})]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from schauderspec import cibws, replay_shift_certificate, truncate_complex
 from schauderspec import CertificateGridConfig, cli, errors
 from schauderspec.cli import main
 from schauderspec.serde import (
+    GRAMMAR,
     RUN_PARAMS,
     parse_spec_document,
     validate_document,
@@ -392,6 +393,47 @@ class TestRun:
         assert block == {"kind": "unsupported-class", "exitCode": 2,
                          "message": "column 100 has 2 nonzero entries"}
 
+    def test_row_past_the_window_hit_by_two_spreads_is_unsupported(self, tmp_path):
+        # the identity spread plus {100, 101, ..} -> {101, 102, ..}: the
+        # sum of spreads keeps its own permutation, which the window
+        # check passes; row 101 is hit twice, read only by a walk
+        def spread(domain, image):
+            return {"op": "spread",
+                    "domain": {"sequence": "arithmetic", "start": domain, "step": 1},
+                    "image": {"sequence": "arithmetic", "start": image, "step": 1}}
+
+        spec = write_spec(tmp_path, "late-double-row.json", {
+            "version": 1, "analysis": "deflate",
+            "params": {"grid-moduli": 2, "grid-phases": 2, "truncation": 128},
+            "operator": {"op": "product",
+                         "left": {"op": "sum", "terms": [spread(1, 1), spread(100, 101)]},
+                         "right": diag_spec()["operator"]},
+        })
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 2
+        block = json.loads((out / "report.json").read_text())["error"]
+        assert block == {"kind": "unsupported-class", "exitCode": 2,
+                         "message": "row 101 is hit by 2 spreads"}
+
+    @pytest.mark.parametrize("analysis, flags, message", [
+        ("schauder-spectrum", ["--csv"], "index 2 not covered by the partition"),
+        ("deflate", [], "operator is not recognizable as a permutation-weighted form"),
+    ])
+    def test_partition_that_misses_an_index(self, tmp_path, analysis, flags, message):
+        # both cells are the odd numbers: the matrix dump reads row 2,
+        # which no cell holds; recognition takes that as not recognized
+        odds = {"sequence": "arithmetic", "start": 1, "step": 2}
+        spec = write_spec(tmp_path, "odds-twice.json", {
+            "version": 1, "analysis": analysis, "params": dict(SMALL_PARAMS),
+            "operator": {"op": "block-direct-sum",
+                         "blocks": [diag_spec()["operator"], diag_spec()["operator"]],
+                         "partition": [odds, odds]},
+        })
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out), *flags]) == 2
+        block = json.loads((out / "report.json").read_text())["error"]
+        assert block == {"kind": "unsupported-class", "exitCode": 2, "message": message}
+
     @pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys, out):
         spec = write_spec(tmp_path, "diag.json", diag_spec())
@@ -502,6 +544,56 @@ class TestRunParams:
         assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
+def _bare(text: str) -> str:
+    """``text`` without its parenthesized asides."""
+    while True:
+        bare = re.sub(r"\([^()]*\)", "", text)
+        if bare == text:
+            return text
+        text = bare
+
+
+def _named(text: str) -> tuple:
+    """The first name in backticks in ``text``, and the set of the others.
+
+    Asides in parentheses and whatever follows a dash are left out.
+    """
+    names = re.findall(r"`([^`]*)`", _bare(text).split("—")[0])
+    return names[0], set(names[1:])
+
+
+def _format_section(lead: str) -> str:
+    text = (REPO / "docs" / "formats.md").read_text()
+    text = text[text.index(lead) + len(lead):]
+    return text[:text.index("\n###")]
+
+
+def _documented_grammar(family: str) -> dict:
+    """Each tag that docs/formats.md lists for ``family``, with its fields."""
+    if family in ("rule", "operator"):  # tables: tag, then fields
+        lead = {"rule": '### Sequence rules (`"rule"`)', "operator": '### Operators (`"op"`)'}
+        items = [" | ".join(row.split(" | ")[:2])
+                 for row in _format_section(lead[family]).splitlines()
+                 if row.startswith("| `")]
+    elif family == "sequence":  # one bullet a tag
+        items = _format_section('### Index sequences (`"sequence"`)').split("\n* ")[1:]
+    else:  # one paragraph: `tag` or `tag` with `field`, comma-separated
+        items = _bare(_format_section('### Permutations (`"permutation"`)')).split(",")
+    named = [_named(item) for item in items]
+    assert len({tag for tag, _fields in named}) == len(named), named
+    return dict(named)
+
+
+class TestGrammarDocs:
+    """docs/formats.md lists the grammar's tags and fields, no more and no fewer."""
+
+    @pytest.mark.parametrize("family", sorted(GRAMMAR))
+    def test_each_tag_is_listed_with_its_fields(self, family):
+        _tag_key, rows = GRAMMAR[family]
+        assert _documented_grammar(family) == {
+            tag: {field[0] for field in fields} for tag, (_build, *fields) in rows.items()}
+
+
 class TestValidate:
     def test_valid_document(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "ok.json", cibws_spec())
@@ -579,6 +671,12 @@ class TestSerde:
 
     def test_validate_document_clean(self):
         assert validate_document(cibws_spec()) == []
+
+    @pytest.mark.parametrize("version", [1, 1.0, True])
+    def test_version_is_stored_as_the_int_1(self, version):
+        # 1.0 and true pass the ``!= 1`` check; they are not kept as given
+        doc = dict(cibws_spec(), version=version)
+        assert repr(parse_spec_document(doc).version) == "1"
 
 
 class TestGoldens:

@@ -398,7 +398,7 @@ class TestSumOfSpreadsShift:
                 if len(hits) == 1:
                     assert step(k) == hits[0]
                 else:
-                    with pytest.raises(ValueError,
+                    with pytest.raises(UnsupportedClassError,
                                        match=f"^{line} {k} is hit by {len(hits)} spreads$"):
                         step(k)
 
@@ -408,7 +408,7 @@ class TestSumOfSpreadsShift:
         perm = op_algebra._structural_shift(T).perm
         assert [perm.inverse(i) for i in (1, 2, 3, 10, 11)] == [1, 2, 3, 4, 5]
         assert perm.forward(5) == 11
-        with pytest.raises(ValueError, match="^row 5 is hit by 0 spreads$"):
+        with pytest.raises(UnsupportedClassError, match="^row 5 is hit by 0 spreads$"):
             perm.inverse(5)
 
     def test_sigma_spreads_recognized(self):
