@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (
@@ -45,6 +46,7 @@ from .serde import (
     report_to_json,
     sequence_to_json,
     validate_document,
+    walk_key,
     write_report,
 )
 from .spectral import (
@@ -122,7 +124,7 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
             ],
             "notes": list(result.notes),
             "schauderSpectrum": {"kind": "empty"},
-            "certificates": [certificate_to_json(c) for c in result.certificates],
+            "certificates": list(result.certificates),
         }
     if spec.analysis == "certify":
         rec = recognize_shift_form(spec.operator, window=64)
@@ -133,10 +135,7 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
         certs = grid_certificates(
             rec.shift, lambda_grid(cfg, sup_abs_weight(rec.shift.weights)),
             cfg.bound, cfg.step_cap)
-        return {
-            "analysis": spec.analysis,
-            "certificates": [certificate_to_json(c) for c in certs],
-        }
+        return {"analysis": spec.analysis, "certificates": list(certs)}
     raise UnsupportedClassError(f"unknown analysis {spec.analysis!r}")
 
 
@@ -148,20 +147,41 @@ def _write_csv(path: Path, header: list, rows) -> str:
     return path.name
 
 
+def _write_certificates(path: Path, certs) -> str:
+    """``certificates.csv`` from the records: csv.writer renders each walk's
+    row tail once, and float lambdas, which need no quoting, go in front."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
+    writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime", "block",
+                     "witness_index", "magnitude", "bound"])
+    text, tails = float_texts(repr), {}  # walk key -> tail text
+    for cert in certs:
+        key = walk_key(cert)[0]
+        tail = tails.get(key)
+        if tail is None:
+            c = certificate_to_json(cert)
+            writer.writerow([c["side"], c["kind"], c["regime"], c["details"].get("block", 0),
+                             c["witnessIndex"], text(c["magnitude"]), text(c["bound"])])
+            tail = lines.pop()
+            if key is not None:
+                tails[key] = tail
+        re, im = cert.lam.real, cert.lam.imag
+        if type(re) is not float or type(im) is not float:
+            writer.writerow([text(re), text(im)])  # quoted where needed
+            lines.append(f"{lines.pop()[:-2]},{tail}")
+        else:
+            lines.append(f"{text(re)},{text(im)},{tail}")
+    with path.open("w", newline="") as fh:
+        fh.write("".join(lines))
+    return path.name
+
+
 def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> list:
     written = []
     certs = results.get("certificates") or results.get("report", {}).get(
         "certificates", [])
     if certs:
-        text = float_texts(repr)
-        written.append(_write_csv(outdir / "certificates.csv", [
-            "lambda_re", "lambda_im", "side", "kind", "regime", "block",
-            "witness_index", "magnitude", "bound",
-        ], ([
-            text(c["lambdaRe"]), text(c["lambdaIm"]), c["side"],
-            c["kind"], c["regime"], c["details"].get("block", 0),
-            c["witnessIndex"], text(c["magnitude"]), text(c["bound"]),
-        ] for c in certs)))
+        written.append(_write_certificates(outdir / "certificates.csv", certs))
     # Row-major over the numerically nonzero entries; the eigensolve reads
     # the same entries, and builds a dense corner only to fall back on LAPACK.
     entries = corner_entries(spec.operator, truncation)

@@ -42,14 +42,12 @@ def conjugate(z: Scalar) -> Scalar:
 
 def log_abs(z: Scalar) -> float:
     """log|z|, safe for exact rationals far outside float range."""
-    if isinstance(z, Fraction):
+    # exact floats and complexes skip the isinstance of the Fraction ABC
+    if (type(z) is not float and type(z) is not complex
+            and isinstance(z, (int, Fraction))):
         if z == 0:
             raise ValueError("log of zero")
         return math.log(abs(z.numerator)) - math.log(z.denominator)
-    if isinstance(z, int):
-        if z == 0:
-            raise ValueError("log of zero")
-        return math.log(abs(z))
     a = abs(z)
     if a == 0.0:
         raise ValueError("log of zero")
@@ -178,10 +176,11 @@ class PowerLawRule(ScalarRule):
     def value(self, n: int) -> Scalar:
         if n < 1:
             raise ValueError("rule index must be >= 1")
-        p = self.exponent
-        if isinstance(p, int) and isinstance(self.scale, (int, Fraction)):
-            return self.scale * Fraction(1, n ** p)
-        return self.scale / n ** p
+        p, scale = self.exponent, self.scale
+        if (isinstance(p, int) and type(scale) is not float
+                and isinstance(scale, (int, Fraction))):
+            return scale * Fraction(1, n ** p)
+        return scale / n ** p
 
     def limit(self):
         if self.scale == 0 or self.exponent > 0:

@@ -9,11 +9,14 @@ offending node.
 
 from __future__ import annotations
 
+import io
+import marshal
 import math
 import os
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import SpecFormatError
@@ -117,7 +120,10 @@ def parse_scalar(node, path: str):
             if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in (re, im)):
                 raise SpecFormatError("complex parts must be numbers", path)
-            return complex(re, im)
+            try:
+                return complex(re, im)
+            except OverflowError:  # an int part beyond the float range
+                raise SpecFormatError("complex parts must fit a float", path) from None
     raise SpecFormatError("expected a number, fraction, or complex object", path)
 
 
@@ -160,6 +166,8 @@ def _ints(key: str, value, path: str) -> tuple:
 def _exponent(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFormatError("exponent must be a number", path)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecFormatError("exponent must be finite", path)
     if value < 0:
         raise SpecFormatError("exponent must be >= 0", path)
     return value
@@ -444,7 +452,7 @@ def report_to_json(report: SchauderSpectrumReport) -> dict:
         "coveredRegion": report.covered_region,
         "notes": list(report.notes),
         "certificateCount": len(report.certificates),
-        "certificates": [certificate_to_json(c) for c in report.certificates],
+        "certificates": list(report.certificates),
     }
 
 
@@ -473,9 +481,13 @@ def _token(o):
     if isinstance(o, float):
         token = float.__repr__(o)
         return _NONFINITE.get(token, token)
-    if isinstance(o, (list, tuple, dict)):
+    if isinstance(o, (list, tuple, dict, EigenExclusionCertificate)):
         return None
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+class _Slot(str):  # the token of a value that a certificate frame leaves open
+    pass
 
 
 # Token functions of the exact JSON types but float, whose tokens
@@ -488,7 +500,34 @@ _TOKENS = {
     dict: None,
     list: None,
     tuple: None,
+    EigenExclusionCertificate: None,
+    _Slot: str,
 }
+# The values that change along one walk's certificates: lambdaRe, lambdaIm
+# and the details' adjoint_lambda re and im.  JSON text never holds a \x01.
+_SLOTS = [_Slot(f"\x01{i}") for i in range(4)]
+_WALK_FIELDS = attrgetter("witness_index", "attained_magnitude", "recurrence_kind",
+                          "bound", "regime", "start_index", "side", "covered_region")
+
+
+def walk_key(cert: EigenExclusionCertificate) -> tuple:
+    """``(key, adjoint)``: certificates of one key have the same text but for
+    ``lam`` and ``adjoint``, the details' ``adjoint_lambda`` if an exact complex.
+
+    The key is the ``marshal`` bytes of the rest, which keep exact types and
+    float bits: ``0.0`` and ``-0.0``, or ``1``, ``1.0`` and ``True``, never share
+    one.  It is None, and matches nothing, if ``marshal`` refuses a value.
+    """
+    details = dict(cert.details)  # as certificate_to_json reads them
+    adjoint = details.get("adjoint_lambda")
+    if type(adjoint) is complex:
+        details["adjoint_lambda"] = None
+    else:
+        adjoint = None
+    try:
+        return marshal.dumps((_WALK_FIELDS(cert), details, adjoint is None), 2), adjoint
+    except ValueError:
+        return None, adjoint
 
 
 def _float_token(x: float) -> str:
@@ -532,16 +571,54 @@ def write_report(path, report) -> None:
     parts to the file every ``_FLUSH_PARTS`` parts.  It goes to a
     temporary file beside ``path`` that replaces ``path`` only once it is
     complete, so a reader never sees a partial report.  Unlike
-    ``json.dumps`` it does not look for reference cycles.
+    ``json.dumps`` it does not look for reference cycles.  A certificate
+    record is written as its ``certificate_to_json``: its walk's text once
+    per indent, as a frame that each certificate fills in (``walk_key``).
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     parts = []
     key_heads = {}  # str key -> '"key": '
-    token_of = {**_TOKENS, float: float_texts(_float_token)}.get
+    float_text = float_texts(_float_token)
+    token_of = {**_TOKENS, float: float_text}.get
+    frames = {}  # (walk key, indent) -> (text segments, slot picker)
+
+    def certificate(cert, nl):
+        # Emit a walk's text once per indent, with slot tokens, and split it
+        # there; what that emit flushes goes to a buffer, not to the file.
+        nonlocal parts, fh
+        key, adjoint = walk_key(cert)
+        frame = frames.get((key, nl))
+        if frame is None:
+            doc = certificate_to_json(cert)
+            doc["lambdaRe"], doc["lambdaIm"] = _SLOTS[:2]
+            if adjoint is not None:
+                doc["details"]["adjoint_lambda"] = {"re": _SLOTS[2], "im": _SLOTS[3]}
+            saved, parts, fh = (parts, fh), [], io.StringIO()
+            emit(doc, nl)
+            text = (fh.getvalue() + "".join(parts)).split("\x01")
+            parts, fh = saved
+            frame = ([text[0], *[s[1:] for s in text[1:]]],
+                     itemgetter(*[int(s[0]) for s in text[1:]]))
+            if key is not None:
+                frames[key, nl] = frame
+        segments, pick = frame
+        lam = cert.lam
+        values = (lam.real, lam.imag) if adjoint is None else (
+            lam.real, lam.imag, adjoint.real, adjoint.imag)
+        pieces = [None] * (2 * len(segments) - 1)
+        pieces[::2] = segments
+        # a complex lambda's parts are exact floats
+        pieces[1::2] = map(float_text if type(lam) is complex else _token,
+                           pick(values))
+        parts += pieces
 
     def emit(o, nl):
-        # Append the text of the container ``o``, which opens at indent ``nl``.
+        # Append the text of the container or certificate ``o``, which
+        # opens at indent ``nl``.
+        if isinstance(o, EigenExclusionCertificate):
+            certificate(o, nl)
+            return
         if not o:
             parts.append("{}" if isinstance(o, dict) else "[]")
             return

@@ -18,12 +18,14 @@ from schauderspec.cli import main
 from schauderspec.serde import (
     GRAMMAR,
     RUN_PARAMS,
+    certificate_to_json,
     parse_spec_document,
     validate_document,
     write_report,
 )
 from schauderspec.errors import ConvergenceFailureError, SpecFormatError
 from schauderspec.records import replace
+from schauderspec.spectral import EigenExclusionCertificate
 
 REPO = Path(__file__).resolve().parent.parent
 SMALL_PARAMS = {"grid-moduli": 4, "grid-phases": 4}
@@ -162,22 +164,20 @@ class TestRun:
         import io
 
         from schauderspec import grid_certificates
-        from schauderspec.serde import certificate_to_json
 
         spec = parse_spec_document(cibws_spec())
         grid = [complex(re, im) for re, im in
                 [(0.5, 0.0), (0.5, -0.0), (-0.5, -0.0), (-0.5, 0.0),
                  (0.0, 2.0), (-0.0, 2.0), (-0.0, -2.0), (0.5, 0.0), (0.5, -0.0)]]
-        certs = [certificate_to_json(c)
-                 for c in grid_certificates(cibws(), grid, 1e12)]
+        records = list(grid_certificates(cibws(), grid, 1e12))
         written = cli._write_csv_artifacts(tmp_path, spec,
-                                           {"certificates": certs}, 16)
+                                           {"certificates": records}, 16)
         assert written[0] == "certificates.csv"
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime",
                          "block", "witness_index", "magnitude", "bound"])
-        for c in certs:
+        for c in map(certificate_to_json, records):
             writer.writerow([repr(c["lambdaRe"]), repr(c["lambdaIm"]), c["side"],
                              c["kind"], c["regime"], c["details"].get("block", 0),
                              c["witnessIndex"], repr(c["magnitude"]),
@@ -817,6 +817,121 @@ class TestWriteReport:
                      *flags]) == code
         text = (out / "report.json").read_text()
         assert stdlib_text(json.loads(text)) == text
+
+
+# Certificate records with repeated walks: values that compare equal but
+# print differently (signed zeros, 1 / 1.0 / True, 1 / Fraction(1)), nan and
+# infinities, Fraction and complex details, block tags, constant floors.
+_cert_numbers = st.sampled_from(
+    [0.0, -0.0, 1, 1.0, True, math.nan, math.inf, -math.inf, 1e100, 2.5, 0])
+_detail_values = _cert_numbers | st.sampled_from(
+    [Fraction(1, 2), Fraction(1), Fraction(0), complex(1, 0.0), complex(1, -0.0),
+     complex(-0.0, 2), 1j, None, "x", "a,b"]) | st.builds(complex, _floats, _floats)
+_walks = st.fixed_dictionaries({
+    "witness_index": st.sampled_from([1, 1.0, True, 2, 0]),
+    "attained_magnitude": _cert_numbers,
+    "recurrence_kind": st.sampled_from(["scalar-shift", "block-norm", 'q"uote']),
+    "bound": _cert_numbers,
+    "regime": st.sampled_from(["forward-orbit", "constant-floor", "back,ward"]),
+    "start_index": st.sampled_from([1, 1.0, True]),
+    "side": st.sampled_from(["direct", "adjoint"]),
+    "covered_region": st.sampled_from(["circle |lambda| = 0.5", "", "{x}\n"]),
+    "details": st.lists(st.tuples(
+        st.sampled_from(["log_magnitude", "block", "scaled_unitary",
+                         "adjoint_lambda", "{0}"]),
+        _detail_values), max_size=4).map(tuple),
+})
+_lambdas = (st.builds(complex, _floats, _floats)
+            | st.sampled_from([0.5, -0.0, 2, complex(-0.0, -0.0)]))
+
+
+@st.composite
+def _certificate_lists(draw, lambdas=_lambdas):
+    """Certificates over a few walks, each drawn again with a new lambda and,
+    where its details hold a complex ``adjoint_lambda``, a new one of those."""
+    walks = draw(st.lists(_walks, min_size=1, max_size=3))
+    certs = []
+    for walk in draw(st.lists(st.sampled_from(walks), min_size=1, max_size=10)):
+        details = tuple(
+            (k, draw(st.builds(complex, _floats, _floats)))
+            if k == "adjoint_lambda" and type(v) is complex else (k, v)
+            for k, v in walk["details"])
+        certs.append(EigenExclusionCertificate(
+            lam=draw(lambdas), **{**walk, "details": details}))
+    return certs
+
+
+def _floor(lam, bound=0.0, block=1, value=0.5):
+    # a scaled-unitary block's certificate on its circle
+    return EigenExclusionCertificate(
+        lam=lam, witness_index=1, attained_magnitude=1.0,
+        recurrence_kind="scalar-shift", bound=bound, regime="constant-floor",
+        side="direct", covered_region=f"circle |lambda| = {value!r}",
+        details=(("block", block), ("scaled_unitary", value)))
+
+
+# pairs that a key on equal values alone would merge
+_ALIASES = [
+    _floor(0.5j), _floor(0.5j, bound=-0.0),
+    _floor(-0.5j, block=True), _floor(0.5, block=1.0),
+    _floor(1j, value=-0.0), _floor(1j, value=0.0),
+    _floor(2j), replace(_floor(2j), witness_index=True),
+    replace(_floor(2j), side="adjoint",
+            details=(("adjoint_lambda", complex(0.0, -0.0)), ("block", 1))),
+    replace(_floor(2j), side="adjoint",
+            details=(("adjoint_lambda", complex(-0.0, 0.0)), ("block", 1))),
+    replace(_floor(2j), details=(("adjoint_lambda", None),)),
+    replace(_floor(2j), details=(("adjoint_lambda", 1j),)),
+]
+
+
+class TestCertificateRecords:
+    """Certificate records are written as their ``certificate_to_json``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_certificate_lists())
+    @example(_ALIASES)
+    @example([_floor(0.5j, value=Fraction(1, 2)), _floor(0.5j, value=Fraction(1, 2))])
+    def test_report_is_stdlib_encoding_of_the_json_form(self, tmp_path_factory, certs):
+        tmp_path = tmp_path_factory.mktemp("w")
+        as_json = [certificate_to_json(c) for c in certs]
+        for tree, want in ((certs, as_json),
+                           ({"a": {"b": certs}, "c": certs[::-1], "d": certs[0]},
+                            {"a": {"b": as_json}, "c": as_json[::-1], "d": as_json[0]})):
+            assert written_text(tmp_path, tree) == stdlib_text(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_certificate_lists(_lambdas | st.sampled_from([Fraction(1, 3), 7])))
+    @example(_ALIASES)
+    def test_csv_rows_are_the_plain_csv_writer_rows(self, tmp_path_factory, certs):
+        import csv
+        import io
+
+        path = tmp_path_factory.mktemp("w") / "certificates.csv"
+        assert cli._write_certificates(path, certs) == "certificates.csv"
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime",
+                         "block", "witness_index", "magnitude", "bound"])
+        for c in map(certificate_to_json, certs):
+            writer.writerow([repr(c["lambdaRe"]), repr(c["lambdaIm"]), c["side"],
+                             c["kind"], c["regime"], c["details"].get("block", 0),
+                             c["witnessIndex"], repr(c["magnitude"]),
+                             repr(c["bound"])])
+        assert path.read_bytes().decode() == want.getvalue()
+
+    def test_long_detail_list_streams_in_chunks(self, tmp_path):
+        # the frame's own emit passes the flush threshold
+        cert = replace(_floor(1j), details=(("rows", list(range(5000))),))
+        certs = [cert, replace(cert, lam=2j), cert]
+        assert written_text(tmp_path, {"c": certs}) == stdlib_text(
+            {"c": [certificate_to_json(c) for c in certs]})
+
+    def test_unserializable_detail_raises_type_error(self, tmp_path):
+        cert = replace(_floor(1j), details=(("block", {1, 2}),))
+        with pytest.raises(TypeError, match="Object of type set"):
+            write_report(tmp_path / "report.json", [cert, cert])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestColdStart:

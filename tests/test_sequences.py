@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from schauderspec import (
     RepeatedRule,
     ScaledRule,
 )
-from schauderspec.sequences import _abs_exact, _first_zero
+from schauderspec.sequences import _abs_exact, _first_zero, log_abs
 
 
 def reference_merge(finite_parts, rule_parts, count):
@@ -243,3 +244,35 @@ class TestFirstZero:
 
     def test_other_leaves_place_no_zero(self):
         assert _first_zero(ScaledRule(0, PowerLawRule(1, 1))) is None
+
+
+class MyFraction(Fraction):
+    pass
+
+
+class TestExactPaths:
+    """Exact floats and complexes skip the Fraction check; exact values,
+    subclasses of Fraction and int included, keep the exact path."""
+
+    @pytest.mark.parametrize("z, want", [
+        (MyFraction(10 ** 400, 3), 400 * math.log(10) - math.log(3)),
+        (Fraction(1, 10 ** 400), -400 * math.log(10)),
+        (10 ** 400, 400 * math.log(10)),
+        (True, 0.0),
+        (-2.5, math.log(2.5)),
+        (complex(3, -4), math.log(5)),
+    ])
+    def test_log_abs(self, z, want):
+        assert math.isclose(log_abs(z), want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, 0j, Fraction(0), MyFraction(0)])
+    def test_log_abs_of_zero(self, zero):
+        with pytest.raises(ValueError, match="log of zero"):
+            log_abs(zero)
+
+    def test_power_law_value(self):
+        exact = PowerLawRule(MyFraction(1, 2), 2).value(3)
+        assert exact == Fraction(1, 18) and isinstance(exact, Fraction)
+        assert PowerLawRule(0.5, 2).value(3) == 0.5 / 9
+        assert PowerLawRule(1j, 1).value(2) == 0.5j
+        assert PowerLawRule(3, 0.5).value(4) == 1.5
