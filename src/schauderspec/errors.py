@@ -47,19 +47,13 @@ class NotCompactError(SchauderSpecError):
 class ConvergenceFailureError(SchauderSpecError):
     """An iterative numeric routine did not converge within its cap.
 
-    ``infinite_product`` sets ``terms`` (the factors multiplied),
-    ``tail_bound`` (the last certified tail bound, ``inf`` while the tail
-    was too large to bound) and ``tol``.  The residual check of
-    ``dense_eigs`` sets ``failing`` (eigenpairs over the bound),
-    ``worst_residual`` (the largest ``||Mx - lam x|| / (||M|| ||x||)``)
-    and ``tol``.
+    The residual check of ``dense_eigs`` sets ``failing`` (eigenpairs
+    over the bound), ``worst_residual`` (the largest ``||Mx - lam x|| /
+    (||M|| ||x||)``) and ``tol``.
     """
 
-    def __init__(self, message: str, terms=None, tail_bound=None,
-                 failing=None, worst_residual=None, tol=None):
+    def __init__(self, message: str, failing=None, worst_residual=None, tol=None):
         super().__init__(message)
-        self.terms = terms
-        self.tail_bound = tail_bound
         self.failing = failing
         self.worst_residual = worst_residual
         self.tol = tol

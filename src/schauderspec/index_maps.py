@@ -1,15 +1,17 @@
 """Bijections of N, spreads, and multiplicity bookkeeping.
 
-A spread moves the basis vectors indexed by one increasing set onto
-those indexed by another and annihilates the rest; permutation
-unitaries decompose into sums of spreads with increasing pieces.  The
-decomposition here is a greedy patience-style scan: each pair ``(a,
-p(a))`` lands on the first open spread whose last pair it dominates in
-both coordinates, else opens a new spread.
+A permutation is data, a translation of Z after a finitely supported
+permutation, whose orbits are decided exactly.  A spread moves the basis
+vectors indexed by one increasing set onto those indexed by another;
+permutation unitaries decompose greedily into spreads with increasing
+pieces, each pair ``(a, p(a))`` joining the first spread whose last pair
+it dominates in both coordinates.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyInputError
@@ -29,101 +31,97 @@ from .sequences import (
 
 def interleave_z(j: int) -> int:
     """Bijection Z -> N: nonnegative j to odd 2j+1, negative j to even 2|j|."""
-    if j >= 0:
-        return 2 * j + 1
-    return -2 * j
+    return 2 * j + 1 if j >= 0 else -2 * j
 
 
 def deinterleave(n: int) -> int:
     """Two-sided inverse of :func:`interleave_z`."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    if n % 2 == 1:
-        return (n - 1) // 2
-    return -(n // 2)
+    return (n - 1) // 2 if n % 2 else -(n // 2)
 
 
 @record
 class Permutation:
-    """A total bijection of N with lazily evaluated direction maps.
+    """A bijection of N, held as data where it can be.
 
-    ``tag`` records how it was built: a named construction such as
-    ``("z-translation", step)``, ``("compose", p, q)``, ``("inverse", p)``,
-    or a leaf known only by its maps, ``("sum-of-spreads",)`` or ``("scanned",)``.
+    Without ``maps`` it is ``tau_shift o f`` on Z, read through
+    :func:`interleave_z`: a translation by ``shift`` after the permutation
+    ``f`` of Z whose moved points are ``moves``, sorted pairs ``(j, f(j))``.
+    Every permutation a document builds has this form.  With ``maps =
+    (forward, inverse)`` it is opaque: it composes by closure and has no
+    orbit structure.
     """
 
-    forward_fn: Callable[[int], int]
-    inverse_fn: Callable[[int], int]
+    shift: int
+    moves: tuple
     description: str
-    tag: tuple
+    maps: Optional[tuple] = None
+
+    def __post_init__(self):
+        f = dict(self.moves)
+        _set = object.__setattr__
+        _set(self, "_f", f)
+        _set(self, "_f_inverse", {v: j for j, v in self.moves})
+        # past the bound p is tau_shift alone: odd k -> k + 2s, even k -> k - 2s
+        largest = max(map(interleave_z, f), default=0)
+        _set(self, "_bound", math.inf if self.maps else 2 * abs(self.shift) + largest)
+        _set(self, "_step", 2 * self.shift)
 
     def forward(self, k: int) -> int:
+        if k > self._bound:
+            return k + self._step if k & 1 else k - self._step
         if k < 1:
             raise ValueError("permutation argument must be >= 1")
-        return self.forward_fn(k)
+        if self.maps:
+            return self.maps[0](k)
+        j = deinterleave(k)
+        return interleave_z(self._f.get(j, j) + self.shift)
 
     def inverse(self, k: int) -> int:
+        if k > self._bound:
+            return k - self._step if k & 1 else k + self._step
         if k < 1:
             raise ValueError("permutation argument must be >= 1")
-        return self.inverse_fn(k)
+        if self.maps:
+            return self.maps[1](k)
+        j = deinterleave(k) - self.shift
+        return interleave_z(self._f_inverse.get(j, j))
 
-    def verify_window(self, n: int) -> None:
-        """Check two-sided inverse consistency and injectivity on [1..n]."""
-        seen = {}
-        for k in range(1, n + 1):
-            fk = self.forward(k)
-            if fk < 1:
-                raise ValueError(f"forward({k}) = {fk} not in N")
-            if self.inverse(fk) != k:
-                raise ValueError(f"inverse(forward({k})) != {k}")
-            if self.forward(self.inverse(k)) != k:
-                raise ValueError(f"forward(inverse({k})) != {k}")
-            if fk in seen:
-                raise ValueError(f"forward not injective: {seen[fk]}, {k} -> {fk}")
-            seen[fk] = k
+    @property
+    def is_identity(self) -> bool:
+        return not (self.shift or self.moves or self.maps)
+
+    @property
+    def tag(self) -> tuple:  # ("identity",) exactly for the identity
+        return ("identity",) if self.is_identity else (self.shift, self.moves, self.maps)
 
     def __repr__(self):
         return f"Permutation({self.description})"
 
 
+def _normal_form(shift: int, f: Mapping[int, int], description: str) -> Permutation:
+    moves = tuple(sorted((j, v) for j, v in f.items() if j != v))
+    return Permutation(shift, moves, description) if shift or moves else identity_permutation()
+
+
+def opaque_permutation(forward: Callable[[int], int], inverse: Callable[[int], int],
+                       description: str) -> Permutation:
+    return Permutation(0, (), description, (forward, inverse))
+
+
 def identity_permutation() -> Permutation:
-    return Permutation(lambda k: k, lambda k: k, "identity", tag=("identity",))
+    return Permutation(0, (), "identity")
 
 
 def sigma_bilateral() -> Permutation:
-    """The bilateral-shift permutation: 2 -> 1, 2n -> 2(n-1), 2n-1 -> 2n+1."""
-
-    def forward(k: int) -> int:
-        if k % 2 == 1:
-            return k + 2
-        if k == 2:
-            return 1
-        return k - 2
-
-    def inverse(k: int) -> int:
-        if k == 1:
-            return 2
-        if k % 2 == 0:
-            return k + 2
-        return k - 2
-
-    return Permutation(forward, inverse, "sigma-bilateral", tag=("sigma-bilateral",))
+    """2 -> 1, 2n -> 2(n-1), 2n-1 -> 2n+1: as a bijection, z-translation(+1)."""
+    return Permutation(1, (), "sigma-bilateral")
 
 
 def z_translation_permutation(step: int) -> Permutation:
     """Translation j -> j + step on Z, conjugated to N by interleaving."""
-    if step == 0:
-        return identity_permutation()
-
-    def forward(k: int) -> int:
-        return interleave_z(deinterleave(k) + step)
-
-    def inverse(k: int) -> int:
-        return interleave_z(deinterleave(k) - step)
-
-    return Permutation(
-        forward, inverse, f"z-translation({step:+d})", tag=("z-translation", step)
-    )
+    return _normal_form(step, {}, f"z-translation({step:+d})")
 
 
 def one_line_permutation(images: Sequence[int]) -> Permutation:
@@ -132,64 +130,88 @@ def one_line_permutation(images: Sequence[int]) -> Permutation:
     n = len(images)
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("images must be a rearrangement of 1..n")
-    inverse_table = {v: i + 1 for i, v in enumerate(images)}
-
-    def forward(k: int) -> int:
-        return images[k - 1] if k <= n else k
-
-    def inverse(k: int) -> int:
-        return inverse_table.get(k, k) if k <= n else k
-
-    return Permutation(
-        forward, inverse, f"one-line({n})", tag=("one-line", images)
-    )
+    f = {deinterleave(k): deinterleave(v) for k, v in enumerate(images, 1)}
+    return _normal_form(0, f, f"one-line({n})")
 
 
 def block_z_shift(dim: int) -> Permutation:
-    """Cell-to-next-cell permutation for contiguous cells in interleaved order."""
+    """z-translation(+1) of the contiguous cells of ``dim`` indices, in
+    interleaved order, each cell onto the next."""
+    def on_cells(step):
+        def moved(g: int) -> int:
+            c, k = divmod(g - 1, dim)
+            return (step(c + 1) - 1) * dim + k + 1
+        return moved
 
-    def forward(g: int) -> int:
-        c, k = divmod(g - 1, dim)
-        n = deinterleave(c + 1)
-        return (interleave_z(n + 1) - 1) * dim + k + 1
-
-    def inverse(g: int) -> int:
-        c, k = divmod(g - 1, dim)
-        n = deinterleave(c + 1)
-        return (interleave_z(n - 1) - 1) * dim + k + 1
-
-    return Permutation(forward, inverse, f"block-z-shift({dim})",
-                       tag=("block-z-shift", dim))
+    z = sigma_bilateral()
+    return opaque_permutation(on_cells(z.forward), on_cells(z.inverse),
+                              f"block-z-shift({dim})")
 
 
 def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
-    """``p o q`` (``q`` first); an identity factor is dropped."""
-    if q.tag == ("identity",):
-        return p
-    if p.tag == ("identity",):
-        return q
-    return Permutation(lambda k: p.forward(q.forward(k)),
-                       lambda k: q.inverse(p.inverse(k)),
-                       f"{p.description} o {q.description}", tag=("compose", p, q))
+    """``p o q`` (``q`` first), dropping an identity factor:
+    ``tau_a f o tau_b g = tau_(a+b) (tau_-b f tau_b) g``."""
+    if q.is_identity or p.is_identity:
+        return p if q.is_identity else q
+    description = f"{p.description} o {q.description}"
+    if p.maps or q.maps:
+        return opaque_permutation(lambda k: p.forward(q.forward(k)),
+                                  lambda k: q.inverse(p.inverse(k)), description)
+    b, g = q.shift, q._f
+    f = {j - b: v - b for j, v in p.moves}
+    h = {j: f.get(g.get(j, j), g.get(j, j)) for j in f.keys() | g.keys()}
+    return _normal_form(p.shift + b, h, description)
 
 
 def inverse_permutation(p: Permutation) -> Permutation:
-    """``p^-1``; the identity is its own inverse and a double inverse unwraps."""
-    if p.tag == ("identity",):
+    """``p^-1``: ``(tau_s f)^-1 = tau_-s (tau_s f^-1 tau_-s)``; the double
+    inverse of an uncomposed permutation keeps its description."""
+    if p.is_identity:
         return p
-    if p.tag[0] == "inverse":
-        return p.tag[1]
-    return Permutation(p.inverse_fn, p.forward_fn, f"inverse of {p.description}",
-                       tag=("inverse", p))
+    d = p.description
+    d = d[11:] if d.startswith("inverse of ") and " o " not in d else "inverse of " + d
+    if p.maps:
+        return opaque_permutation(p.maps[1], p.maps[0], d)
+    s = p.shift
+    return Permutation(-s, tuple(sorted((v + s, j + s) for j, v in p.moves)), d)
+
+
+def orbit_structure(p: Permutation) -> Optional[Tuple[int, tuple]]:
+    """``(infinite orbits, finite cycles)`` of ``p``, ``None`` when opaque.
+
+    ``tau_s f`` has ``|s|`` infinite orbits, and with ``s != 0`` each finite
+    cycle meets a moved point; a walk jumps along the residue class mod
+    ``s`` from one moved point to the next.  With ``s = 0`` every index
+    that ``f`` does not move is fixed besides.  Cycles (of N) are sorted.
+    """
+    if p.maps:
+        return None
+    s, f = p.shift, p._f
+    succ = dict(f)  # moved point -> the next moved point on its orbit
+    if s:
+        sign, ahead = (-1 if s < 0 else 1), {}  # residue mod s -> moved points, as walked
+        for u in sorted(j * sign for j in f):
+            ahead.setdefault(u * sign % s, []).append(u)
+        for j, v in f.items():
+            row = ahead.get((v + s) % s, ())
+            i = bisect.bisect_left(row, (v + s) * sign)
+            if i < len(row):
+                succ[j] = row[i] * sign
+            else:
+                del succ[j]  # the orbit leaves every moved point behind
+    cycles = []
+    for cycle in cycles_and_chains(f, succ)[0]:
+        members = []
+        for j in cycle:  # j, then the run f(j) + s, f(j) + 2s, ... before the next
+            members += map(interleave_z, (j, *(range(f[j] + s, succ[j], s) if s else ())))
+        least = members.index(min(members))
+        cycles.append(tuple(members[least:] + members[:least]))
+    return abs(s), tuple(sorted(cycles))
 
 
 def single_orbit(p: Permutation) -> bool:
-    """Whether ``p`` is built as one whose orbit of 1 is all of N: sigma-bilateral,
-    z-translation(+-1) or an inverse of one.  Any other tag answers False.
-    """
-    if p.tag[0] == "inverse":
-        return single_orbit(p.tag[1])
-    return p.tag in (("sigma-bilateral",), ("z-translation", 1), ("z-translation", -1))
+    """Whether the orbit of 1 is all of N: one infinite orbit, no finite cycle."""
+    return orbit_structure(p) == (1, ())
 
 
 @record
@@ -203,15 +225,6 @@ class SpreadSpec:
         dl, il = self.domain.length(), self.image.length()
         if dl is not None and il is not None and dl != il:
             raise ValueError("domain and image lengths differ")
-
-    def pairs(self, count: int) -> list:
-        ln = self.domain.length()
-        if ln is not None:
-            count = min(count, ln)
-        return [(self.domain.elem(k), self.image.elem(k)) for k in range(1, count + 1)]
-
-    def length(self) -> Optional[int]:
-        return self.domain.length()
 
 
 def _greedy_spreads(pairs: Iterable[Tuple[int, int]]) -> list:
@@ -236,33 +249,26 @@ def decompose_into_spreads(p: Permutation, window: int) -> list:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if p.tag == ("identity",):
+    if p.is_identity:
         return [SpreadSpec(naturals(), naturals())]
-    if p.tag == ("sigma-bilateral",):
+    if (p.shift, p.moves, p.maps) == (1, (), None):  # sigma, z-translation(+1)
         return [
             SpreadSpec(odds(), ArithmeticSequence(3, 2)),
             SpreadSpec(evens(), ExplicitPrefixSequence((1,), ArithmeticSequence(2, 2))),
         ]
     piles = _greedy_spreads((a, p.forward(a)) for a in range(1, window + 1))
-    return [
-        SpreadSpec(
-            ExplicitPrefixSequence(tuple(a for a, _ in pile)),
-            ExplicitPrefixSequence(tuple(b for _, b in pile)),
-        )
-        for pile in piles
-    ]
+    return [SpreadSpec(*(ExplicitPrefixSequence(part) for part in zip(*pile)))
+            for pile in piles]
 
 
 def cycles_and_chains(nodes: Iterable[int], succ: Mapping[int, int]) -> Tuple[list, list]:
     """Split a partial injection on finitely many nodes into cycles and chains.
 
-    ``succ`` maps a node to its successor.  A node without one, or whose
-    successor is not among ``nodes``, ends a chain; a node that no node
-    maps to heads one.  Every node lies on exactly one cycle or one
-    maximal chain.  Returns ``(cycles, chains)`` as lists of tuples in
-    walking order: chains from head to end, ordered by head; each cycle
-    starts at its first node in ``nodes`` order.  Raises ``ValueError``
-    when two nodes share a successor.
+    ``succ`` maps a node to its successor; a chain ends at a node whose
+    successor is missing or not a node.  Returns ``(cycles, chains)``,
+    tuples in walking order: chains ordered by head, each cycle from its
+    first node in ``nodes`` order.  Two nodes sharing a successor raise
+    ``ValueError``.
     """
     order = list(nodes)
     members = set(order)
@@ -326,9 +332,8 @@ class MultiplicityList:
         if len(set(values)) != len(values):
             raise ValueError("values must be pairwise distinct")
         for v, m in self.entries:
-            if not isinstance(m, _Infinite):
-                if not isinstance(m, int) or m < 1:
-                    raise ValueError(f"multiplicity of {v} must be >= 1 or INFINITE")
+            if not isinstance(m, _Infinite) and (not isinstance(m, int) or m < 1):
+                raise ValueError(f"multiplicity of {v} must be >= 1 or INFINITE")
         if self.tail is not None and self.tail.abs_nonincreasing() is False:
             raise ValueError("tail values must be |.|-nonincreasing")
 
@@ -355,11 +360,9 @@ class ExpandedSpectrum:
     def merged_rule(self) -> ScalarRule:
         from .sequences import MergedAbsDecreasingRule
 
-        rules = [self.finite_tail] if self.finite_tail is not None else []
         return MergedAbsDecreasingRule(
             finite_parts=[self.finite_prefix] if self.finite_prefix else [],
-            rule_parts=rules,
-        )
+            rule_parts=[self.finite_tail] if self.finite_tail is not None else [])
 
 
 def expand_multiplicities(m: MultiplicityList) -> ExpandedSpectrum:
@@ -370,12 +373,6 @@ def expand_multiplicities(m: MultiplicityList) -> ExpandedSpectrum:
     """
     if not m.entries and m.tail is None:
         raise EmptyInputError("multiplicity list has no entries")
-    expanded: list = []
-    for v, mult in m.finite_entries():
-        expanded.extend([v] * mult)
-    expanded.sort(key=_abs_exact, reverse=True)
-    return ExpandedSpectrum(
-        finite_prefix=tuple(expanded),
-        finite_tail=m.tail,
-        infinite_values=tuple(m.infinite_values()),
-    )
+    expanded = sorted((v for v, mult in m.finite_entries() for _ in range(mult)),
+                      key=_abs_exact, reverse=True)
+    return ExpandedSpectrum(tuple(expanded), m.tail, tuple(m.infinite_values()))

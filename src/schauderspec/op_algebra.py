@@ -23,6 +23,7 @@ from .index_maps import (
     deinterleave,
     identity_permutation,
     inverse_permutation,
+    opaque_permutation,
     sigma_bilateral,
     z_translation_permutation,
 )
@@ -654,7 +655,7 @@ def _structural_shift(T) -> Optional[ShiftForm]:
                 raise UnsupportedClassError(f"row {i} is hit by {len(hits)} spreads")
             return hits[0]
 
-        perm = Permutation(forward, inverse, "sum-of-spreads", tag=("sum-of-spreads",))
+        perm = opaque_permutation(forward, inverse, "sum-of-spreads")
         return ShiftForm(perm, ConstantRule(1))
     return None
 
@@ -718,7 +719,7 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
                 raise UnsupportedClassError(f"column {j} has {len(nz)} nonzero entries")
             return nz[0][1]
 
-        perm = Permutation(forward, inverse, "scanned shift", tag=("scanned",))
+        perm = opaque_permutation(forward, inverse, "scanned shift")
         verified = ShiftForm(perm, CallableRule(weight, "scanned column weights"))
 
     w = verified.weights

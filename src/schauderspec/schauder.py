@@ -424,7 +424,7 @@ def schauder_spectrum(T, cfg: Optional[CertificateGridConfig] = None,
             [schauder_spectrum(block, cfg, probe_window) for block in T.blocks])
     if not isinstance(T, ShiftForm):
         raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
-    if T.perm.tag == ("identity",):
+    if T.perm.is_identity:
         return _diagonal_report(T.weights, probe_window)
     return _shift_certificate_report(T, cfg, probe_window)
 
@@ -835,7 +835,7 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
     rule = rec.diagonal.weights
     rec_unitary = None if (
         isinstance(rec.unitary, PermutationUnitary)
-        and rec.unitary.perm.tag == ("identity",)
+        and rec.unitary.perm.is_identity
     ) else rec.unitary
     lim = rule.limit()
     if lim is None:

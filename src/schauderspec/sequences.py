@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+from .errors import UnsupportedClassError
 from .records import record
 
 Scalar = Union[int, float, complex, Fraction]
@@ -180,7 +181,12 @@ class PowerLawRule(ScalarRule):
         if (isinstance(p, int) and type(scale) is not float
                 and isinstance(scale, (int, Fraction))):
             return scale * Fraction(1, n ** p)
-        return scale / n ** p
+        try:
+            return scale / n ** p
+        except OverflowError:
+            raise UnsupportedClassError(
+                f"power-law weight at index {n} is out of float range: "
+                f"{n} ** {p!r} overflows") from None
 
     def limit(self):
         if self.scale == 0 or self.exponent > 0:

@@ -163,6 +163,11 @@ def _ints(key: str, value, path: str) -> tuple:
     return tuple(value)
 
 
+# An int exponent is raised exactly (n ** exponent), so its size bounds
+# the memory a weight takes; docs/formats.md states the same bound.
+MAX_INT_EXPONENT = 1024
+
+
 def _exponent(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFormatError("exponent must be a number", path)
@@ -170,6 +175,8 @@ def _exponent(value, path: str):
         raise SpecFormatError("exponent must be finite", path)
     if value < 0:
         raise SpecFormatError("exponent must be >= 0", path)
+    if isinstance(value, int) and value > MAX_INT_EXPONENT:
+        raise SpecFormatError(f"an int exponent must be <= {MAX_INT_EXPONENT}", path)
     return value
 
 
@@ -205,7 +212,50 @@ def _block_direct_sum(blocks, partition) -> BlockDirectSum:
         parsed_blocks.append(_parse(block, f"{blocks_path}[{i}]", "operator"))
     for i, cell in enumerate(cells):
         parsed_cells.append(_parse(cell, f"{cells_path}[{i}]", "sequence"))
+    _check_partition(parsed_cells, cells_path)
     return BlockDirectSum(tuple(parsed_blocks), tuple(parsed_cells))
+
+
+def _check_partition(cells, path: str) -> None:
+    """Raise unless ``cells`` partition N.
+
+    A document's cell is a finite set plus at most one progression
+    ``(a, d)``.  The cells partition N exactly when they are pairwise
+    disjoint, the densities ``1/d`` sum to 1, and the indices up to X,
+    the largest start or finite element, number X: past X every
+    progression runs on, so no index is walked.
+    """
+    parts = []
+    for cell in cells:
+        finite = []
+        while isinstance(cell, ExplicitPrefixSequence):
+            finite.extend(cell.prefix)
+            cell = cell.tail
+        parts.append((finite, cell and (cell.start, cell.step)))
+    owner = {}
+    for i, (finite, _) in enumerate(parts):
+        for v in finite:
+            j = owner.setdefault(v, i)
+            if j == i:  # a cell's own progression starts past its finite part
+                j = next((j for j, (_, run) in enumerate(parts)
+                          if run and run[0] <= v and (v - run[0]) % run[1] == 0), i)
+            if j != i:
+                raise SpecFormatError(f"cells {min(i, j)} and {max(i, j)} share "
+                                      f"the index {v}", path)
+    runs = [(i, run) for i, (_, run) in enumerate(parts) if run]
+    for k, (i, (a, d)) in enumerate(runs):
+        for j, (b, e) in runs[k + 1:]:
+            if (a - b) % math.gcd(d, e) == 0:
+                raise SpecFormatError(f"cells {i} and {j} share infinitely many indices",
+                                      path)
+    density = sum(Fraction(1, d) for _, (_, d) in runs)
+    if density != 1:
+        raise SpecFormatError(f"the cells' progressions have density {density}, not 1",
+                              path)
+    top = max([*owner, *(a for _, (a, _) in runs)])
+    held = len(owner) + sum((top - a) // d + 1 for _, (a, d) in runs)
+    if held != top:
+        raise SpecFormatError(f"the cells hold {held} of the indices 1..{top}", path)
 
 
 # The grammar of the tagged nodes.  For each family: the key that holds

@@ -30,9 +30,8 @@ from .errors import (
     StepCapExceededError,
     UnsupportedClassError,
 )
-from .index_maps import cycles_and_chains, single_orbit
+from .index_maps import cycles_and_chains, orbit_structure, single_orbit
 from .op_algebra import (
-    Diagonal,
     OperatorExpr,
     ShiftForm,
     adjoint_shift_form,
@@ -43,7 +42,6 @@ from .op_algebra import (
 from .records import record
 from .sequences import (
     AffineRule,
-    CallableRule,
     ConstantRule,
     ExplicitThenRule,
     Scalar,
@@ -89,22 +87,6 @@ class EigenExclusionCertificate:
             if k == key:
                 return v
         return default
-
-
-@record
-class ProductEstimate:
-    """Partial-product estimate with a certified tail when available.
-
-    When ``convergent`` is True every later partial product differs from
-    ``limit_estimate`` by at most ``tail_bound * limit_estimate *
-    e^{tail_bound}``.  ``convergent=None`` marks a numeric-only estimate
-    for rules whose tail the implementation cannot classify.
-    """
-
-    convergent: Optional[bool]
-    limit_estimate: float
-    tail_bound: Optional[float]
-    terms_used: int
 
 
 @record
@@ -266,6 +248,16 @@ class _Orbit:
         return hit
 
 
+def _orbits_in_words(perm) -> str:
+    """``": it has 1 infinite orbit and ..."``, or "" without an infinite orbit."""
+    count, cycles = orbit_structure(perm) or (0, ())
+    if not count:
+        return ""
+    listed = ", ".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+    return f": it has {count} infinite orbit{'s' * (count > 1)} and " + (
+        f"the finite cycle{'s' * (len(cycles) > 1)} {listed}" if cycles else "no finite cycle")
+
+
 class _ShiftCertifier:
     """Direct and adjoint orbit-walk certificates for one shift.
 
@@ -296,7 +288,7 @@ class _ShiftCertifier:
             if not single_orbit(s.perm):
                 raise UnsupportedClassError(
                     "certificate path requires a single-orbit shift "
-                    f"permutation, not {s.perm.description}")
+                    f"permutation, not {s.perm.description}{_orbits_in_words(s.perm)}")
             self.rays = _Rays(s)
         if side == "direct" and self.check_weights:
             lim = s.weights.limit()
@@ -355,9 +347,10 @@ def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
     exceeds ``bound``; since all orbit coordinates are multiples of the
     anchor coordinate, the witness forces the anchor (and the orbit) to
     vanish.  The witness depends on ``|lam|`` only, so one certificate
-    covers the whole circle of that modulus.  The orbit must be all of N:
-    a permutation that ``index_maps.single_orbit`` does not accept, a
-    composed or scanned one included, raises ``UnsupportedClassError``.
+    covers the whole circle of that modulus.  The orbit must be all of N,
+    as ``index_maps.single_orbit`` decides from the permutation's data:
+    one infinite orbit and no finite cycle.  Any other permutation, and
+    one known only by its maps, raises ``UnsupportedClassError``.
     """
     return _ShiftCertifier(s, bound, step_cap, check_weights).certificate(lam)
 
@@ -470,66 +463,8 @@ def adjoint_exclusion(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
 
 
 # ---------------------------------------------------------------------------
-# Infinite products and the window-product estimate
+# The window-product estimate
 # ---------------------------------------------------------------------------
-
-_PRODUCT_ITER_CAP = 500_000
-
-
-def infinite_product(a: ScalarRule, t0: Scalar, tol: float) -> ProductEstimate:
-    """Estimate ``prod_{j>=1} (t0 - a_j)/t0`` with a certified tail.
-
-    Convergence is decided by tail analysis of the named rule families:
-    the product converges absolutely iff ``sum |a_j|`` does.  Rules with
-    no tail bound produce a numeric-only estimate (``convergent=None``).
-    """
-    if t0 == 0:
-        raise PreconditionViolatedError("t0 must be nonzero")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    abs_t0 = abs(complex(t0)) if isinstance(t0, complex) else abs(float(t0))
-
-    classification = a.tail_abs_sum(1)
-    partial = 1.0
-    n = 0
-    if classification is not None and math.isfinite(classification):
-        tail_bound = math.inf
-        while n < _PRODUCT_ITER_CAP:
-            tail = a.tail_abs_sum(n + 1)
-            if tail is not None and tail / abs_t0 < 0.5:
-                s = tail / abs_t0
-                tail_bound = s / (1.0 - s)
-                if tail_bound <= tol:
-                    return ProductEstimate(True, partial, tail_bound, n)
-            n += 1
-            factor = 1.0 - complex(a.value(n)) / complex(t0)
-            if factor.imag == 0:
-                factor = factor.real
-                if factor <= 0:
-                    raise PreconditionViolatedError(
-                        f"a_{n}/t0 >= 1: factor {factor} not positive"
-                    )
-            partial = partial * factor
-        raise ConvergenceFailureError(
-            f"tail tolerance {tol} not reached within {n} terms: "
-            f"last tail bound {tail_bound:.6g}",
-            terms=n, tail_bound=tail_bound, tol=tol,
-        )
-
-    # divergent or unknown tail: numeric partial products only; factors
-    # touching 0 just drive the product there, which is the conclusion
-    cap = 100_000
-    while n < cap:
-        n += 1
-        factor = 1.0 - complex(a.value(n)) / complex(t0)
-        if factor.imag == 0:
-            factor = factor.real
-        partial = partial * factor
-        if abs(partial) < 1e-30:
-            break
-    if classification is not None and math.isinf(classification):
-        return ProductEstimate(False, abs(partial), math.inf, n)
-    return ProductEstimate(None, abs(partial), None, n)
 
 
 def claim1_find_N(alpha_seq: ScalarRule, alpha, epsilon: float) -> int:
@@ -707,32 +642,6 @@ def shields_similar(w: ScalarRule, v: ScalarRule, horizon: int,
     if C > 1.0 / witness_floor:
         return UnboundedWitness(best_hi_win, C, horizon)
     return BoundedNumerically(c, C, horizon)
-
-
-def similarity_diagonal(w: ScalarRule, v: ScalarRule,
-                        horizon: int = 10_000) -> Diagonal:
-    """Diagonal intertwiner between weighted shifts with ratio-bounded weights.
-
-    Entries ``x_1 = 1`` and ``x_{n+1} = x_n * v_n / w_n`` (so ``x_n`` is a
-    window product of weight ratios); conjugating the forward shift with
-    weights ``w`` by this diagonal yields the shift with weights ``v``
-    entrywise.  Rejects pairs whose window products are unbounded.
-    """
-    verdict = shields_similar(w, v, horizon)
-    if not is_bounded_verdict(verdict):
-        raise PreconditionViolatedError(
-            f"weight ratios unbounded: window {verdict.window} attains "
-            f"{verdict.value}"
-        )
-    cache: list = [1]
-
-    def value(n: int):
-        while len(cache) < n:
-            m = len(cache)
-            cache.append(cache[-1] * v.value(m) / w.value(m))
-        return cache[n - 1]
-
-    return Diagonal(CallableRule(value, "similarity intertwiner prod_{j<n} v_j/w_j"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schauderspec import cibws, replay_shift_certificate, truncate_complex
+from schauderspec import cibws, recognize_shift_form, replay_shift_certificate, truncate_complex
 from schauderspec import CertificateGridConfig, cli, errors
 from schauderspec.cli import main
 from schauderspec.serde import (
@@ -374,6 +374,33 @@ class TestRun:
         block = json.loads((out / "report.json").read_text())["error"]
         assert block["kind"] == "unsupported-class"
         assert "single-orbit" in block["message"]
+        assert block["message"].endswith(
+            "it has 1 infinite orbit and the finite cycle (103)")
+
+    def test_examples_decide_their_orbit_structure(self, tmp_path):
+        # docs/examples: the composition above, and sigma o (18 19 20), whose
+        # one orbit is all of N, so every certificate it writes replays
+        out = tmp_path / "cycle"
+        doc = REPO / "docs" / "examples" / "finite-cycle-103.json"
+        assert main(["run", str(doc), "--out", str(out)]) == 2
+        block = json.loads((out / "report.json").read_text())["error"]
+        assert "the finite cycle (103)" in block["message"]
+        out = tmp_path / "single"
+        doc = REPO / "docs" / "examples" / "single-orbit-composition.json"
+        assert main(["run", str(doc), "--out", str(out)]) == 0
+        shift = recognize_shift_form(
+            parse_spec_document(json.loads(doc.read_text())).operator).shift
+        certs = json.loads((out / "report.json").read_text())["results"]["certificates"]
+        assert len(certs) == 32
+        for c in certs:
+            cert = EigenExclusionCertificate(
+                lam=complex(c["lambdaRe"], c["lambdaIm"]), witness_index=c["witnessIndex"],
+                attained_magnitude=c["magnitude"], recurrence_kind=c["kind"],
+                bound=c["bound"], regime=c["regime"], start_index=c["startIndex"],
+                side=c["side"])
+            replayed = replay_shift_certificate(shift, cert)
+            assert abs(replayed - cert.attained_magnitude) <= 1e-12 * cert.attained_magnitude
+            assert replayed > cert.bound
 
     def test_column_past_the_recognition_window_is_unsupported(self, tmp_path):
         # diag(1/n) + the spread {100, 101, ..} -> {101, 102, ..}: the
@@ -415,13 +442,13 @@ class TestRun:
         assert block == {"kind": "unsupported-class", "exitCode": 2,
                          "message": "row 101 is hit by 2 spreads"}
 
-    @pytest.mark.parametrize("analysis, flags, message", [
-        ("schauder-spectrum", ["--csv"], "index 2 not covered by the partition"),
-        ("deflate", [], "operator is not recognizable as a permutation-weighted form"),
+    @pytest.mark.parametrize("analysis, flags", [
+        ("schauder-spectrum", ["--csv"]),
+        ("deflate", []),
     ])
-    def test_partition_that_misses_an_index(self, tmp_path, analysis, flags, message):
-        # both cells are the odd numbers: the matrix dump reads row 2,
-        # which no cell holds; recognition takes that as not recognized
+    def test_partition_that_misses_an_index(self, tmp_path, analysis, flags):
+        # both cells are the odd numbers, so no cell holds 2: the partition
+        # is decided when the document is read, before any analysis
         odds = {"sequence": "arithmetic", "start": 1, "step": 2}
         spec = write_spec(tmp_path, "odds-twice.json", {
             "version": 1, "analysis": analysis, "params": dict(SMALL_PARAMS),
@@ -430,9 +457,26 @@ class TestRun:
                          "partition": [odds, odds]},
         })
         out = tmp_path / "out"
-        assert main(["run", str(spec), "--out", str(out), *flags]) == 2
+        assert main(["run", str(spec), "--out", str(out), *flags]) == 1
         block = json.loads((out / "report.json").read_text())["error"]
-        assert block == {"kind": "unsupported-class", "exitCode": 2, "message": message}
+        assert block == {"kind": "schema-error", "exitCode": 1, "path": "$.operator.partition",
+                         "message": "$.operator.partition: cells 0 and 1 share "
+                                    "infinitely many indices"}
+        assert main(["validate", str(spec)]) == 1
+
+    def test_power_law_overflow_is_unsupported(self, tmp_path):
+        # 6 ** 400.0 is past the float range; validate cannot know that
+        spec = write_spec(tmp_path, "steep.json", {
+            "version": 1, "analysis": "schauder-spectrum", "params": dict(SMALL_PARAMS),
+            "operator": {"op": "diagonal", "weights": {
+                "rule": "power-law", "scale": 1.0, "exponent": 400.0}}})
+        assert main(["validate", str(spec)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 2
+        block = json.loads((out / "report.json").read_text())["error"]
+        assert block == {"kind": "unsupported-class", "exitCode": 2,
+                         "message": "power-law weight at index 6 is out of float "
+                                    "range: 6 ** 400.0 overflows"}
 
     @pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys, out):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from schauderspec.index_maps import (
     block_z_shift,
     compose_permutations,
     inverse_permutation,
+    orbit_structure,
     single_orbit,
 )
 from schauderspec.sequences import ArithmeticSequence, ExplicitPrefixSequence
@@ -48,7 +50,17 @@ class TestSigmaBilateral:
         assert s.forward(s.inverse(k)) == k
 
     def test_window_injectivity(self):
-        sigma_bilateral().verify_window(2_000)
+        s = sigma_bilateral()
+        images = [s.forward(k) for k in range(1, 2_001)]
+        assert min(images) >= 1 and len(set(images)) == len(images)
+        assert all(s.inverse(v) == k for k, v in enumerate(images, 1))
+        assert all(s.forward(s.inverse(k)) == k for k in range(1, 2_001))
+
+    def test_is_z_translation_plus_one(self):
+        s, z = sigma_bilateral(), z_translation_permutation(1)
+        assert (s.shift, s.moves, s.maps) == (z.shift, z.moves, z.maps) == (1, (), None)
+        assert all(s.forward(k) == z.forward(k) and s.inverse(k) == z.inverse(k)
+                   for k in range(1, 20_001))
 
 
 class TestInterleave:
@@ -121,13 +133,131 @@ class TestSingleOrbit:
         assert compose_permutations(ident, sigma) is sigma
         assert compose_permutations(sigma, ident) is sigma
         assert inverse_permutation(ident) is ident
-        assert inverse_permutation(inverse_permutation(sigma)) is sigma
+        assert inverse_permutation(inverse_permutation(sigma)) == sigma
         both = compose_permutations(sigma, SWAP)
-        assert both.tag == ("compose", sigma, SWAP)
+        # sigma o (1 2) is translation by 1 after swapping 0 and -1 on Z
+        assert (both.shift, both.moves, both.maps) == (1, ((-1, 0), (0, -1)), None)
+        assert both.description == "sigma-bilateral o one-line(2)"
         assert [both.forward(k) for k in range(1, 6)] == [1, 3, 5, 2, 7]
-        assert inverse_permutation(both).tag == ("inverse", both)
+        back = inverse_permutation(both)
+        assert back.description == "inverse of sigma-bilateral o one-line(2)"
+        assert (back.shift, back.moves) == (-1, ((0, 1), (1, 0)))
+        assert all(back.forward(both.forward(k)) == k for k in range(1, 50))
+        assert all(both.inverse(k) == back.forward(k) for k in range(1, 50))
+        assert inverse_permutation(back).description == (
+            "inverse of inverse of sigma-bilateral o one-line(2)")
+        assert inverse_permutation(back).moves == both.moves
+
+    @pytest.mark.parametrize("p, q", [
+        (z_translation_permutation(1), z_translation_permutation(-1)),
+        (SWAP, SWAP),
+        (sigma_bilateral(), inverse_permutation(z_translation_permutation(1))),
+        (z_translation_permutation(10**12), z_translation_permutation(-10**12)),
+        (one_line_permutation([1, 2, 3]), identity_permutation()),
+    ], ids=repr)
+    def test_cancelling_compositions_are_the_identity(self, p, q):
+        assert compose_permutations(p, q).is_identity
+        assert compose_permutations(p, q).tag == ("identity",)
+
+    def test_opaque_permutations_keep_their_maps(self):
+        shift = block_z_shift(2)
+        assert shift.maps is not None and shift.tag != ("identity",)
+        assert orbit_structure(shift) is None and not single_orbit(shift)
+        both = compose_permutations(shift, SWAP)
+        assert both.maps is not None
+        assert [both.forward(k) for k in range(1, 7)] == [shift.forward(k) for k in (2, 1, 3, 4, 5, 6)]
         assert all(inverse_permutation(both).forward(both.forward(k)) == k
                    for k in range(1, 50))
+        assert inverse_permutation(inverse_permutation(shift)).maps == shift.maps
+
+    def test_huge_translation_is_held_in_constant_space(self):
+        tracemalloc.start()
+        try:
+            far = z_translation_permutation(10**12)
+            both = compose_permutations(SWAP, compose_permutations(far, SWAP))
+            back = inverse_permutation(both)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_384
+        assert (far.shift, far.moves) == (10**12, ())
+        assert len(both.moves) == 4 and orbit_structure(both) == (10**12, ())
+        assert far.forward(1) == 2 * 10**12 + 1 and far.inverse(2 * 10**12 + 1) == 1
+        assert far.forward(2) == 2 * 10**12 - 1 and far.forward(2 * 10**12 + 2) == 2
+        assert all(back.forward(both.forward(k)) == k for k in (1, 2, 3, 10**12, 4 * 10**12))
+
+    def test_reproducer_structure(self):
+        images = list(range(1, 104))
+        images[100], images[102] = 103, 101
+        p = compose_permutations(sigma_bilateral(), one_line_permutation(images))
+        assert (p.shift, p.moves) == (1, ((50, 51), (51, 50)))
+        assert orbit_structure(p) == (1, ((103,),))
+        # tau_2 after the swap of 0 and 6 on Z: 6 -> 2 -> 4 -> 6 passes two
+        # points the swap does not move, and 0 -> 8 -> 10 -> ... leaves
+        q = compose_permutations(z_translation_permutation(2), one_line_permutation(
+            [13, *range(2, 13), 1]))
+        assert orbit_structure(q) == (2, ((5, 9, 13),))
+        assert orbit_structure(z_translation_permutation(-3)) == (3, ())
+        assert orbit_structure(SWAP) == (0, ((1, 2),))
+
+
+def brute_orbits(p, window):
+    """(chains, cycles) of ``p`` on [1..window] by walking every index.
+
+    A chain is a maximal walk that leaves the window; when the window is
+    much wider than the moved indices, each infinite orbit crosses it in
+    exactly one chain.
+    """
+    succ = {k: p.forward(k) for k in range(1, window + 1)}
+    heads = set(succ) - set(succ.values())
+    seen, chains, cycles = set(), 0, []
+    for k in sorted(heads):
+        chains += 1
+        while k in succ and k not in seen:
+            seen.add(k)
+            k = succ[k]
+    for k in range(1, window + 1):
+        if k not in seen:
+            cycle = [k]
+            while succ[cycle[-1]] != k:
+                cycle.append(succ[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return chains, tuple(sorted(cycles))
+
+
+@st.composite
+def perturbed_translations(draw):
+    """sigma or z-translation(k), k in [-3, 3], composed in either order,
+    possibly inverted, with a one-line permutation moving some index past 16."""
+    k = draw(st.integers(-3, 3))
+    base = draw(st.sampled_from([sigma_bilateral(), z_translation_permutation(k)]))
+    n = draw(st.integers(17, 40))
+    images = draw(st.permutations(list(range(1, n + 1))).filter(
+        lambda im: any(im[j] != j + 1 for j in range(16, n))))
+    other = one_line_permutation(images)
+    if draw(st.booleans()):
+        base = inverse_permutation(base)
+    if draw(st.booleans()):
+        other = inverse_permutation(other)
+    p, q = (base, other) if draw(st.booleans()) else (other, base)
+    return compose_permutations(p, q)
+
+
+class TestOrbitOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(p=perturbed_translations())
+    def test_structure_matches_brute_force(self, p):
+        # the moved points lie in [1..86]; 400 is wide enough for every
+        # infinite orbit to cross it once and every finite cycle to fit
+        count, cycles = orbit_structure(p)
+        chains, brute_cycles = brute_orbits(p, 400)
+        if count:
+            assert (count, cycles) == (chains, brute_cycles)
+        else:  # no infinite orbit: the cycles of the moved points, rest fixed
+            assert all(len(c) > 1 for c in cycles)
+            assert cycles == tuple(c for c in brute_cycles if len(c) > 1)
+        assert single_orbit(p) == ((chains, brute_cycles) == (1, ()))
 
 
 def _reassemble(spreads, window):
@@ -184,7 +314,7 @@ class TestDecomposeIntoSpreads:
     def test_pieces_strictly_increasing(self, images):
         spreads = decompose_into_spreads(one_line_permutation(images), 12)
         for sp in spreads:
-            n = sp.domain.length()
+            n = sp.domain.length() or 12  # the identity is one infinite spread
             dom = sp.domain.elems(n)
             img = sp.image.elems(n)
             assert all(a < b for a, b in zip(dom, dom[1:]))

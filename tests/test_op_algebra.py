@@ -425,15 +425,22 @@ class TestSumOfSpreadsShift:
         # in either order, so the spreads are matched as a multiset
         spreads = [Spread(sp) for sp in decompose_into_spreads(named, 1)]
         for terms in (spreads, spreads[::-1]):
-            assert op_algebra._structural_shift(Sum(tuple(terms))).perm.tag == named.tag
+            assert op_algebra._structural_shift(Sum(tuple(terms))).perm == named
         rec = recognize_shift_form(Product(Sum(tuple(spreads)), Diagonal(ConstantRule(2))))
-        assert rec.shift.perm.tag == named.tag
+        assert rec.shift.perm == named and rec.shift.perm.maps is None
+        assert [rec.shift.perm.forward(k) for k in range(1, 65)] == [
+            named.forward(k) for k in range(1, 65)]
 
     def test_other_spread_sums_keep_their_maps(self):
         twice = Spread(SpreadSpec(naturals(), naturals()))
-        assert op_algebra._structural_shift(Sum((twice,))).perm.tag == ("identity",)
+        assert op_algebra._structural_shift(Sum((twice,))).perm.is_identity
         # the spread twice is not the identity's multiset: its closure
         # raises, and recognition falls back to the scanned columns
         doubled = Sum((twice, twice))
-        assert op_algebra._structural_shift(doubled).perm.tag == ("sum-of-spreads",)
-        assert recognize_shift_form(doubled, window=8).shift.perm.tag == ("scanned",)
+        perm = op_algebra._structural_shift(doubled).perm
+        assert perm.maps is not None and perm.description == "sum-of-spreads"
+        with pytest.raises(UnsupportedClassError, match="^column 3 is hit by 2 spreads$"):
+            perm.forward(3)
+        scanned = recognize_shift_form(doubled, window=8).shift.perm
+        assert scanned.maps is not None and scanned.description == "scanned shift"
+        assert [scanned.forward(k) for k in range(1, 9)] == list(range(1, 9))

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schauderspec import (
@@ -51,6 +51,7 @@ from schauderspec import (
     is_schauder,
     one_line_permutation,
     recognize_shift_form,
+    replay_shift_certificate,
     schauder_spectrum,
     sigma_bilateral,
     truncate,
@@ -232,23 +233,52 @@ def perturbed_single_orbit_shifts(draw):
     return factors if draw(st.booleans()) else factors[::-1]
 
 
+def _orbit_of_one_covers(perm, window, steps):
+    """Brute force: the orbit of 1, walked ``steps`` each way, holds [1..window]."""
+    seen, f, b = {1}, 1, 1
+    for _ in range(steps):
+        f, b = perm.forward(f), perm.inverse(b)
+        seen.update((f, b))
+    return set(range(1, window + 1)) <= seen
+
+
+# sigma o (18 19 20): one orbit, so the composition is certified
+ONE_ORBIT = (PermutationUnitary(sigma_bilateral()),
+             PermutationUnitary(one_line_permutation(list(range(1, 18)) + [19, 20, 18])))
+
+
 class TestOrbitStructure:
     @settings(max_examples=60, deadline=None)
     @given(factors=perturbed_single_orbit_shifts())
+    @example(factors=ONE_ORBIT)
     def test_perturbed_orbits_are_refused(self, factors):
         left, right = factors
         T = Product(left, Product(right, Diagonal(RECIP)))
-        # the orbits of the composition are not known, so no report, an
-        # empty member set least of all, may come back
-        with pytest.raises(UnsupportedClassError, match="single-orbit"):
-            schauder_spectrum(T, CertificateGridConfig(moduli=2, phases=2))
-        with pytest.raises(UnsupportedClassError, match="single-orbit"):
-            grid_certificates(recognize_shift_form(T).shift, [0.5, 0.01j])
+        shift = recognize_shift_form(T).shift
+        # the moved indices lie below 90: with more than one orbit some
+        # index below 200 stays off the orbit of 1 however far it is
+        # walked, and with one orbit 2000 steps each way cover them all
+        if not _orbit_of_one_covers(shift.perm, 199, 2000):
+            # no report, an empty member set least of all, may come back
+            with pytest.raises(UnsupportedClassError, match="single-orbit"):
+                schauder_spectrum(T, CertificateGridConfig(moduli=2, phases=2))
+            with pytest.raises(UnsupportedClassError, match="single-orbit"):
+                grid_certificates(shift, [0.5, 0.01j])
+            return
+        rep = schauder_spectrum(T, CertificateGridConfig(moduli=2, phases=2))
+        assert rep.members == EmptySetMembers()
+        for cert in rep.certificates + grid_certificates(shift, [0.5, 0.01j]):
+            replayed = replay_shift_certificate(shift, cert)
+            assert abs(replayed - cert.attained_magnitude) <= 1e-12 * cert.attained_magnitude
+            assert replayed > cert.bound
 
     @pytest.mark.parametrize("T", [
         Adjoint(Diagonal(PowerLawRule(1, 1))),
         Product(PermutationUnitary(identity_permutation()), Diagonal(PowerLawRule(1, 1))),
-    ], ids=["adjoint", "identity-product"])
+        Product(PermutationUnitary(sigma_bilateral()),
+                Product(PermutationUnitary(z_translation_permutation(-1)),
+                        Diagonal(PowerLawRule(1, 1)))),
+    ], ids=["adjoint", "identity-product", "cancelling-product"])
     def test_identity_factor_keeps_the_diagonal_report(self, T):
         rep = schauder_spectrum(T, SMALL)
         assert isinstance(rep.members, VanishingSequenceMembers)

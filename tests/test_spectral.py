@@ -25,7 +25,6 @@ from schauderspec import (
     OffsetRule,
     PowerLawRule,
     PreconditionViolatedError,
-    Product,
     RepeatedRule,
     ScaledRule,
     SchauderSpecError,
@@ -44,7 +43,6 @@ from schauderspec import (
     forward_unilateral_shift,
     grid_certificates,
     identity_permutation,
-    infinite_product,
     kernel_trivial,
     lambda_grid,
     naturals,
@@ -53,8 +51,6 @@ from schauderspec import (
     shields_similar,
     shift_eigen_exclude,
     sigma_bilateral,
-    similarity_diagonal,
-    truncate,
 )
 from schauderspec import spectral
 from schauderspec.op_algebra import (
@@ -480,54 +476,6 @@ class TestAdjointExclusion:
                 assert cert.attained_magnitude > cert.bound
 
 
-class TestInfiniteProduct:
-    def test_geometric_convergent_matches_partial_products(self):
-        est = infinite_product(GEO_HALF, 1, tol=1e-10)
-        assert est.convergent is True
-        # independent oracle: direct partial products far past the cutoff
-        oracle = 1.0
-        for j in range(1, 200):
-            oracle *= 1.0 - 0.5 ** j
-        assert math.isclose(est.limit_estimate, oracle, rel_tol=1e-9)
-        assert est.tail_bound <= 1e-10
-
-    def test_zero_sequence_gives_one(self):
-        est = infinite_product(ConstantRule(0), 1, tol=1e-12)
-        assert est.convergent is True
-        assert est.limit_estimate == 1.0
-
-    def test_harmonic_divergent(self):
-        est = infinite_product(RECIP, 1, tol=1e-10)
-        assert est.convergent is False
-        assert est.limit_estimate < 1e-6  # partial products collapse to 0
-
-    def test_unknown_tail_numeric_only(self):
-        rule = CallableRule(lambda n: 2.0 ** -n, "opaque half powers")
-        est = infinite_product(rule, 1, tol=1e-10)
-        assert est.convergent is None
-
-    def test_tail_tolerance_failure_reports_terms_and_bound(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_PRODUCT_ITER_CAP", 50)
-        rule = PowerLawRule(Fraction(1), 2)  # tail after 50 terms ~ 1/50
-        with pytest.raises(ConvergenceFailureError) as err:
-            infinite_product(rule, 2, tol=1e-12)
-        exc = err.value
-        s = rule.tail_abs_sum(50) / 2
-        assert exc.terms == 50
-        assert exc.tail_bound == s / (1.0 - s)
-        assert exc.tail_bound > exc.tol == 1e-12
-        assert "within 50 terms" in str(exc)
-        assert f"{exc.tail_bound:.6g}" in str(exc)
-
-    def test_later_partials_within_certified_tail(self):
-        est = infinite_product(GEO_HALF, 1, tol=1e-6)
-        budget = est.tail_bound * est.limit_estimate * math.exp(est.tail_bound)
-        partial = est.limit_estimate
-        for j in range(est.terms_used + 1, est.terms_used + 200):
-            partial *= 1.0 - 0.5 ** j
-            assert abs(partial - est.limit_estimate) <= budget + 1e-18
-
-
 def subset_product_range(factors, max_size):
     """Exact (min, max) of products over all subsets of size <= max_size.
 
@@ -689,37 +637,6 @@ class TestShieldsSimilar:
         assert isinstance(small, UnboundedWitness)
         assert isinstance(large, UnboundedWitness)
         assert large.value <= small.value
-
-
-class TestSimilarityDiagonal:
-    def test_equal_weights_identity(self):
-        X = similarity_diagonal(RECIP, RECIP)
-        assert [X.weights.value(n) for n in range(1, 9)] == [1] * 8
-
-    def test_conjugation_equality_on_window(self):
-        w = AffineRule(1, GeometricRule(-1, Fraction(1, 2)))
-        v = ConstantRule(1)
-        X = similarity_diagonal(w, v)
-        x = X.weights
-
-        def forward_shift(rule):
-            return Product(Spread(SpreadSpec(naturals(), ArithmeticSequence(2, 1))),
-                           Diagonal(rule))
-
-        W = forward_shift(w)
-        V = forward_shift(v)
-        # X W X^{-1} = V entrywise: exact on rationals
-        x_inv = Diagonal(CallableRule(lambda n: 1 / x.value(n), "1/x"))
-        conj = Product(X, Product(W, x_inv))
-        left = truncate(conj, 64)
-        right = truncate(V, 64)
-        for i in range(64):
-            for j in range(64):
-                assert abs(complex(left[i][j]) - complex(right[i][j])) <= 1e-12
-
-    def test_unbounded_pair_rejected(self):
-        with pytest.raises(PreconditionViolatedError):
-            similarity_diagonal(AffineRule(1, PowerLawRule(-1, 1)), ConstantRule(1))
 
 
 class TestBlockNormBlowup:
