@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -39,14 +40,13 @@ from .schauder import (
 )
 from .serde import (
     RUN_PARAMS,
+    WalkTable,
     certificate_to_json,
     check_param,
-    float_texts,
     parse_spec_document,
     report_to_json,
     sequence_to_json,
     validate_document,
-    walk_key,
     write_report,
 )
 from .spectral import (
@@ -72,6 +72,7 @@ _ERROR_KINDS = (
 )
 
 DEFAULT_TRUNCATION = 64
+_CSV_CHUNK = 512  # certificates.csv lines per write
 
 
 def _run_config(params: dict) -> tuple:
@@ -147,41 +148,44 @@ def _write_csv(path: Path, header: list, rows) -> str:
     return path.name
 
 
-def _write_certificates(path: Path, certs) -> str:
-    """``certificates.csv`` from the records: csv.writer renders each walk's
-    row tail once, and float lambdas, which need no quoting, go in front."""
+def _write_certificates(path: Path, certs, walks: WalkTable = None) -> str:
+    """``certificates.csv`` from the rows of ``walks``: csv.writer renders each walk's row
+    tail once, float lambdas (no quoting) go in front, lines go out in chunks."""
     lines = []
     writer = csv.writer(SimpleNamespace(write=lines.append))
     writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime", "block",
                      "witness_index", "magnitude", "bound"])
-    text, tails = float_texts(repr), {}  # walk key -> tail text
-    for cert in certs:
-        key = walk_key(cert)[0]
-        tail = tails.get(key)
-        if tail is None:
-            c = certificate_to_json(cert)
-            writer.writerow([c["side"], c["kind"], c["regime"], c["details"].get("block", 0),
-                             c["witnessIndex"], text(c["magnitude"]), text(c["bound"])])
-            tail = lines.pop()
-            if key is not None:
-                tails[key] = tail
-        re, im = cert.lam.real, cert.lam.imag
-        if type(re) is not float or type(im) is not float:
-            writer.writerow([text(re), text(im)])  # quoted where needed
-            lines.append(f"{lines.pop()[:-2]},{tail}")
-        else:
-            lines.append(f"{text(re)},{text(im)},{tail}")
+    walks = walks or WalkTable()
+    tails = {}  # walk number -> tail text
     with path.open("w", newline="") as fh:
+        for cert in certs:
+            number, _adjoint, texts, _ = walks.row(cert)
+            tail = tails.get(number)
+            if tail is None:
+                c = certificate_to_json(cert)
+                writer.writerow([c["side"], c["kind"], c["regime"], c["details"].get("block", 0),
+                                 c["witnessIndex"], repr(c["magnitude"]), repr(c["bound"])])
+                tail = lines.pop()
+                if number is not None:
+                    tails[number] = tail
+            if texts is None:
+                writer.writerow([repr(cert.lam.real), repr(cert.lam.imag)])  # quoted where needed
+                lines.append(f"{lines.pop()[:-2]},{tail}")
+            else:
+                lines.append(f"{texts[0]},{texts[1]},{tail}")
+            if len(lines) >= _CSV_CHUNK:
+                fh.write("".join(lines))
+                lines.clear()
         fh.write("".join(lines))
     return path.name
 
 
-def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int) -> list:
+def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int, walks=None) -> list:
     written = []
     certs = results.get("certificates") or results.get("report", {}).get(
         "certificates", [])
     if certs:
-        written.append(_write_certificates(outdir / "certificates.csv", certs))
+        written.append(_write_certificates(outdir / "certificates.csv", certs, walks))
     # Row-major over the numerically nonzero entries; the eigensolve reads
     # the same entries, and builds a dense corner only to fall back on LAPACK.
     entries = corner_entries(spec.operator, truncation)
@@ -237,9 +241,10 @@ def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
                 params[key] = value
         cfg, truncation = _run_config(params)
         results = _run_analysis(spec, cfg, truncation)
+        walks = WalkTable()  # both certificate writers read it; it ends with the run
         artifacts = []
         if write_csv:
-            artifacts = _write_csv_artifacts(out, spec, results, truncation)
+            artifacts = _write_csv_artifacts(out, spec, results, truncation, walks)
     except Exception as exc:  # mapped to exit codes below
         code, block = _error_block(exc)
         report = {
@@ -260,7 +265,7 @@ def run(spec_path: str, outdir: str, overrides: dict, write_csv: bool) -> int:
         "artifacts": artifacts,
         "wallTime": time.perf_counter() - started,
     }
-    write_report(out / "report.json", report)
+    write_report(out / "report.json", report, walks)
     print(f"ok: {spec.analysis} report written to {out / 'report.json'}")
     return EXIT_OK
 
@@ -306,8 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return validate(args.spec)
     overrides = {key: getattr(args, key) for key, _kind, _field in RUN_PARAMS}

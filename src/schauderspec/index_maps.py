@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyInputError
@@ -163,13 +164,23 @@ def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
     return _normal_form(p.shift + b, h, description)
 
 
+def _inverse_text(d: str) -> str:
+    """``inverse of d``, parenthesized if ``d`` is composed; a double inverse unwraps."""
+    rest = d[11:] if d.startswith("inverse of ") else ""
+    if rest and " o " not in rest:
+        return rest
+    depths = list(accumulate((c == "(") - (c == ")") for c in rest))
+    if rest[:1] == "(" and depths[-1] == 0 and 0 not in depths[:-1]:
+        return rest[1:-1]  # its first parenthesis closes last
+    return f"inverse of ({d})" if " o " in d else "inverse of " + d
+
+
 def inverse_permutation(p: Permutation) -> Permutation:
-    """``p^-1``: ``(tau_s f)^-1 = tau_-s (tau_s f^-1 tau_-s)``; the double
-    inverse of an uncomposed permutation keeps its description."""
+    """``p^-1``: ``(tau_s f)^-1 = tau_-s (tau_s f^-1 tau_-s)``; a double
+    inverse keeps its description."""
     if p.is_identity:
         return p
-    d = p.description
-    d = d[11:] if d.startswith("inverse of ") and " o " not in d else "inverse of " + d
+    d = _inverse_text(p.description)
     if p.maps:
         return opaque_permutation(p.maps[1], p.maps[0], d)
     s = p.shift

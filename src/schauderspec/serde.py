@@ -540,8 +540,7 @@ class _Slot(str):  # the token of a value that a certificate frame leaves open
     pass
 
 
-# Token functions of the exact JSON types but float, whose tokens
-# write_report memoizes; None marks a container.
+# Token functions of the exact JSON types but float; None marks a container.
 _TOKENS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -560,49 +559,57 @@ _WALK_FIELDS = attrgetter("witness_index", "attained_magnitude", "recurrence_kin
                           "bound", "regime", "start_index", "side", "covered_region")
 
 
-def walk_key(cert: EigenExclusionCertificate) -> tuple:
-    """``(key, adjoint)``: certificates of one key have the same text but for
-    ``lam`` and ``adjoint``, the details' ``adjoint_lambda`` if an exact complex.
-
-    The key is the ``marshal`` bytes of the rest, which keep exact types and
-    float bits: ``0.0`` and ``-0.0``, or ``1``, ``1.0`` and ``True``, never share
-    one.  It is None, and matches nothing, if ``marshal`` refuses a value.
-    """
-    details = dict(cert.details)  # as certificate_to_json reads them
-    adjoint = details.get("adjoint_lambda")
-    if type(adjoint) is complex:
-        details["adjoint_lambda"] = None
-    else:
-        adjoint = None
-    try:
-        return marshal.dumps((_WALK_FIELDS(cert), details, adjoint is None), 2), adjoint
-    except ValueError:
-        return None, adjoint
-
-
 def _float_token(x: float) -> str:
     token = float.__repr__(x)
     return _NONFINITE.get(token, token)
 
 
-def float_texts(fmt):
-    """``fmt`` that formats each distinct nonzero exact float once.
+class WalkTable:
+    """A run's certificates, each read once for all of its writers.
 
-    Zeros are formatted every time: ``0.0 == -0.0``, so one memo entry
-    would give one sign the other's text.  Anything that is not an exact
-    float goes straight to ``fmt``.
+    ``row(cert)`` is ``(walk number, adjoint, texts, cert)``.  One number stands
+    for the ``marshal`` bytes of all but ``lam`` and ``adjoint`` (the details'
+    ``adjoint_lambda`` if an exact complex), which keep exact types and float
+    bits; it is None if ``marshal`` refuses a value.  ``texts`` are the ``repr``
+    of the lambda's parts and ``adjoint``'s, None unless the lambda's are exact
+    floats.  A row holds its certificate, so its ``id`` stays unique.
     """
-    texts = {}
 
-    def text(x):
+    def __init__(self):
+        self.numbers = {}  # walk key -> walk number
+        self.rows = {}  # id(cert) -> row
+        self.texts = {}  # nonzero exact float -> its repr
+
+    def text(self, x) -> str:
+        """``repr(x)``, made once per distinct nonzero exact float (as
+        ``0.0 == -0.0``, one memo entry would give both zeros one text)."""
         if type(x) is not float or not x:
-            return fmt(x)
-        t = texts.get(x)
-        if t is None:
-            t = texts[x] = fmt(x)
-        return t
+            return repr(x)
+        text = self.texts.get(x)
+        if text is None:
+            text = self.texts[x] = repr(x)
+        return text
 
-    return text
+    def row(self, cert) -> tuple:
+        row = self.rows.get(id(cert))
+        if row is None:
+            details = dict(cert.details)  # as certificate_to_json reads them
+            adjoint = details.get("adjoint_lambda")
+            if type(adjoint) is complex:
+                details["adjoint_lambda"] = None
+            else:
+                adjoint = None
+            try:
+                key = marshal.dumps((_WALK_FIELDS(cert), details, adjoint is None), 2)
+                number = self.numbers.setdefault(key, len(self.numbers))
+            except ValueError:
+                number = None
+            lam, texts = cert.lam, None
+            if type(lam.real) is float and type(lam.imag) is float:
+                texts = tuple(map(self.text, (lam.real, lam.imag) + (
+                    () if adjoint is None else (adjoint.real, adjoint.imag))))
+            row = self.rows[id(cert)] = (number, adjoint, texts, cert)
+        return row
 
 
 def _key_text(key) -> str:
@@ -614,7 +621,7 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def write_report(path, report) -> None:
+def write_report(path, report, walks: WalkTable = None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` to ``path``.
 
     The text is streamed, never held whole: list loops hand the pending
@@ -623,22 +630,23 @@ def write_report(path, report) -> None:
     complete, so a reader never sees a partial report.  Unlike
     ``json.dumps`` it does not look for reference cycles.  A certificate
     record is written as its ``certificate_to_json``: its walk's text once
-    per indent, as a frame that each certificate fills in (``walk_key``).
+    per indent, as a frame that each certificate fills in from its row of
+    ``walks``, a ``WalkTable`` that other writers of the run may share.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     parts = []
     key_heads = {}  # str key -> '"key": '
-    float_text = float_texts(_float_token)
-    token_of = {**_TOKENS, float: float_text}.get
-    frames = {}  # (walk key, indent) -> (text segments, slot picker)
+    token_of = {**_TOKENS, float: _float_token}.get
+    walks = walks or WalkTable()
+    frames = {}  # (walk number, indent) -> (text segments, slot picker)
 
     def certificate(cert, nl):
         # Emit a walk's text once per indent, with slot tokens, and split it
         # there; what that emit flushes goes to a buffer, not to the file.
         nonlocal parts, fh
-        key, adjoint = walk_key(cert)
-        frame = frames.get((key, nl))
+        number, adjoint, texts, _ = walks.row(cert)
+        frame = frames.get((number, nl))
         if frame is None:
             doc = certificate_to_json(cert)
             doc["lambdaRe"], doc["lambdaIm"] = _SLOTS[:2]
@@ -650,17 +658,19 @@ def write_report(path, report) -> None:
             parts, fh = saved
             frame = ([text[0], *[s[1:] for s in text[1:]]],
                      itemgetter(*[int(s[0]) for s in text[1:]]))
-            if key is not None:
-                frames[key, nl] = frame
+            if number is not None:
+                frames[number, nl] = frame
         segments, pick = frame
-        lam = cert.lam
-        values = (lam.real, lam.imag) if adjoint is None else (
-            lam.real, lam.imag, adjoint.real, adjoint.imag)
+        if texts is None:
+            lam = cert.lam
+            tokens = map(_token, pick((lam.real, lam.imag) if adjoint is None else (
+                lam.real, lam.imag, adjoint.real, adjoint.imag)))
+        else:
+            picked = pick(texts)
+            tokens = map(_NONFINITE.get, picked, picked)
         pieces = [None] * (2 * len(segments) - 1)
         pieces[::2] = segments
-        # a complex lambda's parts are exact floats
-        pieces[1::2] = map(float_text if type(lam) is complex else _token,
-                           pick(values))
+        pieces[1::2] = tokens
         parts += pieces
 
     def emit(o, nl):
@@ -725,3 +735,5 @@ def write_report(path, report) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    finally:  # emit and certificate call each other: free them, and walks, now
+        del emit

@@ -276,7 +276,7 @@ class _ShiftCertifier:
         self.check_weights = check_weights
         self.rays: Optional[_Rays] = None
         self.orbits: dict = {}
-        self.regions: dict = {}
+        self.walks: dict = {}  # (side, |lam|) -> all of a complex lam's certificate but lam
 
     def _orbit(self, side: str) -> _Orbit:
         orbit = self.orbits.get(side)
@@ -316,25 +316,22 @@ class _ShiftCertifier:
             raise PreconditionViolatedError(
                 "lambda = 0 is handled structurally; use kernel_trivial"
             )
-        regime, k, log_mag = self._orbit(side).divergence(walked)
-        details = (("log_magnitude", log_mag),)
+        # by modulus, not log: moduli that share a math.log print own regions
+        key = (side, abs(walked)) if type(walked) is complex else None
+        walk = self.walks.get(key)
+        if walk is None:
+            regime, k, log_mag = self._orbit(side).divergence(walked)
+            walk = (regime, k, _safe_exp(log_mag),
+                    f"circle |lambda| = {abs(complex(walked))!r}",
+                    (("log_magnitude", log_mag),))
+            if key is not None:
+                self.walks[key] = walk
+        regime, k, magnitude, region, details = walk
         if side == "adjoint":
             details = (("adjoint_lambda", walked),) + details
-        modulus = abs(complex(walked))
-        region = self.regions.get(modulus)
-        if region is None:
-            region = self.regions[modulus] = f"circle |lambda| = {modulus!r}"
-        return EigenExclusionCertificate(
-            lam=complex(lam),
-            witness_index=k,
-            attained_magnitude=_safe_exp(log_mag),
-            recurrence_kind="scalar-shift",
-            bound=self.bound,
-            regime=regime,
-            side=side,
-            covered_region=region,
-            details=details,
-        )
+        # positional, in field order: this runs once per grid point and side
+        return EigenExclusionCertificate(complex(lam), k, magnitude, "scalar-shift",
+                                         self.bound, regime, 1, side, region, details)
 
 
 def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,

@@ -20,6 +20,7 @@ from schauderspec.serde import (
     RUN_PARAMS,
     certificate_to_json,
     parse_spec_document,
+    WalkTable,
     validate_document,
     write_report,
 )
@@ -929,6 +930,23 @@ _ALIASES = [
 ]
 
 
+def _csv_text(certs) -> str:
+    """``certificates.csv`` as plain csv.writer rows of each certificate's JSON form."""
+    import csv
+    import io
+
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime",
+                     "block", "witness_index", "magnitude", "bound"])
+    for c in map(certificate_to_json, certs):
+        writer.writerow([repr(c["lambdaRe"]), repr(c["lambdaIm"]), c["side"],
+                         c["kind"], c["regime"], c["details"].get("block", 0),
+                         c["witnessIndex"], repr(c["magnitude"]),
+                         repr(c["bound"])])
+    return want.getvalue()
+
+
 class TestCertificateRecords:
     """Certificate records are written as their ``certificate_to_json``."""
 
@@ -948,21 +966,47 @@ class TestCertificateRecords:
     @given(_certificate_lists(_lambdas | st.sampled_from([Fraction(1, 3), 7])))
     @example(_ALIASES)
     def test_csv_rows_are_the_plain_csv_writer_rows(self, tmp_path_factory, certs):
-        import csv
-        import io
-
         path = tmp_path_factory.mktemp("w") / "certificates.csv"
         assert cli._write_certificates(path, certs) == "certificates.csv"
-        want = io.StringIO()
-        writer = csv.writer(want)
-        writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime",
-                         "block", "witness_index", "magnitude", "bound"])
-        for c in map(certificate_to_json, certs):
-            writer.writerow([repr(c["lambdaRe"]), repr(c["lambdaIm"]), c["side"],
-                             c["kind"], c["regime"], c["details"].get("block", 0),
-                             c["witnessIndex"], repr(c["magnitude"]),
-                             repr(c["bound"])])
-        assert path.read_bytes().decode() == want.getvalue()
+        assert path.read_bytes().decode() == _csv_text(certs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_certificate_lists())
+    @example(_ALIASES)
+    @example([_floor(complex(math.nan, math.inf)), _floor(complex(-math.inf, -0.0)),
+              replace(_floor(2j), side="adjoint", details=(
+                  ("adjoint_lambda", complex(math.nan, -math.inf)), ("block", 1)))])
+    def test_one_walk_table_serves_both_writers(self, tmp_path_factory, certs):
+        # as a run shares it: the CSV reads it first, the report after, and
+        # each keeps its own spelling of nan and the infinities
+        tmp_path = tmp_path_factory.mktemp("w")
+        walks = WalkTable()
+        tree = {"a": certs, "b": {"c": certs[::-1]}}
+        as_json = [certificate_to_json(c) for c in certs]
+        for _ in range(2):
+            cli._write_certificates(tmp_path / "certificates.csv", certs, walks)
+            write_report(tmp_path / "report.json", tree, walks)
+            assert (tmp_path / "certificates.csv").read_bytes().decode() == _csv_text(certs)
+            assert (tmp_path / "report.json").read_text() == stdlib_text(
+                {"a": as_json, "b": {"c": as_json[::-1]}})
+        assert len(walks.rows) == len({id(c) for c in certs})
+
+    def test_writers_free_the_walk_table_without_the_cycle_collector(self, tmp_path):
+        # a run's table holds every certificate; a long-lived process that
+        # left it to the cycle collector would grow by one table per run
+        import gc
+        import weakref
+
+        walks = WalkTable()
+        gone = weakref.ref(walks)
+        gc.disable()
+        try:
+            cli._write_certificates(tmp_path / "certificates.csv", _ALIASES, walks)
+            write_report(tmp_path / "report.json", {"c": _ALIASES}, walks)
+            del walks
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_long_detail_list_streams_in_chunks(self, tmp_path):
         # the frame's own emit passes the flush threshold

@@ -140,13 +140,28 @@ class TestSingleOrbit:
         assert both.description == "sigma-bilateral o one-line(2)"
         assert [both.forward(k) for k in range(1, 6)] == [1, 3, 5, 2, 7]
         back = inverse_permutation(both)
-        assert back.description == "inverse of sigma-bilateral o one-line(2)"
+        assert back.description == "inverse of (sigma-bilateral o one-line(2))"
         assert (back.shift, back.moves) == (-1, ((0, 1), (1, 0)))
         assert all(back.forward(both.forward(k)) == k for k in range(1, 50))
         assert all(both.inverse(k) == back.forward(k) for k in range(1, 50))
-        assert inverse_permutation(back).description == (
-            "inverse of inverse of sigma-bilateral o one-line(2)")
+        assert inverse_permutation(back).description == both.description
         assert inverse_permutation(back).moves == both.moves
+
+    def test_inverse_descriptions_name_their_factors(self):
+        sigma, inv = sigma_bilateral(), inverse_permutation
+        a = compose_permutations(inv(sigma), SWAP)
+        b = inv(compose_permutations(sigma, SWAP))
+        c = compose_permutations(b, inv(compose_permutations(SWAP, sigma)))
+        assert [p.description for p in (a, b, c)] == [
+            "inverse of sigma-bilateral o one-line(2)",
+            "inverse of (sigma-bilateral o one-line(2))",
+            "inverse of (sigma-bilateral o one-line(2)) o "
+            "inverse of (one-line(2) o sigma-bilateral)"]
+        assert inv(a).description == f"inverse of ({a.description})"
+        assert inv(b).description == "sigma-bilateral o one-line(2)"
+        assert inv(c).description == f"inverse of ({c.description})"
+        for p in (a, b, c):
+            assert inv(inv(p)).description == p.description
 
     @pytest.mark.parametrize("p, q", [
         (z_translation_permutation(1), z_translation_permutation(-1)),

@@ -229,6 +229,33 @@ class TestGridCertificates:
         assert len(certifier.orbits["direct"].memo) == len(
             {log_abs(lam) for lam in grid})
 
+    def test_repeated_moduli_fill_in_only_their_own_lambdas(self):
+        # 0.001 and 0.0010000000000000002 share one math.log but print
+        # different regions; signed zeros and repeated phases share a modulus
+        tiny = 0.0010000000000000002
+        assert math.log(tiny) == math.log(0.001)
+        grid = [0.001, tiny * 1j, complex(-0.0, 0.001), complex(0.001, -0.0),
+                complex(-0.001, 0.0), complex(-0.0, -tiny), complex(0.5, -0.0),
+                0.5j, complex(-0.5, -0.0), complex(0.3, 0.4), complex(0.3, 0.4)]
+        s = basic_shift(PowerLawRule(1.0, 0.5))
+        certifier = spectral._ShiftCertifier(s, 1e30, 100_000)
+        certs = [certifier.certificate(lam, side)
+                 for lam in grid for side in ("direct", "adjoint")]
+        # == sees no sign of zero; repr does
+        assert list(map(repr, certs)) == list(map(repr, per_lambda_certificates(
+            s, grid, 1e30)))
+        assert {c.covered_region for c in certs} == {
+            "circle |lambda| = 0.001", f"circle |lambda| = {tiny!r}",
+            "circle |lambda| = 0.5"}
+        # the float 0.001 is walked directly; every complex walk is kept once
+        assert {key: walk[3] for key, walk in certifier.walks.items()} == {
+            (side, m): f"circle |lambda| = {m!r}"
+            for side in ("direct", "adjoint") for m in (0.001, tiny, 0.5)}
+        for lam, adjoint in zip(grid, certs[1::2]):
+            assert repr(adjoint.lam) == repr(complex(lam))
+            assert repr(adjoint.detail("adjoint_lambda")) == repr(
+                complex(lam).conjugate())
+
     def test_orbit_cache_grows_only_as_deep_as_the_walks(self):
         s = basic_shift(PowerLawRule(1.0, 0.2))
         grid = lambda_grid(CertificateGridConfig(moduli=8, phases=4), 1.0)
