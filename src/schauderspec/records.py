@@ -39,11 +39,13 @@ def record(cls):
     """Make ``cls`` a frozen record."""
     own = cls.__dict__.get("__annotations__", {})
     names = tuple(dict.fromkeys((*getattr(cls, "_record_fields", ()), *own)))
-    body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+    # one update of the instance dict takes about half the time of an
+    # object.__setattr__ per field (the class's own __setattr__ refuses)
+    body = f"\n self.__dict__.update({', '.join(f'{n}={n}' for n in names)})"
     if hasattr(cls, "__post_init__"):
         body += "\n self.__post_init__()"
-    scope = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(names)}):\n pass{body}", scope)
+    scope = {}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
     init = scope["__init__"]
     init.__defaults__ = tuple(getattr(cls, n) for n in names if hasattr(cls, n))
     init.__qualname__ = f"{cls.__qualname__}.__init__"

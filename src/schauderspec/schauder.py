@@ -20,7 +20,7 @@ shift similarity), and interval-block models for continuous spectrum.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     NotCompactError,
@@ -48,13 +48,17 @@ from .op_algebra import (
 )
 from .records import record, replace
 from .sequences import (
+    AffineRule,
     ArithmeticSequence,
     ConstantRule,
     ExplicitPrefixSequence,
     ExplicitThenRule,
+    GeometricRule,
     MergedAbsDecreasingRule,
+    PowerLawRule,
     Scalar,
     ScalarRule,
+    ScaledRule,
     _abs_exact,
     _values_past,
 )
@@ -62,6 +66,7 @@ from .spectral import (
     CertificateGridConfig,
     EigenExclusionCertificate,
     KernelRangeVerdict,
+    _ShiftCertifier,
     _grid_top,
     _weights_zero_check,
     _zero_scan,
@@ -244,9 +249,26 @@ def _finite_value_set(rule: ScalarRule) -> Optional[tuple]:
     values, rest, _skip = _values_past(rule, 0)
     if isinstance(rest, ConstantRule):
         values += (rest.c,)
+    elif _is_zero_rule(rest):
+        values += (0,)
     elif rest is not None:
         return None
     return tuple(dict.fromkeys(values))
+
+
+def _is_zero_rule(rule) -> bool:
+    """Whether the exact parameters of ``rule`` make every term 0.
+
+    Read from the parameters, not from ``tail_abs_sum``: a Fraction scale
+    of 10**-400 sums to 0.0 in floats.
+    """
+    if isinstance(rule, ScaledRule):
+        return rule.factor == 0 or _is_zero_rule(rule.inner)
+    if isinstance(rule, AffineRule):
+        return rule.base == 0 and _is_zero_rule(rule.inner)
+    if isinstance(rule, GeometricRule):
+        return rule.scale == 0 or rule.ratio == 0
+    return isinstance(rule, PowerLawRule) and rule.scale == 0
 
 
 def _sorted_values(values) -> tuple:
@@ -511,19 +533,20 @@ _RANGE_NOTE = ("range of the product equals the range of the diagonal "
 
 
 def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
-                  lemma_path: str, note: str,
-                  block0_certificates: Optional[Callable] = None,
+                  lemma_path: str, note: str, similar: Optional[tuple] = None,
                   known_nonzero: int = 0) -> DeflationResult:
     """Sigma-unitary deflation of ``diag(rule)`` plus one block per value.
 
     Block 0 carries ``rule`` behind the two-spread unitary; each value
     ``v`` gets its own block ``v * sigma``, and the blocks interleave
-    along residues mod their count.  Block 0's certificates come from
-    ``block0_certificates(grid)``, by default the grid walk of its
-    weighted shift, tagged ``block 0`` when other blocks exist.  With no
-    values the result is the plain shift.  Block 0's shift must pass the
-    zero check (injective with dense range) before anything is built; it
-    does not read the first ``known_nonzero`` weights again.
+    along residues mod their count.  Block 0's certificates are the grid
+    walk of its weighted shift, tagged ``block 0`` when other blocks
+    exist; with ``similar = (value, details)`` they are those of the
+    scaled unitary ``value * sigma`` it is similar to, each ending with
+    ``details``.  With no values the result is the plain shift.  Block
+    0's shift must pass the zero check (injective with dense range)
+    before anything is built; it does not read the first
+    ``known_nonzero`` weights again.
     """
     sigma = sigma_bilateral()
     shift = ShiftForm(sigma, rule)
@@ -548,14 +571,13 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
                                        shift.to_expr())
     max_w = max([sup_abs_weight(rule)] + [float(_abs_exact(v)) for v in values])
     grid = lambda_grid(cfg, max_w)
-    if block0_certificates is None:
-        certs = list(grid_certificates(shift, grid, cfg.bound, cfg.step_cap))
-        if values:
-            certs = _tag_block(certs, 0)
+    if similar is None:
+        certs = _ShiftCertifier(shift, cfg.bound, cfg.step_cap,
+                                details=(("block", 0),) if values else ()).grid(grid)
     else:
-        certs = list(block0_certificates(grid))
+        certs = _scaled_unitary_certificates(similar[0], grid, cfg, 0, similar[1])
     for b, v in enumerate(values, 1):
-        certs.extend(_scaled_unitary_certificates(v, grid, cfg, b))
+        certs += _scaled_unitary_certificates(v, grid, cfg, b)
     return DeflationResult(
         unitary=unitary,
         deflated=deflated,
@@ -587,37 +609,25 @@ def deflate_basic(t: ScalarRule,
 
 
 def _scaled_unitary_certificates(value, grid, cfg: CertificateGridConfig,
-                                 block: int) -> list:
+                                 block: int, details: tuple = ()) -> list:
     """Certificates for ``value * (sigma unitary)`` on one block.
 
     Off the circle ``|lambda| = |value|`` the orbit recurrence diverges;
     on it the coefficients have constant modulus 1 along an infinite
-    orbit, which no square-summable vector supports.
+    orbit, which no square-summable vector supports.  Each certificate
+    ends with ``("block", block)`` and ``details``.
     """
-    shift = ShiftForm(sigma_bilateral(), ConstantRule(value))
     v = float(_abs_exact(value))
-    on_circle = [abs(abs(lam) - v) <= 1e-12 * max(v, 1.0) for lam in grid]
-    walked = iter(grid_certificates(
-        shift, [lam for lam, on in zip(grid, on_circle) if not on],
-        cfg.bound, cfg.step_cap, check_weights=False))
-    out = []
-    for lam, on in zip(grid, on_circle):
-        if not on:
-            out.extend(_tag_block((next(walked), next(walked)), block))
-            continue
-        for side in ("direct", "adjoint"):
-            out.append(EigenExclusionCertificate(
-                lam=complex(lam), witness_index=1, attained_magnitude=1.0,
-                recurrence_kind="scalar-shift", bound=0.0,
-                regime="constant-floor", side=side,
-                covered_region=f"circle |lambda| = {v!r}",
-                details=(("block", block), ("scaled_unitary", v)),
-            ))
-    return out
-
-
-def _tag_block(certs, block: int) -> list:
-    return [replace(c, details=c.details + (("block", block),)) for c in certs]
+    certifier = _ShiftCertifier(ShiftForm(sigma_bilateral(), ConstantRule(value)),
+                                cfg.bound, cfg.step_cap, False,
+                                (("block", block),) + details)
+    region = f"circle |lambda| = {v!r}"
+    floor = (("block", block), ("scaled_unitary", v)) + details
+    return [EigenExclusionCertificate(complex(lam), 1, 1.0, "scalar-shift", 0.0,
+                                      "constant-floor", 1, side, region, floor)
+            if abs(abs(lam) - v) <= 1e-12 * max(v, 1.0)
+            else certifier.certificate(lam, side)
+            for lam in grid for side in ("direct", "adjoint")]
 
 
 def deflate_discrete(m: MultiplicityList,
@@ -697,18 +707,13 @@ def deflate_finite_spectrum(values: MultiplicityList,
         ("shields_c", float(verdict.c)),
         ("shields_C", float(verdict.C)),
     )
-
-    def block0_certificates(grid):
-        return [replace(c, details=c.details + shields_details)
-                for c in _scaled_unitary_certificates(designated, grid, cfg, 0)]
-
     return _sigma_blocks(
         block0_rule, infinite_sorted[1:], cfg, "finite-spectrum",
         "block 0 weights differ from the constant weight in finitely "
         f"many places; window ratio products in [{verdict.c!r}, "
         f"{verdict.C!r}] certify similarity to the scaled unitary, "
         "whose point spectrum and adjoint point spectrum are empty",
-        block0_certificates)
+        (designated, shields_details))
 
 
 def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],

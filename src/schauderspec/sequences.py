@@ -224,6 +224,9 @@ class AffineRule(ScalarRule):
     def value(self, n: int) -> Scalar:
         return self.base + self.inner.value(n)
 
+    def length(self):
+        return self.inner.length()
+
     def limit(self):
         il = self.inner.limit()
         if il is None:
@@ -277,6 +280,8 @@ class ScaledRule(ScalarRule):
         return self.inner.length()
 
     def limit(self):
+        if self.factor == 0:
+            return 0
         il = self.inner.limit()
         if il is None:
             return None

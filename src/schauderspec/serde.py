@@ -209,11 +209,22 @@ def _block_direct_sum(blocks, partition) -> BlockDirectSum:
         raise SpecFormatError("partition must list one cell per block", cells_path)
     parsed_blocks, parsed_cells = [], []
     for i, block in enumerate(blocks):
-        parsed_blocks.append(_parse(block, f"{blocks_path}[{i}]", "operator"))
+        parsed_blocks.append(_parse(block, f"{blocks_path}[{i}]", "operator", True))
     for i, cell in enumerate(cells):
         parsed_cells.append(_parse(cell, f"{cells_path}[{i}]", "sequence"))
     _check_partition(parsed_cells, cells_path)
+    for i, (block, cell) in enumerate(zip(parsed_blocks, parsed_cells)):
+        n = block.weights.length() if isinstance(block, Diagonal) else None
+        if n is not None and n != (held := cell.length()):
+            raise SpecFormatError(_FINITE_RULE.format(n) + f"; cell {i} " + (
+                "is infinite" if held is None else f"holds {held} indices"),
+                f"{blocks_path}[{i}].weights")
     return BlockDirectSum(tuple(parsed_blocks), tuple(parsed_cells))
+
+
+# A finite rule leaves its diagonal undefined past its last term.
+_FINITE_RULE = ("a finite rule of length {} must be a diagonal block on a finite "
+                "cell of the same length")
 
 
 def _check_partition(cells, path: str) -> None:
@@ -316,12 +327,14 @@ _ROWS = {family: (tag_key, {
 }) for family, (tag_key, rows) in GRAMMAR.items()}
 
 
-def _parse(node, path: str, family: str):
+def _parse(node, path: str, family: str, block: bool = False):
     """The ``family`` node at ``path``, read by its grammar row.
 
     Nested nodes and list items come back here from a loop, with no
     wrapper or comprehension between: before Python 3.12 each would cost
-    a frame per level and halve how deeply a document can nest.
+    a frame per level and halve how deeply a document can nest.  A
+    diagonal with a finite rule is legal only as a ``block`` of a block
+    direct sum, which checks its cell.
     """
     tag_key, rows = _ROWS[family]
     node = _expect_dict(node, path)
@@ -342,9 +355,12 @@ def _parse(node, path: str, family: str):
         else:
             values.append(parse(value, f"{path}.{key}"))
     try:
-        return build(*values)
+        built = build(*values)
     except ValueError as exc:
         raise SpecFormatError(str(exc), f"{path}.{fields[0][0]}") from exc
+    if tag == "diagonal" and not block and (n := built.weights.length()) is not None:
+        raise SpecFormatError(_FINITE_RULE.format(n), f"{path}.weights")
+    return built
 
 
 # The run parameters, one row each: the key (a document's ``params`` key

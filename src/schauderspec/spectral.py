@@ -142,21 +142,45 @@ def _walk_logs(s: ShiftForm, lam: Scalar, direction: str, steps: int,
     return total
 
 
-class _Rays:
-    """log|w| along both directions of the orbit of 1, for T and T*.
+def _orbits_in_words(perm) -> str:
+    """``": it has 1 infinite orbit and ..."``, or "" without an infinite orbit."""
+    count, cycles = orbit_structure(perm) or (0, ())
+    if not count:
+        return ""
+    listed = ", ".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+    return f": it has {count} infinite orbit{'s' * (count > 1)} and " + (
+        f"the finite cycle{'s' * (len(cycles) > 1)} {listed}" if cycles else "no finite cycle")
 
-    ``back[k]`` belongs to the weight at ``perm^-(k+1)(1)`` and
-    ``fwd[k]`` to the one at ``perm^k(1)``; each ray is grown only as
-    deep as some walk read it.  The adjoint walks the same moduli,
-    ``|conj w| = |w|``, along the inverse permutation: its backward step k
-    reads ``fwd[k]`` and its forward step k reads ``back[k]``.
+
+class _ShiftCertifier:
+    """Direct and adjoint orbit-walk certificates for one shift.
+
+    Each side's preconditions are checked before that side's first
+    certificate, so a grid walks each orbit once per side and distinct
+    ``log|lam|`` and raises the same errors, in the same order, as
+    certifying its points one by one.  Every certificate ends with
+    ``details``.
+
+    Both sides read the two rays ``back`` and ``fwd`` of ``log|w|`` along
+    the orbit of 1, each grown only as deep as some walk read it, so each
+    orbit weight is evaluated at most once.  The adjoint walks the same
+    moduli, ``|conj w| = |w|``, along the inverse permutation: its
+    backward step k reads ``fwd[k]`` and its forward step k ``back[k]``.
     """
 
-    def __init__(self, s: ShiftForm):
+    def __init__(self, s: ShiftForm, bound: float, step_cap: int,
+                 check_weights: bool = True, details: tuple = ()):
         self.s = s
-        self.back: list = []
-        self.fwd: list = []
+        self.bound = bound
+        self.step_cap = step_cap
+        self.check_weights = check_weights
+        self.details = details
+        self.back: list = []  # log|w| at perm^-(k+1)(1)
+        self.fwd: list = []  # log|w| at perm^k(1)
         self.back_idx = self.fwd_idx = 1
+        self.sides: set = set()  # sides whose preconditions hold
+        self.memo: dict = {}  # (side, exact log|lam|) -> (regime, witness step, log magnitude)
+        self.walks: dict = {}  # (side, |lam|) -> all of a complex lam's certificate but lam
 
     def _log_weight(self, idx: int, side: str) -> float:
         w = self.s.weights.value(idx)
@@ -169,61 +193,65 @@ class _Rays:
             )
         return log_abs(w)
 
-    def grow_back(self, side: str) -> None:
+    def _grow_back(self, side: str) -> None:
         idx = self.s.perm.inverse(self.back_idx)
         self.back.append(self._log_weight(idx, side))
         self.back_idx = idx
 
-    def grow_fwd(self, side: str) -> None:
+    def _grow_fwd(self, side: str) -> None:
         self.fwd.append(self._log_weight(self.fwd_idx, side))
         self.fwd_idx = self.s.perm.forward(self.fwd_idx)
 
+    def _check(self, side: str) -> None:
+        s = self.s
+        # the walk kills only the orbit of 1; T* has the orbits of T
+        if not self.sides and not single_orbit(s.perm):
+            raise UnsupportedClassError(
+                "certificate path requires a single-orbit shift "
+                f"permutation, not {s.perm.description}{_orbits_in_words(s.perm)}")
+        if side == "direct" and self.check_weights:
+            lim = s.weights.limit()
+            if lim is not None and lim != 0:
+                raise PreconditionViolatedError(
+                    f"weights do not vanish (limit {lim}); this exclusion "
+                    "requires weights decreasing to 0"
+                )
+            probe = [abs(s.weights.value(n)) for n in range(1, 33)]
+            if any(a < b for a, b in zip(probe, probe[1:])):
+                if s.weights.abs_nonincreasing() is not True:
+                    raise PreconditionViolatedError(
+                        "weight magnitudes are not nonincreasing on the probe window"
+                    )
+        self.log_bound = math.log(self.bound)  # a bad bound fails after the checks
+        self.sides.add(side)
 
-class _Orbit:
-    """One side's divergence walks over the shared rays.
-
-    The side's backward walk reads ``near`` and its forward walk ``far``;
-    ``memo`` maps an exact ``log|lam|`` to its ``(regime, witness step,
-    log magnitude)``.
-    """
-
-    def __init__(self, rays: _Rays, side: str, log_bound: float,
-                 step_cap: int):
-        self.side = side
-        if side == "direct":
-            self.near, self.far = rays.back, rays.fwd
-            self.grow_near, self.grow_far = rays.grow_back, rays.grow_fwd
-        else:
-            self.near, self.far = rays.fwd, rays.back
-            self.grow_near, self.grow_far = rays.grow_fwd, rays.grow_back
-        self.log_bound = log_bound
-        self.step_cap = step_cap
-        self.memo: dict = {}
-
-    def divergence(self, lam: Scalar) -> Tuple[str, int, float]:
-        """First step whose forced coefficient exceeds ``log_bound``.
+    def _divergence(self, lam: Scalar, side: str) -> Tuple[str, int, float]:
+        """First step whose forced coefficient exceeds ``log(bound)``.
 
         Walks both directions in lockstep, backward first at each step;
         the cached prefix is summed in the order a fresh walk would.
         """
         la = log_abs(lam)
-        hit = self.memo.get(la)
+        hit = self.memo.get((side, la))
         if hit is not None:
             return hit
-        near, far, side = self.near, self.far, self.side
+        if side == "direct":
+            near, far, grow_near, grow_far = self.back, self.fwd, self._grow_back, self._grow_fwd
+        else:
+            near, far, grow_near, grow_far = self.fwd, self.back, self._grow_fwd, self._grow_back
         log_bound, step_cap = self.log_bound, self.step_cap
         have_near, have_far = len(near), len(far)
         bwd_log = fwd_log = 0.0
         for k in range(step_cap):
             if k == have_near:
-                self.grow_near(side)
+                grow_near(side)
                 have_near += 1
             bwd_log += la - near[k]
             if bwd_log > log_bound:
                 hit = ("backward-orbit", k + 1, bwd_log)
                 break
             if k == have_far:
-                self.grow_far(side)
+                grow_far(side)
                 have_far += 1
             fwd_log += far[k] - la
             if fwd_log > log_bound:
@@ -244,68 +272,8 @@ class _Orbit:
                 lam=lam, steps=step_cap, best_log_magnitude=best,
                 gap=log_bound - best,
             )
-        self.memo[la] = hit
+        self.memo[side, la] = hit
         return hit
-
-
-def _orbits_in_words(perm) -> str:
-    """``": it has 1 infinite orbit and ..."``, or "" without an infinite orbit."""
-    count, cycles = orbit_structure(perm) or (0, ())
-    if not count:
-        return ""
-    listed = ", ".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-    return f": it has {count} infinite orbit{'s' * (count > 1)} and " + (
-        f"the finite cycle{'s' * (len(cycles) > 1)} {listed}" if cycles else "no finite cycle")
-
-
-class _ShiftCertifier:
-    """Direct and adjoint orbit-walk certificates for one shift.
-
-    Each side's preconditions and walks are set up before that side's
-    first certificate, so a grid walks each orbit once per side and
-    distinct ``log|lam|`` and raises the same errors, in the same order,
-    as certifying its points one by one.  Both sides read one ``_Rays``,
-    so each orbit weight is evaluated at most once.
-    """
-
-    def __init__(self, s: ShiftForm, bound: float, step_cap: int,
-                 check_weights: bool = True):
-        self.s = s
-        self.bound = bound
-        self.step_cap = step_cap
-        self.check_weights = check_weights
-        self.rays: Optional[_Rays] = None
-        self.orbits: dict = {}
-        self.walks: dict = {}  # (side, |lam|) -> all of a complex lam's certificate but lam
-
-    def _orbit(self, side: str) -> _Orbit:
-        orbit = self.orbits.get(side)
-        if orbit is not None:
-            return orbit
-        s = self.s
-        # the walk kills only the orbit of 1; T* has the orbits of T
-        if self.rays is None:
-            if not single_orbit(s.perm):
-                raise UnsupportedClassError(
-                    "certificate path requires a single-orbit shift "
-                    f"permutation, not {s.perm.description}{_orbits_in_words(s.perm)}")
-            self.rays = _Rays(s)
-        if side == "direct" and self.check_weights:
-            lim = s.weights.limit()
-            if lim is not None and lim != 0:
-                raise PreconditionViolatedError(
-                    f"weights do not vanish (limit {lim}); this exclusion "
-                    "requires weights decreasing to 0"
-                )
-            probe = [abs(s.weights.value(n)) for n in range(1, 33)]
-            if any(a < b for a, b in zip(probe, probe[1:])):
-                if s.weights.abs_nonincreasing() is not True:
-                    raise PreconditionViolatedError(
-                        "weight magnitudes are not nonincreasing on the probe window"
-                    )
-        orbit = self.orbits[side] = _Orbit(self.rays, side, math.log(self.bound),
-                                           self.step_cap)
-        return orbit
 
     def certificate(self, lam: Scalar,
                     side: str = "direct") -> EigenExclusionCertificate:
@@ -320,10 +288,12 @@ class _ShiftCertifier:
         key = (side, abs(walked)) if type(walked) is complex else None
         walk = self.walks.get(key)
         if walk is None:
-            regime, k, log_mag = self._orbit(side).divergence(walked)
+            if side not in self.sides:
+                self._check(side)
+            regime, k, log_mag = self._divergence(walked, side)
             walk = (regime, k, _safe_exp(log_mag),
                     f"circle |lambda| = {abs(complex(walked))!r}",
-                    (("log_magnitude", log_mag),))
+                    (("log_magnitude", log_mag),) + self.details)
             if key is not None:
                 self.walks[key] = walk
         regime, k, magnitude, region, details = walk
@@ -332,6 +302,11 @@ class _ShiftCertifier:
         # positional, in field order: this runs once per grid point and side
         return EigenExclusionCertificate(complex(lam), k, magnitude, "scalar-shift",
                                          self.bound, regime, 1, side, region, details)
+
+    def grid(self, grid: Sequence[Scalar]) -> list:
+        """Direct then adjoint certificate for each ``lam`` of ``grid``."""
+        return [self.certificate(lam, side)
+                for lam in grid for side in ("direct", "adjoint")]
 
 
 def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
@@ -681,76 +656,45 @@ def block_norm_blowup(alpha_seq: ScalarRule, m: float, M: float, lam: Scalar,
         )
 
     r = abs(complex(lam))
-    base_details = (
+    details = (
         ("alpha", alpha_f), ("m", float(m)), ("M", float(M)),
         ("epsilon", float(epsilon)),
     )
     log_bound = math.log(bound)
 
     if abs(r - alpha_f) <= 1e-12 * alpha_f:
-        N = claim1_find_N(alpha_seq, alpha, epsilon)
-        floor_log = math.log(m) + math.log1p(-epsilon) - N * math.log(r)
-        for k in range(1, N):
-            floor_log += math.log(float(alpha_seq.value(2 * k - 1)))
-        return EigenExclusionCertificate(
-            lam=complex(lam),
-            witness_index=N,
-            attained_magnitude=_safe_exp(floor_log),
-            recurrence_kind="block-norm",
-            bound=0.0,
-            regime="constant-floor",
-            covered_region=f"circle |lambda| = {alpha_f!r}",
-            details=base_details + (("claim1_N", N),),
-        )
-
-    if r < alpha_f:
-        log_r = math.log(r)
-        total = math.log(m) - log_r
-        best = max(0.0, total)
-        if total > log_bound:
-            return EigenExclusionCertificate(
-                complex(lam), 1, _safe_exp(total), "block-norm", bound,
-                "forward", covered_region=f"0 < |lambda| <= {r!r}",
-                details=base_details,
-            )
-        for n in range(2, step_cap + 1):
-            total += math.log(float(alpha_seq.value(2 * (n - 1) - 1))) - log_r
+        k = claim1_find_N(alpha_seq, alpha, epsilon)
+        total = math.log(m) + math.log1p(-epsilon) - k * math.log(r)
+        for j in range(1, k):
+            total += math.log(float(alpha_seq.value(2 * j - 1)))
+        regime, bound, region = "constant-floor", 0.0, f"circle |lambda| = {alpha_f!r}"
+        details += (("claim1_N", k),)
+    else:
+        # a forward step 1 reads no alpha; it is checked even when step_cap < 1
+        forward, log_r, log_alpha = r < alpha_f, math.log(r), math.log(alpha_f)
+        regime = "forward" if forward else "backward"
+        region = f"0 < |lambda| <= {r!r}" if forward else f"|lambda| >= {r!r}"
+        total, best = math.log(m) if forward else 0.0, 0.0
+        for k in range(1, (max(step_cap, 1) if forward else step_cap) + 1):
+            if forward:
+                total += (math.log(float(alpha_seq.value(2 * k - 3)))
+                          if k > 1 else 0.0) - log_r
+            else:
+                g = 1.0 - float(alpha_seq.value(k)) / alpha_f
+                total += log_r - log_alpha - math.log1p(g)
             if total > log_bound:
-                return EigenExclusionCertificate(
-                    complex(lam), n, _safe_exp(total), "block-norm", bound,
-                    "forward", covered_region=f"0 < |lambda| <= {r!r}",
-                    details=base_details,
-                )
-            if total > best:
-                best = total
-        raise _block_step_cap("forward", lam, r, step_cap, best, log_bound)
-
-    log_r = math.log(r)
-    log_alpha = math.log(alpha_f)
-    total = best = 0.0
-    for k in range(1, step_cap + 1):
-        g = 1.0 - float(alpha_seq.value(k)) / alpha_f
-        total += log_r - log_alpha - math.log1p(g)
-        if total > log_bound:
-            return EigenExclusionCertificate(
-                complex(lam), k, _safe_exp(total), "block-norm", bound,
-                "backward", covered_region=f"|lambda| >= {r!r}",
-                details=base_details,
+                break
+            best = max(best, total)
+        else:
+            raise StepCapExceededError(
+                f"no {regime} blowup witness within {step_cap} steps for "
+                f"|lambda|={r}; the best log block-norm bound {best:.6g} is "
+                f"{log_bound - best:.6g} short of log(bound) = {log_bound:.6g}",
+                lam=lam, steps=step_cap, best_log_magnitude=best,
+                gap=log_bound - best,
             )
-        if total > best:
-            best = total
-    raise _block_step_cap("backward", lam, r, step_cap, best, log_bound)
-
-
-def _block_step_cap(regime: str, lam: Scalar, r: float, step_cap: int,
-                    best: float, log_bound: float) -> StepCapExceededError:
-    return StepCapExceededError(
-        f"no {regime} blowup witness within {step_cap} steps for "
-        f"|lambda|={r}; the best log block-norm bound {best:.6g} is "
-        f"{log_bound - best:.6g} short of log(bound) = {log_bound:.6g}",
-        lam=lam, steps=step_cap, best_log_magnitude=best,
-        gap=log_bound - best,
-    )
+    return EigenExclusionCertificate(complex(lam), k, _safe_exp(total), "block-norm",
+                                     bound, regime, 1, "direct", region, details)
 
 
 def replay_block_certificate(alpha_seq: ScalarRule,
@@ -994,6 +938,4 @@ def grid_certificates(s: ShiftForm, grid: Sequence[Scalar],
     ``adjoint_exclusion`` return for that point alone; each side's orbit
     is walked once per distinct ``log|lam|``.
     """
-    certifier = _ShiftCertifier(s, bound, step_cap, check_weights=check_weights)
-    return tuple(certifier.certificate(lam, side)
-                 for lam in grid for side in ("direct", "adjoint"))
+    return tuple(_ShiftCertifier(s, bound, step_cap, check_weights).grid(grid))

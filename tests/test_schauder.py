@@ -16,6 +16,7 @@ from schauderspec import (
     CertificateGridConfig,
     ConstantRule,
     Diagonal,
+    EigenExclusionCertificate,
     EmptySetMembers,
     ExplicitPrefixSequence,
     ExplicitThenRule,
@@ -29,13 +30,17 @@ from schauderspec import (
     PreconditionViolatedError,
     Product,
     RepeatedRule,
+    ScaledRule,
     SchauderSpectrumReport,
     SelfAdjointIntervalModel,
+    ShiftForm,
     Sum,
     UnsupportedClassError,
     VanishingSequenceMembers,
+    adjoint_exclusion,
     audit_deflation,
     backward_unilateral_shift,
+    block_norm_blowup,
     cibws,
     classify_compact,
     deflate,
@@ -51,8 +56,11 @@ from schauderspec import (
     is_schauder,
     one_line_permutation,
     recognize_shift_form,
+    replay_block_certificate,
     replay_shift_certificate,
     schauder_spectrum,
+    shields_similar,
+    shift_eigen_exclude,
     sigma_bilateral,
     truncate,
     z_translation_permutation,
@@ -305,6 +313,30 @@ class TestClassifyCompact:
         assert is_compact_structural(block) is True
         assert classify_compact(rep, True) == 3
 
+    @pytest.mark.parametrize("rule, members, case", [
+        (GeometricRule(1, 0), (0,), 2),
+        (PowerLawRule(0, 1), (0,), 2),
+        (PowerLawRule(0.0, 0.5), (0,), 2),
+        (GeometricRule(0, Fraction(1, 2)), (0,), 2),
+        (ScaledRule(0, RECIP), (0,), 2),
+        (ScaledRule(0, GeometricRule(1, 2)), (0,), 2),
+        (ScaledRule(2, AffineRule(0, GeometricRule(0j, 3))), (0,), 2),
+        (ConstantRule(0), (0,), 2),
+        (ExplicitThenRule((3,), PowerLawRule(0, 1)), (3, 0), 4),
+        (OffsetRule(ExplicitThenRule((3, 1), GeometricRule(1, 0)), 1), (1, 0), 4),
+        # an exact scale of 10**-400 is not 0, though its float tail sum is
+        (PowerLawRule(Fraction(1, 10 ** 400), 2), None, 5),
+    ])
+    def test_zero_rules_are_the_zero_operator(self, rule, members, case):
+        rep = schauder_spectrum(Diagonal(rule))
+        if members is None:
+            assert rule.tail_abs_sum(1) == 0.0
+            assert isinstance(rep.members, VanishingSequenceMembers)
+        else:
+            assert rep.members == FiniteSetMembers(members)
+        assert is_compact_structural(Diagonal(rule)) is True
+        assert classify_compact(rep, True) == case
+
     def test_not_compact_rejected(self):
         rep = schauder_spectrum(Diagonal(RECIP))
         with pytest.raises(NotCompactError):
@@ -538,6 +570,106 @@ def deflation_digest(res) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED_DEFLATIONS))
 def test_deflation_digest_pinned(name):
     assert deflation_digest(PINNED_DEFLATIONS[name]()) == PINNED_DIGESTS[name]
+
+
+def walked_reference(shift, grid, cfg, details, check_weights=True):
+    """Per-point certificates of ``shift``, each copied with ``details`` appended."""
+    out = []
+    for lam in grid:
+        for cert in (shift_eigen_exclude(shift, lam, cfg.bound, cfg.step_cap,
+                                         check_weights),
+                     adjoint_exclusion(shift, lam, cfg.bound, cfg.step_cap)):
+            out.append(replace(cert, details=cert.details + details))
+    return out
+
+
+def scaled_unitary_reference(value, grid, cfg, block, extra=()):
+    """``value * sigma`` on ``block``: per point, a constant floor on its
+    circle and a walk off it, each then copied with ``extra`` appended."""
+    v = float(abs(value))
+    shift = ShiftForm(sigma_bilateral(), ConstantRule(value))
+    out = []
+    for lam in grid:
+        if abs(abs(lam) - v) <= 1e-12 * max(v, 1.0):
+            certs = [EigenExclusionCertificate(
+                lam=complex(lam), witness_index=1, attained_magnitude=1.0,
+                recurrence_kind="scalar-shift", bound=0.0, regime="constant-floor",
+                side=side, covered_region=f"circle |lambda| = {v!r}",
+                details=(("block", block), ("scaled_unitary", v)))
+                for side in ("direct", "adjoint")]
+        else:
+            certs = walked_reference(shift, [lam], cfg, (("block", block),), False)
+        out.extend(replace(c, details=c.details + extra) for c in certs)
+    return out
+
+
+def grid_of(res, cfg):
+    return [c.lam for c in res.certificates[:2 * cfg.moduli * cfg.phases:2]]
+
+
+def assert_same_certificates(got, want):
+    assert list(got) == want
+    assert list(map(repr, got)) == list(map(repr, want))  # signed zeros too
+
+
+class TestCertificatesBuiltInFinalForm:
+    """Each grid certificate of a deflation is built once, already tagged,
+    and equals the certificate of its point alone with its tags copied on."""
+
+    @pytest.mark.parametrize("name", ["discrete-one-infinite", "discrete-two-infinite"])
+    def test_discrete_blocks(self, name):
+        res = PINNED_DEFLATIONS[name]()
+        cfg = ON_CIRCLE if name == "discrete-one-infinite" else SMALL
+        grid = grid_of(res, cfg)
+        block0, *rest = res.operator.blocks
+        want = walked_reference(ShiftForm(sigma_bilateral(), block0.weights), grid,
+                                cfg, (("block", 0),))
+        for b, block in enumerate(rest, 1):
+            want += scaled_unitary_reference(block.weights.c, grid, cfg, b)
+        assert (cfg is ON_CIRCLE) == any(c.regime == "constant-floor" for c in want)
+        assert_same_certificates(res.certificates, want)
+
+    @pytest.mark.parametrize("values, others", [
+        (((1, INFINITE), (2, 3)), ()),
+        (((1, INFINITE), (Fraction(1, 2), INFINITE), (2, 1)), (Fraction(1, 2),)),
+    ])
+    def test_finite_spectrum_blocks(self, values, others):
+        res = deflate_finite_spectrum(MultiplicityList(values), ON_CIRCLE)
+        grid = grid_of(res, ON_CIRCLE)
+        block0 = res.operator.blocks[0] if others else res.operator
+        verdict = shields_similar(block0.weights, ConstantRule(1), 10_000)
+        shields = (("via", "shields-similarity"), ("shields_c", float(verdict.c)),
+                   ("shields_C", float(verdict.C)))
+        want = scaled_unitary_reference(1, grid, ON_CIRCLE, 0, shields)
+        for b, v in enumerate(others, 1):
+            want += scaled_unitary_reference(v, grid, ON_CIRCLE, b)
+        assert {c.regime for c in want} > {"constant-floor"}
+        assert_same_certificates(res.certificates, want)
+
+    def test_block_continuous_certificates(self):
+        blocks = [((0.4, 0.6), 3), ((0.5, 1.5), 3), ((0.5, 1.5), 3)]
+        res = deflate_block_continuous(blocks, ALPHA_TO_ONE, 0.1, 2.0, ON_CIRCLE)
+        want = []
+        for lam in grid_of(res, ON_CIRCLE):
+            cert = block_norm_blowup(ALPHA_TO_ONE, 0.1, 2.0, lam, ON_CIRCLE.bound,
+                                     ON_CIRCLE.step_cap)
+            want += [cert, replace(cert, side="adjoint")]
+        assert_same_certificates(res.certificates, want)
+        assert {c.regime for c in want} == {"forward", "constant-floor", "backward"}
+        # the certificates the block path built before it had one constructor
+        assert hashlib.sha256(repr(res.certificates).encode()).hexdigest() == (
+            "380ccb8d8416dc3b9d4e10d15410295b62c02aedeec326ada7668431acadbcf2")
+
+    @pytest.mark.parametrize("lam, step_cap", [
+        (0.5, 100_000), (0.05, 100_000), (1j, 100_000), (-1.0, 3), (2.0, 100_000),
+        (50.0, 100_000), (1e-14, 1), (1e-14, 0)])
+    def test_block_norm_blowup_replays_exactly(self, lam, step_cap):
+        # replay_block_certificate sums the same floats in the same order;
+        # a forward witness at step 1 is found even with no step allowed
+        cert = block_norm_blowup(ALPHA_TO_ONE, 0.1, 2.0, lam, 1e12, step_cap)
+        assert replay_block_certificate(ALPHA_TO_ONE, cert) == cert.attained_magnitude
+        assert cert.side == "direct" and cert.start_index == 1
+        assert cert.witness_index <= max(step_cap, 1) or cert.regime == "constant-floor"
 
 
 class TestDeflateBlockContinuous:
