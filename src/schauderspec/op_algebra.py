@@ -1,17 +1,18 @@
 """Lazy expression trees for structured operators on l2.
 
-Every variant is row- and column-finite with a structural bound on the
-number of nonzero entries per line, so single entries, applications to
-finitely supported vectors, and corner truncations all evaluate by
-finite sums with no truncation error.  Exact scalars (ints, Fractions)
-survive evaluation untouched; equality checks on windows of the named
-examples are therefore exact.
+Every variant is row- and column-finite, and evaluates a whole column or
+row at a time: each node reads each line of its children once, so single
+entries, applications to finitely supported vectors, corner truncations
+and the scans of shift recognition are finite sums with no truncation
+error.  Exact scalars (ints, Fractions) survive evaluation untouched;
+equality checks on windows of the named examples are therefore exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Optional, Tuple
 
 from .errors import UnsupportedClassError
@@ -29,6 +30,7 @@ from .index_maps import (
 )
 from .records import record
 from .sequences import (
+    AffineRule,
     ArithmeticSequence,
     CallableRule,
     ConstantRule,
@@ -48,18 +50,33 @@ from .sequences import (
 
 
 class OperatorExpr:
-    """Base class: an immutable, entrywise-evaluable operator description."""
+    """Base class: an immutable operator description, read a line at a time.
 
-    def entry(self, i: int, j: int) -> Scalar:
+    ``line(g, axis)`` (``column``, ``row``) gives the entries of column (axis 0)
+    or row (axis 1) ``g`` at the indices the structure names, ``{index: value}``,
+    less those ``keep`` refuses: it asks before evaluating, so a ``keep`` that
+    records and refuses reads the structure alone.  ``blank(i, j)`` is the
+    entry where no line names: the int 0, or what a scalar factor makes of
+    it (a typed or signed zero, or nan), which a sum must still add.
+    """
+
+    def line(self, g: int, axis: int, keep=None) -> dict:
         raise NotImplementedError
 
-    def column_support(self, j: int) -> Tuple[int, ...]:
-        """Rows that may hold a nonzero entry of column ``j``."""
-        raise NotImplementedError
+    def column(self, j: int, keep=None) -> dict:
+        return self.line(j, 0, keep)
 
-    def row_support(self, i: int) -> Tuple[int, ...]:
-        """Columns that may hold a nonzero entry of row ``i``."""
-        raise NotImplementedError
+    def row(self, i: int, keep=None) -> dict:
+        return self.line(i, 1, keep)
+
+    def blank(self, i: int, j: int) -> Scalar:
+        return 0
+
+    @cached_property
+    def valued(self) -> bool:
+        """Whether a line may evaluate a rule value; one that cannot may be read in any order."""
+        return any(isinstance(v, ScalarRule) or isinstance(v, OperatorExpr) and v.valued
+                   for f in self._record_values(self) for v in (f if type(f) is tuple else (f,)))
 
     def __matmul__(self, other: "OperatorExpr") -> "Product":
         return Product(self, other)
@@ -73,61 +90,75 @@ def _check_indices(i: int, j: int) -> None:
         raise ValueError("matrix indices must be >= 1")
 
 
+def _named(node: OperatorExpr, g: int, axis: int, keep=None) -> list:
+    """The indices line ``g`` of ``node`` names that ``keep`` keeps; no value is evaluated."""
+    named: list = []
+    node.line(g, axis, lambda x: (keep is None or keep(x)) and named.append(x))
+    return named
+
+
+# An int or a Fraction meeting an exact 1 in a product or an exact 0 in a sum is kept
+# as it is; floats and complex numbers are not: 0 + -0.0 is 0.0, 1 * complex(1, inf) nan.
+def _times(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is int and a == 1 and (type(b) is int or type(b) is Fraction):
+        return b
+    if type(b) is int and b == 1 and (type(a) is int or type(a) is Fraction):
+        return a
+    return a * b
+
+
+def _plus(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is int and a == 0 and (type(b) is int or type(b) is Fraction):
+        return b
+    if type(b) is int and b == 0 and (type(a) is int or type(a) is Fraction):
+        return a
+    return a + b
+
+
+def _contract(parts: list, names: list, blank=None) -> dict:
+    """``sum_k line_k[x] * a_k`` over ``parts = [(k, a_k, line_k)]`` at each ``x`` in
+    ``names``; a missing value is ``blank(x, k)`` or 0, and a zero adds nothing."""
+    out = dict.fromkeys(names)
+    for x in out:
+        total = 0
+        for k, a, line in parts:
+            v = line[x] if x in line else 0 if blank is None else blank(x, k)
+            if v != 0:
+                total = _plus(total, _times(v, a))
+        out[x] = total
+    return out
+
+
 @record
 class Diagonal(OperatorExpr):
     weights: ScalarRule
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        return self.weights.value(i) if i == j else 0
-
-    def column_support(self, j):
-        return (j,)
-
-    def row_support(self, i):
-        return (i,)
+    def line(self, g, axis, keep=None):
+        return {g: self.weights.value(g)} if keep is None or keep(g) else {}
 
 
 @record
 class Spread(OperatorExpr):
     spread: SpreadSpec
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        k = self.spread.domain.position_of(j)
-        if k is None:
-            return 0
-        return 1 if self.spread.image.elem(k) == i else 0
-
-    def column_support(self, j):
-        k = self.spread.domain.position_of(j)
-        if k is None:
-            return ()
-        return (self.spread.image.elem(k),)
-
-    def row_support(self, i):
-        k = self.spread.image.position_of(i)
-        if k is None:
-            return ()
-        ln = self.spread.domain.length()
-        if ln is not None and k > ln:
-            return ()
-        return (self.spread.domain.elem(k),)
+    def line(self, g, axis, keep=None):
+        # a row past a finite domain is empty; a column past a finite image raises
+        sp = self.spread
+        src, dst = (sp.image, sp.domain) if axis else (sp.domain, sp.image)
+        k = src.position_of(g)
+        if k is None or axis and dst.length() is not None and k > dst.length():
+            return {}
+        x = dst.elem(k)
+        return {x: 1} if keep is None or keep(x) else {}
 
 
 @record
 class PermutationUnitary(OperatorExpr):
     perm: Permutation
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        return 1 if self.perm.forward(j) == i else 0
-
-    def column_support(self, j):
-        return (self.perm.forward(j),)
-
-    def row_support(self, i):
-        return (self.perm.inverse(i),)
+    def line(self, g, axis, keep=None):
+        x = self.perm.inverse(g) if axis else self.perm.forward(g)
+        return {x: 1} if keep is None or keep(x) else {}
 
 
 @record
@@ -138,71 +169,76 @@ class Sum(OperatorExpr):
         if not self.terms:
             raise ValueError("empty sum")
 
-    def entry(self, i, j):
-        total = 0
-        for t in self.terms:
-            total = total + t.entry(i, j)
-        return total
+    def line(self, g, axis, keep=None):
+        lines = [t.line(g, axis, keep) for t in self.terms]
+        blank = (lambda t, x: t.blank(g, x)) if axis else (lambda t, x: t.blank(x, g))
+        out = dict.fromkeys(x for line in lines for x in line)
+        for x in out:
+            out[x] = reduce(_plus, (line[x] if x in line else blank(t, x)
+                                    for t, line in zip(self.terms, lines)), 0)
+        return out
 
-    def column_support(self, j):
-        out: list = []
-        for t in self.terms:
-            out.extend(t.column_support(j))
-        return tuple(out)
-
-    def row_support(self, i):
-        out: list = []
-        for t in self.terms:
-            out.extend(t.row_support(i))
-        return tuple(out)
+    def blank(self, i, j):
+        return reduce(_plus, (t.blank(i, j) for t in self.terms), 0)
 
 
 @record
 class Product(OperatorExpr):
-    """Composition ``left . right``; entries via the finite middle index set."""
+    """Composition ``left . right``, summed over the middle indices in set order.
+
+    A line reads the right factor first, the left one only where the right
+    one is nonzero, and under ``keep`` only middle indices that lead to a kept one.
+    """
 
     left: OperatorExpr
     right: OperatorExpr
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        total = 0
-        for k in set(self.right.column_support(j)):
-            rv = self.right.entry(k, j)
-            if rv == 0:
-                continue
-            lv = self.left.entry(i, k)
-            if lv == 0:
-                continue
-            total = total + lv * rv
-        return total
+    def line(self, g, axis, keep=None):
+        if axis:
+            return self._row(g, keep)
+        left, lines, reach = self.left, {}, None
+        if keep is not None and self.right.valued:  # a rule-free left column is read once
+            reach = (lambda k: bool(_named(left, k, 0, keep))) if left.valued else (
+                lambda k: bool(lines.setdefault(k, left.line(k, 0, keep))))
+        right = self.right.line(g, 0, reach)
+        if len(right) == 1 and next(iter(right.values())) != 0:
+            (k, rv), = right.items()
+            line = lines.get(k) or left.line(k, 0, keep)
+            return {i: 0 if lv == 0 else _plus(0, _times(lv, rv)) for i, lv in line.items()}
+        order = set(right.keys())
+        for k in order.difference(lines):  # a zero skips its partner, whose rows are named
+            lines[k] = left.line(k, 0, keep) if right[k] != 0 else _named(left, k, 0, keep)
+        return _contract([(k, right[k], lines[k]) for k in order if right[k] != 0],
+                         [x for k in order for x in lines[k]], left.blank)
 
-    def column_support(self, j):
-        out: list = []
-        for k in set(self.right.column_support(j)):
-            out.extend(self.left.column_support(k))
-        return tuple(out)
+    def _row(self, i, keep):
+        if self.left.valued:
+            lines = {k: self.right.line(k, 1, keep) for k in _named(self.left, i, 1)}
+            left = self.left.line(i, 1, lambda k: any(v != 0 for v in lines[k].values()))
+        else:
+            left = self.left.line(i, 1)
+            lines = {k: self.right.line(k, 1, keep) if v != 0 else
+                     _named(self.right, k, 1, keep) for k, v in left.items()}
+        order = set(lines.keys())
+        return _contract([(k, left[k], lines[k]) for k in order if left.get(k, 0) != 0],
+                         [x for k in order for x in lines[k]])
 
-    def row_support(self, i):
-        out: list = []
-        for k in set(self.left.row_support(i)):
-            out.extend(self.right.row_support(k))
-        return tuple(out)
+    def blank(self, i, j):
+        # every left entry on the middle indices of column j is a blank
+        right = self.right.line(j, 0)
+        return _contract([(k, right[k], {}) for k in set(right.keys()) if right[k] != 0],
+                         [i], self.left.blank)[i]
 
 
 @record
 class Adjoint(OperatorExpr):
     inner: OperatorExpr
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        return conjugate(self.inner.entry(j, i))
+    def line(self, g, axis, keep=None):
+        return {x: conjugate(v) for x, v in self.inner.line(g, 1 - axis, keep).items()}
 
-    def column_support(self, j):
-        return self.inner.row_support(j)
-
-    def row_support(self, i):
-        return self.inner.column_support(i)
+    def blank(self, i, j):
+        return conjugate(self.inner.blank(j, i))
 
 
 @record
@@ -210,14 +246,11 @@ class Scale(OperatorExpr):
     scalar: Scalar
     inner: OperatorExpr
 
-    def entry(self, i, j):
-        return self.scalar * self.inner.entry(i, j)
+    def line(self, g, axis, keep=None):
+        return {x: _times(self.scalar, v) for x, v in self.inner.line(g, axis, keep).items()}
 
-    def column_support(self, j):
-        return self.inner.column_support(j)
-
-    def row_support(self, i):
-        return self.inner.row_support(i)
+    def blank(self, i, j):
+        return _times(self.scalar, self.inner.blank(i, j))
 
 
 @record
@@ -227,16 +260,15 @@ class LambdaShift(OperatorExpr):
     lam: Scalar
     inner: OperatorExpr
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        base = self.lam if i == j else 0
-        return base - self.inner.entry(i, j)
+    def line(self, g, axis, keep=None):
+        inner, out = self.inner.line(g, axis, keep), {}
+        if keep is None or keep(g):
+            out[g] = self.lam - (inner[g] if g in inner else self.inner.blank(g, g))
+        out.update((x, 0 - v) for x, v in inner.items() if x != g)
+        return out
 
-    def column_support(self, j):
-        return (j,) + tuple(self.inner.column_support(j))
-
-    def row_support(self, i):
-        return (i,) + tuple(self.inner.row_support(i))
+    def blank(self, i, j):
+        return (self.lam if i == j else 0) - self.inner.blank(i, j)
 
 
 @record
@@ -259,23 +291,15 @@ class BlockDirectSum(OperatorExpr):
                     return c, pos
         raise UnsupportedClassError(f"index {g} not covered by the partition")
 
-    def entry(self, i, j):
-        _check_indices(i, j)
-        ci, ki = self.locate(i)
-        cj, kj = self.locate(j)
-        if ci != cj:
-            return 0
-        return self.blocks[ci].entry(ki, kj)
-
-    def column_support(self, j):
-        c, k = self.locate(j)
+    def line(self, g, axis, keep=None):
+        c, k = self.locate(g)
         cell = self.partition[c]
-        return tuple(cell.elem(r) for r in set(self.blocks[c].column_support(k)))
+        line = self.blocks[c].line(k, axis, keep and (lambda r: keep(cell.elem(r))))
+        return {cell.elem(r): line[r] for r in set(line.keys())}
 
-    def row_support(self, i):
-        c, k = self.locate(i)
-        cell = self.partition[c]
-        return tuple(cell.elem(r) for r in set(self.blocks[c].row_support(k)))
+    def blank(self, i, j):
+        (ci, ki), (cj, kj) = self.locate(i), self.locate(j)
+        return self.blocks[ci].blank(ki, kj) if ci == cj else 0
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +348,17 @@ class FinVector:
 
 
 def entry(T: OperatorExpr, i: int, j: int) -> Scalar:
-    """Exact matrix entry of ``T`` at row ``i``, column ``j``."""
-    return T.entry(i, j)
+    """Exact matrix entry of ``T`` at row ``i``, column ``j``, read from column ``j``."""
+    _check_indices(i, j)
+    line = T.column(j, i.__eq__)
+    return line[i] if i in line else T.blank(i, j)
 
 
 def apply(T: OperatorExpr, x: FinVector) -> FinVector:
     """``T x`` for finitely supported ``x``; the result is again finite."""
     acc: dict = {}
     for j, xj in x.entries:
-        for i in set(T.column_support(j)):
-            v = T.entry(i, j)
+        for i, v in T.column(j).items():
             if v == 0:
                 continue
             acc[i] = acc.get(i, 0) + v * xj
@@ -341,20 +366,20 @@ def apply(T: OperatorExpr, x: FinVector) -> FinVector:
 
 
 def corner_entries(T: OperatorExpr, n: int) -> dict:
-    """Supported entries of the leading ``n x n`` corner, exact scalars.
+    """Entries of the leading ``n x n`` corner that its columns name, exact scalars.
 
     Keys are zero-based ``(row, column)`` positions, in column order and,
-    within a column, in the order ``column_support`` yields them.  Every
-    supported entry is kept, also one that evaluates to zero; positions
-    outside the support are absent and stand for the int ``0``.
+    within a column, in the order ``T.column`` names them.  Every named
+    position is kept, also one that evaluates to zero, and one a zero
+    factor of a product skips, which holds the int ``0``; positions the
+    structure does not name are absent and stand for the int ``0``.
     """
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    out = {}
+    out, keep = {}, n.__ge__
     for j in range(1, n + 1):
-        for i in set(T.column_support(j)):
-            if 1 <= i <= n:
-                out[i - 1, j - 1] = T.entry(i, j)
+        for i, v in T.line(j, 0, keep).items():
+            out[i - 1, j - 1] = v
     return out
 
 
@@ -561,8 +586,6 @@ def is_real_rule_certified_nonnegative(rule: ScalarRule) -> bool:
         if rule.tail is None:
             return pre_ok
         return pre_ok and is_real_rule_certified_nonnegative(rule.tail)
-    from .sequences import AffineRule
-
     if isinstance(rule, AffineRule):
         if isinstance(rule.base, complex) or rule.base <= 0:
             return False
@@ -585,21 +608,13 @@ class ShiftRecognition:
 
 
 def _column_scan(T: OperatorExpr, j: int) -> list:
-    out = []
-    for i in sorted(set(T.column_support(j))):
-        v = T.entry(i, j)
-        if v != 0:
-            out.append((i, v))
-    return out
+    """The nonzero entries ``(row, value)`` of column ``j``, by row."""
+    return [(i, v) for i, v in sorted(T.line(j, 0).items()) if v != 0]
 
 
 def _row_scan(T: OperatorExpr, i: int) -> list:
-    out = []
-    for j in sorted(set(T.row_support(i))):
-        v = T.entry(i, j)
-        if v != 0:
-            out.append((j, v))
-    return out
+    """The nonzero entries ``(column, value)`` of row ``i``, by column."""
+    return [(j, v) for j, v in sorted(T.line(i, 1).items()) if v != 0]
 
 
 def _structural_shift(T) -> Optional[ShiftForm]:
@@ -643,19 +658,14 @@ def _structural_shift(T) -> Optional[ShiftForm]:
             if spreads == Counter(decompose_into_spreads(named, 1)):
                 return ShiftForm(named, ConstantRule(1))
 
-        def forward(j: int) -> int:
-            hits = T.column_support(j)
+        def hit(g: int, axis: int) -> int:
+            hits = [x for t in T.terms for x in t.line(g, axis)]
             if len(hits) != 1:
-                raise UnsupportedClassError(f"column {j} is hit by {len(hits)} spreads")
+                raise UnsupportedClassError(
+                    f"{('column', 'row')[axis]} {g} is hit by {len(hits)} spreads")
             return hits[0]
 
-        def inverse(i: int) -> int:
-            hits = T.row_support(i)
-            if len(hits) != 1:
-                raise UnsupportedClassError(f"row {i} is hit by {len(hits)} spreads")
-            return hits[0]
-
-        perm = opaque_permutation(forward, inverse, "sum-of-spreads")
+        perm = opaque_permutation(lambda j: hit(j, 0), lambda i: hit(i, 1), "sum-of-spreads")
         return ShiftForm(perm, ConstantRule(1))
     return None
 
@@ -701,26 +711,17 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
             verified = None
 
     if verified is None:
-        def forward(j: int) -> int:
-            nz = _column_scan(expr, j)
+        def single(g: int, axis: int) -> tuple:
+            nz = (_row_scan if axis else _column_scan)(expr, g)
             if len(nz) != 1:
-                raise UnsupportedClassError(f"column {j} has {len(nz)} nonzero entries")
-            return nz[0][0]
+                raise UnsupportedClassError(
+                    f"{('column', 'row')[axis]} {g} has {len(nz)} nonzero entries")
+            return nz[0]
 
-        def inverse(i: int) -> int:
-            nz = _row_scan(expr, i)
-            if len(nz) != 1:
-                raise UnsupportedClassError(f"row {i} has {len(nz)} nonzero entries")
-            return nz[0][0]
-
-        def weight(j: int) -> Scalar:
-            nz = _column_scan(expr, j)
-            if len(nz) != 1:
-                raise UnsupportedClassError(f"column {j} has {len(nz)} nonzero entries")
-            return nz[0][1]
-
-        perm = opaque_permutation(forward, inverse, "scanned shift")
-        verified = ShiftForm(perm, CallableRule(weight, "scanned column weights"))
+        perm = opaque_permutation(lambda j: single(j, 0)[0], lambda i: single(i, 1)[0],
+                                  "scanned shift")
+        verified = ShiftForm(perm, CallableRule(lambda j: single(j, 0)[1],
+                                                "scanned column weights"))
 
     w = verified.weights
     if is_real_rule_certified_nonnegative(w):
@@ -773,9 +774,6 @@ def cibws_from_z_definition() -> ShiftForm:
     Independent of :func:`cibws_weight_rule`; used to cross-check the
     interleaved weight bookkeeping.
     """
-
-    def weight(n: int) -> Fraction:
-        return Fraction(1, 1 + abs(deinterleave(n)))
-
     return ShiftForm(z_translation_permutation(-1),
-                     CallableRule(weight, "1/(1+|j|) via deinterleave", limit_hint=0))
+                     CallableRule(lambda n: Fraction(1, 1 + abs(deinterleave(n))),
+                                  "1/(1+|j|) via deinterleave", limit_hint=0))

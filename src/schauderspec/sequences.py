@@ -180,7 +180,8 @@ class PowerLawRule(ScalarRule):
         p, scale = self.exponent, self.scale
         if (isinstance(p, int) and type(scale) is not float
                 and isinstance(scale, (int, Fraction))):
-            return scale * Fraction(1, n ** p)
+            # one Fraction, the value and type of scale * Fraction(1, n ** p)
+            return Fraction(scale.numerator, scale.denominator * n ** p)
         try:
             return scale / n ** p
         except OverflowError:

@@ -479,6 +479,24 @@ class TestRun:
                          "message": "power-law weight at index 6 is out of float "
                                     "range: 6 ** 400.0 overflows"}
 
+    @pytest.mark.parametrize("weights, values", [
+        ({"rule": "power-law", "scale": {"fraction": [1, 10]}, "exponent": 0},
+         [{"fraction": [1, 10]}]),
+        ({"rule": "geometric", "scale": 2, "ratio": 1}, [2]),
+        ({"rule": "scaled", "factor": 2, "inner": {
+            "rule": "explicit-then", "prefix": [3], "tail": {"rule": "constant", "value": 1}}},
+         [6, 2]),
+    ], ids=["power-law-exponent-0", "geometric-ratio-1", "scaled-explicit-then"])
+    def test_constant_valued_rules_have_finite_spectra(self, tmp_path, weights, values):
+        # each member is the rule's own value: the power law's is a Fraction
+        spec = write_spec(tmp_path, "const.json", {
+            "version": 1, "analysis": "schauder-spectrum", "params": dict(SMALL_PARAMS),
+            "operator": {"op": "diagonal", "weights": weights}})
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        members = json.loads((out / "report.json").read_text())["results"]["report"]["members"]
+        assert members == {"kind": "finite", "values": values}
+
     @pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys, out):
         spec = write_spec(tmp_path, "diag.json", diag_spec())

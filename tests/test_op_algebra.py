@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +32,12 @@ from schauderspec import (
     cibws_weight_rule,
     decompose_into_spreads,
     entry,
+    evens,
     forward_unilateral_shift,
     identity_permutation,
     interleave_z,
     naturals,
+    odds,
     one_line_permutation,
     recognize_shift_form,
     sigma_bilateral,
@@ -392,9 +395,9 @@ class TestSumOfSpreadsShift:
     def test_permutation_agrees_with_supports(self, T):
         perm = op_algebra._structural_shift(T).perm
         for k in range(1, 30):
-            for step, support, line in ((perm.forward, T.column_support, "column"),
-                                        (perm.inverse, T.row_support, "row")):
-                hits = support(k)
+            for step, line in ((perm.forward, "column"), (perm.inverse, "row")):
+                # each spread's own line names at most one index
+                hits = [x for t in T.terms for x in getattr(t, line)(k)]
                 if len(hits) == 1:
                     assert step(k) == hits[0]
                 else:
@@ -444,3 +447,161 @@ class TestSumOfSpreadsShift:
         scanned = recognize_shift_form(doubled, window=8).shift.perm
         assert scanned.maps is not None and scanned.description == "scanned shift"
         assert [scanned.forward(k) for k in range(1, 9)] == list(range(1, 9))
+
+
+# --- an independent reference for the line evaluator ---------------------
+#
+# Values are dyadic (exact as floats, so a sum of them is the same in any
+# order), with signed float zeros, exact zeros, complex weights and a
+# complex weight with an infinite part.  Scalar factors are finite.
+
+DYADIC = st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 4), 2, -1])
+WEIGHTS = st.one_of(DYADIC, st.just(0), st.sampled_from([0.5, -1.5, 2.0, 0.0, -0.0]),
+                    st.sampled_from([1j, complex(0.5, -0.0), complex(-0.0, 2.0),
+                                     complex(1.0, math.inf)]))
+SCALARS = st.one_of(DYADIC, st.sampled_from([0.5, -0.0, complex(-0.5, 0.0)]))
+
+
+@st.composite
+def weighted_leaves(draw):
+    kind = draw(st.sampled_from(["diag", "perm", "spread"]))
+    if kind == "diag":
+        prefix = tuple(draw(st.lists(WEIGHTS, min_size=1, max_size=4)))
+        return Diagonal(ExplicitThenRule(prefix, ConstantRule(draw(WEIGHTS))))
+    return draw(leaf_exprs().filter(lambda t: not isinstance(t, Diagonal)))
+
+
+line_trees = st.recursive(
+    weighted_leaves(),
+    lambda kids: st.one_of(
+        st.builds(Adjoint, kids),
+        st.builds(lambda x, y: Sum((x, y)), kids, kids),
+        st.builds(Product, kids, kids),
+        st.builds(Scale, SCALARS, kids),
+        st.builds(LambdaShift, SCALARS, kids),
+        st.builds(lambda x, y: BlockDirectSum((x, y), (odds(), evens())), kids, kids),
+    ),
+    max_leaves=4,
+)
+
+
+def _reach(T, x):
+    """A bound on every index that line ``x`` of ``T``, or a middle index of
+    it, can name, from the parameters the generators above draw."""
+    if isinstance(T, Diagonal):
+        return x
+    if isinstance(T, PermutationUnitary):
+        return max(x, 6)
+    if isinstance(T, Spread):  # starts and steps are at most 3
+        return 3 * x + 3
+    if isinstance(T, Product):
+        return max(_reach(T.left, _reach(T.right, x)), _reach(T.right, _reach(T.left, x)))
+    if isinstance(T, (Sum, BlockDirectSum)):
+        kids = T.terms if isinstance(T, Sum) else T.blocks
+        return (2 if isinstance(T, BlockDirectSum) else 1) * max(_reach(t, x) for t in kids)
+    return _reach(T.inner, x)
+
+
+def _reference(T, i, j, memo):
+    """``(named, value)`` at row ``i``, column ``j``: whether the structure
+    names the position, and the entry there, from the leaves' definitions and
+    plain arithmetic, summing products over an explicit middle window."""
+    key = (id(T), i, j)
+    if key not in memo:
+        memo[key] = _reference_uncached(T, i, j, memo)
+    return memo[key]
+
+
+def _reference_uncached(T, i, j, memo):
+    if isinstance(T, Diagonal):
+        return (True, T.weights.value(i)) if i == j else (False, 0)
+    if isinstance(T, PermutationUnitary):
+        return (True, 1) if T.perm.forward(j) == i else (False, 0)
+    if isinstance(T, Spread):
+        k = T.spread.domain.position_of(j)
+        return (True, 1) if k is not None and T.spread.image.elem(k) == i else (False, 0)
+    if isinstance(T, Sum):
+        named, total = False, 0
+        for t in T.terms:
+            n, v = _reference(t, i, j, memo)
+            named, total = named or n, total + v
+        return named, total
+    if isinstance(T, Product):
+        middle = [k for k in range(1, _reach(T.right, j) + 1) if _reference(T.right, k, j, memo)[0]]
+        named, total = False, 0
+        for k in set(middle):
+            rv = _reference(T.right, k, j, memo)[1]
+            n, lv = _reference(T.left, i, k, memo)
+            named = named or n
+            if rv != 0 and lv != 0:
+                total = total + lv * rv
+        return named, total
+    if isinstance(T, Adjoint):
+        n, v = _reference(T.inner, j, i, memo)
+        return n, v.conjugate()
+    if isinstance(T, Scale):
+        n, v = _reference(T.inner, i, j, memo)
+        return n, T.scalar * v
+    if isinstance(T, LambdaShift):
+        n, v = _reference(T.inner, i, j, memo)
+        return n or i == j, (T.lam if i == j else 0) - v
+    (ci, ki), (cj, kj) = ((g % 2 == 0, (g + 1) // 2) for g in (i, j))
+    return _reference(T.blocks[ci], ki, kj, memo) if ci == cj else (False, 0)
+
+
+class TestLinesAgainstReference:
+    @given(line_trees, st.integers(1, 5))
+    @settings(max_examples=250, deadline=None)
+    def test_corner_and_scans_match_the_reference(self, T, n):
+        memo = {}
+        ref = {(i, j): _reference(T, i, j, memo)
+               for i in range(1, n + 1) for j in range(1, n + 1)}
+        got = op_algebra.corner_entries(T, n)
+        assert {key: repr(v) for key, v in got.items()} == {
+            (i - 1, j - 1): repr(v) for (i, j), (named, v) in ref.items() if named}
+        for g in range(1, n + 1):
+            column = [(i, _reference(T, i, g, memo)) for i in range(1, _reach(T, g) + 1)]
+            row = [(j, _reference(T, g, j, memo)) for j in range(1, _reach(T, g) + 1)]
+            for scan, line in ((op_algebra._column_scan, column), (op_algebra._row_scan, row)):
+                assert repr(scan(T, g)) == repr([(x, v) for x, (named, v) in line
+                                                  if named and v != 0])
+
+
+class TestArithmeticShortcuts:
+    # 1 * x and 0 + x are skipped only for ints and Fractions; anything else
+    # goes through the arithmetic, which may change its bits
+    @pytest.mark.parametrize("weight, want", [
+        (-0.0, "0"),  # a zero factor skips its partner: the int 0
+        (complex(1.0, math.inf), "(nan+infj)"),  # 1 * (1+infj) has a nan part
+        (complex(-0.0, 2.0), "2j"),  # 0 + (-0+2j) is 2j
+        (Fraction(3, 4), "Fraction(3, 4)"),
+    ])
+    def test_product_entry_keeps_the_arithmetic(self, weight, want):
+        T = Product(PermutationUnitary(sigma_bilateral()), Diagonal(ConstantRule(weight)))
+        corner = op_algebra.corner_entries(T, 3)
+        assert [key for key in corner if key[1] == 0] == [(2, 0)]
+        assert repr(corner[2, 0]) == repr(entry(T, 3, 1)) == want
+
+    @pytest.mark.parametrize("scalar, want", [
+        (-0.0, "0.0"),  # 0 + -0.0 is 0.0
+        (2.0, "2.0"),
+        (complex(0.0, math.inf), "infj"),  # 0 + infj keeps no -0 part
+        (Fraction(1, 2), "Fraction(1, 2)"),
+    ])
+    def test_sum_entry_keeps_the_arithmetic(self, scalar, want):
+        U = PermutationUnitary(identity_permutation())
+        D = Diagonal(ConstantRule(scalar))
+        assert repr(entry(Sum((D, Scale(0, U))), 1, 1)) == want
+        # a term that does not name the position adds its blank: 1 + (1/2) * 0
+        assert repr(entry(Sum((U, Scale(Fraction(1, 2), Spread(
+            SpreadSpec(naturals(), ArithmeticSequence(2, 1)))))), 1, 1)) == "Fraction(1, 1)"
+
+    @pytest.mark.parametrize("scale", [0, 1, -1, 7, -12, Fraction(0), Fraction(1, 10),
+                                       Fraction(-3, 4), Fraction(5, 1)])
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 5])
+    def test_power_law_value_and_type(self, scale, exponent):
+        rule = PowerLawRule(scale, exponent)
+        for n in (1, 2, 3, 10, 97):
+            want = scale * Fraction(1, n ** exponent)
+            got = rule.value(n)
+            assert type(got) is type(want) is Fraction and got == want

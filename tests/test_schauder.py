@@ -127,10 +127,26 @@ FINITELY_VALUED_RULES = st.recursive(
     max_leaves=4)
 
 
+# Rules whose exact parameters hold them to finitely many values: constant
+# power laws and geometric rules too, and scaled and affine rules over them.
+CONSTANT_VALUED_RULES = st.recursive(
+    st.one_of(st.builds(ConstantRule, FEW_VALUES),
+              st.builds(PowerLawRule, FEW_VALUES, st.sampled_from([0, 0.0])),
+              st.builds(GeometricRule, FEW_VALUES, st.sampled_from([1, 1.0, Fraction(1)]))),
+    lambda inner: st.one_of(
+        st.builds(ExplicitThenRule, st.lists(FEW_VALUES, max_size=4).map(tuple), inner),
+        st.builds(OffsetRule, inner, st.integers(0, 6)),
+        st.builds(RepeatedRule, inner, st.integers(1, 3)),
+        st.builds(ScaledRule, FEW_VALUES, inner),
+        st.builds(AffineRule, FEW_VALUES, inner),
+    ),
+    max_leaves=4)
+
+
 def value_horizon(rule):
     """A count ``N``: past any number ``s`` of skipped terms, every value
     the rule still takes is among terms ``s+1 .. s+N``."""
-    if isinstance(rule, ConstantRule):
+    if isinstance(rule, (ConstantRule, PowerLawRule, GeometricRule)):
         return 1
     if isinstance(rule, ExplicitThenRule):
         return len(rule.prefix) + value_horizon(rule.tail)
@@ -226,6 +242,17 @@ class TestSchauderSpectrum:
     def test_finite_value_set_is_the_set_of_values(self, rule):
         rep = schauder_spectrum(Diagonal(rule), probe_window=64)
         assert set(rep.members.values) == set(rule.values(value_horizon(rule)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule=CONSTANT_VALUED_RULES)
+    def test_constant_valued_rules_are_finite_valued(self, rule):
+        rep = schauder_spectrum(Diagonal(rule), probe_window=64)
+        values = rule.values(value_horizon(rule))
+        assert set(rep.members.values) == set(values)
+        # a member is a value the rule returns, with its type; a zero
+        # rule's member is the int 0
+        for m in rep.members.values:
+            assert m == 0 or any(type(m) is type(v) and m == v for v in values)
 
 
 @st.composite
