@@ -485,9 +485,16 @@ line_trees = st.recursive(
 )
 
 
-def _reach(T, x):
+def _reach(T, x, memo):
     """A bound on every index that line ``x`` of ``T``, or a middle index of
     it, can name, from the parameters the generators above draw."""
+    key = ("reach", id(T), x)
+    if key not in memo:
+        memo[key] = _reach_uncached(T, x, memo)
+    return memo[key]
+
+
+def _reach_uncached(T, x, memo):
     if isinstance(T, Diagonal):
         return x
     if isinstance(T, PermutationUnitary):
@@ -495,11 +502,12 @@ def _reach(T, x):
     if isinstance(T, Spread):  # starts and steps are at most 3
         return 3 * x + 3
     if isinstance(T, Product):
-        return max(_reach(T.left, _reach(T.right, x)), _reach(T.right, _reach(T.left, x)))
+        return max(_reach(T.left, _reach(T.right, x, memo), memo),
+                   _reach(T.right, _reach(T.left, x, memo), memo))
     if isinstance(T, (Sum, BlockDirectSum)):
         kids = T.terms if isinstance(T, Sum) else T.blocks
-        return (2 if isinstance(T, BlockDirectSum) else 1) * max(_reach(t, x) for t in kids)
-    return _reach(T.inner, x)
+        return (2 if isinstance(T, BlockDirectSum) else 1) * max(_reach(t, x, memo) for t in kids)
+    return _reach(T.inner, x, memo)
 
 
 def _reference(T, i, j, memo):
@@ -509,6 +517,20 @@ def _reference(T, i, j, memo):
     key = (id(T), i, j)
     if key not in memo:
         memo[key] = _reference_uncached(T, i, j, memo)
+    return memo[key]
+
+
+def _middle(T, i, j, memo):
+    """The middle indices ``k`` that product ``T`` sums over at ``(i, j)``:
+    those its left factor names in row ``i``, or those its right factor
+    names in column ``j``, whichever window is shorter.  A middle index
+    outside either set adds nothing, so both choices give the same entry."""
+    left, right = _reach(T.left, i, memo), _reach(T.right, j, memo)
+    key = ("row", id(T.left), i) if left <= right else ("column", id(T.right), j)
+    if key not in memo:
+        memo[key] = [k for k in range(1, min(left, right) + 1)
+                     if (_reference(T.left, i, k, memo) if left <= right
+                         else _reference(T.right, k, j, memo))[0]]
     return memo[key]
 
 
@@ -527,12 +549,11 @@ def _reference_uncached(T, i, j, memo):
             named, total = named or n, total + v
         return named, total
     if isinstance(T, Product):
-        middle = [k for k in range(1, _reach(T.right, j) + 1) if _reference(T.right, k, j, memo)[0]]
         named, total = False, 0
-        for k in set(middle):
-            rv = _reference(T.right, k, j, memo)[1]
-            n, lv = _reference(T.left, i, k, memo)
-            named = named or n
+        for k in _middle(T, i, j, memo):
+            nl, lv = _reference(T.left, i, k, memo)
+            nr, rv = _reference(T.right, k, j, memo)
+            named = named or (nl and nr)
             if rv != 0 and lv != 0:
                 total = total + lv * rv
         return named, total
@@ -560,8 +581,8 @@ class TestLinesAgainstReference:
         assert {key: repr(v) for key, v in got.items()} == {
             (i - 1, j - 1): repr(v) for (i, j), (named, v) in ref.items() if named}
         for g in range(1, n + 1):
-            column = [(i, _reference(T, i, g, memo)) for i in range(1, _reach(T, g) + 1)]
-            row = [(j, _reference(T, g, j, memo)) for j in range(1, _reach(T, g) + 1)]
+            column = [(i, _reference(T, i, g, memo)) for i in range(1, _reach(T, g, memo) + 1)]
+            row = [(j, _reference(T, g, j, memo)) for j in range(1, _reach(T, g, memo) + 1)]
             for scan, line in ((op_algebra._column_scan, column), (op_algebra._row_scan, row)):
                 assert repr(scan(T, g)) == repr([(x, v) for x, (named, v) in line
                                                   if named and v != 0])
