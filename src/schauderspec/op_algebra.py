@@ -1,11 +1,9 @@
 """Lazy expression trees for structured operators on l2.
 
-Every variant is row- and column-finite, and evaluates a whole column or
-row at a time: each node reads each line of its children once, so single
-entries, applications to finitely supported vectors, corner truncations
-and the scans of shift recognition are finite sums with no truncation
-error.  Exact scalars (ints, Fractions) survive evaluation untouched;
-equality checks on windows of the named examples are therefore exact.
+Every variant is row- and column-finite and is read a column or a row at a
+time, so entries, applications to finitely supported vectors, corner
+truncations and shift-recognition scans are finite sums with no truncation
+error; exact scalars (ints, Fractions) survive evaluation untouched.
 """
 
 from __future__ import annotations
@@ -52,12 +50,10 @@ from .sequences import (
 class OperatorExpr:
     """Base class: an immutable operator description, read a line at a time.
 
-    ``line(g, axis)`` (``column``, ``row``) gives the entries of column (axis 0)
-    or row (axis 1) ``g`` at the indices the structure names, ``{index: value}``,
-    less those ``keep`` refuses: it asks before evaluating, so a ``keep`` that
-    records and refuses reads the structure alone.  ``blank(i, j)`` is the
-    entry where no line names: the int 0, or what a scalar factor makes of
-    it (a typed or signed zero, or nan), which a sum must still add.
+    ``line(g, axis)`` (``column``, ``row``) maps each index that column (axis 0)
+    or row (axis 1) ``g`` names to its entry, less those ``keep`` refuses; it
+    asks ``keep`` before evaluating.  ``blank(i, j)`` is an entry no line names:
+    0, or a typed or signed zero or nan from a scalar factor, which sums add.
     """
 
     def line(self, g: int, axis: int, keep=None) -> dict:
@@ -90,10 +86,12 @@ def _check_indices(i: int, j: int) -> None:
         raise ValueError("matrix indices must be >= 1")
 
 
-def _named(node: OperatorExpr, g: int, axis: int, keep=None) -> list:
-    """The indices line ``g`` of ``node`` names that ``keep`` keeps; no value is evaluated."""
+def _peek(node: OperatorExpr, g: int, axis: int, keep=None):
+    """Line ``g`` of ``node`` if reading it evaluates no rule, else the indices it names, as a list."""
+    if not node.valued:
+        return node.line(g, axis, keep)
     named: list = []
-    node.line(g, axis, lambda x: (keep is None or keep(x)) and named.append(x))
+    node.line(g, axis, named.append if keep is None else lambda x: keep(x) and named.append(x))
     return named
 
 
@@ -113,20 +111,6 @@ def _plus(a: Scalar, b: Scalar) -> Scalar:
     if type(b) is int and b == 0 and (type(a) is int or type(a) is Fraction):
         return a
     return a + b
-
-
-def _contract(parts: list, names: list, blank=None) -> dict:
-    """``sum_k line_k[x] * a_k`` over ``parts = [(k, a_k, line_k)]`` at each ``x`` in
-    ``names``; a missing value is ``blank(x, k)`` or 0, and a zero adds nothing."""
-    out = dict.fromkeys(names)
-    for x in out:
-        total = 0
-        for k, a, line in parts:
-            v = line[x] if x in line else 0 if blank is None else blank(x, k)
-            if v != 0:
-                total = _plus(total, _times(v, a))
-        out[x] = total
-    return out
 
 
 @record
@@ -170,12 +154,13 @@ class Sum(OperatorExpr):
             raise ValueError("empty sum")
 
     def line(self, g, axis, keep=None):
-        lines = [t.line(g, axis, keep) for t in self.terms]
-        blank = (lambda t, x: t.blank(g, x)) if axis else (lambda t, x: t.blank(x, g))
-        out = dict.fromkeys(x for line in lines for x in line)
+        lines = [(t, t.line(g, axis, keep)) for t in self.terms]
+        out = {x: 0 for _, line in lines for x in line}
         for x in out:
-            out[x] = reduce(_plus, (line[x] if x in line else blank(t, x)
-                                    for t, line in zip(self.terms, lines)), 0)
+            total = 0
+            for t, line in lines:
+                total = _plus(total, line[x] if x in line else t.blank(*((g, x) if axis else (x, g))))
+            out[x] = total
         return out
 
     def blank(self, i, j):
@@ -184,10 +169,12 @@ class Sum(OperatorExpr):
 
 @record
 class Product(OperatorExpr):
-    """Composition ``left . right``, summed over the middle indices in set order.
+    """Composition ``left . right``.
 
-    A line reads the right factor first, the left one only where the right
-    one is nonzero, and under ``keep`` only middle indices that lead to a kept one.
+    Entry ``(i, j)`` sums ``left[i, k] * right[k, j]`` over the ``k`` that the
+    right factor's column ``j`` names, in set order, reading ``left.blank``
+    where no left line names ``(i, k)``; a zero right value skips its partner.
+    A row reads the right factor's columns too, so it sums each entry alike.
     """
 
     left: OperatorExpr
@@ -197,37 +184,51 @@ class Product(OperatorExpr):
         if axis:
             return self._row(g, keep)
         left, lines, reach = self.left, {}, None
-        if keep is not None and self.right.valued:  # a rule-free left column is read once
-            reach = (lambda k: bool(_named(left, k, 0, keep))) if left.valued else (
-                lambda k: bool(lines.setdefault(k, left.line(k, 0, keep))))
+        if keep is not None and self.right.valued:  # read no right value if no row is kept
+            # default values, not a closure, which would make left and lines cells
+            reach = lambda k, d=lines, f=left, c=keep: bool(d.setdefault(k, _peek(f, k, 0, c)))
         right = self.right.line(g, 0, reach)
-        if len(right) == 1 and next(iter(right.values())) != 0:
-            (k, rv), = right.items()
-            line = lines.get(k) or left.line(k, 0, keep)
-            return {i: 0 if lv == 0 else _plus(0, _times(lv, rv)) for i, lv in line.items()}
-        order = set(right.keys())
-        for k in order.difference(lines):  # a zero skips its partner, whose rows are named
-            lines[k] = left.line(k, 0, keep) if right[k] != 0 else _named(left, k, 0, keep)
-        return _contract([(k, right[k], lines[k]) for k in order if right[k] != 0],
-                         [x for k in order for x in lines[k]], left.blank)
+        if right and len(right) < len(lines):  # sum over every middle index, in their set order
+            right = self.right.line(g, 0)
+        out, parts = {}, []
+        for k in set(right.keys()):
+            rv, line = right[k], lines[k] if k in lines else _peek(left, k, 0, keep)
+            for x in line:
+                out[x] = 0
+            if rv != 0:  # a zero skips its partner
+                parts.append((k, rv, line if type(line) is dict else left.line(k, 0, keep)))
+        for x in out:
+            total = 0
+            for k, rv, line in parts:
+                lv = line[x] if x in line else left.blank(x, k)
+                if lv != 0:
+                    total = _plus(total, _times(lv, rv))
+            out[x] = total
+        return out
 
     def _row(self, i, keep):
-        if self.left.valued:
-            lines = {k: self.right.line(k, 1, keep) for k in _named(self.left, i, 1)}
-            left = self.left.line(i, 1, lambda k: any(v != 0 for v in lines[k].values()))
-        else:
-            left = self.left.line(i, 1)
-            lines = {k: self.right.line(k, 1, keep) if v != 0 else
-                     _named(self.right, k, 1, keep) for k, v in left.items()}
-        order = set(lines.keys())
-        return _contract([(k, left[k], lines[k]) for k in order if left.get(k, 0) != 0],
-                         [x for k in order for x in lines[k]])
+        left, right, row = self.left, self.right, _peek(self.left, i, 1)
+        columns = {x: right.line(x, 0) for x in dict.fromkeys(
+            x for k in set(row) for x in _peek(right, k, 1, keep))}
+        if type(row) is not dict:  # read only the left values a right value needs
+            row = left.line(i, 1, {k for column in columns.values()
+                                   for k, v in column.items() if v != 0}.__contains__)
+        return {x: self._entry(i, row, column) for x, column in columns.items()}
+
+    def _entry(self, i, row, column):
+        """Entry ``(i, x)`` from row ``i`` of the left factor and column ``x`` of the right."""
+        total = 0
+        for k in set(column.keys()):
+            rv = column[k]
+            if rv != 0:
+                lv = row[k] if k in row else self.left.blank(i, k)
+                if lv != 0:
+                    total = _plus(total, _times(lv, rv))
+        return total
 
     def blank(self, i, j):
         # every left entry on the middle indices of column j is a blank
-        right = self.right.line(j, 0)
-        return _contract([(k, right[k], {}) for k in set(right.keys()) if right[k] != 0],
-                         [i], self.left.blank)[i]
+        return self._entry(i, {}, self.right.line(j, 0))
 
 
 @record

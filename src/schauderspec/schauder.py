@@ -55,9 +55,7 @@ from .sequences import (
     ExplicitThenRule,
     GeometricRule,
     MergedAbsDecreasingRule,
-    OffsetRule,
     PowerLawRule,
-    RepeatedRule,
     Scalar,
     ScalarRule,
     ScaledRule,
@@ -246,49 +244,38 @@ def _kernel_verdict(verdict: KernelRangeVerdict) -> SchauderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _finite_value_set(rule: ScalarRule) -> Optional[tuple]:
-    """Distinct values of rules that take only finitely many values."""
-    values, rest, skip = _values_past(rule, 0)
-    if isinstance(rest, ConstantRule):
-        values += (rest.c,)
-    elif _is_zero_rule(rest):
-        values += (0,)
-    elif rest is not None:
-        indices = _value_indices(rest, skip)
-        if indices is None:
-            return None
-        # each value as the rule returns it, so it keeps the rule's type
-        values += tuple(rest.value(n) for n in indices)
-    return tuple(dict.fromkeys(values))
+def _finite_value_set(rule: ScalarRule, skip: int = 0, nested: bool = False) -> Optional[tuple]:
+    """The values ``rule`` takes past its first ``skip`` terms, when its exact
+    parameters leave finitely many, each once unless ``nested``; None for any
+    other rule.
 
-
-def _value_indices(rule: ScalarRule, skip: int) -> Optional[list]:
-    """Indices past ``skip`` at which ``rule`` takes every value it takes there.
-
-    Only for rules whose exact parameters leave finitely many values:
-    constant, zero, ``power-law`` of exponent 0 and ``geometric`` of ratio
-    1, and ``scaled``, ``affine``, ``offset``, ``repeated`` and
-    ``explicit-then`` over them.  None for any other rule.
+    The walk of ``_values_past`` may end on a constant, a zero rule, a
+    ``power-law`` of exponent 0, a ``geometric`` of ratio 1, or a ``scaled`` or
+    ``affine`` rule over a finite-valued one.  Each value has the type the rule
+    returns it with, except the int 0 of a zero rule the outermost walk ends on.
     """
-    if _is_zero_rule(rule) or isinstance(rule, ConstantRule) or (
-            isinstance(rule, PowerLawRule) and rule.exponent == 0) or (
-            isinstance(rule, GeometricRule) and rule.ratio == 1):
-        return [skip + 1]
-    if isinstance(rule, (ScaledRule, AffineRule)):
-        return _value_indices(rule.inner, skip)
-    if isinstance(rule, OffsetRule):
-        inner = _value_indices(rule.inner, skip + rule.offset)
-        return None if inner is None else [m - rule.offset for m in inner]
-    if isinstance(rule, RepeatedRule):
-        # inner term m fills indices (m - 1) * times + 1 .. m * times
-        inner = _value_indices(rule.inner, skip // rule.times)
-        return None if inner is None else [
-            max((m - 1) * rule.times + 1, skip + 1) for m in inner]
-    if isinstance(rule, ExplicitThenRule):
-        n = len(rule.prefix)
-        tail = [] if rule.tail is None else _value_indices(rule.tail, max(skip - n, 0))
-        return None if tail is None else [*range(skip + 1, n + 1), *(n + m for m in tail)]
-    return None
+    values, rest, skip = _values_past(rule, skip)
+    if rest is None:
+        pass
+    elif isinstance(rest, ConstantRule):
+        values += (rest.c,)
+    elif _is_zero_rule(rest) and not nested:
+        values += (0,)
+    elif _is_zero_rule(rest) or (
+            isinstance(rest, PowerLawRule) and rest.exponent == 0) or (
+            isinstance(rest, GeometricRule) and rest.ratio == 1):
+        values += (rest.value(skip + 1),)
+    elif isinstance(rest, (ScaledRule, AffineRule)):
+        inner = _finite_value_set(rest.inner, skip, nested=True)
+        if inner is None:
+            return None
+        # the value and type of rest.value(n) for each inner value
+        values += tuple(rest.factor * v if isinstance(rest, ScaledRule) else rest.base + v
+                        for v in inner)
+    else:
+        return None
+    # equal values of two types may part under a factor: 3 and 3.0 times 1/10
+    return values if nested else tuple(dict.fromkeys(values))
 
 
 def _is_zero_rule(rule) -> bool:

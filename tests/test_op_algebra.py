@@ -451,15 +451,18 @@ class TestSumOfSpreadsShift:
 
 # --- an independent reference for the line evaluator ---------------------
 #
-# Values are dyadic (exact as floats, so a sum of them is the same in any
-# order), with signed float zeros, exact zeros, complex weights and a
-# complex weight with an infinite part.  Scalar factors are finite.
+# Values mix exact ones, dyadic and non-dyadic floats (whose sums depend on
+# their order), signed float zeros, exact zeros, complex weights and a
+# complex weight with an infinite part; scalar factors may be infinite, so
+# an entry no line names may be nan.
 
 DYADIC = st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 4), 2, -1])
 WEIGHTS = st.one_of(DYADIC, st.just(0), st.sampled_from([0.5, -1.5, 2.0, 0.0, -0.0]),
+                    st.sampled_from([0.1, 1 / 3, -0.7, 2.3e-17]),
                     st.sampled_from([1j, complex(0.5, -0.0), complex(-0.0, 2.0),
                                      complex(1.0, math.inf)]))
-SCALARS = st.one_of(DYADIC, st.sampled_from([0.5, -0.0, complex(-0.5, 0.0)]))
+SCALARS = st.one_of(DYADIC, st.sampled_from([0.5, 0.3, -0.0, complex(-0.5, 0.0)]),
+                    st.sampled_from([math.inf, -math.inf]))
 
 
 @st.composite
@@ -485,9 +488,42 @@ line_trees = st.recursive(
 )
 
 
+def _cell(g):
+    """The ``odds(), evens()`` cell of ``g`` and its position there."""
+    return g % 2 == 0, (g + 1) // 2
+
+
+def _support(T, g, axis):
+    """The indices column (axis 0) or row (axis 1) ``g`` of ``T`` names, with
+    repeats, in the order a product sums its middle indices by: a product's
+    column walks the set of its right factor's column, a row the set of its
+    left factor's row."""
+    if isinstance(T, Diagonal):
+        return (g,)
+    if isinstance(T, PermutationUnitary):
+        return (T.perm.inverse(g) if axis else T.perm.forward(g),)
+    if isinstance(T, Spread):
+        src, dst = (T.spread.image, T.spread.domain) if axis else (T.spread.domain, T.spread.image)
+        k = src.position_of(g)
+        return () if k is None or dst.length() is not None and k > dst.length() else (dst.elem(k),)
+    if isinstance(T, Sum):
+        return tuple(x for t in T.terms for x in _support(t, g, axis))
+    if isinstance(T, Product):
+        first, then = (T.left, T.right) if axis else (T.right, T.left)
+        return tuple(x for k in set(_support(first, g, axis)) for x in _support(then, k, axis))
+    if isinstance(T, Adjoint):
+        return _support(T.inner, g, 1 - axis)
+    if isinstance(T, LambdaShift):
+        return (g,) + _support(T.inner, g, axis)
+    if isinstance(T, BlockDirectSum):
+        c, k = _cell(g)
+        return tuple(T.partition[c].elem(r) for r in set(_support(T.blocks[c], k, axis)))
+    return _support(T.inner, g, axis)
+
+
 def _reach(T, x, memo):
-    """A bound on every index that line ``x`` of ``T``, or a middle index of
-    it, can name, from the parameters the generators above draw."""
+    """A bound on every index that line ``x`` of ``T`` can name, from the
+    parameters the generators above draw."""
     key = ("reach", id(T), x)
     if key not in memo:
         memo[key] = _reach_uncached(T, x, memo)
@@ -513,24 +549,12 @@ def _reach_uncached(T, x, memo):
 def _reference(T, i, j, memo):
     """``(named, value)`` at row ``i``, column ``j``: whether the structure
     names the position, and the entry there, from the leaves' definitions and
-    plain arithmetic, summing products over an explicit middle window."""
+    plain arithmetic.  A product sums ``left[i, k] * right[k, j]`` over the
+    middle indices ``k`` its right factor's column ``j`` names, in set order,
+    skipping a zero factor's partner."""
     key = (id(T), i, j)
     if key not in memo:
         memo[key] = _reference_uncached(T, i, j, memo)
-    return memo[key]
-
-
-def _middle(T, i, j, memo):
-    """The middle indices ``k`` that product ``T`` sums over at ``(i, j)``:
-    those its left factor names in row ``i``, or those its right factor
-    names in column ``j``, whichever window is shorter.  A middle index
-    outside either set adds nothing, so both choices give the same entry."""
-    left, right = _reach(T.left, i, memo), _reach(T.right, j, memo)
-    key = ("row", id(T.left), i) if left <= right else ("column", id(T.right), j)
-    if key not in memo:
-        memo[key] = [k for k in range(1, min(left, right) + 1)
-                     if (_reference(T.left, i, k, memo) if left <= right
-                         else _reference(T.right, k, j, memo))[0]]
     return memo[key]
 
 
@@ -550,7 +574,7 @@ def _reference_uncached(T, i, j, memo):
         return named, total
     if isinstance(T, Product):
         named, total = False, 0
-        for k in _middle(T, i, j, memo):
+        for k in set(_support(T.right, j, 0)):
             nl, lv = _reference(T.left, i, k, memo)
             nr, rv = _reference(T.right, k, j, memo)
             named = named or (nl and nr)
@@ -566,7 +590,7 @@ def _reference_uncached(T, i, j, memo):
     if isinstance(T, LambdaShift):
         n, v = _reference(T.inner, i, j, memo)
         return n or i == j, (T.lam if i == j else 0) - v
-    (ci, ki), (cj, kj) = ((g % 2 == 0, (g + 1) // 2) for g in (i, j))
+    (ci, ki), (cj, kj) = _cell(i), _cell(j)
     return _reference(T.blocks[ci], ki, kj, memo) if ci == cj else (False, 0)
 
 
@@ -586,6 +610,54 @@ class TestLinesAgainstReference:
             for scan, line in ((op_algebra._column_scan, column), (op_algebra._row_scan, row)):
                 assert repr(scan(T, g)) == repr([(x, v) for x, (named, v) in line
                                                   if named and v != 0])
+            # a row and the columns it crosses give each entry alike
+            assert repr(op_algebra._row_scan(T, g)) == repr([
+                (j, v) for j in range(1, _reach(T, g, memo) + 1)
+                for i, v in op_algebra._column_scan(T, j) if i == g])
+
+
+    @staticmethod
+    def _swap(a, b, n=17):
+        images = list(range(1, n + 1))
+        images[a - 1], images[b - 1] = b, a
+        return PermutationUnitary(one_line_permutation(images))
+
+    def test_a_row_adds_the_blanks_a_column_adds(self):
+        # the infinite factor's blank at (1, 2) is nan, and column 1 of
+        # I + swap(1, 2) names the middle index 2 too
+        U = PermutationUnitary(identity_permutation())
+        T = Product(Scale(math.inf, U), Sum((U, self._swap(1, 2))))
+        want = "[(1, nan), (2, nan)]"
+        assert repr(op_algebra._column_scan(T, 1)) == repr(op_algebra._row_scan(T, 1)) == want
+        assert repr(entry(T, 1, 2)) == "nan"
+        # in a 3 x 3 corner, too, where the middle index 5 leads to no kept row
+        T = Product(Scale(math.inf, U), Sum((Diagonal(ConstantRule(1)), self._swap(1, 5))))
+        assert repr(op_algebra.corner_entries(T, 3)[0, 0]) == "nan"
+
+    def test_a_row_sums_in_the_order_a_column_does(self):
+        # entry (1, 1) adds 0.1, 0.2 and 0.3 over the middle indices 1, 9 and
+        # 17, in the set order of the right column, which names them as 17, 9, 1
+        U = PermutationUnitary(identity_permutation())
+        left = Sum((Scale(0.1, U), Scale(0.2, self._swap(1, 9)), Scale(0.3, self._swap(1, 17))))
+        T = Product(left, Sum((self._swap(1, 17), self._swap(1, 9), U)))
+        assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+        assert op_algebra._column_scan(T, 1)[0] == (1, 0.6) == (1, (0.3 + 0.2) + 0.1)
+        assert repr(op_algebra._row_scan(T, 1)) == "[(1, 0.6), (9, 0.5), (17, 0.7)]"
+
+
+    def test_a_corner_evaluates_only_the_rule_values_its_entries_need(self):
+        from schauderspec.sequences import CallableRule
+        seen = []
+        # column 1 goes to row 4, out of the 3 x 3 corner
+        P = PermutationUnitary(one_line_permutation([4, 1, 2, 3]))
+        op_algebra.corner_entries(Product(P, Diagonal(CallableRule(
+            lambda n: seen.append(n) or Fraction(1, n)))), 3)
+        assert sorted(seen) == [2, 3]
+        # a zero right value skips its left partner
+        seen.clear()
+        L = Diagonal(CallableRule(lambda n: seen.append(n) or 1))
+        op_algebra.corner_entries(Product(L, Diagonal(ExplicitThenRule((0, 5), ConstantRule(1)))), 2)
+        assert seen == [2]
 
 
 class TestArithmeticShortcuts:

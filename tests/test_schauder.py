@@ -254,6 +254,12 @@ class TestSchauderSpectrum:
         for m in rep.members.values:
             assert m == 0 or any(type(m) is type(v) and m == v for v in values)
 
+    def test_equal_values_of_two_types_part_under_a_factor(self):
+        # 3 and 3.0 are one value, but 3/10 and 0.1 * 3.0 are two
+        rule = ScaledRule(Fraction(1, 10), ExplicitThenRule((3,), ConstantRule(3.0)))
+        rep = schauder_spectrum(Diagonal(rule), probe_window=64)
+        assert sorted(map(repr, rep.members.values)) == ["0.30000000000000004", "Fraction(3, 10)"]
+
 
 @st.composite
 def perturbed_single_orbit_shifts(draw):
