@@ -29,7 +29,7 @@ from .errors import (
     StepCapExceededError,
     UnsupportedClassError,
 )
-from .op_algebra import corner_entries, recognize_shift_form
+from .op_algebra import corner_entries, recognize_shift_form, unrecognized
 from .schauder import (
     _analysed_subject,
     audit_deflation,
@@ -128,11 +128,9 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
             "certificates": list(result.certificates),
         }
     if spec.analysis == "certify":
-        rec = recognize_shift_form(spec.operator, window=64)
+        rec = recognize_shift_form(spec.operator)
         if rec is None:
-            raise UnsupportedClassError(
-                "certify needs a shift-form recognizable operator"
-            )
+            raise unrecognized(spec.operator)
         certs = grid_certificates(
             rec.shift, lambda_grid(cfg, sup_abs_weight(rec.shift.weights)),
             cfg.bound, cfg.step_cap)

@@ -272,6 +272,48 @@ def decompose_into_spreads(p: Permutation, window: int) -> list:
             for pile in piles]
 
 
+_SPREAD_SPAN_CAP = 1 << 16
+
+
+def _periodic_from(seq: IndexSequence) -> Optional[Tuple[int, int]]:
+    """``(start, period)`` of membership in ``seq``; ``None`` for a callable one."""
+    if isinstance(seq, ArithmeticSequence):
+        return seq.start, seq.step
+    if isinstance(seq, ExplicitPrefixSequence):
+        past = seq.prefix[-1] + 1 if seq.prefix else 1
+        tail = (past, 1) if seq.tail is None else _periodic_from(seq.tail)
+        return None if tail is None else (max(past, tail[0]), tail[1])
+    return None
+
+
+def spread_sum_fault(spreads: Sequence[SpreadSpec]) -> Optional[str]:
+    """Why the sum of ``spreads`` is no permutation unitary, or ``None``: it is
+    one when each index is a paired domain term (a spread pairs its terms up
+    to its shorter side) of one spread and a paired image term of one.  Past
+    the sets' largest start, membership repeats with the lcm of their periods,
+    so one period decides; a callable set, or a span past the cap, is a fault."""
+    domains, images = [], []
+    for sp in spreads:
+        dl, il = sp.domain.length(), sp.image.length()
+        if dl is None and il is not None:
+            return f"column {sp.domain.elem(il + 1)} lies past its spread's finite image"
+        domains.append(sp.domain)
+        images.append(sp.image if dl is None or il is not None
+                      else ExplicitPrefixSequence(tuple(sp.image.elems(dl))))
+    for line, sets in (("column", domains), ("row", images)):
+        forms = [_periodic_from(s) for s in sets]
+        if None in forms:
+            return f"a {line} set is given by a callable"
+        span = max(a for a, _ in forms) + math.lcm(*(d for _, d in forms))
+        if span > _SPREAD_SPAN_CAP:
+            return f"its {line} sets repeat only after {span} indices"
+        for g in range(1, span):
+            hits = sum(s.position_of(g) is not None for s in sets)
+            if hits != 1:
+                return f"{line} {g} is hit by {hits} spreads"
+    return None
+
+
 def cycles_and_chains(nodes: Iterable[int], succ: Mapping[int, int]) -> Tuple[list, list]:
     """Split a partial injection on finitely many nodes into cycles and chains.
 

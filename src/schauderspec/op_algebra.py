@@ -1,9 +1,10 @@
 """Lazy expression trees for structured operators on l2.
 
 Every variant is row- and column-finite and is read a column or a row at a
-time, so entries, applications to finitely supported vectors, corner
-truncations and shift-recognition scans are finite sums with no truncation
-error; exact scalars (ints, Fractions) survive evaluation untouched.
+time, so entries, applications to finitely supported vectors and corner
+truncations are finite sums with no truncation error; exact scalars (ints,
+Fractions) survive evaluation untouched.  Shift forms are recognized from
+the tree's nodes alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .index_maps import (
     inverse_permutation,
     opaque_permutation,
     sigma_bilateral,
+    spread_sum_fault,
     z_translation_permutation,
 )
 from .records import record
@@ -154,12 +156,18 @@ class Sum(OperatorExpr):
             raise ValueError("empty sum")
 
     def line(self, g, axis, keep=None):
-        lines = [(t, t.line(g, axis, keep)) for t in self.terms]
-        out = {x: 0 for _, line in lines for x in line}
+        # a term with the base blank adds the int 0 off its line: the total,
+        # never a float or complex with a -0.0 part, stays as it is
+        lines = [(t.line(g, axis, keep), None if type(t).blank is OperatorExpr.blank else t)
+                 for t in self.terms]
+        out = {x: 0 for line, _ in lines for x in line}
         for x in out:
             total = 0
-            for t, line in lines:
-                total = _plus(total, line[x] if x in line else t.blank(*((g, x) if axis else (x, g))))
+            for line, t in lines:
+                if x in line:
+                    total = _plus(total, line[x])
+                elif t is not None:
+                    total = _plus(total, t.blank(*((g, x) if axis else (x, g))))
             out[x] = total
         return out
 
@@ -608,17 +616,9 @@ class ShiftRecognition:
     shift: ShiftForm
 
 
-def _column_scan(T: OperatorExpr, j: int) -> list:
-    """The nonzero entries ``(row, value)`` of column ``j``, by row."""
-    return [(i, v) for i, v in sorted(T.line(j, 0).items()) if v != 0]
-
-
-def _row_scan(T: OperatorExpr, i: int) -> list:
-    """The nonzero entries ``(column, value)`` of row ``i``, by column."""
-    return [(j, v) for j, v in sorted(T.line(i, 1).items()) if v != 0]
-
-
 def _structural_shift(T) -> Optional[ShiftForm]:
+    """The shift form ``T``'s nodes define exactly, or ``None``; a sum of
+    spreads has one when ``spread_sum_fault`` finds its spreads a permutation."""
     if isinstance(T, ShiftForm):
         return T
     if isinstance(T, Diagonal):
@@ -651,87 +651,55 @@ def _structural_shift(T) -> Optional[ShiftForm]:
             else:
                 weights = ProductWeightsRule(rf.weights, composed)
         return ShiftForm(perm, weights)
-    if isinstance(T, Sum):
-        if not all(isinstance(t, Spread) for t in T.terms):
-            return None
-        spreads = Counter(t.spread for t in T.terms)
+    if isinstance(T, Sum) and all(isinstance(t, Spread) for t in T.terms):
+        spreads = [t.spread for t in T.terms]
         for named in (identity_permutation(), sigma_bilateral()):
-            if spreads == Counter(decompose_into_spreads(named, 1)):
+            if Counter(spreads) == Counter(decompose_into_spreads(named, 1)):
                 return ShiftForm(named, ConstantRule(1))
-
-        def hit(g: int, axis: int) -> int:
-            hits = [x for t in T.terms for x in t.line(g, axis)]
-            if len(hits) != 1:
-                raise UnsupportedClassError(
-                    f"{('column', 'row')[axis]} {g} is hit by {len(hits)} spreads")
-            return hits[0]
-
-        perm = opaque_permutation(lambda j: hit(j, 0), lambda i: hit(i, 1), "sum-of-spreads")
-        return ShiftForm(perm, ConstantRule(1))
+        if spread_sum_fault(spreads) is None:  # then each line of the sum names one index
+            return ShiftForm(opaque_permutation(lambda j: next(iter(T.column(j))),
+                                                lambda i: next(iter(T.row(i))), "sum-of-spreads"),
+                             ConstantRule(1))
     return None
+
+
+def unrecognized(T) -> UnsupportedClassError:
+    """The refusal for ``T`` with no shift form: it names the node where
+    ``_structural_shift`` stops, and of a sum of spreads, a line hit twice or never."""
+    while isinstance(T, (Scale, Adjoint, Product)):
+        if isinstance(T, Product):
+            T = T.left if _structural_shift(T.left) is None else T.right
+        else:
+            T = T.inner
+    if isinstance(T, Sum) and all(isinstance(t, Spread) for t in T.terms):
+        what = f"a Sum of spreads: {spread_sum_fault([t.spread for t in T.terms])}"
+    else:
+        what = {Sum: "a Sum of non-spread terms", Spread: "a lone Spread"}.get(
+            type(T), f"a {type(T).__name__}")
+    return UnsupportedClassError(
+        f"operator is not permutation-weighted: recognition stops at {what}")
 
 
 def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
     """Recognize ``T`` as a permutation-weighted operator and polar-factor it.
 
     Returns the unitary factor, the nonnegative diagonal factor, and the
-    shift form, with ``T = unitary . diagonal`` entrywise; ``None`` when a
-    column in the window fails to carry exactly one nonzero entry.  For
-    this class the factorization is the polar decomposition itself.
+    shift form ``_structural_shift(T)``, with ``T = unitary . diagonal``
+    entrywise, or ``None`` (``unrecognized`` says why).  It reads the tree,
+    never the matrix, so ``window`` is ignored, kept only for callers that
+    still pass it.  For this class the split is the polar decomposition.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    candidate = _structural_shift(T)
-    expr = T.to_expr() if isinstance(T, ShiftForm) else T
-
-    # the unitary factor must be a bijection: every row in the window
-    # carries exactly one nonzero entry (possibly from a column beyond
-    # the window), and every column exactly one
-    try:
-        if any(len(_row_scan(expr, i)) != 1 for i in range(1, window + 1)):
-            return None
-    except (ValueError, UnsupportedClassError):
+    shift = _structural_shift(T)
+    if shift is None:
         return None
-
-    pairs = []
-    rows = set()
-    for j in range(1, window + 1):
-        nz = _column_scan(expr, j)
-        if len(nz) != 1 or nz[0][0] in rows:
-            return None
-        rows.add(nz[0][0])
-        pairs.append(nz[0])
-
-    verified = candidate
-    if verified is not None:
-        try:
-            if any(r != verified.perm.forward(j) or v != verified.weights.value(j)
-                   for j, (r, v) in enumerate(pairs, 1)):
-                verified = None
-        except (ValueError, UnsupportedClassError):
-            verified = None
-
-    if verified is None:
-        def single(g: int, axis: int) -> tuple:
-            nz = (_row_scan if axis else _column_scan)(expr, g)
-            if len(nz) != 1:
-                raise UnsupportedClassError(
-                    f"{('column', 'row')[axis]} {g} has {len(nz)} nonzero entries")
-            return nz[0]
-
-        perm = opaque_permutation(lambda j: single(j, 0)[0], lambda i: single(i, 1)[0],
-                                  "scanned shift")
-        verified = ShiftForm(perm, CallableRule(lambda j: single(j, 0)[1],
-                                                "scanned column weights"))
-
-    w = verified.weights
+    w = shift.weights
     if is_real_rule_certified_nonnegative(w):
-        unitary: OperatorExpr = PermutationUnitary(verified.perm)
+        unitary: OperatorExpr = PermutationUnitary(shift.perm)
         diag = Diagonal(w)
     else:
         diag = Diagonal(AbsRule(w))
-        unitary = Product(PermutationUnitary(verified.perm), Diagonal(PhaseRule(w)))
-    return ShiftRecognition(unitary=unitary, diagonal=diag, shift=verified)
+        unitary = Product(PermutationUnitary(shift.perm), Diagonal(PhaseRule(w)))
+    return ShiftRecognition(unitary=unitary, diagonal=diag, shift=shift)
 
 
 # ---------------------------------------------------------------------------

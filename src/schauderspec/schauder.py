@@ -45,6 +45,7 @@ from .op_algebra import (
     ShiftForm,
     corner_entries,
     recognize_shift_form,
+    unrecognized,
 )
 from .records import record, replace
 from .sequences import (
@@ -211,8 +212,7 @@ def is_schauder(T, probe_window: int = _SCHAUDER_WINDOW) -> SchauderVerdict:
     if isinstance(T, PermutationUnitary):
         return SchauderVerdict(True, detail="permutation unitary")
     if isinstance(T, OperatorExpr):
-        return _expression_verdict(
-            T, recognize_shift_form(T, window=min(probe_window, 64)), probe_window)
+        return _expression_verdict(T, recognize_shift_form(T), probe_window)
     raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
 
 
@@ -222,10 +222,7 @@ def _expression_verdict(T: OperatorExpr, rec, probe_window: int) -> SchauderVerd
         return is_schauder(rec.shift, probe_window)
     verdict = kernel_trivial(T, probe_window)
     if not verdict.certified and verdict.injective:
-        raise UnsupportedClassError(
-            "operator is not diagonal, shift-form or block-structured; "
-            + verdict.detail
-        )
+        raise unrecognized(T)
     return _kernel_verdict(verdict)
 
 
@@ -405,16 +402,15 @@ def _analysed_subject(T):
     """The form in which ``T`` is analysed.
 
     A plain operator expression is read as its shift form, recognized
-    once at window 64; a diagonal, a shift form, a block sum or an input
-    of any other type is read as given.
+    once from its nodes (no window of the matrix is read); a diagonal, a
+    shift form, a block sum or an input of any other type is read as
+    given.
     """
     if not isinstance(T, OperatorExpr) or isinstance(T, (Diagonal, BlockDirectSum)):
         return T
-    rec = recognize_shift_form(T, window=64)
+    rec = recognize_shift_form(T)
     if rec is None:
-        raise UnsupportedClassError(
-            "operator is not diagonal, block, or shift-form recognizable"
-        )
+        raise unrecognized(T)
     return rec.shift
 
 
@@ -829,6 +825,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
 def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
     """Full pipeline: recognize, polar-split, dispatch, certify.
 
+    Recognition reads the operator's nodes, not a window of its matrix.
     Splits a recognized operator into unitary times nonnegative diagonal
     (exact polar decomposition for this class), deflates the diagonal
     data, and composes the constructed unitary with the recognition
@@ -838,27 +835,21 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
     and block entry points cover the rest explicitly.
     """
     cfg = cfg or CertificateGridConfig()
-    # is_schauder recognizes a plain expression at this window before it
-    # reads any weight, so it is handed this recognition instead
+    # is_schauder would recognize a plain expression before it reads any
+    # weight, so it is handed this recognition instead
     plain = isinstance(T, OperatorExpr) and not isinstance(
         T, (Diagonal, BlockDirectSum, PermutationUnitary))
-    if plain:
-        rec = recognize_shift_form(T, window=64)
-        verdict = _expression_verdict(T, rec, _SCHAUDER_WINDOW)
-    else:
-        verdict = is_schauder(T)
+    rec = recognize_shift_form(T) if plain else None
+    verdict = _expression_verdict(T, rec, _SCHAUDER_WINDOW) if plain else is_schauder(T)
     if not verdict:
         raise PreconditionViolatedError(
             f"not a Schauder operator: {verdict.reason} "
             f"(witness index {verdict.witness_index}); {verdict.detail}"
         )
     operator: OperatorExpr = T.to_expr() if isinstance(T, ShiftForm) else T
-    if not plain:
-        rec = recognize_shift_form(T, window=64)
+    rec = rec or recognize_shift_form(T)  # a plain expression was recognized above
     if rec is None:
-        raise UnsupportedClassError(
-            "operator is not recognizable as a permutation-weighted form"
-        )
+        raise unrecognized(T)
     rule = rec.diagonal.weights
     rec_unitary = None if (
         isinstance(rec.unitary, PermutationUnitary)

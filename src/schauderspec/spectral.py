@@ -35,8 +35,6 @@ from .op_algebra import (
     OperatorExpr,
     ShiftForm,
     adjoint_shift_form,
-    _column_scan,
-    _row_scan,
     corner_array,
 )
 from .records import record
@@ -401,19 +399,19 @@ def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
     # expression tree: structural column/row coverage on a window
     window = min(probe_window, 512)
     for j in range(1, window + 1):
-        nz = _column_scan(s, j)
-        if len(nz) == 0:
+        nz = sum(v != 0 for v in s.column(j).values())
+        if nz == 0:
             return KernelRangeVerdict(
                 False, None, j, True, f"column {j} is zero: e_{j} lies in the kernel"
             )
-        if len(nz) > 1:
+        if nz > 1:
             return KernelRangeVerdict(
                 True, None, j, False,
-                f"column {j} has {len(nz)} entries; only shift-like trees are"
+                f"column {j} has {nz} entries; only shift-like trees are"
                 " decided structurally"
             )
     for i in range(1, window + 1):
-        if len(_row_scan(s, i)) == 0:
+        if not any(v != 0 for v in s.row(i).values()):
             return KernelRangeVerdict(
                 True, False, i, True,
                 f"row {i} is unreachable: the range misses e_{i}"

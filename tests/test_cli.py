@@ -403,10 +403,39 @@ class TestRun:
             assert abs(replayed - cert.attained_magnitude) <= 1e-12 * cert.attained_magnitude
             assert replayed > cert.bound
 
+    def test_zero_weight_at_1_and_at_100_report_alike(self, tmp_path):
+        # docs/examples: 1/2 * diag(1, .., 1, 0, 1, ..) with its zero at index
+        # 1 or 100; recognition reads no window, so both are scaled diagonals
+        # and the exact value set decides both: {1/2, 0}, each not-injective
+        results = []
+        for at in (1, 100):
+            out = tmp_path / f"at-{at}"
+            doc = REPO / "docs" / "examples" / f"zero-weight-at-{at}.json"
+            assert main(["run", str(doc), "--out", str(out)]) == 0
+            results.append(json.loads((out / "report.json").read_text())["results"])
+        assert results[0] == results[1]
+        report = results[0]["report"]
+        assert report["members"] == {"kind": "finite",
+                                     "values": [{"fraction": [1, 2]}, {"fraction": [0, 1]}]}
+        assert [r["reason"] for r in report["perMemberReason"]] == ["not-injective"] * 2
+        # sigma times diag(0, 1, 1/2, ..) is recognized too; its orbit walk
+        # refuses it by its own precondition, not as an unrecognized operator
+        spec = write_spec(tmp_path, "sigma-zero-at-1.json", {
+            "version": 1, "analysis": "schauder-spectrum", "params": SMALL_PARAMS,
+            "operator": {"op": "product",
+                         "left": {"op": "permutation-unitary",
+                                  "of": {"permutation": "sigma-bilateral"}},
+                         "right": {"op": "diagonal", "weights": {
+                             "rule": "explicit-then", "prefix": [0],
+                             "tail": diag_spec()["operator"]["weights"]}}}})
+        assert main(["run", str(spec), "--out", str(tmp_path / "sigma")]) == 3
+        error = json.loads((tmp_path / "sigma" / "report.json").read_text())["error"]
+        assert error["message"] == "weight magnitudes are not nonincreasing on the probe window"
+
     def test_column_past_the_recognition_window_is_unsupported(self, tmp_path):
         # diag(1/n) + the spread {100, 101, ..} -> {101, 102, ..}: the
-        # first 64 columns carry one entry each, so the sum is recognized
-        # as a scanned shift; column 100 carries two, read only by a walk
+        # first 99 columns carry one entry each and column 100 two; the
+        # sum of a diagonal and a spread has no shift form at all
         spread = {"op": "spread",
                   "domain": {"sequence": "arithmetic", "start": 100, "step": 1},
                   "image": {"sequence": "arithmetic", "start": 101, "step": 1}}
@@ -419,12 +448,13 @@ class TestRun:
         assert main(["run", str(spec), "--out", str(out)]) == 2
         block = json.loads((out / "report.json").read_text())["error"]
         assert block == {"kind": "unsupported-class", "exitCode": 2,
-                         "message": "column 100 has 2 nonzero entries"}
+                         "message": "operator is not permutation-weighted: "
+                                    "recognition stops at a Sum of non-spread terms"}
 
     def test_row_past_the_window_hit_by_two_spreads_is_unsupported(self, tmp_path):
-        # the identity spread plus {100, 101, ..} -> {101, 102, ..}: the
-        # sum of spreads keeps its own permutation, which the window
-        # check passes; row 101 is hit twice, read only by a walk
+        # the identity spread plus {100, 101, ..} -> {101, 102, ..}: row
+        # 101 and column 100 are each hit by both spreads, so the sum is no
+        # permutation; the refusal names the first such line, column 100
         def spread(domain, image):
             return {"op": "spread",
                     "domain": {"sequence": "arithmetic", "start": domain, "step": 1},
@@ -441,7 +471,8 @@ class TestRun:
         assert main(["run", str(spec), "--out", str(out)]) == 2
         block = json.loads((out / "report.json").read_text())["error"]
         assert block == {"kind": "unsupported-class", "exitCode": 2,
-                         "message": "row 101 is hit by 2 spreads"}
+                         "message": "operator is not permutation-weighted: recognition "
+                                    "stops at a Sum of spreads: column 100 is hit by 2 spreads"}
 
     @pytest.mark.parametrize("analysis, flags", [
         ("schauder-spectrum", ["--csv"]),

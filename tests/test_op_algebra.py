@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from schauderspec import (
@@ -187,39 +187,37 @@ class TestRecognize:
                  Spread(SpreadSpec(naturals(), ArithmeticSequence(2, 1)))))
         assert recognize_shift_form(T, window=8) is None
 
-    def test_failed_candidate_falls_back_to_the_scanned_shift(self, monkeypatch):
-        # each column is hit by both spreads, so the structural candidate
-        # raises; the scanned columns still form the shift 2 * identity
+    def test_a_tree_with_no_shift_form_is_refused_at_its_node(self):
+        # the spread twice, added to itself, agrees with 2 * identity on
+        # every column read, but two spreads hit each column: no form
         twice = Spread(SpreadSpec(naturals(), naturals()))
-        T = Sum((twice, twice))
-        rec = recognize_shift_form(T, window=8)
-        assert rec.shift.perm.description == "scanned shift"
-        assert [rec.shift.perm.forward(j) for j in range(1, 9)] == list(range(1, 9))
-        assert rec.shift.weights.values(8) == [2] * 8
-        assert truncate(Product(rec.unitary, rec.diagonal), 8) == truncate(T, 8)
-        # a candidate whose weights disagree with the columns is dropped too
-        wrong = ShiftForm(identity_permutation(), ConstantRule(3))
-        monkeypatch.setattr(op_algebra, "_structural_shift", lambda _: wrong)
-        rec = recognize_shift_form(Diagonal(ConstantRule(2)), window=8)
-        assert rec.shift.perm.description == "scanned shift"
-        assert rec.shift.weights.values(8) == [2] * 8
+        D = Diagonal(PowerLawRule(Fraction(1), 1))
+        for T, stop in [
+            (Sum((twice, twice)), "a Sum of spreads: column 1 is hit by 2 spreads"),
+            (Product(D, Sum((D, twice))), "a Sum of non-spread terms"),
+            (Scale(2, Adjoint(LambdaShift(1, D))), "a LambdaShift"),
+            (Product(forward_unilateral_shift(), D), "a lone Spread"),
+            (BlockDirectSum((D, D), (odds(), evens())), "a BlockDirectSum"),
+        ]:
+            assert recognize_shift_form(T) is None
+            refusal = op_algebra.unrecognized(T)
+            assert isinstance(refusal, UnsupportedClassError)
+            assert str(refusal) == (
+                f"operator is not permutation-weighted: recognition stops at {stop}")
 
-    def test_scanned_shift_refuses_a_column_past_its_window(self):
+    def test_a_column_past_any_window_is_refused(self):
         # diag(1/n) + the spread {100, ..} -> {101, ..}: one entry per
-        # column up to 99, two from column 100 on
+        # column up to 99, two from column 100 on; the tree decides it
         late = Spread(SpreadSpec(ArithmeticSequence(100, 1), ArithmeticSequence(101, 1)))
-        rec = recognize_shift_form(Sum((Diagonal(PowerLawRule(Fraction(1), 1)), late)))
-        shift = rec.shift
-        assert shift.perm.forward(99) == 99
-        for read, index, line in ((shift.perm.forward, 100, "column 100"),
-                                  (shift.weights.value, 100, "column 100"),
-                                  (shift.perm.inverse, 101, "row 101")):
-            with pytest.raises(UnsupportedClassError,
-                               match=f"^{line} has 2 nonzero entries$"):
-                read(index)
-        # a wider window that reads the bad row of the embedded shift
-        # answers "not recognized", as for any failed window scan
-        assert recognize_shift_form(rec.unitary, window=128) is None
+        T = Sum((Diagonal(PowerLawRule(Fraction(1), 1)), late))
+        assert recognize_shift_form(T, window=64) is None
+        assert str(op_algebra.unrecognized(T)).endswith("stops at a Sum of non-spread terms")
+        # with the identity spread in place of the diagonal it is a sum of
+        # spreads, and the refusal names the first line hit twice
+        T = Sum((Spread(SpreadSpec(naturals(), naturals())), late))
+        assert recognize_shift_form(T) is None
+        assert str(op_algebra.unrecognized(T)).endswith(
+            "stops at a Sum of spreads: column 100 is hit by 2 spreads")
 
     @given(st.permutations(list(range(1, 13))),
            st.lists(rationals, min_size=12, max_size=12))
@@ -272,6 +270,19 @@ def fin_vectors(draw):
 
 
 class TestAlgebraProperties:
+    @given(expr_trees)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_structural_form_is_the_tree(self, T):
+        # what recognition once confirmed on a window of rows and columns:
+        # the recognized form equals T entry by entry, here on a 32 x 32 corner
+        shift = op_algebra._structural_shift(T)
+        assume(shift is not None)
+        got = op_algebra.corner_entries(shift.to_expr(), 32)
+        want = op_algebra.corner_entries(T, 32)
+        for key in got.keys() | want.keys():
+            assert got.get(key, 0) == want.get(key, 0), key
+
     @given(expr_trees, fin_vectors())
     @settings(max_examples=120, deadline=None)
     def test_entry_apply_consistency(self, T, x):
@@ -367,7 +378,20 @@ class TestClosedFormSequence:
 def spread_sums(draw):
     """Sums of spreads: finite pieces, arithmetic progressions, and mixed
     finite-domain/infinite-image spreads, so lines may be hit 0, 1 or more
-    times."""
+    times; or, half the time, a permutation: the residue classes mod m
+    moved onto each other, maybe with the first two terms of one swapped."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        moved = draw(st.permutations(range(1, m + 1)))
+        terms = [Spread(SpreadSpec(ArithmeticSequence(r, m), ArithmeticSequence(q, m)))
+                 for r, q in enumerate(moved, 1)]
+        if draw(st.booleans()):
+            q = moved[0]
+            terms[:1] = [Spread(SpreadSpec(ExplicitPrefixSequence((a,)), ExplicitPrefixSequence((b,))))
+                         for a, b in ((1, q + m), (1 + m, q))]
+            terms.append(Spread(SpreadSpec(ArithmeticSequence(1 + 2 * m, m),
+                                           ArithmeticSequence(q + 2 * m, m))))
+        return Sum(tuple(draw(st.permutations(terms))))
 
     def seq(finite):
         if finite:
@@ -393,26 +417,45 @@ class TestSumOfSpreadsShift:
     @settings(max_examples=200, deadline=None)
     @given(T=spread_sums())
     def test_permutation_agrees_with_supports(self, T):
-        perm = op_algebra._structural_shift(T).perm
-        for k in range(1, 30):
-            for step, line in ((perm.forward, "column"), (perm.inverse, "row")):
-                # each spread's own line names at most one index
-                hits = [x for t in T.terms for x in getattr(t, line)(k)]
-                if len(hits) == 1:
-                    assert step(k) == hits[0]
-                else:
-                    with pytest.raises(UnsupportedClassError,
-                                       match=f"^{line} {k} is hit by {len(hits)} spreads$"):
-                        step(k)
+        # the drawn sets start by 24 and repeat with a period dividing 6, so
+        # lines 1..60 decide whether the spreads form a permutation
+        hits = {(line, k): [x for t in T.terms for x in getattr(t, line)(k)]
+                for line in ("column", "row") for k in range(1, 61)}
+        faults = [f"{line} {k} is hit by {len(xs)} spreads"
+                  for (line, k), xs in hits.items() if len(xs) != 1]
+        shift = op_algebra._structural_shift(T)
+        if faults:
+            assert shift is None
+            assert str(op_algebra.unrecognized(T)).endswith(
+                f"stops at a Sum of spreads: {faults[0]}")
+            return
+        for (line, k), xs in hits.items():
+            assert [(shift.perm.forward if line == "column" else shift.perm.inverse)(k)] == xs
 
     def test_row_beyond_a_finite_domain_is_hit_by_no_spread(self):
+        # {1, 2, 3} -> N pairs only its three terms: rows 4..9 are left out
         T = Sum((Spread(SpreadSpec(ExplicitPrefixSequence((1, 2, 3)), naturals())),
                  Spread(SpreadSpec(ArithmeticSequence(4, 1), ArithmeticSequence(10, 1)))))
-        perm = op_algebra._structural_shift(T).perm
-        assert [perm.inverse(i) for i in (1, 2, 3, 10, 11)] == [1, 2, 3, 4, 5]
-        assert perm.forward(5) == 11
-        with pytest.raises(UnsupportedClassError, match="^row 5 is hit by 0 spreads$"):
-            perm.inverse(5)
+        assert [x for i in (1, 2, 3, 10, 11) for t in T.terms for x in t.row(i)] == [
+            1, 2, 3, 4, 5]
+        assert [x for t in T.terms for x in t.row(4)] == []
+        assert op_algebra._structural_shift(T) is None
+        assert str(op_algebra.unrecognized(T)).endswith(
+            "stops at a Sum of spreads: row 4 is hit by 0 spreads")
+
+    def test_undecided_and_ill_formed_sums_are_faults(self):
+        from schauderspec import ClosedFormSequence
+        from schauderspec.index_maps import spread_sum_fault
+
+        squares = ClosedFormSequence(lambda n: n * n, "squares")
+        assert spread_sum_fault([SpreadSpec(squares, squares)]) == (
+            "a column set is given by a callable")
+        # residue classes mod 257 and 263 repeat only after their product
+        classes = [SpreadSpec(ArithmeticSequence(r, m), ArithmeticSequence(r, m))
+                   for r, m in ((1, 257), (2, 263))]
+        assert spread_sum_fault(classes) == "its column sets repeat only after 67593 indices"
+        assert spread_sum_fault([SpreadSpec(naturals(), ExplicitPrefixSequence((1, 2)))]) == (
+            "column 3 lies past its spread's finite image")
 
     def test_sigma_spreads_recognized(self):
         sigma = sigma_bilateral()
@@ -437,16 +480,14 @@ class TestSumOfSpreadsShift:
     def test_other_spread_sums_keep_their_maps(self):
         twice = Spread(SpreadSpec(naturals(), naturals()))
         assert op_algebra._structural_shift(Sum((twice,))).perm.is_identity
-        # the spread twice is not the identity's multiset: its closure
-        # raises, and recognition falls back to the scanned columns
-        doubled = Sum((twice, twice))
-        perm = op_algebra._structural_shift(doubled).perm
+        # odds <-> evens is a permutation but neither named one: it keeps its maps
+        swap = Sum((Spread(SpreadSpec(odds(), evens())), Spread(SpreadSpec(evens(), odds()))))
+        perm = op_algebra._structural_shift(swap).perm
         assert perm.maps is not None and perm.description == "sum-of-spreads"
-        with pytest.raises(UnsupportedClassError, match="^column 3 is hit by 2 spreads$"):
-            perm.forward(3)
-        scanned = recognize_shift_form(doubled, window=8).shift.perm
-        assert scanned.maps is not None and scanned.description == "scanned shift"
-        assert [scanned.forward(k) for k in range(1, 9)] == list(range(1, 9))
+        assert [perm.forward(k) for k in range(1, 7)] == [2, 1, 4, 3, 6, 5]
+        assert [perm.inverse(k) for k in range(1, 7)] == [2, 1, 4, 3, 6, 5]
+        # the spread twice is not the identity's multiset, and no permutation
+        assert op_algebra._structural_shift(Sum((twice, twice))) is None
 
 
 # --- an independent reference for the line evaluator ---------------------
@@ -594,6 +635,12 @@ def _reference_uncached(T, i, j, memo):
     return _reference(T.blocks[ci], ki, kj, memo) if ci == cj else (False, 0)
 
 
+def _scan(T, axis, g):
+    """The nonzero entries ``(index, value)`` of column (axis 0) or row (axis 1)
+    ``g`` of ``T``, by index."""
+    return [(x, v) for x, v in sorted(T.line(g, axis).items()) if v != 0]
+
+
 class TestLinesAgainstReference:
     @given(line_trees, st.integers(1, 5))
     @settings(max_examples=250, deadline=None)
@@ -607,13 +654,13 @@ class TestLinesAgainstReference:
         for g in range(1, n + 1):
             column = [(i, _reference(T, i, g, memo)) for i in range(1, _reach(T, g, memo) + 1)]
             row = [(j, _reference(T, g, j, memo)) for j in range(1, _reach(T, g, memo) + 1)]
-            for scan, line in ((op_algebra._column_scan, column), (op_algebra._row_scan, row)):
-                assert repr(scan(T, g)) == repr([(x, v) for x, (named, v) in line
-                                                  if named and v != 0])
+            for axis, line in ((0, column), (1, row)):
+                assert repr(_scan(T, axis, g)) == repr([(x, v) for x, (named, v) in line
+                                                        if named and v != 0])
             # a row and the columns it crosses give each entry alike
-            assert repr(op_algebra._row_scan(T, g)) == repr([
+            assert repr(_scan(T, 1, g)) == repr([
                 (j, v) for j in range(1, _reach(T, g, memo) + 1)
-                for i, v in op_algebra._column_scan(T, j) if i == g])
+                for i, v in _scan(T, 0, j) if i == g])
 
 
     @staticmethod
@@ -628,7 +675,7 @@ class TestLinesAgainstReference:
         U = PermutationUnitary(identity_permutation())
         T = Product(Scale(math.inf, U), Sum((U, self._swap(1, 2))))
         want = "[(1, nan), (2, nan)]"
-        assert repr(op_algebra._column_scan(T, 1)) == repr(op_algebra._row_scan(T, 1)) == want
+        assert repr(_scan(T, 0, 1)) == repr(_scan(T, 1, 1)) == want
         assert repr(entry(T, 1, 2)) == "nan"
         # in a 3 x 3 corner, too, where the middle index 5 leads to no kept row
         T = Product(Scale(math.inf, U), Sum((Diagonal(ConstantRule(1)), self._swap(1, 5))))
@@ -641,8 +688,8 @@ class TestLinesAgainstReference:
         left = Sum((Scale(0.1, U), Scale(0.2, self._swap(1, 9)), Scale(0.3, self._swap(1, 17))))
         T = Product(left, Sum((self._swap(1, 17), self._swap(1, 9), U)))
         assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
-        assert op_algebra._column_scan(T, 1)[0] == (1, 0.6) == (1, (0.3 + 0.2) + 0.1)
-        assert repr(op_algebra._row_scan(T, 1)) == "[(1, 0.6), (9, 0.5), (17, 0.7)]"
+        assert _scan(T, 0, 1)[0] == (1, 0.6) == (1, (0.3 + 0.2) + 0.1)
+        assert repr(_scan(T, 1, 1)) == "[(1, 0.6), (9, 0.5), (17, 0.7)]"
 
 
     def test_a_corner_evaluates_only_the_rule_values_its_entries_need(self):

@@ -34,6 +34,8 @@ from schauderspec import (
     SchauderSpectrumReport,
     SelfAdjointIntervalModel,
     ShiftForm,
+    Spread,
+    SpreadSpec,
     Sum,
     UnsupportedClassError,
     VanishingSequenceMembers,
@@ -89,6 +91,21 @@ class TestIsSchauder:
         v = is_schauder(forward_unilateral_shift())
         assert not v
         assert v.reason == RANGE_NOT_DENSE
+
+    def test_spread_sum_short_of_a_permutation_is_read_by_its_lines(self):
+        # a sum of spreads that misses a row has no shift form, so no check
+        # of shift weights calls it Schauder; its rows decide it, row 1 of
+        # the forward shift, and row 100 here, past any recognition window
+        head = ExplicitPrefixSequence(tuple(range(1, 100)))
+        late = Sum((Spread(SpreadSpec(head, head)),
+                    Spread(SpreadSpec(ArithmeticSequence(100, 1), ArithmeticSequence(101, 1)))))
+        for spreads, row in ((Sum((forward_unilateral_shift(),)), 1), (late, 100)):
+            T = Product(spreads, Diagonal(RECIP))
+            v = is_schauder(T)
+            assert not v and v.reason == RANGE_NOT_DENSE and v.witness_index == row
+            with pytest.raises(PreconditionViolatedError, match=f"^not a Schauder operator: "
+                               f"range-not-dense \\(witness index {row}\\)"):
+                deflate(T, SMALL)
 
     def test_diagonal_with_zero(self):
         rule = ExplicitThenRule((1, 0, Fraction(1, 3)), OffsetRule(RECIP, 3))
@@ -967,7 +984,8 @@ class TestBlockSumZero:
         two_per_column = Sum((Diagonal(ConstantRule(1)), forward_unilateral_shift()))
         B = BlockDirectSum((Diagonal(RECIP), two_per_column), part)
         with pytest.raises(UnsupportedClassError, match=(
-                "^operator is not diagonal, block, or shift-form recognizable$")):
+                "^operator is not permutation-weighted: recognition stops at "
+                "a Sum of non-spread terms$")):
             schauder_spectrum(B, SMALL)
 
 
