@@ -30,12 +30,10 @@ from .index_maps import (
 )
 from .records import record
 from .sequences import (
-    AffineRule,
     ArithmeticSequence,
     CallableRule,
     ConstantRule,
     ExplicitThenRule,
-    GeometricRule,
     IndexSequence,
     OffsetRule,
     PowerLawRule,
@@ -459,8 +457,12 @@ class AdjointWeightsRule(ScalarRule):
         il = self.inner.limit()
         return None if il is None else conjugate(il)
 
-    def attains_zero(self):
-        return self.inner.attains_zero()
+    def attains_zero(self, skip=0):
+        return None if skip else self.inner.attains_zero()
+
+    def is_real(self, skip=0, nonnegative=False):
+        # a bijection keeps the value set of all terms, not of those past skip
+        return None if skip else self.inner.is_real(0, nonnegative)
 
     def describe(self):
         return f"adjoint weights of ({self.inner.describe()})"
@@ -479,8 +481,11 @@ class ComposedWeightsRule(ScalarRule):
     def limit(self):
         return self.inner.limit()
 
-    def attains_zero(self):
-        return self.inner.attains_zero()
+    def attains_zero(self, skip=0):
+        return None if skip else self.inner.attains_zero()
+
+    def is_real(self, skip=0, nonnegative=False):
+        return None if skip else self.inner.is_real(0, nonnegative)
 
     def describe(self):
         return f"({self.inner.describe()}) o perm"
@@ -505,16 +510,17 @@ class ProductWeightsRule(ScalarRule):
             return None
         return la * lb
 
-    def attains_zero(self):
-        za, zb = self.a.attains_zero(), self.b.attains_zero()
+    def attains_zero(self, skip=0):
+        za, zb = self.a.attains_zero(skip), self.b.attains_zero(skip)
         if za is True or zb is True:
             return True
         if za is False and zb is False:
             return False
         return None
 
-    def abs_nonincreasing(self):
-        if self.a.abs_nonincreasing() is True and self.b.abs_nonincreasing() is True:
+    def abs_nonincreasing(self, skip=0, strict=False):
+        if (not strict and self.a.abs_nonincreasing(skip) is True
+                and self.b.abs_nonincreasing(skip) is True):
             return True
         return None
 
@@ -533,11 +539,11 @@ class AbsRule(ScalarRule):
         il = self.inner.limit()
         return None if il is None else _abs_exact(il)
 
-    def attains_zero(self):
-        return self.inner.attains_zero()
+    def attains_zero(self, skip=0):
+        return self.inner.attains_zero(skip)
 
-    def abs_nonincreasing(self):
-        return self.inner.abs_nonincreasing()
+    def abs_nonincreasing(self, skip=0, strict=False):
+        return self.inner.abs_nonincreasing(skip, strict)
 
     def describe(self):
         return f"|{self.inner.describe()}|"
@@ -557,7 +563,7 @@ class PhaseRule(ScalarRule):
             return 1 if v > 0 else -1
         return v / abs(v)
 
-    def attains_zero(self):
+    def attains_zero(self, skip=0):
         return False
 
     def describe(self):
@@ -567,44 +573,6 @@ class PhaseRule(ScalarRule):
 def adjoint_shift_form(s: ShiftForm) -> ShiftForm:
     """Shift form of ``T*``: inverted permutation, conjugated reindexed weights."""
     return ShiftForm(inverse_permutation(s.perm), AdjointWeightsRule(s.weights, s.perm))
-
-
-def is_real_rule_certified_nonnegative(rule: ScalarRule) -> bool:
-    """True when every value of ``rule`` is certifiably a nonnegative real."""
-    if isinstance(rule, ConstantRule):
-        return not isinstance(rule.c, complex) and rule.c >= 0
-    if isinstance(rule, PowerLawRule):
-        return not isinstance(rule.scale, complex) and rule.scale >= 0
-    if isinstance(rule, GeometricRule):
-        return (
-            not isinstance(rule.scale, complex)
-            and not isinstance(rule.ratio, complex)
-            and rule.scale >= 0
-            and rule.ratio >= 0
-        )
-    if isinstance(rule, ScaledRule):
-        return (
-            not isinstance(rule.factor, complex)
-            and rule.factor >= 0
-            and is_real_rule_certified_nonnegative(rule.inner)
-        )
-    if isinstance(rule, (OffsetRule, RepeatedRule)):
-        return is_real_rule_certified_nonnegative(rule.inner)
-    if isinstance(rule, ExplicitThenRule):
-        pre_ok = all(not isinstance(v, complex) and v >= 0 for v in rule.prefix)
-        if rule.tail is None:
-            return pre_ok
-        return pre_ok and is_real_rule_certified_nonnegative(rule.tail)
-    if isinstance(rule, AffineRule):
-        if isinstance(rule.base, complex) or rule.base <= 0:
-            return False
-        if rule.inner.abs_nonincreasing() is not True:
-            return False
-        first = rule.inner.value(1)
-        if isinstance(first, complex):
-            return False
-        return rule.base - _abs_exact(first) >= 0
-    return False
 
 
 @record
@@ -642,11 +610,11 @@ def _structural_shift(T) -> Optional[ShiftForm]:
             return None
         perm = compose_permutations(lf.perm, rf.perm)
         left_w = lf.weights
-        if isinstance(left_w, ConstantRule) and left_w.c == 1:
+        if left_w == ConstantRule(1):
             weights: ScalarRule = rf.weights
         else:
             composed = ComposedWeightsRule(left_w, rf.perm)
-            if isinstance(rf.weights, ConstantRule) and rf.weights.c == 1:
+            if rf.weights == ConstantRule(1):
                 weights = composed
             else:
                 weights = ProductWeightsRule(rf.weights, composed)
@@ -693,7 +661,7 @@ def recognize_shift_form(T, window: int = 64) -> Optional[ShiftRecognition]:
     if shift is None:
         return None
     w = shift.weights
-    if is_real_rule_certified_nonnegative(w):
+    if w.is_real(nonnegative=True):
         unitary: OperatorExpr = PermutationUnitary(shift.perm)
         diag = Diagonal(w)
     else:

@@ -49,19 +49,17 @@ from .op_algebra import (
 )
 from .records import record, replace
 from .sequences import (
-    AffineRule,
+    _ZERO_SCAN_CAP,
     ArithmeticSequence,
     ConstantRule,
     ExplicitPrefixSequence,
     ExplicitThenRule,
-    GeometricRule,
     MergedAbsDecreasingRule,
-    PowerLawRule,
     Scalar,
     ScalarRule,
-    ScaledRule,
     _abs_exact,
-    _values_past,
+    _first_rise,
+    _ratio_deviation_tail,
 )
 from .spectral import (
     CertificateGridConfig,
@@ -241,70 +239,13 @@ def _kernel_verdict(verdict: KernelRangeVerdict) -> SchauderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _finite_value_set(rule: ScalarRule, skip: int = 0, nested: bool = False) -> Optional[tuple]:
-    """The values ``rule`` takes past its first ``skip`` terms, when its exact
-    parameters leave finitely many, each once unless ``nested``; None for any
-    other rule.
-
-    The walk of ``_values_past`` may end on a constant, a zero rule, a
-    ``power-law`` of exponent 0, a ``geometric`` of ratio 1, or a ``scaled`` or
-    ``affine`` rule over a finite-valued one.  Each value has the type the rule
-    returns it with, except the int 0 of a zero rule the outermost walk ends on.
-    """
-    values, rest, skip = _values_past(rule, skip)
-    if rest is None:
-        pass
-    elif isinstance(rest, ConstantRule):
-        values += (rest.c,)
-    elif _is_zero_rule(rest) and not nested:
-        values += (0,)
-    elif _is_zero_rule(rest) or (
-            isinstance(rest, PowerLawRule) and rest.exponent == 0) or (
-            isinstance(rest, GeometricRule) and rest.ratio == 1):
-        values += (rest.value(skip + 1),)
-    elif isinstance(rest, (ScaledRule, AffineRule)):
-        inner = _finite_value_set(rest.inner, skip, nested=True)
-        if inner is None:
-            return None
-        # the value and type of rest.value(n) for each inner value
-        values += tuple(rest.factor * v if isinstance(rest, ScaledRule) else rest.base + v
-                        for v in inner)
-    else:
-        return None
-    # equal values of two types may part under a factor: 3 and 3.0 times 1/10
-    return values if nested else tuple(dict.fromkeys(values))
-
-
-def _is_zero_rule(rule) -> bool:
-    """Whether the exact parameters of ``rule`` make every term 0.
-
-    Read from the parameters, not from ``tail_abs_sum``: a Fraction scale
-    of 10**-400 sums to 0.0 in floats.
-    """
-    if isinstance(rule, ScaledRule):
-        return rule.factor == 0 or _is_zero_rule(rule.inner)
-    if isinstance(rule, AffineRule):
-        return rule.base == 0 and _is_zero_rule(rule.inner)
-    if isinstance(rule, GeometricRule):
-        return rule.scale == 0 or rule.ratio == 0
-    return isinstance(rule, PowerLawRule) and rule.scale == 0
-
-
 def _sorted_values(values) -> tuple:
     return tuple(sorted(dict.fromkeys(values), key=lambda v: (-_abs_exact(v), repr(v))))
 
 
-def _is_real_valued(rule: ScalarRule, probe: int = 16) -> bool:
-    ln = rule.length()
-    cap = probe if ln is None else min(ln, probe)
-    return all(not isinstance(rule.value(n), complex) for n in range(1, cap + 1))
-
-
 def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumReport:
-    notes = []
-    if _is_real_valued(rule):
-        notes.append(SELF_ADJOINT_NOTE)
-    finite_values = _finite_value_set(rule)
+    notes = [SELF_ADJOINT_NOTE] if rule.is_real() else []
+    finite_values = rule.value_set()
     vanishing = rule.limit() == 0  # never for a finite-length rule
     if finite_values is not None:
         # exact members: 0 is one exactly when the rule takes it
@@ -513,27 +454,40 @@ def _region_string(cfg: CertificateGridConfig, max_weight: float) -> str:
 
 def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool],
                              probe: int = 64) -> bool:
-    """Check the first ``probe`` weights and the limit; returns ``strict``.
+    """Check that the weights are positive reals decreasing to 0, strictly with
+    ``strict=True``; returns ``strict``, which ``strict=None`` reads off the rule.
 
-    With ``strict=None`` strictness is read off the probed values.
+    The rule's facts decide.  Weights are read only to name the index a refusal
+    cites, or, where the rule does not know, on the first ``probe`` as the
+    numeric fallback.
     """
-    vals = rule.values(probe)
-    for n, v in enumerate(vals, 1):
-        if isinstance(v, complex) or v <= 0:
-            raise PreconditionViolatedError(
-                f"weight at index {n} is {v!r}; positive reals required"
-            )
+    nonnegative = rule.is_real(nonnegative=True)  # a zero is left to the zero check
+    if not nonnegative:
+        for n in range(1, (probe if nonnegative is None else _ZERO_SCAN_CAP) + 1):
+            v = rule.value(n)
+            if isinstance(v, complex) or v <= 0:
+                raise PreconditionViolatedError(
+                    f"weight at index {n} is {v!r}; positive reals required"
+                )
+        if nonnegative is False:
+            raise PreconditionViolatedError("weights are not all positive reals")
+    decreasing = None  # a strictness read off the rule is not checked again
     if strict is None:
-        strict = all(a > b for a, b in zip(vals, vals[1:]))
-    for n, (a, b) in enumerate(zip(vals, vals[1:]), 1):
-        if strict and not a > b:
+        strict = decreasing = rule.abs_nonincreasing(strict=True)
+        if strict is None:
+            strict = decreasing = _first_rise(rule, probe, strict=True) is None
+    if not decreasing:
+        decreasing = rule.abs_nonincreasing(strict=strict)
+    if not decreasing:
+        n = _first_rise(rule, probe if decreasing is None else _ZERO_SCAN_CAP, strict)
+        if n is not None:
+            a, b = rule.value(n), rule.value(n + 1)
             raise PreconditionViolatedError(
-                f"weights not strictly decreasing at index {n}: {a!r} !> {b!r}"
-            )
-        if not strict and a < b:
+                f"weights not strictly decreasing at index {n}: {a!r} !> {b!r}" if strict
+                else f"weights increase at index {n}: {a!r} < {b!r}")
+        if decreasing is False:
             raise PreconditionViolatedError(
-                f"weights increase at index {n}: {a!r} < {b!r}"
-            )
+                "weights are not " + ("strictly decreasing" if strict else "nonincreasing"))
     lim = rule.limit()
     if lim is None:
         raise PreconditionViolatedError(
@@ -747,7 +701,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
     assembled finite model is additionally audited by the dense
     eigensolver on a truncation of the product.
     """
-    from .spectral import block_norm_blowup, _ratio_deviation_tail
+    from .spectral import block_norm_blowup
 
     cfg = cfg or CertificateGridConfig()
     if not blocks:
@@ -861,11 +815,9 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
             "cannot certify a vanishing spectrum rule for this operator"
         )
     if lim != 0:
-        extra = ""
-        if isinstance(rule, ConstantRule):
-            extra = (
-                f" (constant diagonal factor: point spectrum {{{rule.c!r}}})"
-            )
+        values = rule.value_set() or ()
+        extra = "" if len(set(values)) != 1 else (
+            f" (constant diagonal factor: point spectrum {{{values[0]!r}}})")
         raise UnsupportedClassError(
             f"no vanishing spectrum rule (weights tend to {lim!r}){extra}; "
             "use deflate_finite_spectrum or deflate_block_continuous "

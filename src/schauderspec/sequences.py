@@ -3,17 +3,24 @@
 Rules are lazy descriptions of infinite (or finite) sequences indexed
 from 1.  Named families keep rational parameters exact, so window
 equality checks elsewhere in the package stay exact rather than
-floating point.  Each named family also knows enough about its own
-tail to answer the three questions the certificate machinery asks:
+floating point.  Each named family also answers, from its exact
+parameters, every question the rest of the package decides with; this
+module is the one place they are answered:
 
 * ``limit()`` -- the limit of the sequence, when the family determines it;
 * ``tail_abs_sum(start)`` -- an upper bound on ``sum_{n>=start} |a_n|``,
   ``math.inf`` when the tail provably diverges, ``None`` when unknown;
-* ``attains_zero()`` -- whether some term is exactly zero.
+* ``attains_zero(skip)`` -- whether a term past the first ``skip`` is 0;
+* ``value_set(skip)`` -- the values of those terms, when finitely many;
+* ``is_real(skip, nonnegative)`` -- whether they are all real (and >= 0);
+* ``abs_nonincreasing(skip, strict)`` -- whether ``|a_n|`` does not rise
+  (strictly falls) over them.
 
-A rule built from a bare callable still evaluates, but answers ``None``
-to the tail questions; downstream verdicts then degrade from certified
-to numeric instead of silently overclaiming.
+Composite rules (scaled, affine, offset, repeated, explicit-then) derive
+their answers from their inner rules.  A rule built from a bare callable
+still evaluates, but answers ``None`` to all but its limit hint;
+downstream verdicts then degrade from certified to numeric instead of
+silently overclaiming.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from .records import record
 
 Scalar = Union[int, float, complex, Fraction]
 
-#: Probe cap used by zero-freeness searches on rules with vanishing tails.
+#: Cap on the searches that place what a fact implies: a zero that cancels a
+#: vanishing rule's base, or where weights known to rise first do.
 _ZERO_SCAN_CAP = 200_000
 
 
@@ -62,8 +70,16 @@ def _abs_exact(z: Scalar):
     return -z if z < 0 else z
 
 
+def _real(v: Scalar, nonnegative: bool = False) -> bool:
+    """Whether ``v`` is real, and ``>= 0`` when ``nonnegative``."""
+    return not isinstance(v, complex) and (not nonnegative or v >= 0)
+
+
 class ScalarRule:
-    """A lazily evaluated scalar sequence ``n >= 1``."""
+    """A lazily evaluated scalar sequence ``n >= 1``.
+
+    A fact that takes ``skip`` is about the terms past the first ``skip``; None: unknown.
+    """
 
     def value(self, n: int) -> Scalar:
         raise NotImplementedError
@@ -81,11 +97,21 @@ class ScalarRule:
     def tail_abs_sum(self, start: int) -> Optional[float]:
         return None
 
-    def attains_zero(self) -> Optional[bool]:
+    def attains_zero(self, skip: int = 0) -> Optional[bool]:
+        """Whether some term is exactly zero."""
         return None
 
-    def abs_nonincreasing(self) -> Optional[bool]:
-        """Whether ``|value(n)|`` is nonincreasing in ``n``, if known."""
+    def value_set(self, skip: int = 0) -> Optional[tuple]:
+        """The values the terms take, when finitely many, each typed as the rule
+        returns it: 3 and 3.0 may both occur, as they part under a factor 1/10."""
+        return None
+
+    def is_real(self, skip: int = 0, nonnegative: bool = False) -> Optional[bool]:
+        """Whether no term is complex, and none negative when ``nonnegative``."""
+        return None
+
+    def abs_nonincreasing(self, skip: int = 0, strict: bool = False) -> Optional[bool]:
+        """Whether ``|value(n)| >= |value(n + 1)|`` (``>`` if ``strict``) for all ``n > skip``."""
         return None
 
     def describe(self) -> str:
@@ -107,11 +133,17 @@ class ConstantRule(ScalarRule):
     def tail_abs_sum(self, start: int):
         return 0.0 if self.c == 0 else math.inf
 
-    def attains_zero(self):
+    def attains_zero(self, skip=0):
         return self.c == 0
 
-    def abs_nonincreasing(self):
-        return True
+    def value_set(self, skip=0):
+        return (self.c,)
+
+    def is_real(self, skip=0, nonnegative=False):
+        return _real(self.c, nonnegative)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        return not strict
 
     def describe(self):
         return f"constant {self.c}"
@@ -151,13 +183,24 @@ class GeometricRule(ScalarRule):
         log_head = log_abs(self.scale) + start * math.log(r)
         return math.exp(log_head) / (1.0 - r)
 
-    def attains_zero(self):
-        if self.scale == 0 or self.ratio == 0:
-            return True
-        return False
+    def attains_zero(self, skip=0):
+        return self.scale == 0 or self.ratio == 0
 
-    def abs_nonincreasing(self):
-        return abs(self.ratio) <= 1
+    def value_set(self, skip=0):
+        return (self.value(skip + 1),) if self.scale == 0 or self.ratio in (0, 1) else None
+
+    def is_real(self, skip=0, nonnegative=False):
+        if isinstance(self.scale, complex) or isinstance(self.ratio, complex):
+            return False
+        # a negative ratio alternates the sign of a nonzero scale
+        return (not nonnegative or self.scale == 0 or self.ratio == 0
+                or self.scale > 0 and self.ratio > 0)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        r = abs(self.ratio)
+        if self.scale == 0 or r == 0:
+            return not strict
+        return r < 1 if strict else r <= 1
 
     def describe(self):
         return f"{self.scale} * ({self.ratio})^n"
@@ -205,11 +248,17 @@ class PowerLawRule(ScalarRule):
         bound = s ** (-p) + s ** (1 - p) / (p - 1)
         return float(abs(self.scale)) * bound
 
-    def attains_zero(self):
+    def attains_zero(self, skip=0):
         return self.scale == 0
 
-    def abs_nonincreasing(self):
-        return True
+    def value_set(self, skip=0):
+        return (self.value(skip + 1),) if self.scale == 0 or self.exponent == 0 else None
+
+    def is_real(self, skip=0, nonnegative=False):
+        return _real(self.scale, nonnegative)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        return not strict or self.scale != 0 and self.exponent > 0
 
     def describe(self):
         return f"{self.scale} / n^{self.exponent}"
@@ -242,28 +291,40 @@ class AffineRule(ScalarRule):
             return math.inf
         return None
 
-    def attains_zero(self):
+    def attains_zero(self, skip=0):
         if self.base == 0:
-            return self.inner.attains_zero()
-        if self.inner.limit() != 0 or self.inner.abs_nonincreasing() is not True:
+            return self.inner.attains_zero(skip)
+        if self.inner.limit() != 0 or self.inner.abs_nonincreasing(skip) is not True:
             return None
         # |inner| shrinks below |base| eventually; only finitely many
         # indices can cancel the base, and those are checked exactly.
         target = _abs_exact(self.base)
-        n = 1
-        while n <= _ZERO_SCAN_CAP:
+        for n in range(skip + 1, skip + _ZERO_SCAN_CAP + 1):
             v = self.inner.value(n)
-            if _abs_exact(v) < target:
-                break
-            if self.base + v == 0:
+            if self.base + v == 0:  # as value() sums: 1/3 + -2.0/6 is 0.0
                 return True
-            n += 1
-        else:
-            return None
-        return False
-
-    def abs_nonincreasing(self):
+            if _abs_exact(v) < target:
+                return False
         return None
+
+    def value_set(self, skip=0):
+        inner = self.inner.value_set(skip)
+        return None if inner is None else tuple(self.base + v for v in inner)
+
+    def is_real(self, skip=0, nonnegative=False):
+        if isinstance(self.base, complex):
+            return False if self.length() is None else None
+        real = self.inner.is_real(skip)
+        if not nonnegative or not real:
+            return real
+        # the largest |inner| past skip is its first, when they do not increase
+        if (self.length() is None and self.inner.abs_nonincreasing(skip) is True
+                and self.base >= _abs_exact(self.inner.value(skip + 1))):
+            return True
+        return None
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        return self.inner.abs_nonincreasing(skip, strict) if self.base == 0 else None
 
     def describe(self):
         return f"{self.base} + {self.inner.describe()}"
@@ -296,13 +357,29 @@ class ScaledRule(ScalarRule):
             return None
         return float(abs(self.factor)) * it
 
-    def attains_zero(self):
+    def attains_zero(self, skip=0):
         if self.factor == 0:
-            return True
-        return self.inner.attains_zero()
+            return self.length() is None or self.length() > skip
+        return self.inner.attains_zero(skip)
 
-    def abs_nonincreasing(self):
-        return self.inner.abs_nonincreasing()
+    def value_set(self, skip=0):
+        inner = self.inner.value_set(skip)
+        if inner is not None:
+            return tuple(self.factor * v for v in inner)
+        # a zero factor leaves one value, of the type its products take
+        return (self.value(skip + 1),) if self.factor == 0 and self.length() is None else None
+
+    def is_real(self, skip=0, nonnegative=False):
+        if isinstance(self.factor, complex):
+            return False if self.length() is None else None
+        if not nonnegative or self.factor == 0:
+            return self.inner.is_real(skip)
+        return self.inner.is_real(skip, True) if self.factor > 0 else None
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        if self.factor == 0:
+            return not strict or (False if self.length() is None else None)
+        return self.inner.abs_nonincreasing(skip, strict)
 
     def describe(self):
         return f"{self.factor} * ({self.inner.describe()})"
@@ -334,20 +411,17 @@ class OffsetRule(ScalarRule):
     def tail_abs_sum(self, start: int):
         return self.inner.tail_abs_sum(start + self.offset)
 
-    def attains_zero(self):
-        values, rest, skip = _values_past(self.inner, self.offset)
-        if any(v == 0 for v in values):
-            return True
-        if rest is None:
-            return False
-        if skip == 0 or isinstance(rest, ConstantRule):
-            return rest.attains_zero()
-        # a zero confined to the skipped terms of ``rest`` is dropped, so
-        # only a False transfers
-        return False if rest.attains_zero() is False else None
+    def attains_zero(self, skip=0):
+        return self.inner.attains_zero(skip + self.offset)
 
-    def abs_nonincreasing(self):
-        return self.inner.abs_nonincreasing()
+    def value_set(self, skip=0):
+        return self.inner.value_set(skip + self.offset)
+
+    def is_real(self, skip=0, nonnegative=False):
+        return self.inner.is_real(skip + self.offset, nonnegative)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        return self.inner.abs_nonincreasing(skip + self.offset, strict)
 
     def describe(self):
         return f"({self.inner.describe()}) shifted by {self.offset}"
@@ -355,7 +429,11 @@ class OffsetRule(ScalarRule):
 
 @record
 class RepeatedRule(ScalarRule):
-    """Each inner term repeated ``times`` in a row."""
+    """Each inner term repeated ``times`` in a row.
+
+    Inner term ``m`` fills indices ``(m-1)*times+1 .. m*times``, so the
+    terms past ``skip`` are the inner terms past ``skip // times``.
+    """
 
     inner: ScalarRule
     times: int = 2
@@ -382,11 +460,19 @@ class RepeatedRule(ScalarRule):
             return None
         return self.times * it
 
-    def attains_zero(self):
-        return self.inner.attains_zero()
+    def attains_zero(self, skip=0):
+        return self.inner.attains_zero(skip // self.times)
 
-    def abs_nonincreasing(self):
-        return self.inner.abs_nonincreasing()
+    def value_set(self, skip=0):
+        return self.inner.value_set(skip // self.times)
+
+    def is_real(self, skip=0, nonnegative=False):
+        return self.inner.is_real(skip // self.times, nonnegative)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        if strict and self.times > 1:
+            return False if self.length() is None else None
+        return self.inner.abs_nonincreasing(skip // self.times, strict)
 
     def describe(self):
         return f"({self.inner.describe()}) each repeated {self.times}x"
@@ -436,57 +522,74 @@ class ExplicitThenRule(ScalarRule):
             return None
         return head + rest
 
-    def attains_zero(self):
-        if any(v == 0 for v in self.prefix):
+    def attains_zero(self, skip=0):
+        if any(v == 0 for v in self.prefix[skip:]):
             return True
-        if self.tail is None:
-            return False
-        return self.tail.attains_zero()
+        return self.tail is not None and self.tail.attains_zero(max(skip - len(self.prefix), 0))
 
-    def abs_nonincreasing(self):
-        pre = [_abs_exact(v) for v in self.prefix]
-        if any(pre[i] < pre[i + 1] for i in range(len(pre) - 1)):
+    def value_set(self, skip=0):
+        rest = () if self.tail is None else self.tail.value_set(max(skip - len(self.prefix), 0))
+        return None if rest is None else tuple(self.prefix[skip:]) + rest
+
+    def is_real(self, skip=0, nonnegative=False):
+        if not all(_real(v, nonnegative) for v in self.prefix[skip:]):
             return False
-        if self.tail is None:
-            return True
-        ti = self.tail.abs_nonincreasing()
-        if ti is not True:
-            return ti
-        if pre and _abs_exact(self.tail.value(1)) > pre[-1]:
+        return self.tail is None or self.tail.is_real(max(skip - len(self.prefix), 0), nonnegative)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        pre = [_abs_exact(v) for v in self.prefix[skip:]]
+        if pre and self.tail is not None and self.tail.length() != 0:
+            pre.append(_abs_exact(self.tail.value(1)))
+        if any(a < b or strict and a == b for a, b in zip(pre, pre[1:])):
             return False
-        return True
+        return self.tail is None or self.tail.abs_nonincreasing(
+            max(skip - len(self.prefix), 0), strict)
 
     def describe(self):
         tail = "end" if self.tail is None else self.tail.describe()
         return f"prefix {list(self.prefix)} then {tail}"
 
 
-def _values_past(rule: ScalarRule, skip: int) -> tuple:
-    """``(values, rest, rest_skip)``: the terms of ``rule`` past its first
-    ``skip``, walked through explicit-then, offset and repeated rules.
+def _first_rise(rule: ScalarRule, count: int = _ZERO_SCAN_CAP,
+                strict: bool = False) -> Optional[int]:
+    """The least ``n < count`` with ``|w_n| < |w_{n+1}|`` (``<=`` when
+    ``strict``), or None: where |.|-nonincreasing weights first fail."""
+    ln = rule.length()
+    prev = _abs_exact(rule.value(1))
+    for n in range(1, count if ln is None else min(count, ln)):
+        cur = _abs_exact(rule.value(n + 1))
+        if prev < cur or strict and prev == cur:
+            return n
+        prev = cur
+    return None
 
-    Those terms take exactly the explicit ``values`` met on the walk and
-    the values of ``rest`` past its first ``rest_skip`` terms; ``rest``
-    is the rule the walk stopped at, ``None`` when the terms run out.
-    """
-    values: tuple = ()
-    while rule is not None:
-        if isinstance(rule, ExplicitThenRule):
-            values += tuple(rule.prefix[skip:])
-            rule, skip = rule.tail, max(skip - len(rule.prefix), 0)
-        elif isinstance(rule, OffsetRule):
-            rule, skip = rule.inner, skip + rule.offset
-        elif isinstance(rule, RepeatedRule):
-            # inner term m fills indices (m-1)*times+1 .. m*times
-            rule, skip = rule.inner, skip // rule.times
-        else:
-            break
-    return values, rule, skip
+
+def _ratio_deviation_tail(w: ScalarRule, v: ScalarRule, start: int) -> Optional[float]:
+    """Bound on ``sum_{j>=start} |w_j/v_j - 1|`` for supported rule pairs."""
+    if w == v:
+        return 0.0
+    if isinstance(v, ConstantRule) and v.c != 0:
+        if isinstance(w, ConstantRule):
+            return 0.0 if w.c == v.c else math.inf
+        if isinstance(w, AffineRule) and w.base == v.c:
+            t = w.inner.tail_abs_sum(start)
+            return None if t is None else t / float(abs(v.c))
+        if isinstance(w, ExplicitThenRule) and w.tail is not None:
+            if start > len(w.prefix):
+                return _ratio_deviation_tail(w.tail, v, start - len(w.prefix))
+            head = sum(
+                abs(complex(x) / complex(v.c) - 1.0)
+                for x in w.prefix[start - 1:]
+            )
+            rest = _ratio_deviation_tail(w.tail, v, 1)
+            return None if rest is None else head + rest
+    return None
 
 
 def _first_zero(rule: ScalarRule, skip: int = 0) -> Optional[int]:
-    """The least ``n`` with ``rule.value(skip + n) == 0``, placed by the
-    walk of ``_values_past``; None when the walk ends on no known zero."""
+    """The least ``n`` with ``rule.value(skip + n) == 0``, placed by a walk
+    through explicit-then, offset and repeated rules; None when the walk
+    ends on no known zero."""
     if isinstance(rule, ExplicitThenRule):
         head = rule.prefix[skip:]
         if 0 in head or rule.tail is None:
@@ -572,18 +675,16 @@ class MergedAbsDecreasingRule(ScalarRule):
             return 0
         return None
 
-    def attains_zero(self):
+    def attains_zero(self, skip=0):
         verdicts = [r.attains_zero() for r in self._rules]
-        if any(any(v == 0 for v in part) for part in self._finite):
+        verdicts += [any(v == 0 for v in part) for part in self._finite]
+        # where a zero falls in the merge is not tracked: past skip only a False transfers
+        if True in verdicts and not skip:
             return True
-        if any(v is True for v in verdicts):
-            return True
-        if all(v is False for v in verdicts):
-            return False
-        return None
+        return False if all(v is False for v in verdicts) else None
 
-    def abs_nonincreasing(self):
-        return True
+    def abs_nonincreasing(self, skip=0, strict=False):
+        return None if strict else True
 
     def describe(self):
         parts = [f"explicit {part}" for part in self._finite]

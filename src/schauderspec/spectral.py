@@ -39,12 +39,13 @@ from .op_algebra import (
 )
 from .records import record
 from .sequences import (
-    AffineRule,
+    _ZERO_SCAN_CAP,
     ConstantRule,
-    ExplicitThenRule,
     Scalar,
     ScalarRule,
+    _first_rise,
     _first_zero,
+    _ratio_deviation_tail,
     log_abs,
 )
 
@@ -214,12 +215,12 @@ class _ShiftCertifier:
                     f"weights do not vanish (limit {lim}); this exclusion "
                     "requires weights decreasing to 0"
                 )
-            probe = [abs(s.weights.value(n)) for n in range(1, 33)]
-            if any(a < b for a, b in zip(probe, probe[1:])):
-                if s.weights.abs_nonincreasing() is not True:
-                    raise PreconditionViolatedError(
-                        "weight magnitudes are not nonincreasing on the probe window"
-                    )
+            # the rule's answer decides; one that does not know is probed on 32 weights
+            down = s.weights.abs_nonincreasing()
+            n = None if down else _first_rise(s.weights, 32 if down is None else _ZERO_SCAN_CAP)
+            if n is not None or down is False:
+                raise PreconditionViolatedError("weight magnitudes are not nonincreasing" + (
+                    "" if n is None else f": they increase at index {n}"))
         self.log_bound = math.log(self.bound)  # a bad bound fails after the checks
         self.sides.add(side)
 
@@ -537,28 +538,6 @@ ShieldsVerdict = Union[BoundedCertified, BoundedNumerically, UnboundedWitness]
 
 def is_bounded_verdict(v: ShieldsVerdict) -> bool:
     return isinstance(v, (BoundedCertified, BoundedNumerically))
-
-
-def _ratio_deviation_tail(w: ScalarRule, v: ScalarRule, start: int) -> Optional[float]:
-    """Bound on ``sum_{j>=start} |w_j/v_j - 1|`` for supported rule pairs."""
-    if w == v:
-        return 0.0
-    if isinstance(v, ConstantRule) and v.c != 0:
-        if isinstance(w, ConstantRule):
-            return 0.0 if w.c == v.c else math.inf
-        if isinstance(w, AffineRule) and w.base == v.c:
-            t = w.inner.tail_abs_sum(start)
-            return None if t is None else t / float(abs(v.c))
-        if isinstance(w, ExplicitThenRule) and w.tail is not None:
-            if start > len(w.prefix):
-                return _ratio_deviation_tail(w.tail, v, start - len(w.prefix))
-            head = sum(
-                abs(complex(x) / complex(v.c) - 1.0)
-                for x in w.prefix[start - 1:]
-            )
-            rest = _ratio_deviation_tail(w.tail, v, 1)
-            return None if rest is None else head + rest
-    return None
 
 
 def shields_similar(w: ScalarRule, v: ScalarRule, horizon: int,

@@ -430,7 +430,34 @@ class TestRun:
                              "tail": diag_spec()["operator"]["weights"]}}}})
         assert main(["run", str(spec), "--out", str(tmp_path / "sigma")]) == 3
         error = json.loads((tmp_path / "sigma" / "report.json").read_text())["error"]
-        assert error["message"] == "weight magnitudes are not nonincreasing on the probe window"
+        assert error["message"] == "weight magnitudes are not nonincreasing: they increase at index 1"
+
+    @pytest.mark.parametrize("k", [50, 70])
+    def test_deflate_refuses_a_rise_inside_and_past_the_probe_window(self, tmp_path, k):
+        # docs/examples: diag(1, 1/2, .., 1/k, 1, 1/2, ..) rises after index k,
+        # inside (50) or past (70) the 64 weights the premise was once read off
+        doc = REPO / "docs" / "examples" / f"rise-after-{k}.json"
+        assert main(["run", str(doc), "--out", str(tmp_path)]) == 3
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert error["message"] == f"weights increase at index {k}: Fraction(1, {k}) < Fraction(1, 1)"
+
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_certify_refuses_a_rise_inside_and_past_the_probe_window(self, tmp_path, k):
+        # sigma * diag(1, 1/2, .., 1/k, 1, 1/2, ..) rises after index k, inside
+        # (20) or past (40) the 32 weight magnitudes the walk once probed
+        weights = {"rule": "explicit-then",
+                   "prefix": [1] + [{"fraction": [1, j]} for j in range(2, k + 1)],
+                   "tail": diag_spec()["operator"]["weights"]}
+        spec = write_spec(tmp_path, "rise.json", {
+            "version": 1, "analysis": "certify", "params": SMALL_PARAMS,
+            "operator": {"op": "product",
+                         "left": {"op": "permutation-unitary",
+                                  "of": {"permutation": "sigma-bilateral"}},
+                         "right": {"op": "diagonal", "weights": weights}}})
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 3
+        error = json.loads((tmp_path / "out" / "report.json").read_text())["error"]
+        assert error["message"] == (
+            f"weight magnitudes are not nonincreasing: they increase at index {k}")
 
     def test_column_past_the_recognition_window_is_unsupported(self, tmp_path):
         # diag(1/n) + the spread {100, 101, ..} -> {101, 102, ..}: the

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,7 +71,8 @@ from schauderspec import (
 from schauderspec.op_algebra import corner_entries
 from schauderspec.records import replace
 from schauderspec.serde import certificate_to_json, sequence_to_json
-from schauderspec.schauder import NOT_INJECTIVE, RANGE_NOT_DENSE, SELF_ADJOINT_NOTE
+from schauderspec.schauder import (NOT_INJECTIVE, RANGE_NOT_DENSE, SELF_ADJOINT_NOTE,
+                                   _probe_positive_monotone)
 
 RECIP = PowerLawRule(Fraction(1), 1)
 ALPHA_TO_ONE = AffineRule(1, GeometricRule(-1, Fraction(1, 2)))
@@ -231,6 +233,14 @@ class TestSchauderSpectrum:
         members = [rep.members.rule.value(k) for k in range(1, 20)]
         assert sorted(eigenvalues) == sorted(members)
 
+    def test_imaginary_terms_past_16_get_no_self_adjoint_note(self):
+        # diag(1, 1/2, .., 1/16, 0.01i/1, 0.01i/2, ..) is not self-adjoint
+        rule = ExplicitThenRule(tuple(Fraction(1, k) for k in range(1, 17)),
+                                PowerLawRule(0.01j, 1))
+        rep = schauder_spectrum(Diagonal(rule))
+        assert SELF_ADJOINT_NOTE not in rep.notes
+        assert rep.members == VanishingSequenceMembers(rule, includes_zero=False)
+
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedClassError):
             schauder_spectrum(Diagonal(AffineRule(1, RECIP)))  # values -> 1
@@ -266,10 +276,10 @@ class TestSchauderSpectrum:
         rep = schauder_spectrum(Diagonal(rule), probe_window=64)
         values = rule.values(value_horizon(rule))
         assert set(rep.members.values) == set(values)
-        # a member is a value the rule returns, with its type; a zero
-        # rule's member is the int 0
+        # a member is a value the rule returns, with its type, a zero
+        # rule's zero included
         for m in rep.members.values:
-            assert m == 0 or any(type(m) is type(v) and m == v for v in values)
+            assert any(type(m) is type(v) and m == v for v in values)
 
     def test_equal_values_of_two_types_part_under_a_factor(self):
         # 3 and 3.0 are one value, but 3/10 and 0.1 * 3.0 are two
@@ -861,24 +871,26 @@ class TestDeflatePipeline:
         assert read == Counter(range(1, 4097))
 
     def test_basic_refuses_a_zero_past_the_monotone_probe(self):
+        # the rule's own fact sees the rise from the zero at 100 to the tail's
+        # 1, where a probe of the first 64 weights saw none
         prefix = tuple(Fraction(1, k) for k in range(1, 100)) + (0,)
-        with pytest.raises(PreconditionViolatedError,
-                           match="weight at index 100 is zero"):
+        with pytest.raises(PreconditionViolatedError, match=re.escape(
+                "weights not strictly decreasing at index 100: 0 !> Fraction(1, 1)")):
             deflate_basic(ExplicitThenRule(prefix, RECIP), SMALL)
 
     def test_weights_probed_once(self, monkeypatch):
-        from schauderspec.sequences import ScalarRule
+        # an exact rule answers for itself and reads no weight; a rule that
+        # cannot answer is read on the 64-weight probe only
+        reads = []
+        value = PowerLawRule.value
+        monkeypatch.setattr(PowerLawRule, "value", lambda self, n: reads.append(n) or value(self, n))
+        assert _probe_positive_monotone(PowerLawRule(1, 1), strict=None) is True
+        assert reads == []
+        from schauderspec import CallableRule
 
-        probes = []
-        values = ScalarRule.values
-
-        def counting(self, count, start=1):
-            probes.append(count)
-            return values(self, count, start)
-
-        monkeypatch.setattr(ScalarRule, "values", counting)
-        deflate(Diagonal(PowerLawRule(1, 1)), SMALL)
-        assert probes.count(64) == 1
+        unknown = CallableRule(PowerLawRule(1, 1).value, limit_hint=0)
+        assert _probe_positive_monotone(unknown, strict=None) is True
+        assert set(reads) == set(range(1, 65))
 
     def test_certificates_cover_grid_loudly(self):
         res = deflate(Diagonal(RECIP), SMALL)

@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schauderspec import (
+    AffineRule,
     ArithmeticSequence,
     ClosedFormSequence,
     ConstantRule,
@@ -13,12 +14,13 @@ from schauderspec import (
     ExplicitThenRule,
     GeometricRule,
     MergedAbsDecreasingRule,
+    MultiplicityList,
     OffsetRule,
     PowerLawRule,
     RepeatedRule,
     ScaledRule,
 )
-from schauderspec.sequences import _abs_exact, _first_zero, log_abs
+from schauderspec.sequences import ScalarRule, _abs_exact, _first_zero, log_abs
 
 
 def reference_merge(finite_parts, rule_parts, count):
@@ -198,10 +200,30 @@ class TestOffsetAttainsZero:
     def test_constant_inner_rule(self, c, zero):
         assert OffsetRule(ConstantRule(c), 5).attains_zero() is zero
 
-    def test_other_rules_stay_undecided(self):
-        # a scaled rule's zero may lie among the dropped terms
-        assert OffsetRule(ScaledRule(2, ones_with_zero_at(9)), 6).attains_zero() is None
+    def test_scaled_rules_are_decided_past_the_offset(self):
+        # a scaled rule answers for the terms past the offset: its zero at 9
+        # is kept, its zero at 5 dropped
+        assert OffsetRule(ScaledRule(2, ones_with_zero_at(9)), 6).attains_zero() is True
+        assert OffsetRule(ScaledRule(2, ones_with_zero_at(5)), 6).attains_zero() is False
         assert OffsetRule(ScaledRule(2, PowerLawRule(1, 1)), 6).attains_zero() is False
+
+
+# 1, 1/2, .., 1/70, then 1, 1/2, ..: |.| rises once, after index 70
+RISE70 = ExplicitThenRule(tuple(Fraction(1, k) for k in range(1, 71)), PowerLawRule(1, 1))
+
+
+class TestAbsNonincreasing:
+    def test_offset_past_the_rise_does_not_rise(self):
+        rule = OffsetRule(RISE70, 70)  # 1, 1/2, 1/3, ..
+        assert RISE70.abs_nonincreasing() is False
+        assert rule.abs_nonincreasing() is rule.abs_nonincreasing(strict=True) is True
+        assert MultiplicityList((), rule).tail == rule
+
+    def test_zero_factor_does_not_rise(self):
+        rule = ScaledRule(0, RISE70)  # 0, 0, ..
+        assert rule.abs_nonincreasing() is True
+        assert rule.abs_nonincreasing(strict=True) is False
+        assert MultiplicityList((), rule).tail == rule
 
 
 @st.composite
@@ -244,6 +266,72 @@ class TestFirstZero:
 
     def test_other_leaves_place_no_zero(self):
         assert _first_zero(ScaledRule(0, PowerLawRule(1, 1))) is None
+
+
+# Every named family, nested under every composite: the leaves of the merge
+# and walk strategies, and rising, alternating and complex ones.
+FACT_RULES = st.recursive(
+    st.one_of(merge_rules(), walked_rules(depth=1),
+              st.builds(GeometricRule, TIE_VALUES,
+                        st.sampled_from([2, -1, Fraction(-1, 2), 0, 1, 0.5j, Fraction(1, 3)])),
+              st.builds(PowerLawRule, TIE_VALUES, st.sampled_from([0, 1, 2, 0.5]))),
+    lambda inner: st.one_of(
+        st.builds(ExplicitThenRule, st.lists(TIE_VALUES, max_size=3).map(tuple), inner),
+        st.builds(OffsetRule, inner, st.integers(0, 5)),
+        st.builds(RepeatedRule, inner, st.integers(1, 3)),
+        st.builds(ScaledRule, TIE_VALUES, inner),
+        st.builds(AffineRule, TIE_VALUES, inner)),
+    max_leaves=3)
+
+
+def exact_far(rule):
+    """Whether ``rule``'s terms stay exact and cheap at n = 10**12: int and
+    Fraction parameters only, and no geometric ratio other than 0 or +-1."""
+    if isinstance(rule, GeometricRule) and rule.ratio not in (0, 1, -1):
+        return False
+    fields = [getattr(rule, name) for name in rule._record_fields]
+    return all(exact_far(f) if isinstance(f, ScalarRule) else
+               all(type(v) in (int, Fraction) for v in (f if isinstance(f, tuple) else (f,)))
+               for f in fields if f is not None)
+
+
+class TestRuleFacts:
+    """Each fact a rule states about its terms past ``skip``, against those
+    terms read one by one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rule=FACT_RULES, skip=st.integers(0, 8))
+    @example(rule=AffineRule(Fraction(1, 4), PowerLawRule(-1, 1)), skip=0)
+    @example(rule=AffineRule(Fraction(1, 4), PowerLawRule(-1, 1)), skip=3)
+    @example(rule=OffsetRule(RISE70, 70), skip=0)
+    def test_facts_hold_on_a_prefix(self, rule, skip):
+        ln = rule.length()
+        terms = rule.values(60 if ln is None else max(min(ln - skip, 60), 0), skip + 1)
+        values = rule.value_set(skip)
+        if values is not None:
+            assert set(values) == set(terms)
+            # each value is typed as the rule returns it
+            assert all(any(same(v, t) for t in terms) for v in values)
+        for nonnegative in (False, True):
+            real = [not isinstance(t, complex) and (not nonnegative or t >= 0) for t in terms]
+            assert rule.is_real(skip, nonnegative) in (None, all(real))
+        assert rule.attains_zero(skip) in (None, 0 in terms)
+        mags = [_abs_exact(t) for t in terms]
+        for strict in (False, True):
+            rises = any(a < b or strict and a == b for a, b in zip(mags, mags[1:]))
+            assert rule.abs_nonincreasing(skip, strict) in (None, not rises)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule=FACT_RULES.filter(lambda r: r.length() is None and exact_far(r)),
+           skip=st.integers(0, 8))
+    def test_claims_hold_far_out_in_exact_arithmetic(self, rule, skip):
+        values = rule.value_set(skip)
+        for n in (10 ** 6, 10 ** 12):
+            a, b = rule.value(n), rule.value(n + 1)
+            assert values is None or a in values and b in values
+            for strict in (False, True):
+                if rule.abs_nonincreasing(skip, strict):
+                    assert _abs_exact(a) > _abs_exact(b) if strict else _abs_exact(a) >= _abs_exact(b)
 
 
 class MyFraction(Fraction):
