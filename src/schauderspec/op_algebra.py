@@ -22,6 +22,7 @@ from .index_maps import (
     decompose_into_spreads,
     deinterleave,
     identity_permutation,
+    interleave_z,
     inverse_permutation,
     opaque_permutation,
     sigma_bilateral,
@@ -439,56 +440,71 @@ class ShiftForm:
 
 
 @record
-class AdjointWeightsRule(ScalarRule):
-    """Weights of the adjoint shift: ``w*(i) = conj(w(perm^{-1}(i)))``.
-
-    The weight multiset is the original one reindexed by a bijection, so
-    zero-freeness transfers exactly; the limit transfers for the
-    bounded-displacement permutations used by the constructions here.
-    """
+class ComposedWeightsRule(ScalarRule):
+    """``w(n) = inner(perm(n))``, conjugated when ``conjugated``: an adjoint's
+    weights, or a product's left weights seen through its right permutation;
+    ``compose_weights`` builds it.  Its terms are the inner ones rearranged,
+    and a bijection of N tends to infinity, so the limit transfers."""
 
     inner: ScalarRule
     perm: Permutation
+    conjugated: bool = False
 
     def value(self, n: int) -> Scalar:
-        return conjugate(self.inner.value(self.perm.inverse(n)))
+        v = self.inner.value(self.perm.forward(n))
+        return conjugate(v) if self.conjugated else v
 
     def limit(self):
         il = self.inner.limit()
-        return None if il is None else conjugate(il)
+        return conjugate(il) if self.conjugated and il is not None else il
+
+    def _terms(self, skip: int, ordered: bool = True) -> Optional[ScalarRule]:
+        """A rule with this one's terms past ``skip``, unconjugated: a permutation
+        with shift 0 lists those it moves, then leaves the inner terms as they
+        are; all the terms, in any order, are the inner ones.  None otherwise."""
+        p = self.perm
+        if p.shift or p.maps:
+            return None if skip or ordered else self.inner
+        last = max([skip] + [interleave_z(j) for j, _ in p.moves])
+        return ExplicitThenRule(tuple(self.inner.value(p.forward(n)) for n in range(
+            skip + 1, last + 1)), OffsetRule(self.inner, last))
 
     def attains_zero(self, skip=0):
-        return None if skip else self.inner.attains_zero()
+        terms = self._terms(skip, False)
+        return None if terms is None else terms.attains_zero()
+
+    def value_set(self, skip=0):
+        terms = self._terms(skip, False)
+        values = None if terms is None else terms.value_set()
+        return tuple(map(conjugate, values)) if self.conjugated and values else values
 
     def is_real(self, skip=0, nonnegative=False):
-        # a bijection keeps the value set of all terms, not of those past skip
-        return None if skip else self.inner.is_real(0, nonnegative)
+        terms = self._terms(skip, False)
+        return None if terms is None else terms.is_real(0, nonnegative)
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        terms = self._terms(skip)
+        if terms is not None:
+            return terms.abs_nonincreasing(0, strict)
+        # a translation has a descent past every index, where falling terms rise
+        return False if self.perm.shift and self.inner.abs_nonincreasing(0, True) else None
 
     def describe(self):
-        return f"adjoint weights of ({self.inner.describe()})"
+        conjugated = ", conjugated" * self.conjugated
+        return f"({self.inner.describe()}) o {self.perm.description}{conjugated}"
 
 
-@record
-class ComposedWeightsRule(ScalarRule):
-    """``w(j) = inner(perm(j))`` -- diagonal weights seen through a shift."""
-
-    inner: ScalarRule
-    perm: Permutation
-
-    def value(self, n: int) -> Scalar:
-        return self.inner.value(self.perm.forward(n))
-
-    def limit(self):
-        return self.inner.limit()
-
-    def attains_zero(self, skip=0):
-        return None if skip else self.inner.attains_zero()
-
-    def is_real(self, skip=0, nonnegative=False):
-        return None if skip else self.inner.is_real(0, nonnegative)
-
-    def describe(self):
-        return f"({self.inner.describe()}) o perm"
+def compose_weights(rule: ScalarRule, perm: Permutation, conjugated: bool = False) -> ScalarRule:
+    """``n -> rule(perm(n))``, conjugated when ``conjugated``.  A composed
+    ``rule``'s permutation is composed in, so a double adjoint cancels; the
+    identity leaves ``rule`` as it is, unless it conjugates complex values."""
+    if isinstance(rule, ComposedWeightsRule):
+        perm = compose_permutations(rule.perm, perm)
+        conjugated ^= rule.conjugated
+        rule = rule.inner
+    if perm.is_identity and (not conjugated or rule.is_real()):
+        return rule
+    return ComposedWeightsRule(rule, perm, conjugated)
 
 
 @record
@@ -518,9 +534,21 @@ class ProductWeightsRule(ScalarRule):
             return False
         return None
 
+    def is_real(self, skip=0, nonnegative=False):
+        # a complex factor makes a complex term, real ones a real one
+        real = {self.a.is_real(skip), self.b.is_real(skip)}
+        if real != {True}:
+            return False if False in real else None
+        return not nonnegative or self.a.is_real(skip, True) and self.b.is_real(skip, True) or None
+
     def abs_nonincreasing(self, skip=0, strict=False):
-        if (not strict and self.a.abs_nonincreasing(skip) is True
-                and self.b.abs_nonincreasing(skip) is True):
+        # |ab| = |a| |b| falls strictly where one factor does and the other
+        # neither rises nor is 0
+        a, b = self.a, self.b
+        if a.abs_nonincreasing(skip) is not True or b.abs_nonincreasing(skip) is not True:
+            return None
+        if not strict or (a.abs_nonincreasing(skip, True) and b.attains_zero(skip) is False
+                          or b.abs_nonincreasing(skip, True) and a.attains_zero(skip) is False):
             return True
         return None
 
@@ -541,6 +569,9 @@ class AbsRule(ScalarRule):
 
     def attains_zero(self, skip=0):
         return self.inner.attains_zero(skip)
+
+    def is_real(self, skip=0, nonnegative=False):
+        return True
 
     def abs_nonincreasing(self, skip=0, strict=False):
         return self.inner.abs_nonincreasing(skip, strict)
@@ -566,13 +597,23 @@ class PhaseRule(ScalarRule):
     def attains_zero(self, skip=0):
         return False
 
+    def is_real(self, skip=0, nonnegative=False):
+        # the phase of a real weight is its sign, of a complex one complex
+        real = self.inner.is_real(skip)
+        return self.inner.is_real(skip, nonnegative) if real else real
+
+    def abs_nonincreasing(self, skip=0, strict=False):
+        # real phases are 1 or -1; a complex one's modulus is 1 only up to rounding
+        return not strict if self.inner.is_real(skip) else None
+
     def describe(self):
         return f"phase of ({self.inner.describe()})"
 
 
 def adjoint_shift_form(s: ShiftForm) -> ShiftForm:
     """Shift form of ``T*``: inverted permutation, conjugated reindexed weights."""
-    return ShiftForm(inverse_permutation(s.perm), AdjointWeightsRule(s.weights, s.perm))
+    inverse = inverse_permutation(s.perm)
+    return ShiftForm(inverse, compose_weights(s.weights, inverse, True))
 
 
 @record
@@ -613,7 +654,7 @@ def _structural_shift(T) -> Optional[ShiftForm]:
         if left_w == ConstantRule(1):
             weights: ScalarRule = rf.weights
         else:
-            composed = ComposedWeightsRule(left_w, rf.perm)
+            composed = compose_weights(left_w, rf.perm)
             if rf.weights == ConstantRule(1):
                 weights = composed
             else:

@@ -452,42 +452,38 @@ def _region_string(cfg: CertificateGridConfig, max_weight: float) -> str:
     )
 
 
-def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool],
-                             probe: int = 64) -> bool:
+def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool]) -> bool:
     """Check that the weights are positive reals decreasing to 0, strictly with
     ``strict=True``; returns ``strict``, which ``strict=None`` reads off the rule.
 
-    The rule's facts decide.  Weights are read only to name the index a refusal
-    cites, or, where the rule does not know, on the first ``probe`` as the
-    numeric fallback.
+    The rule's facts decide, and a fact it leaves undecided is refused.
+    Weights are read only to name the index that a refusal cites.
     """
     nonnegative = rule.is_real(nonnegative=True)  # a zero is left to the zero check
+    if nonnegative is None:
+        raise PreconditionViolatedError("cannot certify that the weights are positive reals")
     if not nonnegative:
-        for n in range(1, (probe if nonnegative is None else _ZERO_SCAN_CAP) + 1):
+        for n in range(1, _ZERO_SCAN_CAP + 1):
             v = rule.value(n)
             if isinstance(v, complex) or v <= 0:
                 raise PreconditionViolatedError(
                     f"weight at index {n} is {v!r}; positive reals required"
                 )
-        if nonnegative is False:
-            raise PreconditionViolatedError("weights are not all positive reals")
-    decreasing = None  # a strictness read off the rule is not checked again
-    if strict is None:
-        strict = decreasing = rule.abs_nonincreasing(strict=True)
-        if strict is None:
-            strict = decreasing = _first_rise(rule, probe, strict=True) is None
+        raise PreconditionViolatedError("weights are not all positive reals")
+    if strict is None:  # weights not certified strictly decreasing take the discrete lemma
+        strict = rule.abs_nonincreasing(strict=True) is True
+    decreasing = rule.abs_nonincreasing(strict=strict)
+    wanted = "strictly decreasing" if strict else "nonincreasing"
+    if decreasing is None:
+        raise PreconditionViolatedError(f"cannot certify that the weights are {wanted}")
     if not decreasing:
-        decreasing = rule.abs_nonincreasing(strict=strict)
-    if not decreasing:
-        n = _first_rise(rule, probe if decreasing is None else _ZERO_SCAN_CAP, strict)
+        n = _first_rise(rule, strict)
         if n is not None:
             a, b = rule.value(n), rule.value(n + 1)
             raise PreconditionViolatedError(
                 f"weights not strictly decreasing at index {n}: {a!r} !> {b!r}" if strict
                 else f"weights increase at index {n}: {a!r} < {b!r}")
-        if decreasing is False:
-            raise PreconditionViolatedError(
-                "weights are not " + ("strictly decreasing" if strict else "nonincreasing"))
+        raise PreconditionViolatedError(f"weights are not {wanted}")
     lim = rule.limit()
     if lim is None:
         raise PreconditionViolatedError(
@@ -505,8 +501,8 @@ _RANGE_NOTE = ("range of the product equals the range of the diagonal "
 
 
 def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
-                  lemma_path: str, note: str, similar: Optional[tuple] = None,
-                  known_nonzero: int = 0) -> DeflationResult:
+                  lemma_path: str, note: str, similar: Optional[tuple] = None
+                  ) -> DeflationResult:
     """Sigma-unitary deflation of ``diag(rule)`` plus one block per value.
 
     Block 0 carries ``rule`` behind the two-spread unitary; each value
@@ -516,16 +512,13 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
     exist; with ``similar = (value, details)`` they are those of the
     scaled unitary ``value * sigma`` it is similar to, each ending with
     ``details``.  With no values the result is the plain shift.  Block
-    0's shift must pass the zero check (injective with dense range)
-    before anything is built; it does not read the first
-    ``known_nonzero`` weights again.
+    0's weights must be certified nonzero before anything is built.
     """
     sigma = sigma_bilateral()
     shift = ShiftForm(sigma, rule)
-    zero_check = _weights_zero_check(rule, start=known_nonzero + 1)
-    if not (zero_check.injective and zero_check.dense_range):
-        raise PreconditionViolatedError(
-            f"weights fail the zero check: {zero_check.detail}")
+    # each caller has refused the zeros a rule reports
+    if rule.attains_zero() is not False:
+        raise PreconditionViolatedError("cannot certify that the weights are nonzero")
     if values:
         count = 1 + len(values)
         partition = tuple(ArithmeticSequence(b + 1, count) for b in range(count))
@@ -541,7 +534,9 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
     else:
         unitary, operator, deflated = (PermutationUnitary(sigma), Diagonal(rule),
                                        shift.to_expr())
-    max_w = max([sup_abs_weight(rule)] + [float(_abs_exact(v)) for v in values])
+    # block 0 of deflate_finite_spectrum takes the similar value past its prefix
+    max_w = max([sup_abs_weight(rule)] + [float(_abs_exact(v))
+                                          for v in values + (similar or ())[:1]])
     grid = lambda_grid(cfg, max_w)
     if similar is None:
         certs = _ShiftCertifier(shift, cfg.bound, cfg.step_cap,
@@ -556,7 +551,7 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
         operator=operator,
         shift_form=None if values else shift,
         certificates=tuple(certs),
-        zero_check=zero_check,
+        zero_check=_weights_zero_check(rule),
         lemma_path=lemma_path,
         spreads=tuple(decompose_into_spreads(sigma, 64)),
         covered_region=_region_string(cfg, max_w),
@@ -824,12 +819,7 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
             "with explicit spectral data"
         )
     strict = _probe_positive_monotone(rule, strict=None)
-    # is_schauder read the first weights of the recognized shift (of a
-    # block sum, those of each block; its cells increase, so they cover
-    # as many), and the polar split keeps their zeros: |w| is 0 exactly
-    # where w is
-    base = _sigma_blocks(rule, (), cfg, "basic" if strict else "discrete",
-                         _RANGE_NOTE, known_nonzero=_SCHAUDER_WINDOW)
+    base = _sigma_blocks(rule, (), cfg, "basic" if strict else "discrete", _RANGE_NOTE)
     if rec_unitary is None:
         unitary = base.unitary
     else:

@@ -18,9 +18,11 @@ module is the one place they are answered:
 
 Composite rules (scaled, affine, offset, repeated, explicit-then) derive
 their answers from their inner rules.  A rule built from a bare callable
-still evaluates, but answers ``None`` to all but its limit hint;
-downstream verdicts then degrade from certified to numeric instead of
-silently overclaiming.
+still evaluates, but answers ``None`` to all but its limit hint.  So
+``deflate`` and the orbit-walk certificates refuse it, naming the premise
+it leaves undecided; the zero scans of the kernel check and of a
+diagonal's spectrum read it on a window and say that the tail is
+uncertified.
 """
 
 from __future__ import annotations
@@ -550,13 +552,13 @@ class ExplicitThenRule(ScalarRule):
         return f"prefix {list(self.prefix)} then {tail}"
 
 
-def _first_rise(rule: ScalarRule, count: int = _ZERO_SCAN_CAP,
-                strict: bool = False) -> Optional[int]:
-    """The least ``n < count`` with ``|w_n| < |w_{n+1}|`` (``<=`` when
-    ``strict``), or None: where |.|-nonincreasing weights first fail."""
+def _first_rise(rule: ScalarRule, strict: bool = False) -> Optional[int]:
+    """The least ``n < _ZERO_SCAN_CAP`` with ``|w_n| < |w_{n+1}|`` (``<=`` when
+    ``strict``), or None: where weights that a rule reports not
+    |.|-nonincreasing first fail."""
     ln = rule.length()
     prev = _abs_exact(rule.value(1))
-    for n in range(1, count if ln is None else min(count, ln)):
+    for n in range(1, _ZERO_SCAN_CAP if ln is None else min(_ZERO_SCAN_CAP, ln)):
         cur = _abs_exact(rule.value(n + 1))
         if prev < cur or strict and prev == cur:
             return n
@@ -678,13 +680,28 @@ class MergedAbsDecreasingRule(ScalarRule):
     def attains_zero(self, skip=0):
         verdicts = [r.attains_zero() for r in self._rules]
         verdicts += [any(v == 0 for v in part) for part in self._finite]
-        # where a zero falls in the merge is not tracked: past skip only a False transfers
-        if True in verdicts and not skip:
+        # where a zero falls in the merge is not tracked, nor whether an infinite
+        # source holds it off for ever: past skip, or with one, only a False transfers
+        if True in verdicts and not skip and self.length() is not None:
             return True
         return False if all(v is False for v in verdicts) else None
 
+    def is_real(self, skip=0, nonnegative=False):
+        verdicts = [r.is_real(0, nonnegative) for r in self._rules]
+        verdicts += [all(_real(v, nonnegative) for v in part) for part in self._finite]
+        # as with zeros, only a True transfers past skip or an infinite source
+        if False in verdicts and not skip and self.length() is not None:
+            return False
+        return True if all(v is True for v in verdicts) else None
+
     def abs_nonincreasing(self, skip=0, strict=False):
-        return None if strict else True
+        # merged streams that never rise never rise; a lone stream is itself
+        if not all(r.abs_nonincreasing() for r in self._rules):
+            return None
+        if not strict:
+            return True
+        lone = len(self._rules) == 1 and not any(self._finite)
+        return self._rules[0].abs_nonincreasing(skip, True) if lone else None
 
     def describe(self):
         parts = [f"explicit {part}" for part in self._finite]

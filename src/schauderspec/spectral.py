@@ -39,7 +39,6 @@ from .op_algebra import (
 )
 from .records import record
 from .sequences import (
-    _ZERO_SCAN_CAP,
     ConstantRule,
     Scalar,
     ScalarRule,
@@ -215,10 +214,13 @@ class _ShiftCertifier:
                     f"weights do not vanish (limit {lim}); this exclusion "
                     "requires weights decreasing to 0"
                 )
-            # the rule's answer decides; one that does not know is probed on 32 weights
+            # the rule's answer decides; one that does not know is refused
             down = s.weights.abs_nonincreasing()
-            n = None if down else _first_rise(s.weights, 32 if down is None else _ZERO_SCAN_CAP)
-            if n is not None or down is False:
+            if down is None:
+                raise PreconditionViolatedError(
+                    "cannot certify that the weight magnitudes are nonincreasing")
+            if not down:
+                n = _first_rise(s.weights)
                 raise PreconditionViolatedError("weight magnitudes are not nonincreasing" + (
                     "" if n is None else f": they increase at index {n}"))
         self.log_bound = math.log(self.bound)  # a bad bound fails after the checks
@@ -337,21 +339,20 @@ def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> f
     return _safe_exp(log_mag)
 
 
-def _zero_scan(rule: ScalarRule, probe_window: int, start: int = 1):
+def _zero_scan(rule: ScalarRule, probe_window: int):
     """(attains_zero, witness index, certified) for a weight rule.
 
     The rule's own ``attains_zero`` answers first; otherwise the first
     ``probe_window`` values (all of them for a shorter finite rule) are
-    scanned for an exact zero.  The values before ``start`` must be known
-    nonzero already; they are not read again.  A zero the rule attains
-    past the window is placed by ``sequences._first_zero``, or not at all.
+    scanned for an exact zero.  A zero the rule attains past the window
+    is placed by ``sequences._first_zero``, or not at all.
     """
     ln = rule.length()
     cap = probe_window if ln is None else min(ln, probe_window)
     az = rule.attains_zero()
     if az is False:
         return False, None, True
-    for n in range(start, cap + 1):
+    for n in range(1, cap + 1):
         if rule.value(n) == 0:
             return True, n, True
     if ln is not None and ln <= cap:
@@ -364,10 +365,10 @@ def _zero_scan(rule: ScalarRule, probe_window: int, start: int = 1):
 _KERNEL_WINDOW = 4096
 
 
-def _weights_zero_check(weights: ScalarRule, probe_window: int = _KERNEL_WINDOW,
-                        start: int = 1) -> KernelRangeVerdict:
+def _weights_zero_check(weights: ScalarRule, probe_window: int = _KERNEL_WINDOW
+                        ) -> KernelRangeVerdict:
     """``kernel_trivial`` of a total shift form with these weights."""
-    hit, idx, certified = _zero_scan(weights, probe_window, start)
+    hit, idx, certified = _zero_scan(weights, probe_window)
     if idx is not None:
         return KernelRangeVerdict(False, False, idx, True,
                                   f"weight at index {idx} is zero")
@@ -869,10 +870,10 @@ class CertificateGridConfig:
     step_cap: int = DEFAULT_STEP_CAP
 
 
-def sup_abs_weight(rule: ScalarRule, probe: int = 64) -> float:
-    if rule.abs_nonincreasing() is True:
-        return float(abs(rule.value(1)))
-    return max(float(abs(rule.value(n))) for n in range(1, probe + 1))
+def sup_abs_weight(rule: ScalarRule) -> float:
+    """``|w_1|``: the largest magnitude of weights certified |.|-nonincreasing,
+    the only ones whose grid the orbit walks certify."""
+    return float(abs(rule.value(1)))
 
 
 def _grid_top(cfg: CertificateGridConfig, max_weight: float) -> float:

@@ -441,23 +441,61 @@ class TestRun:
         error = json.loads((tmp_path / "report.json").read_text())["error"]
         assert error["message"] == f"weights increase at index {k}: Fraction(1, {k}) < Fraction(1, 1)"
 
+    def test_deflate_refuses_the_adjoint_of_a_rise_alike(self, tmp_path):
+        # docs/examples: the adjoint of rise-after-70.json, the same operator,
+        # as its weights are real; they are read through the adjoint exactly
+        doc = REPO / "docs" / "examples" / "adjoint-rise-after-70.json"
+        assert main(["run", str(doc), "--out", str(tmp_path)]) == 3
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert error["message"] == "weights increase at index 70: Fraction(1, 70) < Fraction(1, 1)"
+
     @pytest.mark.parametrize("k", [20, 40])
     def test_certify_refuses_a_rise_inside_and_past_the_probe_window(self, tmp_path, k):
         # sigma * diag(1, 1/2, .., 1/k, 1, 1/2, ..) rises after index k, inside
-        # (20) or past (40) the 32 weight magnitudes the walk once probed
+        # (20) or past (40) the 32 weight magnitudes the walk once probed; its
+        # double adjoint is the same operator, and is refused alike
         weights = {"rule": "explicit-then",
                    "prefix": [1] + [{"fraction": [1, j]} for j in range(2, k + 1)],
                    "tail": diag_spec()["operator"]["weights"]}
-        spec = write_spec(tmp_path, "rise.json", {
-            "version": 1, "analysis": "certify", "params": SMALL_PARAMS,
-            "operator": {"op": "product",
-                         "left": {"op": "permutation-unitary",
-                                  "of": {"permutation": "sigma-bilateral"}},
-                         "right": {"op": "diagonal", "weights": weights}}})
-        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 3
-        error = json.loads((tmp_path / "out" / "report.json").read_text())["error"]
-        assert error["message"] == (
-            f"weight magnitudes are not nonincreasing: they increase at index {k}")
+        operator = {"op": "product",
+                    "left": {"op": "permutation-unitary", "of": {"permutation": "sigma-bilateral"}},
+                    "right": {"op": "diagonal", "weights": weights}}
+        double = {"op": "adjoint", "inner": {"op": "adjoint", "inner": operator}}
+        for name, op in (("rise", operator), ("double-adjoint", double)):
+            spec = write_spec(tmp_path, f"{name}.json", {
+                "version": 1, "analysis": "certify", "params": SMALL_PARAMS, "operator": op})
+            assert main(["run", str(spec), "--out", str(tmp_path / name)]) == 3
+            error = json.loads((tmp_path / name / "report.json").read_text())["error"]
+            assert error["message"] == (
+                f"weight magnitudes are not nonincreasing: they increase at index {k}")
+
+    def test_a_zero_on_the_orbit_walk_is_refused(self, tmp_path):
+        # sigma * diag(w) with w = (0, 1, 1/2, ..) or (1 (99 times), 0, 1, 1/2, ..):
+        # the zero lies on the walk, and the rise after it refuses both
+        for ones in (0, 99):
+            spec = write_spec(tmp_path, f"zero-after-{ones}.json", {
+                "version": 1, "analysis": "schauder-spectrum", "params": SMALL_PARAMS,
+                "operator": {"op": "product",
+                             "left": {"op": "permutation-unitary",
+                                      "of": {"permutation": "sigma-bilateral"}},
+                             "right": {"op": "diagonal", "weights": {
+                                 "rule": "explicit-then", "prefix": [1] * ones + [0],
+                                 "tail": diag_spec()["operator"]["weights"]}}}})
+            out = tmp_path / f"out-{ones}"
+            assert main(["run", str(spec), "--out", str(out)]) == 3
+            error = json.loads((out / "report.json").read_text())["error"]
+            assert error["message"] == (
+                f"weight magnitudes are not nonincreasing: they increase at index {ones + 1}")
+
+    def test_adjoint_of_a_constant_diagonal_has_its_value(self, tmp_path):
+        # the adjoint's weights are the diagonal's, read exactly: {2}
+        spec = write_spec(tmp_path, "adjoint-const.json", {
+            "version": 1, "analysis": "schauder-spectrum", "params": SMALL_PARAMS,
+            "operator": {"op": "adjoint", "inner": {
+                "op": "diagonal", "weights": {"rule": "constant", "value": 2}}}})
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["report"]
+        assert report["members"] == {"kind": "finite", "values": [2]}
 
     def test_column_past_the_recognition_window_is_unsupported(self, tmp_path):
         # diag(1/n) + the spread {100, 101, ..} -> {101, 102, ..}: the

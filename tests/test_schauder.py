@@ -79,6 +79,27 @@ ALPHA_TO_ONE = AffineRule(1, GeometricRule(-1, Fraction(1, 2)))
 SMALL = CertificateGridConfig(moduli=4, phases=4)
 
 
+def count_reads(monkeypatch, rule_class):
+    """``(reads, before)``: a Counter of the indices read through
+    ``rule_class.value``, and a list that gets a copy of it when the first
+    orbit-walk certificate is asked for."""
+    from collections import Counter
+
+    from schauderspec import spectral
+
+    reads, before = Counter(), []
+    value, certificate = rule_class.value, spectral._ShiftCertifier.certificate
+
+    def first(self, *args):
+        if not before:
+            before.append(Counter(reads))
+        return certificate(self, *args)
+
+    monkeypatch.setattr(rule_class, "value", lambda self, n: reads.update((n,)) or value(self, n))
+    monkeypatch.setattr(spectral._ShiftCertifier, "certificate", first)
+    return reads, before
+
+
 class TestIsSchauder:
     def test_cibws_yes(self):
         assert is_schauder(cibws())
@@ -183,6 +204,12 @@ class TestSchauderSpectrum:
         assert rep.classification_case == 5
         assert SELF_ADJOINT_NOTE in rep.notes
         assert rep.reasons()["*"] == NOT_INJECTIVE
+
+    @pytest.mark.parametrize("c, values", [(2, (2,)), (2j, (-2j,))])
+    def test_adjoint_of_a_constant_diagonal(self, c, values):
+        # the adjoint's weights are the diagonal's, conjugated
+        rep = schauder_spectrum(Adjoint(Diagonal(ConstantRule(c))))
+        assert rep.members == FiniteSetMembers(values)
 
     def test_interval_model_without_eigenvalues_is_empty(self):
         rep = schauder_spectrum(SelfAdjointIntervalModel(0.25, 1.0, ()))
@@ -818,11 +845,14 @@ class TestDeflatePipeline:
     @pytest.mark.parametrize("zero_at, message", [
         (512, r"not a Schauder operator: not-injective \(witness index 512\); "
               "zero diagonal entry"),
-        (513, "weights fail the zero check: weight at index 513 is zero"),
-        (4096, "weights fail the zero check: weight at index 4096 is zero"),
+        (513, "cannot certify that the weights are nonincreasing"),
+        (4096, "cannot certify that the weights are nonincreasing"),
     ])
     @pytest.mark.parametrize("as_shift", [False, True])
     def test_zero_at_the_schauder_probe_edge(self, zero_at, message, as_shift):
+        # the Schauder check still reads a callable rule on its 512 weights;
+        # past them, the polar split's |w| is refused for the premise that
+        # the callable leaves undecided, before any zero check
         from schauderspec import CallableRule, ShiftForm
 
         rule = CallableRule(lambda n: 0.0 if n == zero_at else 1.0 / n,
@@ -836,39 +866,65 @@ class TestDeflatePipeline:
 
     @pytest.mark.parametrize("shape", ["diagonal", "shift-form", "product"])
     def test_zero_checks_read_each_weight_once(self, monkeypatch, shape):
-        # is_schauder reads weights 1..512 of the recognized shift and the
-        # sigma-block zero check goes on from 513 to its window of 4096
-        from collections import Counter
-
-        from schauderspec import (CallableRule, ShiftForm, schauder,
-                                  sigma_bilateral, spectral)
-
-        read, scanning = Counter(), []
-
-        def weight(n):
-            if scanning:
-                read[n] += 1
-            return 1.0 / n
-
-        def scan(rule, probe_window, start=1, _scan=spectral._zero_scan):
-            scanning.append(rule)
-            try:
-                return _scan(rule, probe_window, start)
-            finally:
-                scanning.pop()
-
-        monkeypatch.setattr(spectral, "_zero_scan", scan)
-        monkeypatch.setattr(schauder, "_zero_scan", scan)
-        rule = CallableRule(weight, limit_hint=0)
-        T = {"diagonal": Diagonal(rule),
-             "shift-form": ShiftForm(identity_permutation(), rule),
+        # an exact rule answers the Schauder check, the premises and the zero
+        # checks itself: before the first certificate only w_1 is read, for the
+        # grid's top, and the certificates read each orbit weight once
+        reads, before = count_reads(monkeypatch, PowerLawRule)
+        T = {"diagonal": Diagonal(RECIP),
+             "shift-form": ShiftForm(identity_permutation(), RECIP),
              "product": Product(PermutationUnitary(sigma_bilateral()),
-                                Diagonal(rule))}[shape]
+                                Diagonal(RECIP))}[shape]
         res = deflate(T, SMALL)
-        assert res.zero_check.detail == (
-            "no zero weight on the probe window [1..4096]; tail uncertified")
-        assert read[100] == 1
-        assert read == Counter(range(1, 4097))
+        assert res.zero_check.detail == "weights certified nonzero; permutation total"
+        assert before == [{1: 1}]
+        reads[1] -= 1
+        assert set(reads.values()) == {1}
+
+    @pytest.mark.parametrize("name", ["adjoint-diag-deflate", "adjoint-sigma-certify",
+                                      "double-adjoint-cibws-classify"])
+    def test_adjoints_read_no_weight_before_the_first_certificate(self, monkeypatch, name):
+        # an adjoint's weights are its operator's reindexed, and these cancel
+        # to the identity: the rule's facts answer, and only w_1 is read
+        from schauderspec.spectral import lambda_grid, sup_abs_weight
+
+        sigma = PermutationUnitary(sigma_bilateral())
+        T, rule_class = {
+            "adjoint-diag-deflate": (Adjoint(Diagonal(RECIP)), PowerLawRule),
+            "adjoint-sigma-certify": (Adjoint(Product(
+                Diagonal(GeometricRule(1, Fraction(1, 2))), sigma)), GeometricRule),
+            "double-adjoint-cibws-classify": (
+                Adjoint(Adjoint(cibws().to_expr())), ExplicitThenRule)}[name]
+        _, before = count_reads(monkeypatch, rule_class)
+        if name == "adjoint-diag-deflate":
+            deflate(T, SMALL)
+        elif name == "adjoint-sigma-certify":
+            shift = recognize_shift_form(T).shift
+            grid_certificates(shift, lambda_grid(SMALL, sup_abs_weight(shift.weights)))
+        else:
+            assert schauder_spectrum(T, SMALL).members == EmptySetMembers()
+        assert before == [{1: 1}]
+
+    def test_undecided_premises_are_refused_by_name(self):
+        # a rule that leaves a premise undecided is refused, and no window of
+        # its weights stands in for the fact
+        from schauderspec import CallableRule
+        from schauderspec.op_algebra import AbsRule
+
+        class ZerosUnknown(PowerLawRule):
+            def attains_zero(self, skip=0):
+                return None
+
+        unknown = CallableRule(RECIP.value, limit_hint=0)
+        for call, fact in [
+                (lambda: _probe_positive_monotone(unknown, strict=None), "positive reals"),
+                (lambda: deflate_basic(AbsRule(unknown), SMALL), "strictly decreasing"),
+                (lambda: deflate(Diagonal(unknown), SMALL), "nonincreasing"),
+                (lambda: deflate_basic(ZerosUnknown(1, 1), SMALL), "nonzero"),
+                (lambda: grid_certificates(ShiftForm(sigma_bilateral(), unknown), (1.0,)),
+                 "magnitudes are nonincreasing")]:
+            with pytest.raises(PreconditionViolatedError, match=f"^cannot certify that the weight(s are | )"
+                                                               f"{fact}$"):
+                call()
 
     def test_basic_refuses_a_zero_past_the_monotone_probe(self):
         # the rule's own fact sees the rise from the zero at 100 to the tail's
@@ -880,17 +936,18 @@ class TestDeflatePipeline:
 
     def test_weights_probed_once(self, monkeypatch):
         # an exact rule answers for itself and reads no weight; a rule that
-        # cannot answer is read on the 64-weight probe only
+        # cannot answer is refused, and none of its weights is read
         reads = []
         value = PowerLawRule.value
         monkeypatch.setattr(PowerLawRule, "value", lambda self, n: reads.append(n) or value(self, n))
         assert _probe_positive_monotone(PowerLawRule(1, 1), strict=None) is True
-        assert reads == []
         from schauderspec import CallableRule
 
         unknown = CallableRule(PowerLawRule(1, 1).value, limit_hint=0)
-        assert _probe_positive_monotone(unknown, strict=None) is True
-        assert set(reads) == set(range(1, 65))
+        with pytest.raises(PreconditionViolatedError,
+                           match="^cannot certify that the weights are positive reals$"):
+            _probe_positive_monotone(unknown, strict=None)
+        assert reads == []
 
     def test_certificates_cover_grid_loudly(self):
         res = deflate(Diagonal(RECIP), SMALL)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,20 @@ from schauderspec import (
     PowerLawRule,
     RepeatedRule,
     ScaledRule,
+)
+from schauderspec.index_maps import (
+    identity_permutation,
+    inverse_permutation,
+    one_line_permutation,
+    sigma_bilateral,
+    z_translation_permutation,
+)
+from schauderspec.op_algebra import (
+    AbsRule,
+    ComposedWeightsRule,
+    PhaseRule,
+    ProductWeightsRule,
+    compose_weights,
 )
 from schauderspec.sequences import ScalarRule, _abs_exact, _first_zero, log_abs
 
@@ -295,31 +310,71 @@ def exact_far(rule):
                for f in fields if f is not None)
 
 
+# The rules op_algebra builds from these: weights read through a permutation
+# (the identity, ones that move finitely many points, sigma and z-translations,
+# with and without conjugation, nested), their moduli and phases, products,
+# and merges of |.|-nonincreasing streams.
+INFINITE_FACT_RULES = FACT_RULES.filter(lambda r: r.length() is None)
+PERMUTATIONS = st.sampled_from([
+    identity_permutation(), one_line_permutation((2, 1)), one_line_permutation((3, 1, 2)),
+    one_line_permutation((1, 2, 3, 5, 4)), sigma_bilateral(), z_translation_permutation(-1),
+    z_translation_permutation(2)])
+COMPOSED_RULES = st.recursive(
+    st.builds(ComposedWeightsRule, INFINITE_FACT_RULES, PERMUTATIONS, st.booleans()),
+    lambda inner: st.builds(compose_weights, inner, PERMUTATIONS, st.booleans()),
+    max_leaves=2)
+OP_ALGEBRA_RULES = st.one_of(
+    COMPOSED_RULES,
+    st.builds(AbsRule, st.one_of(INFINITE_FACT_RULES, COMPOSED_RULES)),
+    st.builds(PhaseRule, INFINITE_FACT_RULES.filter(lambda r: r.attains_zero() is False)),
+    st.builds(ProductWeightsRule, INFINITE_FACT_RULES, INFINITE_FACT_RULES),
+    st.builds(MergedAbsDecreasingRule, st.lists(st.lists(TIE_VALUES, max_size=4), max_size=2),
+              st.lists(merge_rules(), max_size=2)))
+
+
 class TestRuleFacts:
     """Each fact a rule states about its terms past ``skip``, against those
     terms read one by one."""
 
     @settings(max_examples=400, deadline=None)
-    @given(rule=FACT_RULES, skip=st.integers(0, 8))
+    @given(rule=st.one_of(FACT_RULES, OP_ALGEBRA_RULES), skip=st.integers(0, 8))
     @example(rule=AffineRule(Fraction(1, 4), PowerLawRule(-1, 1)), skip=0)
     @example(rule=AffineRule(Fraction(1, 4), PowerLawRule(-1, 1)), skip=3)
     @example(rule=OffsetRule(RISE70, 70), skip=0)
+    @example(rule=ComposedWeightsRule(RISE70, one_line_permutation((1, 2, 3, 5, 4))), skip=2)
+    @example(rule=compose_weights(compose_weights(OffsetRule(RISE70, 30), sigma_bilateral()),
+                                  inverse_permutation(sigma_bilateral()), True), skip=0)
+    @example(rule=ProductWeightsRule(PowerLawRule(1, 1), GeometricRule(2, Fraction(1, 2))), skip=0)
+    @example(rule=MergedAbsDecreasingRule([[0]], [PowerLawRule(Fraction(1, 4), 1)]), skip=0)
+    @example(rule=MergedAbsDecreasingRule([[-0.5j]], [ConstantRule(1)]), skip=0)
     def test_facts_hold_on_a_prefix(self, rule, skip):
         ln = rule.length()
-        terms = rule.values(60 if ln is None else max(min(ln - skip, 60), 0), skip + 1)
+
+        def read(count):
+            return rule.values(count if ln is None else max(min(ln - skip, count), 0), skip + 1)
+
+        terms = read(60)
+
+        def agrees(claim, holds):
+            # that all terms do as ``holds`` checks: a True claim against the
+            # prefix, a False one against a witness up to 4000 terms out (a
+            # zero that cancels an affine base may lie past the prefix)
+            return claim is None or claim == holds(terms) or (
+                claim is False and not holds(read(4000)))
+
         values = rule.value_set(skip)
         if values is not None:
             assert set(values) == set(terms)
             # each value is typed as the rule returns it
             assert all(any(same(v, t) for t in terms) for v in values)
         for nonnegative in (False, True):
-            real = [not isinstance(t, complex) and (not nonnegative or t >= 0) for t in terms]
-            assert rule.is_real(skip, nonnegative) in (None, all(real))
-        assert rule.attains_zero(skip) in (None, 0 in terms)
-        mags = [_abs_exact(t) for t in terms]
+            assert agrees(rule.is_real(skip, nonnegative), lambda ts: all(
+                not isinstance(t, complex) and (not nonnegative or t >= 0) for t in ts))
+        zero = rule.attains_zero(skip)
+        assert agrees(None if zero is None else not zero, lambda ts: 0 not in ts)
         for strict in (False, True):
-            rises = any(a < b or strict and a == b for a, b in zip(mags, mags[1:]))
-            assert rule.abs_nonincreasing(skip, strict) in (None, not rises)
+            assert agrees(rule.abs_nonincreasing(skip, strict), lambda ts: not any(
+                a < b or strict and a == b for a, b in pairwise(map(_abs_exact, ts))))
 
     @settings(max_examples=200, deadline=None)
     @given(rule=FACT_RULES.filter(lambda r: r.length() is None and exact_far(r)),
