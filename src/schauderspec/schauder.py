@@ -68,7 +68,7 @@ from .spectral import (
     _ShiftCertifier,
     _grid_top,
     _weights_zero_check,
-    _zero_scan,
+    _zero_weight,
     corner_eigs,
     grid_certificates,
     kernel_trivial,
@@ -178,10 +178,7 @@ class SelfAdjointIntervalModel:
 # ---------------------------------------------------------------------------
 
 
-_SCHAUDER_WINDOW = 512
-
-
-def is_schauder(T, probe_window: int = _SCHAUDER_WINDOW) -> SchauderVerdict:
+def is_schauder(T) -> SchauderVerdict:
     """Exact structural verdict: injective with dense range, or why not."""
     if isinstance(T, SelfAdjointIntervalModel):
         if 0 in T.point_spectrum:
@@ -190,35 +187,32 @@ def is_schauder(T, probe_window: int = _SCHAUDER_WINDOW) -> SchauderVerdict:
         return SchauderVerdict(True, detail="0 is not a declared eigenvalue; "
                                "a self-adjoint operator with trivial kernel has dense range")
     if isinstance(T, Diagonal):
-        hit, idx, certified = _zero_scan(T.weights, probe_window)
+        hit, idx = _zero_weight(T.weights)
         if hit:
             return SchauderVerdict(False, NOT_INJECTIVE, idx,
                                    "zero diagonal entry")
-        detail = "diagonal entries nonzero"
-        if not certified:
-            detail += f" on the probe window [1..{probe_window}] (tail uncertified)"
-        return SchauderVerdict(True, detail=detail)
+        return SchauderVerdict(True, detail="diagonal entries nonzero")
     if isinstance(T, BlockDirectSum):
         for b, block in enumerate(T.blocks):
-            sub = is_schauder(block, probe_window)
+            sub = is_schauder(block)
             if not sub:
                 return SchauderVerdict(False, sub.reason, sub.witness_index,
                                        f"block {b}: {sub.detail}")
         return SchauderVerdict(True, detail="every block injective with dense range")
     if isinstance(T, ShiftForm):
-        return _kernel_verdict(kernel_trivial(T, probe_window))
+        return _kernel_verdict(kernel_trivial(T))
     if isinstance(T, PermutationUnitary):
         return SchauderVerdict(True, detail="permutation unitary")
     if isinstance(T, OperatorExpr):
-        return _expression_verdict(T, recognize_shift_form(T), probe_window)
+        return _expression_verdict(T, recognize_shift_form(T))
     raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
 
 
-def _expression_verdict(T: OperatorExpr, rec, probe_window: int) -> SchauderVerdict:
+def _expression_verdict(T: OperatorExpr, rec) -> SchauderVerdict:
     """``is_schauder`` of an expression given its recognition ``rec``."""
     if rec is not None:
-        return is_schauder(rec.shift, probe_window)
-    verdict = kernel_trivial(T, probe_window)
+        return is_schauder(rec.shift)
+    verdict = kernel_trivial(T)
     if not verdict.certified and verdict.injective:
         raise unrecognized(T)
     return _kernel_verdict(verdict)
@@ -243,7 +237,7 @@ def _sorted_values(values) -> tuple:
     return tuple(sorted(dict.fromkeys(values), key=lambda v: (-_abs_exact(v), repr(v))))
 
 
-def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumReport:
+def _diagonal_report(rule: ScalarRule) -> SchauderSpectrumReport:
     notes = [SELF_ADJOINT_NOTE] if rule.is_real() else []
     finite_values = rule.value_set()
     vanishing = rule.limit() == 0  # never for a finite-length rule
@@ -252,12 +246,7 @@ def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumRep
         members: Members = FiniteSetMembers(_sorted_values(finite_values))
         reasons = tuple((v, NOT_INJECTIVE) for v in members.values)
     elif vanishing:
-        hit, _idx, certified = _zero_scan(rule, probe_window)
-        if not certified:
-            notes.append(
-                f"zero-freeness probed on [1..{probe_window}] only; tail uncertified"
-            )
-        members = VanishingSequenceMembers(rule, includes_zero=hit)
+        members = VanishingSequenceMembers(rule, includes_zero=_zero_weight(rule)[0])
         reasons = (("*", NOT_INJECTIVE),)
     else:
         raise UnsupportedClassError(
@@ -268,14 +257,14 @@ def _diagonal_report(rule: ScalarRule, probe_window: int) -> SchauderSpectrumRep
     return SchauderSpectrumReport(members, reasons, case, None, tuple(notes))
 
 
-def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
-                              probe_window: int) -> SchauderSpectrumReport:
+def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig
+                              ) -> SchauderSpectrumReport:
     lim = shift.weights.limit()
     if lim != 0:
         raise UnsupportedClassError(
             "certificate path requires weights certified to vanish"
         )
-    zero = kernel_trivial(shift, probe_window)
+    zero = kernel_trivial(shift)
     grid = lambda_grid(cfg, sup_abs_weight(shift.weights))
     certs = grid_certificates(shift, grid, cfg.bound, cfg.step_cap)
     region = (
@@ -297,7 +286,9 @@ def _shift_certificate_report(shift: ShiftForm, cfg: CertificateGridConfig,
 def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
                            ) -> SchauderSpectrumReport:
     """One report for a block sum: 0 is a member, with the first such
-    part's reason, exactly when it is a member of some part."""
+    part's reason, exactly when it is a member of some part.  Vanishing
+    members are merged by magnitude, so a block whose members rise is
+    refused."""
     finite_values: list = []
     reasons: list = []
     rules: list = []
@@ -305,7 +296,7 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
     notes: list = []
     certs: list = []
     regions: list = []
-    for rep in parts:
+    for b, rep in enumerate(parts):
         if zero_failure is None and _members_case(rep.members) in (2, 4, 6):
             own = rep.reasons()
             zero_failure = own.get(0, own.get("*"))
@@ -316,7 +307,13 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
         if isinstance(rep.members, FiniteSetMembers):
             finite_values.extend(v for v in rep.members.values if v != 0)
         elif isinstance(rep.members, VanishingSequenceMembers):
-            rules.append(rep.members.rule)
+            rule = rep.members.rule
+            if rule.abs_nonincreasing() is False:
+                n = _first_rise(rule)
+                raise UnsupportedClassError(
+                    f"block {b}: its members rise" + ("" if n is None else f" at index {n}")
+                    + "; a block sum's members are merged only by nonincreasing magnitude")
+            rules.append(rule)
         reasons.extend(kv for kv in rep.per_member_reason if kv[0] != 0)
     includes_zero = zero_failure is not None
     if includes_zero:
@@ -379,8 +376,8 @@ def is_compact_structural(T) -> Optional[bool]:
     return None
 
 
-def schauder_spectrum(T, cfg: Optional[CertificateGridConfig] = None,
-                      probe_window: int = 4096) -> SchauderSpectrumReport:
+def schauder_spectrum(T, cfg: Optional[CertificateGridConfig] = None
+                      ) -> SchauderSpectrumReport:
     """Compute the Schauder spectrum of a supported structured operator.
 
     Diagonals report their exact value set; certified vanishing shifts
@@ -399,15 +396,15 @@ def schauder_spectrum(T, cfg: Optional[CertificateGridConfig] = None,
             "declared spectral data", (SELF_ADJOINT_NOTE,))
     T = _analysed_subject(T)
     if isinstance(T, Diagonal):
-        return _diagonal_report(T.weights, probe_window)
+        return _diagonal_report(T.weights)
     if isinstance(T, BlockDirectSum):
         return _combine_block_reports(
-            [schauder_spectrum(block, cfg, probe_window) for block in T.blocks])
+            [schauder_spectrum(block, cfg) for block in T.blocks])
     if not isinstance(T, ShiftForm):
         raise UnsupportedClassError(f"unsupported input {type(T).__name__}")
     if T.perm.is_identity:
-        return _diagonal_report(T.weights, probe_window)
-    return _shift_certificate_report(T, cfg, probe_window)
+        return _diagonal_report(T.weights)
+    return _shift_certificate_report(T, cfg)
 
 
 def classify_compact(report: SchauderSpectrumReport, compact: bool) -> int:
@@ -517,7 +514,8 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
     sigma = sigma_bilateral()
     shift = ShiftForm(sigma, rule)
     # each caller has refused the zeros a rule reports
-    if rule.attains_zero() is not False:
+    zero_check = _weights_zero_check(rule)
+    if not zero_check.injective:
         raise PreconditionViolatedError("cannot certify that the weights are nonzero")
     if values:
         count = 1 + len(values)
@@ -551,7 +549,7 @@ def _sigma_blocks(rule: ScalarRule, values: tuple, cfg: CertificateGridConfig,
         operator=operator,
         shift_form=None if values else shift,
         certificates=tuple(certs),
-        zero_check=_weights_zero_check(rule),
+        zero_check=zero_check,
         lemma_path=lemma_path,
         spreads=tuple(decompose_into_spreads(sigma, 64)),
         covered_region=_region_string(cfg, max_w),
@@ -789,7 +787,7 @@ def deflate(T, cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
     plain = isinstance(T, OperatorExpr) and not isinstance(
         T, (Diagonal, BlockDirectSum, PermutationUnitary))
     rec = recognize_shift_form(T) if plain else None
-    verdict = _expression_verdict(T, rec, _SCHAUDER_WINDOW) if plain else is_schauder(T)
+    verdict = _expression_verdict(T, rec) if plain else is_schauder(T)
     if not verdict:
         raise PreconditionViolatedError(
             f"not a Schauder operator: {verdict.reason} "

@@ -20,9 +20,9 @@ Composite rules (scaled, affine, offset, repeated, explicit-then) derive
 their answers from their inner rules.  A rule built from a bare callable
 still evaluates, but answers ``None`` to all but its limit hint.  So
 ``deflate`` and the orbit-walk certificates refuse it, naming the premise
-it leaves undecided; the zero scans of the kernel check and of a
-diagonal's spectrum read it on a window and say that the tail is
-uncertified.
+it leaves undecided.  The one zero decision (``spectral._zero_weight``)
+reads its first weights for a witness only, and refuses it when none of
+them is 0.
 """
 
 from __future__ import annotations

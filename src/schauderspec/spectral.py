@@ -223,6 +223,11 @@ class _ShiftCertifier:
                 n = _first_rise(s.weights)
                 raise PreconditionViolatedError("weight magnitudes are not nonincreasing" + (
                     "" if n is None else f": they increase at index {n}"))
+            hit, idx = _zero_weight(s.weights)
+            if hit:
+                raise PreconditionViolatedError(
+                    (f"zero weight past index {_ZERO_SEARCH}" if idx is None
+                     else f"zero weight at index {idx}") + "; run kernel_trivial instead")
         self.log_bound = math.log(self.bound)  # a bad bound fails after the checks
         self.sides.add(side)
 
@@ -339,55 +344,46 @@ def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> f
     return _safe_exp(log_mag)
 
 
-def _zero_scan(rule: ScalarRule, probe_window: int):
-    """(attains_zero, witness index, certified) for a weight rule.
+#: How far a zero decision reads weights, only ever to find a witness.
+_ZERO_SEARCH = 4096
 
-    The rule's own ``attains_zero`` answers first; otherwise the first
-    ``probe_window`` values (all of them for a shorter finite rule) are
-    scanned for an exact zero.  A zero the rule attains past the window
-    is placed by ``sequences._first_zero``, or not at all.
+
+def _zero_weight(rule: ScalarRule) -> Tuple[bool, Optional[int]]:
+    """(attains_zero, index of the first zero) for a weight rule.
+
+    The rule's own ``attains_zero`` decides.  A zero it attains is placed
+    by ``sequences._first_zero``, or else among the first ``_ZERO_SEARCH``
+    weights, and past them its index is None.  A rule that decides
+    nothing is read on those weights for a witness only: with none there,
+    it is refused, unless they were all of its weights.
     """
-    ln = rule.length()
-    cap = probe_window if ln is None else min(ln, probe_window)
     az = rule.attains_zero()
     if az is False:
-        return False, None, True
-    for n in range(1, cap + 1):
-        if rule.value(n) == 0:
-            return True, n, True
-    if ln is not None and ln <= cap:
-        return False, None, True
-    if az is True:
-        return True, _first_zero(rule), True
-    return False, None, False
+        return False, None
+    idx = _first_zero(rule) if az else None
+    if idx is None:
+        ln = rule.length()
+        end = _ZERO_SEARCH if ln is None else min(ln, _ZERO_SEARCH)
+        idx = next((n for n in range(1, end + 1) if rule.value(n) == 0), None)
+        if idx is None and az is None:
+            if end == ln:
+                return False, None
+            raise PreconditionViolatedError("cannot certify that the weights are nonzero")
+    return True, idx
 
 
-_KERNEL_WINDOW = 4096
-
-
-def _weights_zero_check(weights: ScalarRule, probe_window: int = _KERNEL_WINDOW
-                        ) -> KernelRangeVerdict:
+def _weights_zero_check(weights: ScalarRule) -> KernelRangeVerdict:
     """``kernel_trivial`` of a total shift form with these weights."""
-    hit, idx, certified = _zero_scan(weights, probe_window)
-    if idx is not None:
-        return KernelRangeVerdict(False, False, idx, True,
-                                  f"weight at index {idx} is zero")
-    if hit:
-        return KernelRangeVerdict(
-            False, False, None, False,
-            f"a zero weight exists beyond the probe window {probe_window}"
-        )
-    if certified:
+    hit, idx = _zero_weight(weights)
+    if not hit:
         return KernelRangeVerdict(True, True, None, True,
                                   "weights certified nonzero; permutation total")
-    return KernelRangeVerdict(
-        True, True, None, False,
-        f"no zero weight on the probe window [1..{probe_window}]; tail uncertified"
-    )
+    return KernelRangeVerdict(False, False, idx, True,
+                              f"a zero weight lies past index {_ZERO_SEARCH}" if idx is None
+                              else f"weight at index {idx} is zero")
 
 
-def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
-                   probe_window: int = _KERNEL_WINDOW) -> KernelRangeVerdict:
+def kernel_trivial(s: Union[ShiftForm, OperatorExpr]) -> KernelRangeVerdict:
     """Structural injectivity check, with a dense-range flag.
 
     For a total shift form, the kernel is trivial exactly when every
@@ -397,9 +393,9 @@ def kernel_trivial(s: Union[ShiftForm, OperatorExpr],
     and an empty row kills dense range.
     """
     if isinstance(s, ShiftForm):
-        return _weights_zero_check(s.weights, probe_window)
+        return _weights_zero_check(s.weights)
     # expression tree: structural column/row coverage on a window
-    window = min(probe_window, 512)
+    window = 512
     for j in range(1, window + 1):
         nz = sum(v != 0 for v in s.column(j).values())
         if nz == 0:

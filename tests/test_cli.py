@@ -109,8 +109,8 @@ class TestRun:
         assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 3
 
     def test_zero_weight_past_the_schauder_probe_exit(self, tmp_path):
-        # the zero at index 1001 escapes is_schauder's 512-index probe, but
-        # the offset rule decides from its prefix that it is a term
+        # the offset rule decides from its prefix that the zero at index
+        # 1001 is a term, and places it
         prefix = [1] + [{"fraction": [1, k]} for k in range(2, 11)] + [0]
         weights = {"rule": "offset", "offset": 0, "inner": {
             "rule": "repeated", "times": 100, "inner": {
@@ -441,6 +441,15 @@ class TestRun:
         error = json.loads((tmp_path / "report.json").read_text())["error"]
         assert error["message"] == f"weights increase at index {k}: Fraction(1, {k}) < Fraction(1, 1)"
 
+    def test_deflate_names_a_zero_that_the_rule_does_not_decide(self, tmp_path):
+        # docs/examples: diag(1/2 (600 times), 0, 1, 1/2, ..) as an affine rule,
+        # which decides no zero; the zero search reads the witness at 601
+        doc = REPO / "docs" / "examples" / "zero-weight-at-601.json"
+        assert main(["run", str(doc), "--out", str(tmp_path)]) == 3
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert error["message"] == ("not a Schauder operator: not-injective "
+                                    "(witness index 601); zero diagonal entry")
+
     def test_deflate_refuses_the_adjoint_of_a_rise_alike(self, tmp_path):
         # docs/examples: the adjoint of rise-after-70.json, the same operator,
         # as its weights are real; they are read through the adjoint exactly
@@ -471,21 +480,45 @@ class TestRun:
 
     def test_a_zero_on_the_orbit_walk_is_refused(self, tmp_path):
         # sigma * diag(w) with w = (0, 1, 1/2, ..) or (1 (99 times), 0, 1, 1/2, ..):
-        # the zero lies on the walk, and the rise after it refuses both
-        for ones in (0, 99):
-            spec = write_spec(tmp_path, f"zero-after-{ones}.json", {
-                "version": 1, "analysis": "schauder-spectrum", "params": SMALL_PARAMS,
-                "operator": {"op": "product",
-                             "left": {"op": "permutation-unitary",
-                                      "of": {"permutation": "sigma-bilateral"}},
-                             "right": {"op": "diagonal", "weights": {
-                                 "rule": "explicit-then", "prefix": [1] * ones + [0],
-                                 "tail": diag_spec()["operator"]["weights"]}}}})
-            out = tmp_path / f"out-{ones}"
-            assert main(["run", str(spec), "--out", str(out)]) == 3
-            error = json.loads((out / "report.json").read_text())["error"]
-            assert error["message"] == (
-                f"weight magnitudes are not nonincreasing: they increase at index {ones + 1}")
+        # the zero lies on the walk, and the rise after it refuses both;
+        # with (1 (99 times), 0, 0, ..) nothing rises, and the zero refuses it
+        recip = diag_spec()["operator"]["weights"]
+        zero = {"rule": "constant", "value": 0}
+        for ones, tail, message in (
+                (0, recip, "weight magnitudes are not nonincreasing: they increase at index 1"),
+                (99, recip, "weight magnitudes are not nonincreasing: they increase at index 100"),
+                (99, zero, "zero weight at index 100; run kernel_trivial instead")):
+            for analysis in ("schauder-spectrum", "certify"):
+                name = f"{analysis}-zero-after-{ones}-then-{tail['rule']}"
+                spec = write_spec(tmp_path, f"{name}.json", {
+                    "version": 1, "analysis": analysis, "params": SMALL_PARAMS,
+                    "operator": {"op": "product",
+                                 "left": {"op": "permutation-unitary",
+                                          "of": {"permutation": "sigma-bilateral"}},
+                                 "right": {"op": "diagonal", "weights": {
+                                     "rule": "explicit-then", "prefix": [1] * ones + [0],
+                                     "tail": tail}}}})
+                out = tmp_path / name
+                assert main(["run", str(spec), "--out", str(out)]) == 3
+                error = json.loads((out / "report.json").read_text())["error"]
+                assert error["message"] == message
+
+    def test_a_block_sum_whose_members_rise_is_refused(self, tmp_path):
+        # block 0 is diag(1, 1/2, .., 1/70, 1, 1/2, ..); a block sum merges its
+        # members with the other block's by magnitude, which needs them to fall
+        rise = json.loads((REPO / "docs" / "examples" / "rise-after-70.json").read_text())
+        spec = write_spec(tmp_path, "block-rise.json", {
+            "version": 1, "analysis": "schauder-spectrum", "params": SMALL_PARAMS,
+            "operator": {"op": "block-direct-sum",
+                         "blocks": [rise["operator"], diag_spec()["operator"]],
+                         "partition": [{"sequence": "arithmetic", "start": 1, "step": 2},
+                                       {"sequence": "arithmetic", "start": 2, "step": 2}]}})
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 2
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error == {"kind": "unsupported-class", "exitCode": 2, "message": (
+            "block 0: its members rise at index 70; a block sum's members are "
+            "merged only by nonincreasing magnitude")}
 
     def test_adjoint_of_a_constant_diagonal_has_its_value(self, tmp_path):
         # the adjoint's weights are the diagonal's, read exactly: {2}

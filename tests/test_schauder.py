@@ -294,13 +294,13 @@ class TestSchauderSpectrum:
     @settings(max_examples=300, deadline=None)
     @given(rule=FINITELY_VALUED_RULES)
     def test_finite_value_set_is_the_set_of_values(self, rule):
-        rep = schauder_spectrum(Diagonal(rule), probe_window=64)
+        rep = schauder_spectrum(Diagonal(rule))
         assert set(rep.members.values) == set(rule.values(value_horizon(rule)))
 
     @settings(max_examples=300, deadline=None)
     @given(rule=CONSTANT_VALUED_RULES)
     def test_constant_valued_rules_are_finite_valued(self, rule):
-        rep = schauder_spectrum(Diagonal(rule), probe_window=64)
+        rep = schauder_spectrum(Diagonal(rule))
         values = rule.values(value_horizon(rule))
         assert set(rep.members.values) == set(values)
         # a member is a value the rule returns, with its type, a zero
@@ -311,7 +311,7 @@ class TestSchauderSpectrum:
     def test_equal_values_of_two_types_part_under_a_factor(self):
         # 3 and 3.0 are one value, but 3/10 and 0.1 * 3.0 are two
         rule = ScaledRule(Fraction(1, 10), ExplicitThenRule((3,), ConstantRule(3.0)))
-        rep = schauder_spectrum(Diagonal(rule), probe_window=64)
+        rep = schauder_spectrum(Diagonal(rule))
         assert sorted(map(repr, rep.members.values)) == ["0.30000000000000004", "Fraction(3, 10)"]
 
 
@@ -830,8 +830,8 @@ class TestDeflatePipeline:
         assert not v and v.reason == NOT_INJECTIVE
 
     def test_zero_past_the_schauder_probe_is_refused(self):
-        # is_schauder probes 512 weights; the zero at 1001 lies beyond,
-        # but the offset rule decides from its prefix that it is a term
+        # the offset rule decides from its prefix that the zero at 1001 is a
+        # term, and places it
         prefix = tuple(Fraction(1, k) for k in range(1, 11)) + (0,)
         rule = OffsetRule(RepeatedRule(
             ExplicitThenRule(prefix, PowerLawRule(Fraction(1, 11), 1)), 100), 0)
@@ -845,14 +845,16 @@ class TestDeflatePipeline:
     @pytest.mark.parametrize("zero_at, message", [
         (512, r"not a Schauder operator: not-injective \(witness index 512\); "
               "zero diagonal entry"),
-        (513, "cannot certify that the weights are nonincreasing"),
-        (4096, "cannot certify that the weights are nonincreasing"),
+        (513, r"not a Schauder operator: not-injective \(witness index 513\); "
+              "zero diagonal entry"),
+        (4096, r"not a Schauder operator: not-injective \(witness index 4096\); "
+               "zero diagonal entry"),
+        (4097, "cannot certify that the weights are nonzero"),
     ])
     @pytest.mark.parametrize("as_shift", [False, True])
     def test_zero_at_the_schauder_probe_edge(self, zero_at, message, as_shift):
-        # the Schauder check still reads a callable rule on its 512 weights;
-        # past them, the polar split's |w| is refused for the premise that
-        # the callable leaves undecided, before any zero check
+        # a callable rule decides no zero; the Schauder check reads its first
+        # 4096 weights for a witness only, and refuses it when none is there
         from schauderspec import CallableRule, ShiftForm
 
         rule = CallableRule(lambda n: 0.0 if n == zero_at else 1.0 / n,
@@ -918,7 +920,7 @@ class TestDeflatePipeline:
         for call, fact in [
                 (lambda: _probe_positive_monotone(unknown, strict=None), "positive reals"),
                 (lambda: deflate_basic(AbsRule(unknown), SMALL), "strictly decreasing"),
-                (lambda: deflate(Diagonal(unknown), SMALL), "nonincreasing"),
+                (lambda: deflate(Diagonal(unknown), SMALL), "nonzero"),
                 (lambda: deflate_basic(ZerosUnknown(1, 1), SMALL), "nonzero"),
                 (lambda: grid_certificates(ShiftForm(sigma_bilateral(), unknown), (1.0,)),
                  "magnitudes are nonincreasing")]:

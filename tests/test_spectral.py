@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schauderspec import (
@@ -19,6 +19,7 @@ from schauderspec import (
     ConvergenceFailureError,
     Diagonal,
     ExplicitThenRule,
+    FiniteSetMembers,
     GeometricRule,
     KernelRangeVerdict,
     NotSummableError,
@@ -43,11 +44,13 @@ from schauderspec import (
     forward_unilateral_shift,
     grid_certificates,
     identity_permutation,
+    is_schauder,
     kernel_trivial,
     lambda_grid,
     naturals,
     replay_block_certificate,
     replay_shift_certificate,
+    schauder_spectrum,
     shields_similar,
     shift_eigen_exclude,
     sigma_bilateral,
@@ -407,39 +410,45 @@ class TestKernelTrivial:
         assert verdict.offending_index == 2
 
 
-def reference_shift_kernel_verdict(s, probe_window):
-    """The shift-form zero check as ``kernel_trivial`` wrote it inline.
+def reference_shift_kernel_verdict(s):
+    """The shift-form zero check, written out.
 
-    A zero that ``attains_zero`` vouches for past the window is named by
-    scanning on, up to index 10 000.
+    The rule's ``attains_zero`` answers first; then the first zero among
+    the first 4096 weights (all of a shorter finite rule) is the witness.
+    A rule that decides nothing and shows no zero there is refused.
     """
     az = s.weights.attains_zero()
+    nonzero = KernelRangeVerdict(True, True, None, True,
+                                 "weights certified nonzero; permutation total")
     if az is False:
-        return KernelRangeVerdict(True, True, None, True,
-                                  "weights certified nonzero; permutation total")
-    for n in range(1, probe_window + 1 if az is not True else 10_001):
+        return nonzero
+    ln = s.weights.length()
+    for n in range(1, min(4096, ln or 4096) + 1):
         if s.weights.value(n) == 0:
             return KernelRangeVerdict(False, False, n, True,
                                       f"weight at index {n} is zero")
     if az is True:
-        return KernelRangeVerdict(
-            False, False, None, False,
-            f"a zero weight exists beyond the probe window {probe_window}")
-    return KernelRangeVerdict(
-        True, True, None, False,
-        f"no zero weight on the probe window [1..{probe_window}]; tail uncertified")
+        return KernelRangeVerdict(False, False, None, True,
+                                  "a zero weight lies past index 4096")
+    if ln is not None and ln <= 4096:
+        return nonzero
+    raise PreconditionViolatedError("cannot certify that the weights are nonzero")
 
 
 @st.composite
 def zero_check_rules(draw):
-    """Finite, exactly-zero, zero-beyond-the-window and uncertified rules."""
+    """Finite, exactly-zero, late-zero and undecided rules."""
     values = st.lists(st.sampled_from([1, Fraction(1, 2), 0.25, 0, 1j]),
                       min_size=1, max_size=50)
     late_zero = ExplicitThenRule((1, 0), ConstantRule(1))
-    kind = draw(st.sampled_from(["finite", "zero", "late-zero", "offset",
+    kind = draw(st.sampled_from(["finite", "finite-affine", "zero", "late-zero", "offset",
                                  "callable", "nonzero"]))
     if kind == "finite":
         return ExplicitThenRule(tuple(draw(values)))
+    if kind == "finite-affine":
+        # decides no zero: the search reads all of its terms
+        return AffineRule(1, ExplicitThenRule(tuple(draw(
+            st.lists(st.sampled_from([-1, 0, 1j]), min_size=1, max_size=50)))))
     if kind == "zero":
         return draw(st.sampled_from([
             ConstantRule(0), GeometricRule(0, Fraction(1, 2)),
@@ -450,23 +459,60 @@ def zero_check_rules(draw):
         return OffsetRule(RepeatedRule(late_zero, draw(st.integers(1, 60))),
                           draw(st.integers(0, 80)))
     if kind == "callable":
-        return CallableRule(lambda n: 0 if n == 37 else Fraction(1, n))
+        return draw(st.sampled_from([
+            CallableRule(lambda n: 0 if n == 37 else Fraction(1, n), limit_hint=0),
+            CallableRule(lambda n: Fraction(1, n), limit_hint=0)]))
     return draw(st.sampled_from([RECIP, GEO_HALF, ExplicitThenRule((2, 1), RECIP)]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(rule=zero_check_rules(), probe_window=st.integers(1, 60))
-def test_shift_zero_check_matches_reference(rule, probe_window):
-    s = ShiftForm(sigma_bilateral(), rule)
+def zero_outcome(verdict):
+    """Call ``verdict``: ("zero", index), ("nonzero", None) or ("refused", message)."""
     try:
-        want = reference_shift_kernel_verdict(s, probe_window)
-    except ValueError:
-        # the inline scan probed a finite rule past its end; the scan now
-        # stops at the end and finds every weight nonzero
-        assert 0 not in rule.values(rule.length())
-        want = KernelRangeVerdict(True, True, None, True,
-                                  "weights certified nonzero; permutation total")
-    assert kernel_trivial(s, probe_window) == want
+        v = verdict()
+    except PreconditionViolatedError as err:
+        return "refused", str(err)
+    if isinstance(v, KernelRangeVerdict):
+        return ("nonzero", None) if v.injective else ("zero", v.offending_index)
+    return ("nonzero", None) if v else ("zero", v.witness_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=zero_check_rules())
+def test_shift_zero_check_matches_reference(rule):
+    s = ShiftForm(sigma_bilateral(), rule)
+    assert zero_outcome(lambda: kernel_trivial(s)) == zero_outcome(
+        lambda: reference_shift_kernel_verdict(s))
+
+
+# 0.5 six hundred times, 0 at index 601, then 1, 1/2, 1/3, ..: a rule that
+# decides no zero, with one past the 512 weights a window once read
+ZERO_AT_601 = AffineRule(1, ExplicitThenRule((-0.5,) * 600 + (-1,), AffineRule(-1, RECIP)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule=zero_check_rules())
+@example(rule=ZERO_AT_601)
+def test_every_zero_verdict_agrees(rule):
+    # the Schauder checks of a diagonal and of a weighted shift, and the
+    # kernel check, find the same zero or make the same refusal; so does
+    # the spectrum of a vanishing diagonal on whether 0 is a member
+    shift = ShiftForm(sigma_bilateral(), rule)
+    outcomes = {zero_outcome(lambda: is_schauder(Diagonal(rule))),
+                zero_outcome(lambda: is_schauder(shift)),
+                zero_outcome(lambda: kernel_trivial(shift))}
+    assert len(outcomes) == 1
+    (kind, _index), = outcomes
+    if rule.limit() == 0:
+        try:
+            members = schauder_spectrum(Diagonal(rule)).members
+        except PreconditionViolatedError as err:
+            assert ("refused", str(err)) in outcomes
+        else:
+            zero = (0 in members.values if isinstance(members, FiniteSetMembers)
+                    else members.includes_zero)
+            assert kind == ("zero" if zero else "nonzero")
+    if rule is ZERO_AT_601:
+        assert outcomes == {("zero", 601)}
 
 
 class TestAdjointExclusion:
