@@ -135,20 +135,6 @@ def one_line_permutation(images: Sequence[int]) -> Permutation:
     return _normal_form(0, f, f"one-line({n})")
 
 
-def block_z_shift(dim: int) -> Permutation:
-    """z-translation(+1) of the contiguous cells of ``dim`` indices, in
-    interleaved order, each cell onto the next."""
-    def on_cells(step):
-        def moved(g: int) -> int:
-            c, k = divmod(g - 1, dim)
-            return (step(c + 1) - 1) * dim + k + 1
-        return moved
-
-    z = sigma_bilateral()
-    return opaque_permutation(on_cells(z.forward), on_cells(z.inverse),
-                              f"block-z-shift({dim})")
-
-
 def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
     """``p o q`` (``q`` first), dropping an identity factor:
     ``tau_a f o tau_b g = tau_(a+b) (tau_-b f tau_b) g``."""
@@ -272,26 +258,53 @@ def decompose_into_spreads(p: Permutation, window: int) -> list:
             for pile in piles]
 
 
-_SPREAD_SPAN_CAP = 1 << 16
+def _first_common(a: int, d: int, b: int, e: int) -> Optional[int]:
+    """The least term that ``a + d k`` and ``b + e k`` share (CRT), or None."""
+    g = math.gcd(d, e)
+    if (b - a) % g:
+        return None
+    x = a + d * ((b - a) // g * pow(d // g, -1, e // g) % (e // g))
+    return max(a, b) + (x - max(a, b)) % (d // g * e)
 
 
-def _periodic_from(seq: IndexSequence) -> Optional[Tuple[int, int]]:
-    """``(start, period)`` of membership in ``seq``; ``None`` for a callable one."""
-    if isinstance(seq, ArithmeticSequence):
-        return seq.start, seq.step
-    if isinstance(seq, ExplicitPrefixSequence):
-        past = seq.prefix[-1] + 1 if seq.prefix else 1
-        tail = (past, 1) if seq.tail is None else _periodic_from(seq.tail)
-        return None if tail is None else (max(past, tail[0]), tail[1])
-    return None
+def partition_fault(forms: Sequence[tuple]) -> Optional[Tuple[int, tuple]]:
+    """The least index that no set holds or more than one holds, with the
+    positions of the sets that hold it; None when the sets partition N.
+
+    A set is its :meth:`~IndexSequence.progression` ``(finite terms, (a, d)
+    or None)``, its finite terms below ``a``.  An index held twice is a
+    finite term or the first term two progressions share.  Below the least
+    such index, the unheld indices up to ``x`` number ``x`` less the terms
+    up to ``x``, so bisection finds the least one; past the largest term or
+    start, membership repeats with the lcm of the steps: that bounds it.
+    """
+    finite = sorted(v for terms, _ in forms for v in terms)
+    runs = [run for _, run in forms if run]
+    shared = [v for v, w in zip(finite, finite[1:]) if v == w]
+    shared += [v for v in finite if any(v in range(a, v + 1, d) for a, d in runs)]
+    shared += [_first_common(*r, *s) for k, r in enumerate(runs) for s in runs[k + 1:]]
+    twice = min((g for g in shared if g is not None), default=None)
+    top = max([*finite, *(a for a, _ in runs)], default=0)
+    stop = twice or top + math.lcm(*(d for _, d in runs)) + 1
+    lo, hi = 0, stop
+    while hi - lo > 1:  # no index up to lo is unheld; hi is one, or stop
+        mid = (lo + hi) // 2
+        held = bisect.bisect_right(finite, mid) + sum(
+            (mid - a) // d + 1 for a, d in runs if mid >= a)
+        lo, hi = (lo, mid) if held < mid else (mid, hi)
+    if hi < stop:
+        return hi, ()
+    if twice is None:
+        return None
+    return twice, tuple(i for i, (terms, run) in enumerate(forms)
+                        if twice in terms or run and twice in range(run[0], twice + 1, run[1]))
 
 
 def spread_sum_fault(spreads: Sequence[SpreadSpec]) -> Optional[str]:
     """Why the sum of ``spreads`` is no permutation unitary, or ``None``: it is
     one when each index is a paired domain term (a spread pairs its terms up
-    to its shorter side) of one spread and a paired image term of one.  Past
-    the sets' largest start, membership repeats with the lcm of their periods,
-    so one period decides; a callable set, or a span past the cap, is a fault."""
+    to its shorter side) of one spread and a paired image term of one, which
+    :func:`partition_fault` decides; a callable set is a fault."""
     domains, images = [], []
     for sp in spreads:
         dl, il = sp.domain.length(), sp.image.length()
@@ -301,16 +314,12 @@ def spread_sum_fault(spreads: Sequence[SpreadSpec]) -> Optional[str]:
         images.append(sp.image if dl is None or il is not None
                       else ExplicitPrefixSequence(tuple(sp.image.elems(dl))))
     for line, sets in (("column", domains), ("row", images)):
-        forms = [_periodic_from(s) for s in sets]
+        forms = [s.progression() for s in sets]
         if None in forms:
             return f"a {line} set is given by a callable"
-        span = max(a for a, _ in forms) + math.lcm(*(d for _, d in forms))
-        if span > _SPREAD_SPAN_CAP:
-            return f"its {line} sets repeat only after {span} indices"
-        for g in range(1, span):
-            hits = sum(s.position_of(g) is not None for s in sets)
-            if hits != 1:
-                return f"{line} {g} is hit by {hits} spreads"
+        fault = partition_fault(forms)
+        if fault:
+            return f"{line} {fault[0]} is hit by {len(fault[1])} spreads"
     return None
 
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .index_maps import (
     MultiplicityList,
-    block_z_shift,
+    SpreadSpec,
     decompose_into_spreads,
     expand_multiplicities,
     sigma_bilateral,
@@ -43,6 +43,8 @@ from .op_algebra import (
     Product,
     Scale,
     ShiftForm,
+    Spread,
+    Sum,
     corner_entries,
     recognize_shift_form,
     unrecognized,
@@ -287,8 +289,8 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
                            ) -> SchauderSpectrumReport:
     """One report for a block sum: 0 is a member, with the first such
     part's reason, exactly when it is a member of some part.  Vanishing
-    members are merged by magnitude, so a block whose members rise is
-    refused."""
+    members are merged by magnitude, so a block whose rule does not
+    certify that its members never rise is refused."""
     finite_values: list = []
     reasons: list = []
     rules: list = []
@@ -308,10 +310,11 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
             finite_values.extend(v for v in rep.members.values if v != 0)
         elif isinstance(rep.members, VanishingSequenceMembers):
             rule = rep.members.rule
-            if rule.abs_nonincreasing() is False:
+            if rule.abs_nonincreasing() is not True:
                 n = _first_rise(rule)
                 raise UnsupportedClassError(
-                    f"block {b}: its members rise" + ("" if n is None else f" at index {n}")
+                    f"block {b}: " + ("cannot certify that its members never rise"
+                                      if n is None else f"its members rise at index {n}")
                     + "; a block sum's members are merged only by nonincreasing magnitude")
             rules.append(rule)
         reasons.extend(kv for kv in rep.per_member_reason if kv[0] != 0)
@@ -634,8 +637,7 @@ def deflate_discrete(m: MultiplicityList,
 
 
 def deflate_finite_spectrum(values: MultiplicityList,
-                            cfg: Optional[CertificateGridConfig] = None,
-                            horizon: int = 10_000) -> DeflationResult:
+                            cfg: Optional[CertificateGridConfig] = None) -> DeflationResult:
     """Deflate a finite point spectrum with an infinite-multiplicity anchor.
 
     The finite-dimensional eigenvectors are merged into the designated
@@ -662,7 +664,9 @@ def deflate_finite_spectrum(values: MultiplicityList,
 
     block0_rule = ExplicitThenRule(expanded.finite_prefix,
                                    ConstantRule(designated))
-    verdict = shields_similar(block0_rule, ConstantRule(designated), horizon)
+    # past the prefix every window ratio is 1, so one index past it decides
+    verdict = shields_similar(block0_rule, ConstantRule(designated),
+                              len(expanded.finite_prefix) + 1)
     if not is_bounded_verdict(verdict):
         raise PreconditionViolatedError(
             f"window ratio products unbounded: {verdict}"
@@ -733,8 +737,13 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
             vals = tuple(lo + (hi - lo) * k / (dim - 1) for k in range(dim))
         model_blocks.append(Diagonal(ExplicitThenRule(vals)))
     operator = BlockDirectSum(tuple(model_blocks), cells)
-    perm = block_z_shift(dim)
-    unitary = PermutationUnitary(perm)
+    # z-translation(+1) of the cells in interleaved order (sigma's two spreads
+    # at dim 1): even cell c (from 0) onto c + 2, odd c onto c - 2, 1 onto 0
+    spreads = tuple(sp for k in range(1, dim + 1) for sp in (
+        SpreadSpec(ArithmeticSequence(k, 2 * dim), ArithmeticSequence(2 * dim + k, 2 * dim)),
+        SpreadSpec(ArithmeticSequence(dim + k, 2 * dim),
+                   ExplicitPrefixSequence((k,), ArithmeticSequence(dim + k, 2 * dim)))))
+    unitary = Sum(tuple(Spread(sp) for sp in spreads))
     deflated = Product(unitary, operator)
 
     grid = lambda_grid(cfg, M)
@@ -760,7 +769,7 @@ def deflate_block_continuous(blocks: Sequence[Tuple[Tuple[float, float], int]],
         certificates=tuple(certs),
         zero_check=zero,
         lemma_path="block-continuous",
-        spreads=tuple(decompose_into_spreads(perm, 4 * dim)),
+        spreads=spreads,
         covered_region=_region_string(cfg, M),
         notes=(
             f"truncation audit: {audit_n}x{audit_n} corner of the product "

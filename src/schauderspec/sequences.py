@@ -727,6 +727,11 @@ class IndexSequence:
     def length(self) -> Optional[int]:
         return None
 
+    def progression(self) -> Optional[tuple]:
+        """``(finite terms, (start, step) or None)``, the terms before the
+        progression that runs on, if any; None when a callable gives them."""
+        return None
+
     def elems(self, count: int, start: int = 1) -> list:
         return [self.elem(n) for n in range(start, start + count)]
 
@@ -753,6 +758,9 @@ class ArithmeticSequence(IndexSequence):
             return None
         q, r = divmod(value - self.start, self.step)
         return q + 1 if r == 0 else None
+
+    def progression(self):
+        return (), (self.start, self.step)
 
     def describe(self):
         return f"{{{self.start}, {self.start + self.step}, ...}} step {self.step}"
@@ -806,6 +814,10 @@ class ExplicitPrefixSequence(IndexSequence):
             return len(self.prefix)
         tl = self.tail.length()
         return None if tl is None else len(self.prefix) + tl
+
+    def progression(self):
+        rest = ((), None) if self.tail is None else self.tail.progression()
+        return rest and ((*self.prefix, *rest[0]), rest[1])
 
     def describe(self):
         tail = "end" if self.tail is None else self.tail.describe()

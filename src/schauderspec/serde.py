@@ -24,6 +24,7 @@ from .index_maps import (
     SpreadSpec,
     identity_permutation,
     one_line_permutation,
+    partition_fault,
     sigma_bilateral,
     z_translation_permutation,
 )
@@ -212,7 +213,11 @@ def _block_direct_sum(blocks, partition) -> BlockDirectSum:
         parsed_blocks.append(_parse(block, f"{blocks_path}[{i}]", "operator", True))
     for i, cell in enumerate(cells):
         parsed_cells.append(_parse(cell, f"{cells_path}[{i}]", "sequence"))
-    _check_partition(parsed_cells, cells_path)
+    fault = partition_fault([cell.progression() for cell in parsed_cells])
+    if fault:
+        g, owners = fault
+        raise SpecFormatError(f"cells {owners[0]} and {owners[1]} share the index {g}" if owners
+                              else f"no cell holds the index {g}", cells_path)
     for i, (block, cell) in enumerate(zip(parsed_blocks, parsed_cells)):
         n = block.weights.length() if isinstance(block, Diagonal) else None
         if n is not None and n != (held := cell.length()):
@@ -225,48 +230,6 @@ def _block_direct_sum(blocks, partition) -> BlockDirectSum:
 # A finite rule leaves its diagonal undefined past its last term.
 _FINITE_RULE = ("a finite rule of length {} must be a diagonal block on a finite "
                 "cell of the same length")
-
-
-def _check_partition(cells, path: str) -> None:
-    """Raise unless ``cells`` partition N.
-
-    A document's cell is a finite set plus at most one progression
-    ``(a, d)``.  The cells partition N exactly when they are pairwise
-    disjoint, the densities ``1/d`` sum to 1, and the indices up to X,
-    the largest start or finite element, number X: past X every
-    progression runs on, so no index is walked.
-    """
-    parts = []
-    for cell in cells:
-        finite = []
-        while isinstance(cell, ExplicitPrefixSequence):
-            finite.extend(cell.prefix)
-            cell = cell.tail
-        parts.append((finite, cell and (cell.start, cell.step)))
-    owner = {}
-    for i, (finite, _) in enumerate(parts):
-        for v in finite:
-            j = owner.setdefault(v, i)
-            if j == i:  # a cell's own progression starts past its finite part
-                j = next((j for j, (_, run) in enumerate(parts)
-                          if run and run[0] <= v and (v - run[0]) % run[1] == 0), i)
-            if j != i:
-                raise SpecFormatError(f"cells {min(i, j)} and {max(i, j)} share "
-                                      f"the index {v}", path)
-    runs = [(i, run) for i, (_, run) in enumerate(parts) if run]
-    for k, (i, (a, d)) in enumerate(runs):
-        for j, (b, e) in runs[k + 1:]:
-            if (a - b) % math.gcd(d, e) == 0:
-                raise SpecFormatError(f"cells {i} and {j} share infinitely many indices",
-                                      path)
-    density = sum(Fraction(1, d) for _, (_, d) in runs)
-    if density != 1:
-        raise SpecFormatError(f"the cells' progressions have density {density}, not 1",
-                              path)
-    top = max([*owner, *(a for _, (a, _) in runs)])
-    held = len(owner) + sum((top - a) // d + 1 for _, (a, d) in runs)
-    if held != top:
-        raise SpecFormatError(f"the cells hold {held} of the indices 1..{top}", path)
 
 
 # The grammar of the tagged nodes.  For each family: the key that holds

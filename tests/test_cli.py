@@ -513,12 +513,16 @@ class TestRun:
                          "blocks": [rise["operator"], diag_spec()["operator"]],
                          "partition": [{"sequence": "arithmetic", "start": 1, "step": 2},
                                        {"sequence": "arithmetic", "start": 2, "step": 2}]}})
-        out = tmp_path / "out"
-        assert main(["run", str(spec), "--out", str(out)]) == 2
-        error = json.loads((out / "report.json").read_text())["error"]
-        assert error == {"kind": "unsupported-class", "exitCode": 2, "message": (
-            "block 0: its members rise at index 70; a block sum's members are "
-            "merged only by nonincreasing magnitude")}
+        # block 0 is diag(1/2, 1/2, 1/2, 0, 1, 1/2, ..) under a rule that
+        # decides no monotony: the merge would stall at its 0 and never reach 1
+        zero = REPO / "docs" / "examples" / "block-sum-rise-after-zero.json"
+        for path, at in ((spec, 70), (zero, 4)):
+            out = tmp_path / f"out-{at}"
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            error = json.loads((out / "report.json").read_text())["error"]
+            assert error == {"kind": "unsupported-class", "exitCode": 2, "message": (
+                f"block 0: its members rise at index {at}; a block sum's members are "
+                "merged only by nonincreasing magnitude")}
 
     def test_adjoint_of_a_constant_diagonal_has_its_value(self, tmp_path):
         # the adjoint's weights are the diagonal's, read exactly: {2}
@@ -577,8 +581,9 @@ class TestRun:
         ("deflate", []),
     ])
     def test_partition_that_misses_an_index(self, tmp_path, analysis, flags):
-        # both cells are the odd numbers, so no cell holds 2: the partition
-        # is decided when the document is read, before any analysis
+        # both cells are the odd numbers, so they share 1 and no cell holds 2:
+        # the partition is decided when the document is read, before any
+        # analysis, and the least faulty index is named
         odds = {"sequence": "arithmetic", "start": 1, "step": 2}
         spec = write_spec(tmp_path, "odds-twice.json", {
             "version": 1, "analysis": analysis, "params": dict(SMALL_PARAMS),
@@ -591,7 +596,7 @@ class TestRun:
         block = json.loads((out / "report.json").read_text())["error"]
         assert block == {"kind": "schema-error", "exitCode": 1, "path": "$.operator.partition",
                          "message": "$.operator.partition: cells 0 and 1 share "
-                                    "infinitely many indices"}
+                                    "the index 1"}
         assert main(["validate", str(spec)]) == 1
 
     def test_power_law_overflow_is_unsupported(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -20,13 +21,15 @@ from schauderspec import (
     z_translation_permutation,
 )
 from schauderspec.index_maps import (
-    block_z_shift,
+    SpreadSpec,
     compose_permutations,
     inverse_permutation,
     orbit_structure,
+    partition_fault,
     single_orbit,
 )
-from schauderspec.sequences import ArithmeticSequence, ExplicitPrefixSequence
+from schauderspec.op_algebra import Spread, Sum, _structural_shift
+from schauderspec.sequences import ArithmeticSequence, ExplicitPrefixSequence, evens, odds
 
 
 class TestSigmaBilateral:
@@ -107,7 +110,7 @@ SINGLE_ORBIT = [sigma_bilateral(), z_translation_permutation(1),
 SINGLE_ORBIT += [inverse_permutation(p) for p in SINGLE_ORBIT]
 MULTI_ORBIT = [
     identity_permutation(), z_translation_permutation(2),
-    z_translation_permutation(-3), SWAP, block_z_shift(2),
+    z_translation_permutation(-3), SWAP,
     compose_permutations(sigma_bilateral(), SWAP),
     inverse_permutation(compose_permutations(SWAP, z_translation_permutation(1))),
 ]
@@ -175,15 +178,19 @@ class TestSingleOrbit:
         assert compose_permutations(p, q).tag == ("identity",)
 
     def test_opaque_permutations_keep_their_maps(self):
-        shift = block_z_shift(2)
-        assert shift.maps is not None and shift.tag != ("identity",)
-        assert orbit_structure(shift) is None and not single_orbit(shift)
-        both = compose_permutations(shift, SWAP)
+        # the odds onto the evens plus the evens onto the odds swaps 2k - 1
+        # and 2k; the sum of spreads is a permutation held by its maps
+        swaps = _structural_shift(Sum((Spread(SpreadSpec(odds(), evens())),
+                                       Spread(SpreadSpec(evens(), odds()))))).perm
+        assert swaps.maps is not None and swaps.tag != ("identity",)
+        assert orbit_structure(swaps) is None and not single_orbit(swaps)
+        assert [swaps.forward(k) for k in range(1, 7)] == [2, 1, 4, 3, 6, 5]
+        both = compose_permutations(swaps, SWAP)
         assert both.maps is not None
-        assert [both.forward(k) for k in range(1, 7)] == [shift.forward(k) for k in (2, 1, 3, 4, 5, 6)]
+        assert [both.forward(k) for k in range(1, 7)] == [swaps.forward(k) for k in (2, 1, 3, 4, 5, 6)]
         assert all(inverse_permutation(both).forward(both.forward(k)) == k
                    for k in range(1, 50))
-        assert inverse_permutation(inverse_permutation(shift)).maps == shift.maps
+        assert inverse_permutation(inverse_permutation(swaps)).maps == swaps.maps
 
     def test_huge_translation_is_held_in_constant_space(self):
         tracemalloc.start()
@@ -273,6 +280,78 @@ class TestOrbitOracle:
             assert all(len(c) > 1 for c in cycles)
             assert cycles == tuple(c for c in brute_cycles if len(c) > 1)
         assert single_orbit(p) == ((chains, brute_cycles) == (1, ()))
+
+
+def _index_set(finite, run):
+    """The index sequence of ``finite`` terms then the progression ``run``."""
+    tail = run and ArithmeticSequence(*run)
+    return ExplicitPrefixSequence(tuple(finite), tail) if finite else tail
+
+
+@st.composite
+def index_set_families(draw):
+    """Up to four sets of finite terms and progressions drawn at random, or
+    an exact residue-class partition of N, as drawn or perturbed once."""
+    if draw(st.booleans()):
+        sets = []
+        for _ in range(draw(st.integers(1, 4))):
+            finite = sorted(draw(st.sets(st.integers(1, 30), max_size=3)))
+            run = draw(st.none() | st.tuples(st.integers(1, 30), st.integers(1, 8)))
+            if run is not None:
+                run = (max(run[0], max(finite, default=0) + 1), run[1])
+            if finite or run:
+                sets.append((finite, run))
+        return [_index_set(*s) for s in sets or [((1,), None)]]
+    modulus = draw(st.integers(1, 6))
+    runs = []
+    for r in range(1, modulus + 1):  # class r mod m, whole or split in k
+        k = draw(st.sampled_from([1, 1, 2, 3]))
+        runs += [(r + j * modulus, k * modulus) for j in range(k)]
+    # a set may hold the first terms of its class as finite terms
+    sets = []
+    for a, d in runs:
+        held = draw(st.integers(0, 2))
+        sets.append(([a + d * i for i in range(held)], (a + d * held, d)))
+    change = draw(st.sampled_from(["none", "drop", "add", "step", "twice"]))
+    i = draw(st.integers(0, len(sets) - 1))
+    finite, (a, d) = sets[i]
+    if change == "drop":  # a class loses its first term
+        sets[i] = (finite[1:], (a, d)) if finite else (finite, (a + d, d))
+    elif change == "add":  # a finite set holds an index another set holds
+        sets.append(([draw(st.integers(1, 40))], None))
+    elif change == "step":
+        sets[i] = (finite, (a, d + draw(st.integers(1, 3))))
+    elif change == "twice":
+        sets.append(sets[i])
+    return [_index_set(*s) for s in sets]
+
+
+class TestPartitionFault:
+    @settings(max_examples=400, deadline=None)
+    @given(sets=index_set_families())
+    def test_matches_a_brute_force_scan(self, sets):
+        # past the largest term or start membership repeats with the lcm of
+        # the steps, so a scan of two periods past it sees every fault
+        forms = [s.progression() for s in sets]
+        runs = [run for _, run in forms if run]
+        top = max([v for terms, _ in forms for v in terms] + [a for a, _ in runs])
+        want = None
+        for g in range(1, top + 2 * math.lcm(*(d for _, d in runs)) + 40):
+            holders = tuple(i for i, s in enumerate(sets) if s.position_of(g) is not None)
+            if len(holders) != 1:
+                want = g, holders
+                break
+        assert partition_fault(forms) == want
+
+    def test_faults_far_past_any_scan(self):
+        # dyadic classes 2^(k-1) || n for k = 1..17 and the multiples of 2^17
+        # repeat only after 131 072 indices, and partition N
+        dyadic = [((), (1 << (k - 1), 1 << k)) for k in range(1, 18)]
+        assert partition_fault(dyadic + [((), (1 << 17, 1 << 17))]) is None
+        assert partition_fault(dyadic) == (1 << 17, ())
+        # steps near 10**12 leave 3 out; a start at 10**30 is shared
+        assert partition_fault([((), (1, 10**12)), ((), (2, 10**12 + 1))]) == (3, ())
+        assert partition_fault([((), (1, 1)), ((), (10**30, 7))]) == (10**30, (0, 1))
 
 
 def _reassemble(spreads, window):

@@ -450,10 +450,11 @@ class TestSumOfSpreadsShift:
         squares = ClosedFormSequence(lambda n: n * n, "squares")
         assert spread_sum_fault([SpreadSpec(squares, squares)]) == (
             "a column set is given by a callable")
-        # residue classes mod 257 and 263 repeat only after their product
+        # residue classes mod 257 and 263 leave 3 out, though they repeat
+        # only after their product
         classes = [SpreadSpec(ArithmeticSequence(r, m), ArithmeticSequence(r, m))
                    for r, m in ((1, 257), (2, 263))]
-        assert spread_sum_fault(classes) == "its column sets repeat only after 67593 indices"
+        assert spread_sum_fault(classes) == "column 3 is hit by 0 spreads"
         assert spread_sum_fault([SpreadSpec(naturals(), ExplicitPrefixSequence((1, 2)))]) == (
             "column 3 lies past its spread's finite image")
 
