@@ -51,7 +51,6 @@ from .op_algebra import (
 )
 from .records import record, replace
 from .sequences import (
-    _ZERO_SCAN_CAP,
     ArithmeticSequence,
     ConstantRule,
     ExplicitPrefixSequence,
@@ -60,8 +59,10 @@ from .sequences import (
     Scalar,
     ScalarRule,
     _abs_exact,
-    _first_rise,
+    _monotone_fact,
     _ratio_deviation_tail,
+    _real_fact,
+    _zero_fact,
 )
 from .spectral import (
     CertificateGridConfig,
@@ -311,7 +312,7 @@ def _combine_block_reports(parts: Sequence[SchauderSpectrumReport]
         elif isinstance(rep.members, VanishingSequenceMembers):
             rule = rep.members.rule
             if rule.abs_nonincreasing() is not True:
-                n = _first_rise(rule)
+                n = _monotone_fact(rule)[1]
                 raise UnsupportedClassError(
                     f"block {b}: " + ("cannot certify that its members never rise"
                                       if n is None else f"its members rise at index {n}")
@@ -463,12 +464,11 @@ def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool]) -> bool:
     if nonnegative is None:
         raise PreconditionViolatedError("cannot certify that the weights are positive reals")
     if not nonnegative:
-        for n in range(1, _ZERO_SCAN_CAP + 1):
-            v = rule.value(n)
-            if isinstance(v, complex) or v <= 0:
-                raise PreconditionViolatedError(
-                    f"weight at index {n} is {v!r}; positive reals required"
-                )
+        # the first term that is not a positive real: a zero or a negative one
+        n = min(filter(None, (_zero_fact(rule)[1], _real_fact(rule, 0, True)[1])), default=None)
+        if n is not None:
+            raise PreconditionViolatedError(
+                f"weight at index {n} is {rule.value(n)!r}; positive reals required")
         raise PreconditionViolatedError("weights are not all positive reals")
     if strict is None:  # weights not certified strictly decreasing take the discrete lemma
         strict = rule.abs_nonincreasing(strict=True) is True
@@ -477,7 +477,7 @@ def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool]) -> bool:
     if decreasing is None:
         raise PreconditionViolatedError(f"cannot certify that the weights are {wanted}")
     if not decreasing:
-        n = _first_rise(rule, strict)
+        n = _monotone_fact(rule, 0, strict)[1]
         if n is not None:
             a, b = rule.value(n), rule.value(n + 1)
             raise PreconditionViolatedError(

@@ -3,26 +3,25 @@
 Rules are lazy descriptions of infinite (or finite) sequences indexed
 from 1.  Named families keep rational parameters exact, so window
 equality checks elsewhere in the package stay exact rather than
-floating point.  Each named family also answers, from its exact
-parameters, every question the rest of the package decides with; this
-module is the one place they are answered:
+floating point.  Each family answers ``limit()`` and
+``tail_abs_sum(start)``, an upper bound on ``sum_{n>=start} |a_n|``
+(``math.inf`` when the tail provably diverges, ``None`` when unknown).
 
-* ``limit()`` -- the limit of the sequence, when the family determines it;
-* ``tail_abs_sum(start)`` -- an upper bound on ``sum_{n>=start} |a_n|``,
-  ``math.inf`` when the tail provably diverges, ``None`` when unknown;
-* ``attains_zero(skip)`` -- whether a term past the first ``skip`` is 0;
-* ``value_set(skip)`` -- the values of those terms, when finitely many;
-* ``is_real(skip, nonnegative)`` -- whether they are all real (and >= 0);
-* ``abs_nonincreasing(skip, strict)`` -- whether ``|a_n|`` does not rise
-  (strictly falls) over them.
-
-Composite rules (scaled, affine, offset, repeated, explicit-then) derive
-their answers from their inner rules.  A rule built from a bare callable
-still evaluates, but answers ``None`` to all but its limit hint.  So
-``deflate`` and the orbit-walk certificates refuse it, naming the premise
-it leaves undecided.  The one zero decision (``spectral._zero_weight``)
-reads its first weights for a witness only, and refuses it when none of
-them is 0.
+The facts the rest of the package decides with are about the terms past
+the first ``skip``: ``attains_zero``, ``value_set`` (when finitely many),
+``is_real`` (and ``nonnegative``), ``abs_nonincreasing`` (``strict``) and
+``tail_index(r)``, the least ``K > skip`` from which ``|a_n| <= r``.  Any
+nesting of the grammar's rules is a finite prefix, then
+``a + b * L(ceil((n + u) / t))`` with ``L`` one monomial, ``n^-p`` or
+``q^n``; every fact is decided from that form, reading each spelled-out
+prefix entry once and a few terms where the monomial crosses a constant,
+never a scan.  A fact of sign or monotony is about the real sequence the
+parameters name; a zero that cancels ``a``, and each index a refusal
+cites, are read through ``value()``'s arithmetic.  The form stops at one
+monomial: zeros of a sum of two are the Skolem problem.  A leaf outside
+the grammar answers for itself where ``a = 0``; a bare callable answers
+``None``, so ``deflate`` and the orbit-walk certificates refuse it,
+naming the premise it leaves undecided.
 """
 
 from __future__ import annotations
@@ -32,16 +31,12 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedClassError
 from .records import record
 
 Scalar = Union[int, float, complex, Fraction]
-
-#: Cap on the searches that place what a fact implies: a zero that cancels a
-#: vanishing rule's base, or where weights known to rise first do.
-_ZERO_SCAN_CAP = 200_000
 
 
 def conjugate(z: Scalar) -> Scalar:
@@ -80,7 +75,9 @@ def _real(v: Scalar, nonnegative: bool = False) -> bool:
 class ScalarRule:
     """A lazily evaluated scalar sequence ``n >= 1``.
 
-    A fact that takes ``skip`` is about the terms past the first ``skip``; None: unknown.
+    A fact that takes ``skip`` is about the terms past the first ``skip``;
+    None: unknown.  The grammar's rules answer each fact from their normal
+    form; any other rule answers None unless it overrides the fact.
     """
 
     def value(self, n: int) -> Scalar:
@@ -101,20 +98,25 @@ class ScalarRule:
 
     def attains_zero(self, skip: int = 0) -> Optional[bool]:
         """Whether some term is exactly zero."""
-        return None
+        return _zero_fact(self, skip)[0] if isinstance(self, _GRAMMAR) else None
 
     def value_set(self, skip: int = 0) -> Optional[tuple]:
         """The values the terms take, when finitely many, each typed as the rule
         returns it: 3 and 3.0 may both occur, as they part under a factor 1/10."""
-        return None
+        return _value_set(self, skip) if isinstance(self, _GRAMMAR) else None
 
     def is_real(self, skip: int = 0, nonnegative: bool = False) -> Optional[bool]:
         """Whether no term is complex, and none negative when ``nonnegative``."""
-        return None
+        return _real_fact(self, skip, nonnegative)[0] if isinstance(self, _GRAMMAR) else None
 
     def abs_nonincreasing(self, skip: int = 0, strict: bool = False) -> Optional[bool]:
         """Whether ``|value(n)| >= |value(n + 1)|`` (``>`` if ``strict``) for all ``n > skip``."""
-        return None
+        return _monotone_fact(self, skip, strict)[0] if isinstance(self, _GRAMMAR) else None
+
+    def tail_index(self, r, skip: int = 0) -> Optional[int]:
+        """The least ``K > skip`` with ``|value(n)| <= r`` for every ``n >= K``;
+        None when there is none, or it is unknown."""
+        return _tail_index(self, r, skip) if isinstance(self, _GRAMMAR) else None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -134,18 +136,6 @@ class ConstantRule(ScalarRule):
 
     def tail_abs_sum(self, start: int):
         return 0.0 if self.c == 0 else math.inf
-
-    def attains_zero(self, skip=0):
-        return self.c == 0
-
-    def value_set(self, skip=0):
-        return (self.c,)
-
-    def is_real(self, skip=0, nonnegative=False):
-        return _real(self.c, nonnegative)
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        return not strict
 
     def describe(self):
         return f"constant {self.c}"
@@ -184,25 +174,6 @@ class GeometricRule(ScalarRule):
         # |scale| r^start / (1 - r), in log space to dodge underflow
         log_head = log_abs(self.scale) + start * math.log(r)
         return math.exp(log_head) / (1.0 - r)
-
-    def attains_zero(self, skip=0):
-        return self.scale == 0 or self.ratio == 0
-
-    def value_set(self, skip=0):
-        return (self.value(skip + 1),) if self.scale == 0 or self.ratio in (0, 1) else None
-
-    def is_real(self, skip=0, nonnegative=False):
-        if isinstance(self.scale, complex) or isinstance(self.ratio, complex):
-            return False
-        # a negative ratio alternates the sign of a nonzero scale
-        return (not nonnegative or self.scale == 0 or self.ratio == 0
-                or self.scale > 0 and self.ratio > 0)
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        r = abs(self.ratio)
-        if self.scale == 0 or r == 0:
-            return not strict
-        return r < 1 if strict else r <= 1
 
     def describe(self):
         return f"{self.scale} * ({self.ratio})^n"
@@ -250,18 +221,6 @@ class PowerLawRule(ScalarRule):
         bound = s ** (-p) + s ** (1 - p) / (p - 1)
         return float(abs(self.scale)) * bound
 
-    def attains_zero(self, skip=0):
-        return self.scale == 0
-
-    def value_set(self, skip=0):
-        return (self.value(skip + 1),) if self.scale == 0 or self.exponent == 0 else None
-
-    def is_real(self, skip=0, nonnegative=False):
-        return _real(self.scale, nonnegative)
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        return not strict or self.scale != 0 and self.exponent > 0
-
     def describe(self):
         return f"{self.scale} / n^{self.exponent}"
 
@@ -292,41 +251,6 @@ class AffineRule(ScalarRule):
         if il is not None and self.base + il != 0:
             return math.inf
         return None
-
-    def attains_zero(self, skip=0):
-        if self.base == 0:
-            return self.inner.attains_zero(skip)
-        if self.inner.limit() != 0 or self.inner.abs_nonincreasing(skip) is not True:
-            return None
-        # |inner| shrinks below |base| eventually; only finitely many
-        # indices can cancel the base, and those are checked exactly.
-        target = _abs_exact(self.base)
-        for n in range(skip + 1, skip + _ZERO_SCAN_CAP + 1):
-            v = self.inner.value(n)
-            if self.base + v == 0:  # as value() sums: 1/3 + -2.0/6 is 0.0
-                return True
-            if _abs_exact(v) < target:
-                return False
-        return None
-
-    def value_set(self, skip=0):
-        inner = self.inner.value_set(skip)
-        return None if inner is None else tuple(self.base + v for v in inner)
-
-    def is_real(self, skip=0, nonnegative=False):
-        if isinstance(self.base, complex):
-            return False if self.length() is None else None
-        real = self.inner.is_real(skip)
-        if not nonnegative or not real:
-            return real
-        # the largest |inner| past skip is its first, when they do not increase
-        if (self.length() is None and self.inner.abs_nonincreasing(skip) is True
-                and self.base >= _abs_exact(self.inner.value(skip + 1))):
-            return True
-        return None
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        return self.inner.abs_nonincreasing(skip, strict) if self.base == 0 else None
 
     def describe(self):
         return f"{self.base} + {self.inner.describe()}"
@@ -359,30 +283,6 @@ class ScaledRule(ScalarRule):
             return None
         return float(abs(self.factor)) * it
 
-    def attains_zero(self, skip=0):
-        if self.factor == 0:
-            return self.length() is None or self.length() > skip
-        return self.inner.attains_zero(skip)
-
-    def value_set(self, skip=0):
-        inner = self.inner.value_set(skip)
-        if inner is not None:
-            return tuple(self.factor * v for v in inner)
-        # a zero factor leaves one value, of the type its products take
-        return (self.value(skip + 1),) if self.factor == 0 and self.length() is None else None
-
-    def is_real(self, skip=0, nonnegative=False):
-        if isinstance(self.factor, complex):
-            return False if self.length() is None else None
-        if not nonnegative or self.factor == 0:
-            return self.inner.is_real(skip)
-        return self.inner.is_real(skip, True) if self.factor > 0 else None
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        if self.factor == 0:
-            return not strict or (False if self.length() is None else None)
-        return self.inner.abs_nonincreasing(skip, strict)
-
     def describe(self):
         return f"{self.factor} * ({self.inner.describe()})"
 
@@ -412,18 +312,6 @@ class OffsetRule(ScalarRule):
 
     def tail_abs_sum(self, start: int):
         return self.inner.tail_abs_sum(start + self.offset)
-
-    def attains_zero(self, skip=0):
-        return self.inner.attains_zero(skip + self.offset)
-
-    def value_set(self, skip=0):
-        return self.inner.value_set(skip + self.offset)
-
-    def is_real(self, skip=0, nonnegative=False):
-        return self.inner.is_real(skip + self.offset, nonnegative)
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        return self.inner.abs_nonincreasing(skip + self.offset, strict)
 
     def describe(self):
         return f"({self.inner.describe()}) shifted by {self.offset}"
@@ -461,20 +349,6 @@ class RepeatedRule(ScalarRule):
         if it is None:
             return None
         return self.times * it
-
-    def attains_zero(self, skip=0):
-        return self.inner.attains_zero(skip // self.times)
-
-    def value_set(self, skip=0):
-        return self.inner.value_set(skip // self.times)
-
-    def is_real(self, skip=0, nonnegative=False):
-        return self.inner.is_real(skip // self.times, nonnegative)
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        if strict and self.times > 1:
-            return False if self.length() is None else None
-        return self.inner.abs_nonincreasing(skip // self.times, strict)
 
     def describe(self):
         return f"({self.inner.describe()}) each repeated {self.times}x"
@@ -524,46 +398,290 @@ class ExplicitThenRule(ScalarRule):
             return None
         return head + rest
 
-    def attains_zero(self, skip=0):
-        if any(v == 0 for v in self.prefix[skip:]):
-            return True
-        return self.tail is not None and self.tail.attains_zero(max(skip - len(self.prefix), 0))
-
-    def value_set(self, skip=0):
-        rest = () if self.tail is None else self.tail.value_set(max(skip - len(self.prefix), 0))
-        return None if rest is None else tuple(self.prefix[skip:]) + rest
-
-    def is_real(self, skip=0, nonnegative=False):
-        if not all(_real(v, nonnegative) for v in self.prefix[skip:]):
-            return False
-        return self.tail is None or self.tail.is_real(max(skip - len(self.prefix), 0), nonnegative)
-
-    def abs_nonincreasing(self, skip=0, strict=False):
-        pre = [_abs_exact(v) for v in self.prefix[skip:]]
-        if pre and self.tail is not None and self.tail.length() != 0:
-            pre.append(_abs_exact(self.tail.value(1)))
-        if any(a < b or strict and a == b for a, b in zip(pre, pre[1:])):
-            return False
-        return self.tail is None or self.tail.abs_nonincreasing(
-            max(skip - len(self.prefix), 0), strict)
-
     def describe(self):
         tail = "end" if self.tail is None else self.tail.describe()
         return f"prefix {list(self.prefix)} then {tail}"
 
 
-def _first_rise(rule: ScalarRule, strict: bool = False) -> Optional[int]:
-    """The least ``n < _ZERO_SCAN_CAP`` with ``|w_n| < |w_{n+1}|`` (``<=`` when
-    ``strict``), or None: where weights that a rule reports not
-    |.|-nonincreasing first fail."""
-    ln = rule.length()
-    prev = _abs_exact(rule.value(1))
-    for n in range(1, _ZERO_SCAN_CAP if ln is None else min(_ZERO_SCAN_CAP, ln)):
-        cur = _abs_exact(rule.value(n + 1))
-        if prev < cur or strict and prev == cur:
-            return n
-        prev = cur
-    return None
+# ---------------------------------------------------------------------------
+# The grammar's normal form, and the facts it decides
+# ---------------------------------------------------------------------------
+
+_GRAMMAR = (ConstantRule, GeometricRule, PowerLawRule, AffineRule, ScaledRule,
+            OffsetRule, RepeatedRule, ExplicitThenRule)
+_MONOMIALS = (PowerLawRule, GeometricRule)
+_CLOSED = (ConstantRule, *_MONOMIALS)  # leaves whose terms never end
+_END = object()  # the leaf of a rule whose terms end with its prefix
+
+
+class _Form:
+    """A prefix on ``1..end``, in runs (first index, term) of one spelled-out
+    entry, then ``a + b * leaf(g(n))`` with ``g(n) = ceil((n + u) / t)``.
+    ``leaf`` is ``_END``, a constant (``b = 0``), a monomial whose scale
+    ``b`` leaves out, or any other rule; ``ops`` are ``value()``'s own sums
+    and products on its value, innermost first.  Terms are taken through
+    ``value()``'s arithmetic, as it rounds."""
+
+    __slots__ = ("runs", "end", "leaf", "a", "b", "u", "t", "ops")
+
+    def __init__(self, leaf=_END, b=1):
+        self.runs, self.end, self.leaf, self.a, self.b = (), 0, leaf, 0, b
+        self.u, self.t, self.ops = 0, 1, ()
+
+    def g(self, n):
+        return -(-(n + self.u) // self.t)
+
+    def first(self, m, s):  # the least index past s with leaf index m
+        return max(s + 1, self.t * (m - 1) - self.u + 1)
+
+    def last(self, m):
+        return self.t * m - self.u
+
+    def term(self, n):
+        return _lift(self.ops, self.leaf.value(self.g(n)))
+
+
+def _lift(ops: tuple, v: Scalar) -> Scalar:
+    for op, c in ops:
+        v = c + v if op == "+" else c * v
+    return v
+
+
+def _normal_form(rule: ScalarRule) -> _Form:
+    """The form of any nesting of the grammar's rules; any other rule is a leaf.
+    Each call builds a new form, which the wrapping rule then changes."""
+    if isinstance(rule, ConstantRule):
+        return _Form(rule, 0)
+    if isinstance(rule, _MONOMIALS):
+        flat = rule.scale == 0 or (rule.ratio in (0, 1) if isinstance(rule, GeometricRule)
+                                   else rule.exponent == 0)
+        return _Form(rule, 0 if flat else 1)
+    if not isinstance(rule, _GRAMMAR):
+        return _Form(rule)
+    if isinstance(rule, ExplicitThenRule):
+        k = len(rule.prefix)
+        f = _Form() if rule.tail is None else _normal_form(rule.tail)
+        f.runs = (*enumerate(rule.prefix, 1), *((n + k, v) for n, v in f.runs))
+        f.end, f.u = f.end + k, f.u - k
+        return f
+    f = _normal_form(rule.inner)
+    if isinstance(rule, OffsetRule):
+        k = rule.offset
+        ends = [n for n, _ in f.runs[1:]] + [f.end + 1]
+        f.runs = tuple((max(n - k, 1), v) for (n, v), e in zip(f.runs, ends) if e > k + 1)
+        f.end, f.u = max(f.end - k, 0), f.u + k
+    elif isinstance(rule, RepeatedRule):
+        k = rule.times
+        f.runs = tuple(((n - 1) * k + 1, v) for n, v in f.runs)
+        f.end, f.u, f.t = f.end * k, f.u * k, f.t * k
+    elif isinstance(rule, AffineRule):
+        c = rule.base
+        f.runs, f.a, f.ops = tuple((n, c + v) for n, v in f.runs), c + f.a, f.ops + (("+", c),)
+    else:
+        c = rule.factor
+        f.runs, f.a, f.b = tuple((n, c * v) for n, v in f.runs), c * f.a, c * f.b
+        f.ops += (("*", c),)
+    return f
+
+
+def _split(rule: ScalarRule, skip: int):
+    """The form of ``rule``; (first index past ``skip``, last index, term) of
+    each prefix run past it; ``s``, after which the tail's terms start; and
+    the leaf, ``_END`` where an opaque leaf's terms end by ``s``."""
+    f = rule.__dict__.get("_form")
+    if f is None:  # a record's form never changes: it is kept on the record once made
+        f = rule.__dict__["_form"] = _normal_form(rule)
+        if f.b == 0 and f.leaf is not _END and rule.length() is None:
+            f.leaf, f.ops = ConstantRule(f.term(f.end + 1)), ()
+    s, leaf = max(skip, f.end), f.leaf
+    if leaf is not _END and not isinstance(leaf, _CLOSED):
+        ln = rule.length()
+        leaf = _END if ln is not None and ln <= s else leaf
+    ends = [n for n, _ in f.runs[1:]] + [f.end + 1]
+    return f, [(max(n, skip + 1), e - 1, v) for (n, v), e in zip(f.runs, ends) if e - 1 > skip], s, leaf
+
+
+def _monomial(f: _Form):
+    """(a, b with the leaf's scale, q, |q|) of a monomial tail, q real where it
+    has no imaginary part; a power law, whose terms decay as for 0 < q < 1, has
+    q None and |q| 0."""
+    b = f.leaf.scale if f.b == 1 else f.b * f.leaf.scale
+    q = getattr(f.leaf, "ratio", None)
+    q = q.real if isinstance(q, complex) and not q.imag else q
+    return f.a, b, q, 0 if q is None else _abs_exact(q)
+
+
+def _exact(x: Scalar):
+    return x if isinstance(x, complex) else Fraction(x)
+
+
+def _interval(a: Scalar, b: Scalar, r):
+    """(least, greatest) real y with ``|a + b y| <= r``, or None when none is."""
+    if isinstance(a, complex) or isinstance(b, complex):
+        h, bb = (a.conjugate() * b).real, abs(b) ** 2
+        d = h * h - bb * (abs(a) ** 2 - r * r)
+        return None if d < 0 else ((-h - math.sqrt(d)) / bb, (-h + math.sqrt(d)) / bb)
+    a, b, r = Fraction(a), Fraction(b), Fraction(r)
+    return sorted(((-r - a) / b, (r - a) / b)) if r >= 0 else None
+
+
+def _iroot(x: int, p: int) -> int:
+    """floor(x ** (1/p)) for an int ``x >= 0``, by Newton's method from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // p)
+    while True:
+        y = ((p - 1) * r + x // r ** (p - 1)) // p
+        if y >= r:
+            return r
+        r = y
+
+
+def _near(leaf: ScalarRule, m0: int, theta=None) -> list:
+    """m0, m0 + 1 and the leaf indices about where ``|L(m)|`` crosses
+    ``theta > 0``, past m0: where a property that turns once in each sign
+    class of L turns.  Exact for a power law of integral exponent."""
+    c, p = None, getattr(leaf, "exponent", None)
+    if theta and p is None and abs(leaf.ratio) != 1:
+        c = math.floor(log_abs(theta) / log_abs(leaf.ratio))
+    elif theta and p is not None and p == int(p):
+        c = _iroot(math.floor(1 / Fraction(theta)), int(p))
+    elif theta and p is not None and -log_abs(theta) < 700 * p:  # else past float range
+        c = math.floor(math.exp(-log_abs(theta) / p))
+    return sorted({m0, m0 + 1, *(range(max(c - 2, m0), c + 4) if c is not None else ())})
+
+
+def _zero_fact(rule: ScalarRule, skip: int = 0) -> Tuple[Optional[bool], Optional[int]]:
+    """(``attains_zero``, the least index past ``skip`` of a zero, where placed)."""
+    f, head, s, leaf = _split(rule, skip)
+    n = next((n for n, _, v in head if v == 0), None)
+    if n is not None or leaf is _END:
+        return n is not None, n
+    if isinstance(leaf, ConstantRule):
+        return (True, s + 1) if leaf.c == 0 else (False, None)
+    m0 = f.g(s + 1)
+    if not isinstance(leaf, _MONOMIALS):  # a leaf outside the grammar answers, placing none
+        return (leaf.attains_zero(m0 - 1) if f.a == 0 and f.b != 0 else None), None
+    if f.a == 0:
+        return False, None
+    a, b, q, mod = _monomial(f)
+    if mod == 1 and q != -1:  # a unit ratio that is not real: a discrete logarithm
+        return None, None
+    # a + b L(m) is 0 only where |L(m)| = |a / b|, where value() may round it
+    # to 0 too: both parities for q = -1
+    ms = _near(leaf, m0, None if mod == 1 else abs(_exact(a) / _exact(b)))
+    n = next((n for n in (f.first(m, s) for m in ms) if f.term(n) == 0), None)
+    return n is not None, n
+
+
+def _real_fact(rule: ScalarRule, skip: int = 0, nonnegative: bool = False
+               ) -> Tuple[Optional[bool], Optional[int]]:
+    """(``is_real``, the least index past ``skip`` of a term that is complex,
+    or negative when ``nonnegative``, where placed)."""
+    f, head, s, leaf = _split(rule, skip)
+    n = next((n for n, _, v in head if not _real(v, nonnegative)), None)
+    if n is not None or leaf is _END:
+        return n is None, n
+    if isinstance(leaf, ConstantRule):
+        return (True, None) if _real(leaf.c, nonnegative) else (False, s + 1)
+    operands = [c for _, c in f.ops] + [getattr(leaf, k, 0) for k in ("scale", "ratio")]
+    if any(isinstance(c, complex) for c in operands):  # then every tail term is
+        return False, s + 1
+    m0 = f.g(s + 1)
+    if not isinstance(leaf, _MONOMIALS):
+        known = not nonnegative or f.a == 0 and f.b > 0
+        return (leaf.is_real(m0 - 1, nonnegative) if known else None), None
+    if not nonnegative:
+        return True, None
+    # a + b L(m) is monotone in each sign class of L, from its first term to a
+    # where |L| decays, to the sign of b L where it grows
+    a, b, q, mod = _monomial(f)
+    tends_up = a >= 0 if mod < 1 else mod == 1 or q > 0 and b > 0
+    positive = a == 0 and b > 0 and (q is None or q > 0)  # known without a term
+    if tends_up and (positive or f.term(s + 1) >= 0 and f.term(f.first(m0 + 1, s)) >= 0):
+        return True, None
+    ms = _near(leaf, m0, a and abs(_exact(a) / _exact(b)))
+    return False, next((n for n in (f.first(m, s) for m in ms) if f.term(n) < 0), None)
+
+
+def _monotone_fact(rule: ScalarRule, skip: int = 0, strict: bool = False
+                   ) -> Tuple[Optional[bool], Optional[int]]:
+    """(``abs_nonincreasing``, the least index ``n`` past ``skip`` with
+    ``|w_n| < |w_{n+1}|``, ``<=`` when ``strict``, where placed)."""
+
+    def worse(x, y):
+        x, y = _abs_exact(x), _abs_exact(y)
+        return x < y or strict and x == y
+
+    f, head, s, leaf = _split(rule, skip)
+    after = [v for _, _, v in head[1:]] + ([f.term(s + 1)] if head and leaf is not _END else [])
+    for (n, e, v), w in itertools.zip_longest(head, after):
+        if strict and e > n:
+            return False, n
+        if w is not None and worse(v, w):
+            return False, e
+    if leaf is _END or isinstance(leaf, ConstantRule):
+        return not strict or leaf is _END, s + 1 if strict and leaf is not _END else None
+    m0 = f.g(s + 1)
+    repeat = None
+    if strict and f.t > 1:  # g repeats a leaf index, at s + 1 or s + 2
+        repeat = s + 1 if (s + 1 + f.u) % f.t or worse(f.term(s + 1), f.term(s + 2)) else s + 2
+    if not isinstance(leaf, _MONOMIALS):
+        if f.a != 0 or f.b == 0 or repeat and leaf.length() is not None:
+            return None, None
+        return (False, repeat) if repeat else (leaf.abs_nonincreasing(m0 - 1, strict), None)
+    # |a + b x| is convex in real x, least at its vertex v: a real L that decays
+    # from above never rises past v <= 0, and rises below v > 0; an
+    # alternating one falls only when v = 0; a growing one rises
+    a, b, q, mod = _monomial(f)
+    if isinstance(q, complex):
+        down, theta = a == 0 and (mod < 1 or mod == 1 and not strict), None
+    else:
+        v = 0 if a == 0 else -(_exact(a).conjugate() * _exact(b)).real / abs(_exact(b)) ** 2
+        down = v <= 0 if q is None or 0 < q < 1 else v == 0 and (
+            -1 < q < 0 or q == -1 and not strict)
+        # the first rise is where |L(m)| crosses |v|, or 2|v| / |1 + q| for the
+        # geometric L(m + 1) = q L(m)
+        theta = None if v == 0 or q == -1 else abs(v) if q is None else abs(2 * v / (1 + q))
+    if down:
+        return repeat is None, repeat
+    n = next((n for n in map(f.last, _near(leaf, m0, theta))
+              if worse(f.term(n), f.term(n + 1))), None)
+    return False, min(filter(None, (n, repeat)), default=None)
+
+
+def _value_set(rule: ScalarRule, skip: int = 0) -> Optional[tuple]:
+    f, head, s, leaf = _split(rule, skip)
+    values = tuple(v for _, _, v in head)
+    if leaf is _END or isinstance(leaf, ConstantRule):
+        return values + (() if leaf is _END else (leaf.c,))
+    tail = None if isinstance(leaf, _MONOMIALS) else leaf.value_set(f.g(s + 1) - 1)
+    return None if tail is None else values + tuple(_lift(f.ops, v) for v in tail)
+
+
+def _tail_index(rule: ScalarRule, r, skip: int = 0) -> Optional[int]:
+    f, head, s, leaf = _split(rule, skip)
+    k = max([skip + 1] + [e + 1 for _, e, v in head if _abs_exact(v) > r])
+    if leaf is _END or isinstance(leaf, ConstantRule):
+        return None if leaf is not _END and _abs_exact(leaf.c) > r else k
+    m0 = f.g(s + 1)
+    if not isinstance(leaf, _MONOMIALS):
+        m = leaf.tail_index(r, m0 - 1) if f.a == 0 and f.b == 1 else None
+        return None if m is None else max(k, f.first(m, s) if m > m0 else 0)
+    a, b, q, mod = _monomial(f)
+    if mod > 1 or isinstance(q, complex) and a != 0:
+        return None
+    if mod == 1:  # q = -1, or a unit ratio over a = 0: two magnitudes, both read
+        return None if any(_abs_exact(f.term(f.first(m, s))) > r for m in (m0, m0 + 1)) else k
+    if isinstance(q, complex):  # |b| |q|^m falls through r once
+        y = (0, abs(r / b))
+    else:  # |a + b y| <= r on [y1, y2], which must hold L's limit 0 from its sides
+        y = _interval(a, b, r)
+        if y is None or y[1] <= 0 or y[0] > 0 or q is not None and q < 0 and y[0] == 0:
+            return None
+    ms = {m for theta in (y[1], -y[0]) for m in _near(leaf, m0, theta)}
+    m = max((m for m in ms if _abs_exact(f.term(f.first(m, s))) > r), default=None)
+    return k if m is None else max(k, f.last(m) + 1)
 
 
 def _ratio_deviation_tail(w: ScalarRule, v: ScalarRule, start: int) -> Optional[float]:
@@ -586,26 +704,6 @@ def _ratio_deviation_tail(w: ScalarRule, v: ScalarRule, start: int) -> Optional[
             rest = _ratio_deviation_tail(w.tail, v, 1)
             return None if rest is None else head + rest
     return None
-
-
-def _first_zero(rule: ScalarRule, skip: int = 0) -> Optional[int]:
-    """The least ``n`` with ``rule.value(skip + n) == 0``, placed by a walk
-    through explicit-then, offset and repeated rules; None when the walk
-    ends on no known zero."""
-    if isinstance(rule, ExplicitThenRule):
-        head = rule.prefix[skip:]
-        if 0 in head or rule.tail is None:
-            return head.index(0) + 1 if 0 in head else None
-        n = _first_zero(rule.tail, max(skip - len(rule.prefix), 0))
-        return None if n is None else len(head) + n
-    if isinstance(rule, OffsetRule):
-        return _first_zero(rule.inner, skip + rule.offset)
-    if isinstance(rule, RepeatedRule):
-        # inner term k fills indices (k - 1) * times + 1 .. k * times
-        done = skip // rule.times
-        m = _first_zero(rule.inner, done)
-        return None if m is None else max((done + m - 1) * rule.times + 1 - skip, 1)
-    return 1 if isinstance(rule, ConstantRule) and rule.c == 0 else None
 
 
 class CallableRule(ScalarRule):
@@ -837,10 +935,13 @@ class ClosedFormSequence(IndexSequence):
         return self._fn(n)
 
     def position_of(self, value: int):
-        # elem is strictly increasing with elem(n) >= n, so binary search
-        # over [1, value] is exhaustive.
-        n = bisect.bisect_left(range(1, max(value, 1) + 1), value, key=self.elem) + 1
-        return n if n <= value and self.elem(n) == value else None
+        # elem is strictly increasing with elem(n) >= n, so bisection over
+        # [1, value] is exhaustive, for values of any size
+        lo, hi = 1, max(value, 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if self.elem(mid) < value else (lo, mid)
+        return lo if self.elem(lo) == value else None
 
     def describe(self):
         return self._description

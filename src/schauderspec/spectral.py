@@ -42,9 +42,9 @@ from .sequences import (
     ConstantRule,
     Scalar,
     ScalarRule,
-    _first_rise,
-    _first_zero,
+    _monotone_fact,
     _ratio_deviation_tail,
+    _zero_fact,
     log_abs,
 )
 
@@ -220,14 +220,13 @@ class _ShiftCertifier:
                 raise PreconditionViolatedError(
                     "cannot certify that the weight magnitudes are nonincreasing")
             if not down:
-                n = _first_rise(s.weights)
+                n = _monotone_fact(s.weights)[1]
                 raise PreconditionViolatedError("weight magnitudes are not nonincreasing" + (
                     "" if n is None else f": they increase at index {n}"))
             hit, idx = _zero_weight(s.weights)
             if hit:
-                raise PreconditionViolatedError(
-                    (f"zero weight past index {_ZERO_SEARCH}" if idx is None
-                     else f"zero weight at index {idx}") + "; run kernel_trivial instead")
+                where = "" if idx is None else f" at index {idx}"
+                raise PreconditionViolatedError(f"zero weight{where}; run kernel_trivial instead")
         self.log_bound = math.log(self.bound)  # a bad bound fails after the checks
         self.sides.add(side)
 
@@ -344,32 +343,14 @@ def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> f
     return _safe_exp(log_mag)
 
 
-#: How far a zero decision reads weights, only ever to find a witness.
-_ZERO_SEARCH = 4096
-
-
 def _zero_weight(rule: ScalarRule) -> Tuple[bool, Optional[int]]:
-    """(attains_zero, index of the first zero) for a weight rule.
-
-    The rule's own ``attains_zero`` decides.  A zero it attains is placed
-    by ``sequences._first_zero``, or else among the first ``_ZERO_SEARCH``
-    weights, and past them its index is None.  A rule that decides
-    nothing is read on those weights for a witness only: with none there,
-    it is refused, unless they were all of its weights.
-    """
+    """(attains_zero, index of the first zero) for a weight rule: its own
+    ``attains_zero`` decides, and a rule that decides nothing is refused.  The
+    normal form places a zero; a rule outside the grammar may not."""
     az = rule.attains_zero()
-    if az is False:
-        return False, None
-    idx = _first_zero(rule) if az else None
-    if idx is None:
-        ln = rule.length()
-        end = _ZERO_SEARCH if ln is None else min(ln, _ZERO_SEARCH)
-        idx = next((n for n in range(1, end + 1) if rule.value(n) == 0), None)
-        if idx is None and az is None:
-            if end == ln:
-                return False, None
-            raise PreconditionViolatedError("cannot certify that the weights are nonzero")
-    return True, idx
+    if az is None:
+        raise PreconditionViolatedError("cannot certify that the weights are nonzero")
+    return az, _zero_fact(rule)[1] if az else None
 
 
 def _weights_zero_check(weights: ScalarRule) -> KernelRangeVerdict:
@@ -378,9 +359,8 @@ def _weights_zero_check(weights: ScalarRule) -> KernelRangeVerdict:
     if not hit:
         return KernelRangeVerdict(True, True, None, True,
                                   "weights certified nonzero; permutation total")
-    return KernelRangeVerdict(False, False, idx, True,
-                              f"a zero weight lies past index {_ZERO_SEARCH}" if idx is None
-                              else f"weight at index {idx} is zero")
+    where = "" if idx is None else f" at index {idx}"
+    return KernelRangeVerdict(False, False, idx, True, f"weight{where} is zero")
 
 
 def kernel_trivial(s: Union[ShiftForm, OperatorExpr]) -> KernelRangeVerdict:
@@ -459,12 +439,9 @@ def claim1_find_N(alpha_seq: ScalarRule, alpha, epsilon: float) -> int:
         raise NotSummableError(
             "sum(1 - alpha_n/alpha) has no finite certified bound"
         )
-    probe = alpha_seq.values(16)
-    for v in probe:
-        if isinstance(v, complex) or not (0 < float(v) <= alpha_f * (1 + 1e-12)):
-            raise PreconditionViolatedError(
-                "alpha_n must be positive and bounded by alpha"
-            )
+    if not (alpha_seq.is_real(nonnegative=True) and alpha_seq.attains_zero() is False
+            and alpha_seq.tail_index(alpha_f * (1 + 1e-12)) == 1):
+        raise PreconditionViolatedError("alpha_n must be positive and bounded by alpha")
 
     eta = min(math.log1p(epsilon), -math.log1p(-epsilon))
 

@@ -372,6 +372,10 @@ class TestClosedFormSequence:
         assert squares.position_of(49) == 7
         assert squares.position_of(50) is None
         assert squares.position_of(1) == 1
+        # past 2**63 too, where a range() index overflows
+        assert squares.position_of(2 ** 64 + 1) is None
+        assert squares.position_of(2 ** 64) == 2 ** 32
+        assert squares.position_of(2 ** 80) == 2 ** 40
 
 
 @st.composite

@@ -35,7 +35,14 @@ from schauderspec.op_algebra import (
     ProductWeightsRule,
     compose_weights,
 )
-from schauderspec.sequences import ScalarRule, _abs_exact, _first_zero, log_abs
+from schauderspec.sequences import (
+    ScalarRule,
+    _abs_exact,
+    _monotone_fact,
+    _real_fact,
+    _zero_fact,
+    log_abs,
+)
 
 
 def reference_merge(finite_parts, rule_parts, count):
@@ -269,18 +276,22 @@ class TestFirstZero:
         ln = rule.length()
         scanned = next((n for n in range(1, 2001 if ln is None else ln + 1)
                         if rule.value(n) == 0), None)
-        assert _first_zero(rule) == scanned
+        assert _zero_fact(rule) == (scanned is not None, scanned)
 
     def test_zero_past_a_repeated_prefix(self):
         prefix = tuple(Fraction(1, k) for k in range(1, 11)) + (0,)
         inner = RepeatedRule(ExplicitThenRule(prefix, PowerLawRule(1, 1)), 100)
-        assert _first_zero(OffsetRule(inner, 0)) == 1001
-        assert _first_zero(OffsetRule(inner, 950)) == 51
-        assert _first_zero(OffsetRule(inner, 1050)) == 1
-        assert _first_zero(OffsetRule(inner, 1100)) is None
+        assert _zero_fact(OffsetRule(inner, 0))[1] == 1001
+        assert _zero_fact(OffsetRule(inner, 950))[1] == 51
+        assert _zero_fact(OffsetRule(inner, 1050))[1] == 1
+        assert _zero_fact(OffsetRule(inner, 1100))[1] is None
 
     def test_other_leaves_place_no_zero(self):
-        assert _first_zero(ScaledRule(0, PowerLawRule(1, 1))) is None
+        # a zero factor's zero is placed at 1; a leaf outside the grammar
+        # answers for itself past the prefix, and places none
+        assert _zero_fact(ScaledRule(0, PowerLawRule(1, 1))) == (True, 1)
+        composed = ComposedWeightsRule(ConstantRule(0), sigma_bilateral())
+        assert _zero_fact(ExplicitThenRule((1,), composed)) == (True, None)
 
 
 # Every named family, nested under every composite: the leaves of the merge
@@ -310,6 +321,25 @@ def exact_far(rule):
                for f in fields if f is not None)
 
 
+def real_terms(rule, count, start):
+    """The terms of the real sequence ``rule``'s parameters name, each float
+    made the Fraction it equals; None where one is complex or a fractional
+    exponent.  A zero fact is about that sequence, where a float term may
+    round to 0 (``-1 + (1 + 1.0 * 2**-60)``)."""
+    def exact(name, v):
+        if isinstance(v, ScalarRule):
+            return type(v)(*(exact(n, getattr(v, n)) for n in v._record_fields))
+        if isinstance(v, tuple):
+            return tuple(exact(name, x) for x in v)
+        if isinstance(v, complex) or name == "exponent" and v != int(v):
+            raise ValueError(v)
+        return Fraction(v) if isinstance(v, float) else v
+    try:
+        return exact("", rule).values(count, start)
+    except (AttributeError, ValueError):  # a merge is no record
+        return None
+
+
 # The rules op_algebra builds from these: weights read through a permutation
 # (the identity, ones that move finitely many points, sigma and z-translations,
 # with and without conjugation, nested), their moduli and phases, products,
@@ -332,6 +362,46 @@ OP_ALGEBRA_RULES = st.one_of(
               st.lists(merge_rules(), max_size=2)))
 
 
+@st.composite
+def grammar_rules(draw, depth=3):
+    """Any nesting of the grammar's rules up to ``depth`` deep, over constant,
+    geometric and power-law leaves, with nonzero affine bases."""
+    kind = draw(st.sampled_from(["leaf", "explicit", "offset", "repeated", "scaled", "affine"]
+                                if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.one_of(
+            st.builds(ConstantRule, TIE_VALUES),
+            st.builds(GeometricRule, TIE_VALUES, st.sampled_from(
+                [2, -1, Fraction(-1, 2), 0, 1, 0.5j, Fraction(1, 3), 0.5, Fraction(-3, 2)])),
+            st.builds(PowerLawRule, TIE_VALUES, st.sampled_from([0, 1, 2, 0.5]))))
+    inner = draw(grammar_rules(depth - 1))
+    if kind == "explicit":
+        return ExplicitThenRule(tuple(draw(st.lists(TIE_VALUES, max_size=3))), inner)
+    if kind == "offset":
+        return OffsetRule(inner, draw(st.integers(0, 5)))
+    if kind == "repeated":
+        return RepeatedRule(inner, draw(st.integers(1, 3)))
+    if kind == "scaled":
+        return ScaledRule(draw(TIE_VALUES), inner)
+    return AffineRule(draw(TIE_VALUES.filter(lambda v: v != 0)), inner)
+
+
+def exact_terms(terms):
+    return not any(isinstance(t, (float, complex)) for t in terms)
+
+
+def rotates(rule):
+    """Whether ``rule`` holds a geometric rule with a ratio that is not real."""
+    if isinstance(rule, GeometricRule):
+        return isinstance(rule.ratio, complex) and rule.ratio.imag != 0
+    return any(rotates(getattr(rule, name)) for name in ("inner", "tail")
+               if isinstance(getattr(rule, name, None), ScalarRule))
+
+
+# 1/10^7 - 1/n: 0 exactly at n = 10^7
+ZERO_AT_TEN_MILLION = AffineRule(Fraction(1, 10 ** 7), ScaledRule(-1, PowerLawRule(1, 1)))
+
+
 class TestRuleFacts:
     """Each fact a rule states about its terms past ``skip``, against those
     terms read one by one."""
@@ -347,6 +417,10 @@ class TestRuleFacts:
     @example(rule=ProductWeightsRule(PowerLawRule(1, 1), GeometricRule(2, Fraction(1, 2))), skip=0)
     @example(rule=MergedAbsDecreasingRule([[0]], [PowerLawRule(Fraction(1, 4), 1)]), skip=0)
     @example(rule=MergedAbsDecreasingRule([[-0.5j]], [ConstantRule(1)]), skip=0)
+    @example(rule=ZERO_AT_TEN_MILLION, skip=0)
+    @example(rule=AffineRule(Fraction(1, 2), PowerLawRule(1, 1)), skip=0)
+    @example(rule=AffineRule(1j, GeometricRule(1, Fraction(-1, 2))), skip=0)
+    @example(rule=PowerLawRule(1, 0.1), skip=0)
     def test_facts_hold_on_a_prefix(self, rule, skip):
         ln = rule.length()
 
@@ -355,12 +429,15 @@ class TestRuleFacts:
 
         terms = read(60)
 
-        def agrees(claim, holds):
+        def agrees(claim, holds, fact=None):
             # that all terms do as ``holds`` checks: a True claim against the
-            # prefix, a False one against a witness up to 4000 terms out (a
-            # zero that cancels an affine base may lie past the prefix)
-            return claim is None or claim == holds(terms) or (
-                claim is False and not holds(read(4000)))
+            # prefix, a False one against a witness up to 4000 terms out, or
+            # against the two terms from the index the fact places (a zero
+            # that cancels an affine base may lie far past the prefix)
+            at = fact and fact(rule, skip)[1]
+            return claim is None or claim == holds(terms) or claim is False and (
+                not holds(read(4000)) or at is not None and at > skip
+                and not holds(rule.values(1 if at == ln else 2, at)))
 
         values = rule.value_set(skip)
         if values is not None:
@@ -369,12 +446,88 @@ class TestRuleFacts:
             assert all(any(same(v, t) for t in terms) for v in values)
         for nonnegative in (False, True):
             assert agrees(rule.is_real(skip, nonnegative), lambda ts: all(
-                not isinstance(t, complex) and (not nonnegative or t >= 0) for t in ts))
+                not isinstance(t, complex) and (not nonnegative or t >= 0) for t in ts),
+                lambda rule, skip: _real_fact(rule, skip, nonnegative))
         zero = rule.attains_zero(skip)
-        assert agrees(None if zero is None else not zero, lambda ts: 0 not in ts)
+        assert agrees(None if zero is None else not zero, lambda ts: 0 not in ts, _zero_fact) or (
+            zero is False and 0 not in (real_terms(rule, len(terms), skip + 1) or ()))
+        # a fact is about the real sequence the parameters name: floats that
+        # round alike may stand for terms that strictly fall, so only exact
+        # terms that tie refute a claim of strictness
         for strict in (False, True):
-            assert agrees(rule.abs_nonincreasing(skip, strict), lambda ts: not any(
-                a < b or strict and a == b for a, b in pairwise(map(_abs_exact, ts))))
+            down = rule.abs_nonincreasing(skip, strict)
+            assert agrees(down, lambda ts: not any(
+                _abs_exact(a) < _abs_exact(b) or strict and _abs_exact(a) == _abs_exact(b)
+                and (down is False or exact_terms((a, b)))
+                for a, b in pairwise(ts)), lambda rule, skip: _monotone_fact(rule, skip, strict))
+
+    @pytest.mark.parametrize("rule, zero, down, strict", [
+        (ZERO_AT_TEN_MILLION, 10 ** 7, False, False),
+        (AffineRule(Fraction(1, 2), PowerLawRule(1, 1)), None, True, True),
+        (AffineRule(1j, GeometricRule(1, Fraction(-1, 2))), None, True, True),
+        (OffsetRule(RISE70, 70), None, True, True),
+        (PowerLawRule(1, 0.1), None, True, True),
+    ])
+    def test_named_rules(self, rule, zero, down, strict):
+        # the zero at 10^7 is placed without a scan; the rest fall, strictly,
+        # though 1/n^0.1 rounds alike at n = 10^15 and n + 1
+        assert _zero_fact(rule) == (zero is not None, zero)
+        assert rule.abs_nonincreasing() is down
+        assert rule.abs_nonincreasing(strict=True) is strict
+
+    @settings(max_examples=400, deadline=None)
+    @given(rule=grammar_rules(), skip=st.integers(0, 8),
+           r=st.sampled_from([0.3, 0.7, 1.7, Fraction(5, 7)]))
+    @example(rule=ZERO_AT_TEN_MILLION, skip=0, r=Fraction(1, 10 ** 8))
+    @example(rule=AffineRule(Fraction(1, 2), PowerLawRule(1, 1)), skip=0, r=0.7)
+    @example(rule=AffineRule(1j, GeometricRule(1, Fraction(-1, 2))), skip=0, r=1.7)
+    @example(rule=OffsetRule(RISE70, 70), skip=0, r=0.3)
+    @example(rule=PowerLawRule(1, 0.1), skip=0, r=0.7)
+    @example(rule=AffineRule(Fraction(1, 4), PowerLawRule(-1, 1)), skip=0, r=0.3)  # rises at 4
+    @example(rule=AffineRule(Fraction(1, 20), GeometricRule(-1, Fraction(2, 3))), skip=0, r=0.3)
+    @example(rule=AffineRule(Fraction(1, 4), GeometricRule(1, Fraction(-1, 2))), skip=0, r=0.3)
+    def test_grammar_rules_decide_and_place(self, rule, skip, r):
+        # every fact of a grammar rule is decided, and each index it places is
+        # the first a scan of the terms finds; r is no magnitude a limit takes
+        # here, where floats that round a term onto r would hide its side
+        ln = rule.length()
+        end = skip + 80 if ln is None else min(ln, skip + 80)
+        terms = {n: rule.value(n) for n in range(skip + 1, end + 1)}
+
+        def scan(bad):
+            return next((n for n in terms if bad(n)), None)
+
+        def placed(fact, bad):
+            # a failure in the prefix is the one placed; else none is there
+            holds, n = fact
+            assert holds is not None
+            first = scan(bad)
+            assert n == first if first is not None else n is None or n > end
+            return holds, n
+
+        zero, n = _zero_fact(rule, skip)
+        if zero is not False:
+            assert placed((zero, n), lambda n: terms[n] == 0) == (True, n) and n is not None
+        else:  # no real term is 0, though a float one may round to it
+            assert 0 not in (real_terms(rule, len(terms), skip + 1) or ())
+        for nonnegative in (False, True):
+            real, n = placed(_real_fact(rule, skip, nonnegative),
+                             lambda n: isinstance(terms[n], complex) or nonnegative and terms[n] < 0)
+            assert real is (n is None) or not real and n is None
+        for strict in (False, True):
+            down, n = _monotone_fact(rule, skip, strict)
+            assert down is not None
+            if exact_terms(terms.values()):
+                placed((down, n), lambda n: n < end and (
+                    _abs_exact(terms[n]) < _abs_exact(terms[n + 1])
+                    or strict and _abs_exact(terms[n]) == _abs_exact(terms[n + 1])))
+        k = rule.tail_index(r, skip)
+        if k is None:
+            assert rotates(rule) or any(_abs_exact(v) > r for v in list(terms.values())[-8:])
+        else:
+            assert k == skip + 1 or _abs_exact(rule.value(k - 1)) > r
+            assert all(_abs_exact(rule.value(n)) <= r for n in range(k, k + 40)
+                       if ln is None or n <= ln)
 
     @settings(max_examples=200, deadline=None)
     @given(rule=FACT_RULES.filter(lambda r: r.length() is None and exact_far(r)),

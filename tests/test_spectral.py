@@ -413,26 +413,19 @@ class TestKernelTrivial:
 def reference_shift_kernel_verdict(s):
     """The shift-form zero check, written out.
 
-    The rule's ``attains_zero`` answers first; then the first zero among
-    the first 4096 weights (all of a shorter finite rule) is the witness.
-    A rule that decides nothing and shows no zero there is refused.
+    The rule's ``attains_zero`` decides, and a rule that decides nothing is
+    refused.  The witness of a zero is the first one, found here by reading
+    the first 4096 weights: every zero drawn below lies among them.
     """
     az = s.weights.attains_zero()
-    nonzero = KernelRangeVerdict(True, True, None, True,
-                                 "weights certified nonzero; permutation total")
+    if az is None:
+        raise PreconditionViolatedError("cannot certify that the weights are nonzero")
     if az is False:
-        return nonzero
+        return KernelRangeVerdict(True, True, None, True,
+                                  "weights certified nonzero; permutation total")
     ln = s.weights.length()
-    for n in range(1, min(4096, ln or 4096) + 1):
-        if s.weights.value(n) == 0:
-            return KernelRangeVerdict(False, False, n, True,
-                                      f"weight at index {n} is zero")
-    if az is True:
-        return KernelRangeVerdict(False, False, None, True,
-                                  "a zero weight lies past index 4096")
-    if ln is not None and ln <= 4096:
-        return nonzero
-    raise PreconditionViolatedError("cannot certify that the weights are nonzero")
+    n = next(n for n in range(1, min(4096, ln or 4096) + 1) if s.weights.value(n) == 0)
+    return KernelRangeVerdict(False, False, n, True, f"weight at index {n} is zero")
 
 
 @st.composite
@@ -446,7 +439,7 @@ def zero_check_rules(draw):
     if kind == "finite":
         return ExplicitThenRule(tuple(draw(values)))
     if kind == "finite-affine":
-        # decides no zero: the search reads all of its terms
+        # its normal form reads each of its terms once
         return AffineRule(1, ExplicitThenRule(tuple(draw(
             st.lists(st.sampled_from([-1, 0, 1j]), min_size=1, max_size=50)))))
     if kind == "zero":
@@ -484,8 +477,8 @@ def test_shift_zero_check_matches_reference(rule):
         lambda: reference_shift_kernel_verdict(s))
 
 
-# 0.5 six hundred times, 0 at index 601, then 1, 1/2, 1/3, ..: a rule that
-# decides no zero, with one past the 512 weights a window once read
+# 0.5 six hundred times, 0 at index 601, then 1, 1/2, 1/3, ..: its normal
+# form places the zero past the 512 weights a window once read
 ZERO_AT_601 = AffineRule(1, ExplicitThenRule((-0.5,) * 600 + (-1,), AffineRule(-1, RECIP)))
 
 
@@ -607,6 +600,15 @@ class TestClaim1:
     def test_bad_epsilon(self):
         with pytest.raises(PreconditionViolatedError):
             claim1_find_N(ALPHA_TO_ONE, 1, 1.5)
+
+    @pytest.mark.parametrize("halves", [15, 16])
+    def test_a_term_above_alpha_is_refused_wherever_it_lies(self, halves):
+        # 1/2 (halves times), 2, then 1: the 2 exceeds alpha = 1, inside the
+        # first 16 terms a probe once read and just past them
+        rule = ExplicitThenRule((Fraction(1, 2),) * halves + (2,), ConstantRule(1))
+        with pytest.raises(PreconditionViolatedError,
+                           match="^alpha_n must be positive and bounded by alpha$"):
+            claim1_find_N(rule, 1, 0.01)
 
 
 def reference_gap_tail_sum(alpha_seq, alpha, start):
