@@ -452,14 +452,20 @@ class TestRuleFacts:
         assert agrees(None if zero is None else not zero, lambda ts: 0 not in ts, _zero_fact) or (
             zero is False and 0 not in (real_terms(rule, len(terms), skip + 1) or ()))
         # a fact is about the real sequence the parameters name: floats that
-        # round alike may stand for terms that strictly fall, so only exact
-        # terms that tie refute a claim of strictness
+        # round alike may stand for terms that strictly fall, and a float sum
+        # may absorb a vanishing term into a constant, so inexact terms refute
+        # a claim that they fall only by a tie of exact terms or a rise past
+        # rounding
+        def refutes(a, b, strict, claim):
+            x, y = _abs_exact(a), _abs_exact(b)
+            exact = claim is False or exact_terms((a, b))
+            return x < y and (exact or y - x > 1e-12) or strict and x == y and exact
+
         for strict in (False, True):
             down = rule.abs_nonincreasing(skip, strict)
             assert agrees(down, lambda ts: not any(
-                _abs_exact(a) < _abs_exact(b) or strict and _abs_exact(a) == _abs_exact(b)
-                and (down is False or exact_terms((a, b)))
-                for a, b in pairwise(ts)), lambda rule, skip: _monotone_fact(rule, skip, strict))
+                refutes(a, b, strict, down) for a, b in pairwise(ts)),
+                lambda rule, skip: _monotone_fact(rule, skip, strict))
 
     @pytest.mark.parametrize("rule, zero, down, strict", [
         (ZERO_AT_TEN_MILLION, 10 ** 7, False, False),
@@ -522,8 +528,10 @@ class TestRuleFacts:
                     _abs_exact(terms[n]) < _abs_exact(terms[n + 1])
                     or strict and _abs_exact(terms[n]) == _abs_exact(terms[n + 1])))
         k = rule.tail_index(r, skip)
-        if k is None:
-            assert rotates(rule) or any(_abs_exact(v) > r for v in list(terms.values())[-8:])
+        if k is None:  # terms over r far out: seen in the prefix, or from the limit
+            lim = rule.limit()
+            assert rotates(rule) or any(_abs_exact(v) > r for v in list(terms.values())[-8:]) or (
+                lim is not None and _abs_exact(lim) > r)
         else:
             assert k == skip + 1 or _abs_exact(rule.value(k - 1)) > r
             assert all(_abs_exact(rule.value(n)) <= r for n in range(k, k + 40)
