@@ -473,6 +473,13 @@ class ComposedWeightsRule(ScalarRule):
         terms = self._terms(skip, False)
         return None if terms is None else terms.attains_zero()
 
+    def zero_index(self, skip=0):
+        # the first zero of the terms listed past skip, or else the inner
+        # rule's, where this one reads it: a witness, maybe not the first
+        terms = self._terms(skip, False)
+        n = None if terms is None else terms.zero_index()
+        return n if n is None else self.perm.inverse(n) if terms is self.inner else skip + n
+
     def value_set(self, skip=0):
         terms = self._terms(skip, False)
         values = None if terms is None else terms.value_set()
@@ -534,6 +541,9 @@ class ProductWeightsRule(ScalarRule):
             return False
         return None
 
+    def zero_index(self, skip=0):
+        return min(filter(None, (self.a.zero_index(skip), self.b.zero_index(skip))), default=None)
+
     def is_real(self, skip=0, nonnegative=False):
         # a complex factor makes a complex term, real ones a real one
         real = {self.a.is_real(skip), self.b.is_real(skip)}
@@ -569,6 +579,9 @@ class AbsRule(ScalarRule):
 
     def attains_zero(self, skip=0):
         return self.inner.attains_zero(skip)
+
+    def zero_index(self, skip=0):
+        return self.inner.zero_index(skip)
 
     def is_real(self, skip=0, nonnegative=False):
         return True

@@ -62,7 +62,6 @@ from .sequences import (
     _monotone_fact,
     _ratio_deviation_tail,
     _real_fact,
-    _zero_fact,
 )
 from .spectral import (
     CertificateGridConfig,
@@ -465,7 +464,7 @@ def _probe_positive_monotone(rule: ScalarRule, strict: Optional[bool]) -> bool:
         raise PreconditionViolatedError("cannot certify that the weights are positive reals")
     if not nonnegative:
         # the first term that is not a positive real: a zero or a negative one
-        n = min(filter(None, (_zero_fact(rule)[1], _real_fact(rule, 0, True)[1])), default=None)
+        n = min(filter(None, (rule.zero_index(), _real_fact(rule, 0, True)[1])), default=None)
         if n is not None:
             raise PreconditionViolatedError(
                 f"weight at index {n} is {rule.value(n)!r}; positive reals required")

@@ -10,18 +10,21 @@ floating point.  Each family answers ``limit()`` and
 The facts the rest of the package decides with are about the terms past
 the first ``skip``: ``attains_zero``, ``value_set`` (when finitely many),
 ``is_real`` (and ``nonnegative``), ``abs_nonincreasing`` (``strict``) and
-``tail_index(r)``, the least ``K > skip`` from which ``|a_n| <= r``.  Any
+``zero_index``; and ``tail_index(r)`` is the least ``K`` from which
+``|a_n| <= r``.  Any
 nesting of the grammar's rules is a finite prefix, then
 ``a + b * L(ceil((n + u) / t))`` with ``L`` one monomial, ``n^-p`` or
 ``q^n``; every fact is decided from that form, reading each spelled-out
-prefix entry once and a few terms where the monomial crosses a constant,
-never a scan.  A fact of sign or monotony is about the real sequence the
-parameters name; a zero that cancels ``a``, and each index a refusal
-cites, are read through ``value()``'s arithmetic.  The form stops at one
-monomial: zeros of a sum of two are the Skolem problem.  A leaf outside
-the grammar answers for itself where ``a = 0``; a bare callable answers
-``None``, so ``deflate`` and the orbit-walk certificates refuse it,
-naming the premise it leaves undecided.
+prefix entry once and a bounded number of terms about where the monomial
+crosses a constant, never a scan.  Monotony is a fact of the real
+sequence the parameters name; a zero, a sign or a tail is one of the
+terms as ``value()`` computes them, whose sums and products are
+monotone: the first zero of a sign class of the monomial is where the
+terms' sign turns, found by bisection.  The form stops at one monomial:
+zeros of a sum of two are the Skolem problem.  A leaf outside the
+grammar answers for itself under products alone; a bare callable
+answers ``None``, so ``deflate`` and the orbit-walk certificates refuse
+it, naming the premise it leaves undecided.
 """
 
 from __future__ import annotations
@@ -113,10 +116,15 @@ class ScalarRule:
         """Whether ``|value(n)| >= |value(n + 1)|`` (``>`` if ``strict``) for all ``n > skip``."""
         return _monotone_fact(self, skip, strict)[0] if isinstance(self, _GRAMMAR) else None
 
-    def tail_index(self, r, skip: int = 0) -> Optional[int]:
-        """The least ``K > skip`` with ``|value(n)| <= r`` for every ``n >= K``;
-        None when there is none, or it is unknown."""
-        return _tail_index(self, r, skip) if isinstance(self, _GRAMMAR) else None
+    def zero_index(self, skip: int = 0) -> Optional[int]:
+        """An index past ``skip`` whose term is 0, where one is placed; the
+        grammar's rules place the first."""
+        return _zero_fact(self, skip)[1] if isinstance(self, _GRAMMAR) else None
+
+    def tail_index(self, r) -> Optional[int]:
+        """The least ``K`` with ``|value(n)| <= r`` for every ``n >= K``; None
+        when there is none, or it is unknown."""
+        return _tail_index(self, r) if isinstance(self, _GRAMMAR) else None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -515,16 +523,6 @@ def _exact(x: Scalar):
     return x if isinstance(x, complex) else Fraction(x)
 
 
-def _interval(a: Scalar, b: Scalar, r):
-    """(least, greatest) real y with ``|a + b y| <= r``, or None when none is."""
-    if isinstance(a, complex) or isinstance(b, complex):
-        h, bb = (a.conjugate() * b).real, abs(b) ** 2
-        d = h * h - bb * (abs(a) ** 2 - r * r)
-        return None if d < 0 else ((-h - math.sqrt(d)) / bb, (-h + math.sqrt(d)) / bb)
-    a, b, r = Fraction(a), Fraction(b), Fraction(r)
-    return sorted(((-r - a) / b, (r - a) / b)) if r >= 0 else None
-
-
 def _iroot(x: int, p: int) -> int:
     """floor(x ** (1/p)) for an int ``x >= 0``, by Newton's method from above."""
     if x < 2:
@@ -537,18 +535,72 @@ def _iroot(x: int, p: int) -> int:
         r = y
 
 
+def _cross(leaf: ScalarRule, theta) -> Optional[int]:
+    """About the leaf index where ``|L(m)|`` crosses ``theta > 0``, where it
+    can be found; exact for a power law of integral exponent."""
+    p = getattr(leaf, "exponent", None)
+    if p is None:
+        return None if abs(leaf.ratio) == 1 else math.floor(log_abs(theta) / log_abs(leaf.ratio))
+    if p == int(p):
+        return _iroot(math.floor(1 / Fraction(theta)), int(p))
+    return math.floor(math.exp(-log_abs(theta) / p)) if -log_abs(theta) < 700 * p else None
+
+
 def _near(leaf: ScalarRule, m0: int, theta=None) -> list:
     """m0, m0 + 1 and the leaf indices about where ``|L(m)|`` crosses
     ``theta > 0``, past m0: where a property that turns once in each sign
-    class of L turns.  Exact for a power law of integral exponent."""
-    c, p = None, getattr(leaf, "exponent", None)
-    if theta and p is None and abs(leaf.ratio) != 1:
-        c = math.floor(log_abs(theta) / log_abs(leaf.ratio))
-    elif theta and p is not None and p == int(p):
-        c = _iroot(math.floor(1 / Fraction(theta)), int(p))
-    elif theta and p is not None and -log_abs(theta) < 700 * p:  # else past float range
-        c = math.floor(math.exp(-log_abs(theta) / p))
+    class of L turns."""
+    c = _cross(leaf, theta) if theta else None
     return sorted({m0, m0 + 1, *(range(max(c - 2, m0), c + 4) if c is not None else ())})
+
+
+def _spans(f: _Form, s: int, m0: int, theta=None) -> Optional[tuple]:
+    """(step, [(lo, hi)]) for a real monomial tail: a span of leaf indices for
+    each sign class of L (m's parity for q < 0), on which value()'s terms are
+    monotone, as its real sums and products are, and past whose ``hi`` they
+    keep their sign.  That is where |L| crosses |a / b| in exact arithmetic;
+    with floats, where the leaf's share falls far under the rounding of each
+    constant summed, for a decaying L, past which the terms are constant, or
+    far over them, for a growing one; and past where |L| crosses ``theta``,
+    if given.  None where that is past reach."""
+    leaf, A, B, sizes = f.leaf, 0, Fraction(f.leaf.scale), []
+    for op, c in f.ops:
+        c = Fraction(c)
+        A, B = (A + c, B) if op == "+" else (c * A, c * B)
+        sizes += [abs(x / B) for x in (A, c) if op == "+" and x]
+    exact = not any(isinstance(c, float) for c in [c for _, c in f.ops] + [
+        leaf.scale, getattr(leaf, "ratio", 0), getattr(leaf, "exponent", 0)])
+    q, mod = _monomial(f)[2:]
+    if mod == 1 or not sizes or exact and A == 0:  # the sign never turns in a class
+        c = m0
+    else:
+        c = _cross(leaf, (abs(A / B) if exact else min(sizes) / 2 ** 60) if mod < 1
+                   else 4 * max(sizes))
+    if theta is not None and c is not None and mod != 1:
+        c2 = _cross(leaf, theta)
+        c = None if c2 is None else max(c, c2)
+    step = 2 if q is not None and q < 0 else 1
+    return None if c is None else (step, [
+        (lo, lo + step * max(0, -(-(c + 3 - lo) // step))) for lo in range(m0, m0 + step)])
+
+
+def _turn(f: _Form, s: int, span: tuple, step: int, pred) -> Optional[int]:
+    """The first leaf index of ``span`` whose term satisfies ``pred``, where
+    those that do are its first ones or its last; by bisection."""
+    lo, hi = span
+    if pred(f.term(f.first(lo, s))):
+        return lo
+    if not pred(f.term(f.first(hi, s))):
+        return None
+    while hi - lo > step:
+        mid = lo + (hi - lo) // step // 2 * step
+        lo, hi = (lo, mid) if pred(f.term(f.first(mid, s))) else (mid, hi)
+    return hi
+
+
+def _complex(f: _Form) -> bool:
+    return any(isinstance(c, complex) for c in [c for _, c in f.ops] + [
+        getattr(f.leaf, k, 0) for k in ("scale", "ratio")])
 
 
 def _zero_fact(rule: ScalarRule, skip: int = 0) -> Tuple[Optional[bool], Optional[int]]:
@@ -559,19 +611,36 @@ def _zero_fact(rule: ScalarRule, skip: int = 0) -> Tuple[Optional[bool], Optiona
         return n is not None, n
     if isinstance(leaf, ConstantRule):
         return (True, s + 1) if leaf.c == 0 else (False, None)
-    m0 = f.g(s + 1)
-    if not isinstance(leaf, _MONOMIALS):  # a leaf outside the grammar answers, placing none
-        return (leaf.attains_zero(m0 - 1) if f.a == 0 and f.b != 0 else None), None
-    if f.a == 0:
-        return False, None
+    # with no constant summed the terms are products of the leaf's; a sum may
+    # round to 0 in value() where the real term is not 0
+    m0, sums = f.g(s + 1), any(op == "+" and c != 0 for op, c in f.ops)
+    if not isinstance(leaf, _MONOMIALS):  # a leaf outside the grammar answers for itself
+        if sums or f.b == 0:
+            return None, None
+        m = leaf.zero_index(m0 - 1)
+        return leaf.attains_zero(m0 - 1), None if m is None else f.first(m, s)
     a, b, q, mod = _monomial(f)
+    if not sums:
+        return False, None
     if mod == 1 and q != -1:  # a unit ratio that is not real: a discrete logarithm
         return None, None
-    # a + b L(m) is 0 only where |L(m)| = |a / b|, where value() may round it
-    # to 0 too: both parities for q = -1
-    ms = _near(leaf, m0, None if mod == 1 else abs(_exact(a) / _exact(b)))
-    n = next((n for n in (f.first(m, s) for m in ms) if f.term(n) == 0), None)
-    return n is not None, n
+    if _complex(f):
+        if a == 0:  # complex float sums that cancel: where they round to 0 is not tracked
+            return None, None
+        # a + b L(m) is 0 only where |L(m)| = |a / b|, where value() may round it to 0 too
+        ms = _near(leaf, m0, None if mod == 1 else abs(a / b))
+        n = next((n for n in (f.first(m, s) for m in ms) if f.term(n) == 0), None)
+        return n is not None, n
+    sp = _spans(f, s, m0)
+    if sp is None:
+        return None, None
+    zeros = []
+    for span in sp[1]:  # the first zero of a class is where its terms' sign turns
+        t0 = f.term(f.first(span[0], s))
+        m = _turn(f, s, span, sp[0], lambda t: t == 0 or (t > 0) != (t0 > 0))
+        zeros += [] if m is None or f.term(f.first(m, s)) != 0 else [m]
+    n = min(zeros, default=None)
+    return n is not None, None if n is None else f.first(n, s)
 
 
 def _real_fact(rule: ScalarRule, skip: int = 0, nonnegative: bool = False
@@ -584,24 +653,20 @@ def _real_fact(rule: ScalarRule, skip: int = 0, nonnegative: bool = False
         return n is None, n
     if isinstance(leaf, ConstantRule):
         return (True, None) if _real(leaf.c, nonnegative) else (False, s + 1)
-    operands = [c for _, c in f.ops] + [getattr(leaf, k, 0) for k in ("scale", "ratio")]
-    if any(isinstance(c, complex) for c in operands):  # then every tail term is
+    if _complex(f):  # then every tail term is
         return False, s + 1
     m0 = f.g(s + 1)
     if not isinstance(leaf, _MONOMIALS):
         known = not nonnegative or f.a == 0 and f.b > 0
         return (leaf.is_real(m0 - 1, nonnegative) if known else None), None
-    if not nonnegative:
-        return True, None
-    # a + b L(m) is monotone in each sign class of L, from its first term to a
-    # where |L| decays, to the sign of b L where it grows
-    a, b, q, mod = _monomial(f)
-    tends_up = a >= 0 if mod < 1 else mod == 1 or q > 0 and b > 0
+    a, b, q, _ = _monomial(f)
     positive = a == 0 and b > 0 and (q is None or q > 0)  # known without a term
-    if tends_up and (positive or f.term(s + 1) >= 0 and f.term(f.first(m0 + 1, s)) >= 0):
-        return True, None
-    ms = _near(leaf, m0, a and abs(_exact(a) / _exact(b)))
-    return False, next((n for n in (f.first(m, s) for m in ms) if f.term(n) < 0), None)
+    sp = _spans(f, s, m0) if nonnegative and not positive else (1, [])
+    if sp is None:
+        return None, None
+    n = min(filter(None, (_turn(f, s, span, sp[0], lambda t: t < 0) for span in sp[1])),
+            default=None)
+    return n is None, None if n is None else f.first(n, s)
 
 
 def _monotone_fact(rule: ScalarRule, skip: int = 0, strict: bool = False
@@ -659,29 +724,23 @@ def _value_set(rule: ScalarRule, skip: int = 0) -> Optional[tuple]:
     return None if tail is None else values + tuple(_lift(f.ops, v) for v in tail)
 
 
-def _tail_index(rule: ScalarRule, r, skip: int = 0) -> Optional[int]:
-    f, head, s, leaf = _split(rule, skip)
-    k = max([skip + 1] + [e + 1 for _, e, v in head if _abs_exact(v) > r])
+def _tail_index(rule: ScalarRule, r) -> Optional[int]:
+    f, head, s, leaf = _split(rule, 0)
+    k = max([1] + [e + 1 for _, e, v in head if _abs_exact(v) > r])
     if leaf is _END or isinstance(leaf, ConstantRule):
         return None if leaf is not _END and _abs_exact(leaf.c) > r else k
-    m0 = f.g(s + 1)
-    if not isinstance(leaf, _MONOMIALS):
-        m = leaf.tail_index(r, m0 - 1) if f.a == 0 and f.b == 1 else None
-        return None if m is None else max(k, f.first(m, s) if m > m0 else 0)
-    a, b, q, mod = _monomial(f)
-    if mod > 1 or isinstance(q, complex) and a != 0:
+    # a real tail that does not grow, whose limit a lies within r: past where
+    # |b L| falls under r - |a| (or r, for |a| = r) a class's terms lie within
+    # r or never do, and those of each class past the first within r stay so
+    real = isinstance(leaf, _MONOMIALS) and not _complex(f) and _monomial(f)[3] <= 1
+    a, r = _abs_exact(_exact(f.a)) if real else 0, Fraction(r)
+    sp = _spans(f, s, f.g(s + 1), (r - a if a < r else r) / 2 / _abs_exact(
+        _exact(_monomial(f)[1]))) if real and 0 < r and a <= r else None
+    ms = [None] if sp is None else [
+        _turn(f, s, span, sp[0], lambda t: _abs_exact(t) <= r) for span in sp[1]]
+    if None in ms:
         return None
-    if mod == 1:  # q = -1, or a unit ratio over a = 0: two magnitudes, both read
-        return None if any(_abs_exact(f.term(f.first(m, s))) > r for m in (m0, m0 + 1)) else k
-    if isinstance(q, complex):  # |b| |q|^m falls through r once
-        y = (0, abs(r / b))
-    else:  # |a + b y| <= r on [y1, y2], which must hold L's limit 0 from its sides
-        y = _interval(a, b, r)
-        if y is None or y[1] <= 0 or y[0] > 0 or q is not None and q < 0 and y[0] == 0:
-            return None
-    ms = {m for theta in (y[1], -y[0]) for m in _near(leaf, m0, theta)}
-    m = max((m for m in ms if _abs_exact(f.term(f.first(m, s))) > r), default=None)
-    return k if m is None else max(k, f.last(m) + 1)
+    return max([k] + [f.last(m - sp[0]) + 1 for m, (lo, _) in zip(ms, sp[1]) if m > lo])
 
 
 def _ratio_deviation_tail(w: ScalarRule, v: ScalarRule, start: int) -> Optional[float]:
@@ -783,6 +842,11 @@ class MergedAbsDecreasingRule(ScalarRule):
         if True in verdicts and not skip and self.length() is not None:
             return True
         return False if all(v is False for v in verdicts) else None
+
+    def zero_index(self, skip=0):
+        # a finite merge holding a zero ends with its zeros
+        ln = self.length() if self.attains_zero(skip) else None
+        return None if ln is None else next(n for n in range(1, ln + 1) if self.value(n) == 0)
 
     def is_real(self, skip=0, nonnegative=False):
         verdicts = [r.is_real(0, nonnegative) for r in self._rules]

@@ -44,7 +44,6 @@ from .sequences import (
     ScalarRule,
     _monotone_fact,
     _ratio_deviation_tail,
-    _zero_fact,
     log_abs,
 )
 
@@ -225,8 +224,8 @@ class _ShiftCertifier:
                     "" if n is None else f": they increase at index {n}"))
             hit, idx = _zero_weight(s.weights)
             if hit:
-                where = "" if idx is None else f" at index {idx}"
-                raise PreconditionViolatedError(f"zero weight{where}; run kernel_trivial instead")
+                raise PreconditionViolatedError(
+                    f"zero weight at index {idx}; run kernel_trivial instead")
         self.log_bound = math.log(self.bound)  # a bad bound fails after the checks
         self.sides.add(side)
 
@@ -344,13 +343,13 @@ def replay_shift_certificate(s: ShiftForm, cert: EigenExclusionCertificate) -> f
 
 
 def _zero_weight(rule: ScalarRule) -> Tuple[bool, Optional[int]]:
-    """(attains_zero, index of the first zero) for a weight rule: its own
-    ``attains_zero`` decides, and a rule that decides nothing is refused.  The
-    normal form places a zero; a rule outside the grammar may not."""
+    """(attains_zero, index of a zero) for a weight rule: its own
+    ``attains_zero`` decides, a rule that decides nothing is refused, and
+    one that attains a zero places it."""
     az = rule.attains_zero()
     if az is None:
         raise PreconditionViolatedError("cannot certify that the weights are nonzero")
-    return az, _zero_fact(rule)[1] if az else None
+    return az, rule.zero_index() if az else None
 
 
 def _weights_zero_check(weights: ScalarRule) -> KernelRangeVerdict:
@@ -359,8 +358,7 @@ def _weights_zero_check(weights: ScalarRule) -> KernelRangeVerdict:
     if not hit:
         return KernelRangeVerdict(True, True, None, True,
                                   "weights certified nonzero; permutation total")
-    where = "" if idx is None else f" at index {idx}"
-    return KernelRangeVerdict(False, False, idx, True, f"weight{where} is zero")
+    return KernelRangeVerdict(False, False, idx, True, f"weight at index {idx} is zero")
 
 
 def kernel_trivial(s: Union[ShiftForm, OperatorExpr]) -> KernelRangeVerdict:

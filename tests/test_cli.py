@@ -503,6 +503,22 @@ class TestRun:
                 error = json.loads((out / "report.json").read_text())["error"]
                 assert error["message"] == message
 
+    def test_a_zero_read_through_an_adjoint_is_named(self, tmp_path):
+        # the adjoint of sigma * diag(1, 1, 0, 1/4, ..) reads the zero at 3
+        # through the permutation: its own weight 5 is zero
+        spec = write_spec(tmp_path, "adjoint-zero.json", {
+            "version": 1, "analysis": "deflate", "params": SMALL_PARAMS,
+            "operator": {"op": "adjoint", "inner": {
+                "op": "product",
+                "left": {"op": "permutation-unitary", "of": {"permutation": "sigma-bilateral"}},
+                "right": {"op": "diagonal", "weights": {
+                    "rule": "explicit-then", "prefix": [1, 1, 0],
+                    "tail": diag_spec()["operator"]["weights"]}}}}})
+        out = tmp_path / "adjoint-zero"
+        assert main(["run", str(spec), "--out", str(out)]) == 3
+        assert json.loads((out / "report.json").read_text())["error"]["message"] == (
+            "not a Schauder operator: not-injective (witness index 5); weight at index 5 is zero")
+
     def test_a_block_sum_whose_members_rise_is_refused(self, tmp_path):
         # block 0 is diag(1, 1/2, .., 1/70, 1, 1/2, ..); a block sum merges its
         # members with the other block's by magnitude, which needs them to fall
