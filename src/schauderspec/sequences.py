@@ -10,15 +10,14 @@ floating point.  Each family answers ``limit()`` and
 The facts the rest of the package decides with are about the terms past
 the first ``skip``: ``attains_zero``, ``value_set`` (when finitely many),
 ``is_real`` (and ``nonnegative``), ``abs_nonincreasing`` (``strict``) and
-``zero_index``; and ``tail_index(r)`` is the least ``K`` from which
-``|a_n| <= r``.  Any
-nesting of the grammar's rules is a finite prefix, then
-``a + b * L(ceil((n + u) / t))`` with ``L`` one monomial, ``n^-p`` or
-``q^n``; every fact is decided from that form, reading each spelled-out
-prefix entry once and a bounded number of terms about where the monomial
-crosses a constant, never a scan.  Monotony is a fact of the real
-sequence the parameters name; a zero, a sign or a tail is one of the
-terms as ``value()`` computes them, whose sums and products are
+``zero_index``; ``tail_index(r)`` is the least ``K`` from which
+``|a_n| <= r``.  Any nesting of the grammar's rules is a finite prefix,
+then ``a + b * L(ceil((n + u) / t))`` with ``L`` one monomial, ``n^-p``
+or ``q^n``; every fact is decided from that form, reading each
+spelled-out prefix entry once and a bounded number of terms about where
+the monomial crosses a constant, never a scan.  Monotony is a fact of
+the real sequence the parameters name; a zero, a sign or a tail is one
+of the terms as ``value()`` computes them, whose sums and products are
 monotone: the first zero of a sign class of the monomial is where the
 terms' sign turns, found by bisection.  The form stops at one monomial:
 zeros of a sum of two are the Skolem problem.  A leaf outside the
