@@ -147,25 +147,27 @@ def _write_csv(path: Path, header: list, rows) -> str:
 
 
 def _write_certificates(path: Path, certs, walks: WalkTable = None) -> str:
-    """``certificates.csv`` from the rows of ``walks``: csv.writer renders each walk's row
-    tail once, float lambdas (no quoting) go in front, lines go out in chunks."""
+    """``certificates.csv``: csv.writer renders each walk's row tail once, by its
+    ``walk_key``; float lambdas (no quoting) go in front, texts from ``walks``,
+    and lines go out in chunks."""
     lines = []
     writer = csv.writer(SimpleNamespace(write=lines.append))
     writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime", "block",
                      "witness_index", "magnitude", "bound"])
     walks = walks or WalkTable()
-    tails = {}  # walk number -> tail text
+    tails = {}  # walk key -> tail text
     with path.open("w", newline="") as fh:
         for cert in certs:
-            number, _adjoint, texts, _ = walks.row(cert)
-            tail = tails.get(number)
+            key = cert.walk_key
+            tail = tails.get(key)
             if tail is None:
                 c = certificate_to_json(cert)
                 writer.writerow([c["side"], c["kind"], c["regime"], c["details"].get("block", 0),
                                  c["witnessIndex"], repr(c["magnitude"]), repr(c["bound"])])
                 tail = lines.pop()
-                if number is not None:
-                    tails[number] = tail
+                if key is not None:
+                    tails[key] = tail
+            texts = walks.texts(cert)
             if texts is None:
                 writer.writerow([repr(cert.lam.real), repr(cert.lam.imag)])  # quoted where needed
                 lines.append(f"{lines.pop()[:-2]},{tail}")

@@ -155,19 +155,21 @@ class Sum(OperatorExpr):
             raise ValueError("empty sum")
 
     def line(self, g, axis, keep=None):
-        # a term with the base blank adds the int 0 off its line: the total,
+        # each index folds the terms in order, from the int 0: a term's value
+        # where its line names the index, else its own blank if it has one; a
+        # term with the base blank adds nothing off its line, so the total,
         # never a float or complex with a -0.0 part, stays as it is
-        lines = [(t.line(g, axis, keep), None if type(t).blank is OperatorExpr.blank else t)
-                 for t in self.terms]
-        out = {x: 0 for line, _ in lines for x in line}
-        for x in out:
-            total = 0
-            for line, t in lines:
-                if x in line:
-                    total = _plus(total, line[x])
-                elif t is not None:
-                    total = _plus(total, t.blank(*((g, x) if axis else (x, g))))
-            out[x] = total
+        out, blanks = {}, []  # the terms so far with a blank of their own
+        for t in self.terms:
+            line = t.line(g, axis, keep)
+            for x, v in line.items():
+                out[x] = _plus(out[x] if x in out else reduce(
+                    _plus, [b.blank(*((g, x) if axis else (x, g))) for b in blanks], 0), v)
+            if type(t).blank is not OperatorExpr.blank:
+                blanks.append(t)
+                for x in out:
+                    if x not in line:
+                        out[x] = _plus(out[x], t.blank(*((g, x) if axis else (x, g))))
         return out
 
     def blank(self, i, j):

@@ -10,13 +10,12 @@ offending node.
 from __future__ import annotations
 
 import io
-import marshal
 import math
 import os
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import SpecFormatError
@@ -534,8 +533,6 @@ _TOKENS = {
 # The values that change along one walk's certificates: lambdaRe, lambdaIm
 # and the details' adjoint_lambda re and im.  JSON text never holds a \x01.
 _SLOTS = [_Slot(f"\x01{i}") for i in range(4)]
-_WALK_FIELDS = attrgetter("witness_index", "attained_magnitude", "recurrence_kind",
-                          "bound", "regime", "start_index", "side", "covered_region")
 
 
 def _float_token(x: float) -> str:
@@ -544,51 +541,36 @@ def _float_token(x: float) -> str:
 
 
 class WalkTable:
-    """A run's certificates, each read once for all of its writers.
+    """The lambda texts that a run's certificate writers share.
 
-    ``row(cert)`` is ``(walk number, adjoint, texts, cert)``.  One number stands
-    for the ``marshal`` bytes of all but ``lam`` and ``adjoint`` (the details'
-    ``adjoint_lambda`` if an exact complex), which keep exact types and float
-    bits; it is None if ``marshal`` refuses a value.  ``texts`` are the ``repr``
-    of the lambda's parts and ``adjoint``'s, None unless the lambda's are exact
-    floats.  A row holds its certificate, so its ``id`` stays unique.
+    ``texts(cert, adjoint)`` is the ``repr`` of the parts of ``cert.lam``,
+    then, if ``adjoint``, of its details' ``adjoint_lambda``, or None unless
+    the lambda's parts are exact floats.  Each grid lambda is spelled once:
+    its pair is kept if both parts are nonzero and not nan (``0.0 == -0.0``,
+    and nan equals nothing), and an ``adjoint_lambda`` that is ``conj(lam)``
+    flips the sign of its imaginary text.
     """
 
     def __init__(self):
-        self.numbers = {}  # walk key -> walk number
-        self.rows = {}  # id(cert) -> row
-        self.texts = {}  # nonzero exact float -> its repr
+        self.pairs = {}  # lam -> (its texts, with its conjugate's texts)
 
-    def text(self, x) -> str:
-        """``repr(x)``, made once per distinct nonzero exact float (as
-        ``0.0 == -0.0``, one memo entry would give both zeros one text)."""
-        if type(x) is not float or not x:
-            return repr(x)
-        text = self.texts.get(x)
-        if text is None:
-            text = self.texts[x] = repr(x)
-        return text
-
-    def row(self, cert) -> tuple:
-        row = self.rows.get(id(cert))
-        if row is None:
-            details = dict(cert.details)  # as certificate_to_json reads them
-            adjoint = details.get("adjoint_lambda")
-            if type(adjoint) is complex:
-                details["adjoint_lambda"] = None
-            else:
-                adjoint = None
-            try:
-                key = marshal.dumps((_WALK_FIELDS(cert), details, adjoint is None), 2)
-                number = self.numbers.setdefault(key, len(self.numbers))
-            except ValueError:
-                number = None
-            lam, texts = cert.lam, None
-            if type(lam.real) is float and type(lam.imag) is float:
-                texts = tuple(map(self.text, (lam.real, lam.imag) + (
-                    () if adjoint is None else (adjoint.real, adjoint.imag))))
-            row = self.rows[id(cert)] = (number, adjoint, texts, cert)
-        return row
+    def texts(self, cert, adjoint: bool = False):
+        lam = cert.lam
+        memo = self.pairs.get(lam) if type(lam) is complex else None
+        if memo is None:
+            if type(lam.real) is not float or type(lam.imag) is not float:
+                return None
+            pair = (repr(lam.real), repr(lam.imag))
+            memo = (pair, None)
+            if type(lam) is complex and lam.real and lam.imag and lam == lam:
+                re, im = pair
+                memo = self.pairs[lam] = (pair, (re, im, re, im[1:] if im[0] == "-" else "-" + im))
+        if not adjoint:
+            return memo[0]
+        conj = dict(cert.details)["adjoint_lambda"]  # the last, as JSON keeps it
+        if memo[1] is not None and conj == lam.conjugate():  # equal nonzero floats share their bits
+            return memo[1]
+        return memo[0] + (repr(conj.real), repr(conj.imag))
 
 
 def _key_text(key) -> str:
@@ -609,8 +591,9 @@ def write_report(path, report, walks: WalkTable = None) -> None:
     complete, so a reader never sees a partial report.  Unlike
     ``json.dumps`` it does not look for reference cycles.  A certificate
     record is written as its ``certificate_to_json``: its walk's text once
-    per indent, as a frame that each certificate fills in from its row of
-    ``walks``, a ``WalkTable`` that other writers of the run may share.
+    per indent and ``walk_key``, as a frame that each certificate fills in
+    with its lambda texts from ``walks``, which other writers of the run
+    may share.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -618,32 +601,34 @@ def write_report(path, report, walks: WalkTable = None) -> None:
     key_heads = {}  # str key -> '"key": '
     token_of = {**_TOKENS, float: _float_token}.get
     walks = walks or WalkTable()
-    frames = {}  # (walk number, indent) -> (text segments, slot picker)
+    frames = {}  # (walk key, indent) -> (text segments, slot picker, adjoint)
 
     def certificate(cert, nl):
         # Emit a walk's text once per indent, with slot tokens, and split it
         # there; what that emit flushes goes to a buffer, not to the file.
         nonlocal parts, fh
-        number, adjoint, texts, _ = walks.row(cert)
-        frame = frames.get((number, nl))
+        key = cert.walk_key
+        frame = frames.get((key, nl))
         if frame is None:
             doc = certificate_to_json(cert)
             doc["lambdaRe"], doc["lambdaIm"] = _SLOTS[:2]
-            if adjoint is not None:
+            adjoint = type(dict(cert.details).get("adjoint_lambda")) is complex
+            if adjoint:
                 doc["details"]["adjoint_lambda"] = {"re": _SLOTS[2], "im": _SLOTS[3]}
             saved, parts, fh = (parts, fh), [], io.StringIO()
             emit(doc, nl)
             text = (fh.getvalue() + "".join(parts)).split("\x01")
             parts, fh = saved
             frame = ([text[0], *[s[1:] for s in text[1:]]],
-                     itemgetter(*[int(s[0]) for s in text[1:]]))
-            if number is not None:
-                frames[number, nl] = frame
-        segments, pick = frame
+                     itemgetter(*[int(s[0]) for s in text[1:]]), adjoint)
+            if key is not None:
+                frames[key, nl] = frame
+        segments, pick, adjoint = frame
+        texts = walks.texts(cert, adjoint)
         if texts is None:
-            lam = cert.lam
-            tokens = map(_token, pick((lam.real, lam.imag) if adjoint is None else (
-                lam.real, lam.imag, adjoint.real, adjoint.imag)))
+            lam, conj = cert.lam, adjoint and dict(cert.details)["adjoint_lambda"]
+            tokens = map(_token, pick((lam.real, lam.imag) + (
+                (conj.real, conj.imag) if adjoint else ())))
         else:
             picked = pick(texts)
             tokens = map(_NONFINITE.get, picked, picked)

@@ -20,7 +20,10 @@ magnitude could overflow before its logarithm is examined.
 
 from __future__ import annotations
 
+import marshal
 import math
+from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -84,6 +87,24 @@ class EigenExclusionCertificate:
             if k == key:
                 return v
         return default
+
+    @cached_property
+    def walk_key(self) -> Optional[bytes]:
+        """The ``marshal`` bytes of all but ``lam`` and an exact complex
+        ``adjoint_lambda``, with exact types and float bits: one key for every
+        certificate of one orbit walk, or None if ``marshal`` refuses a value."""
+        details = dict(self.details)  # the last of a repeated key, as JSON keeps it
+        adjoint = type(details.get("adjoint_lambda")) is complex
+        if adjoint:
+            details["adjoint_lambda"] = None
+        try:
+            return marshal.dumps((_WALK_FIELDS(self), details, not adjoint), 2)
+        except ValueError:
+            return None
+
+
+_WALK_FIELDS = attrgetter("witness_index", "attained_magnitude", "recurrence_kind",
+                          "bound", "regime", "start_index", "side", "covered_region")
 
 
 @record
@@ -177,7 +198,7 @@ class _ShiftCertifier:
         self.back_idx = self.fwd_idx = 1
         self.sides: set = set()  # sides whose preconditions hold
         self.memo: dict = {}  # (side, exact log|lam|) -> (regime, witness step, log magnitude)
-        self.walks: dict = {}  # (side, |lam|) -> all of a complex lam's certificate but lam
+        self.walks: dict = {}  # (side, |lam|) -> a complex lam's certificate but lam, and walk_key
 
     def _log_weight(self, idx: int, side: str) -> float:
         w = self.s.weights.value(idx)
@@ -295,17 +316,22 @@ class _ShiftCertifier:
             if side not in self.sides:
                 self._check(side)
             regime, k, log_mag = self._divergence(walked, side)
-            walk = (regime, k, _safe_exp(log_mag),
+            walk = [regime, k, _safe_exp(log_mag),
                     f"circle |lambda| = {abs(complex(walked))!r}",
-                    (("log_magnitude", log_mag),) + self.details)
+                    (("log_magnitude", log_mag),) + self.details, None]
             if key is not None:
                 self.walks[key] = walk
-        regime, k, magnitude, region, details = walk
+        regime, k, magnitude, region, details, walk_key = walk
         if side == "adjoint":
             details = (("adjoint_lambda", walked),) + details
         # positional, in field order: this runs once per grid point and side
-        return EigenExclusionCertificate(complex(lam), k, magnitude, "scalar-shift",
+        cert = EigenExclusionCertificate(complex(lam), k, magnitude, "scalar-shift",
                                          self.bound, regime, 1, side, region, details)
+        if walk_key is not None:  # the walk's serialization key, made once per walk
+            cert.__dict__["walk_key"] = walk_key
+        elif key is not None:
+            walk[5] = cert.walk_key
+        return cert
 
     def grid(self, grid: Sequence[Scalar]) -> list:
         """Direct then adjoint certificate for each ``lam`` of ``grid``."""

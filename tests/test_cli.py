@@ -1098,6 +1098,35 @@ _ALIASES = [
 ]
 
 
+def _grid_point(lam, conj=None):
+    """A grid point's direct and adjoint certificates as the certifier builds
+    them: one walk per side, the adjoint's ``adjoint_lambda`` ``conj`` if
+    given, else ``conj(lam)``."""
+    walk = dict(witness_index=3, attained_magnitude=2.5e100, recurrence_kind="scalar-shift",
+                bound=1e100, regime="backward-orbit", covered_region="circle |lambda| = 0.5")
+    tail = (("log_magnitude", 230.5),)
+    conj = complex(lam).conjugate() if conj is None else conj
+    return [EigenExclusionCertificate(lam=lam, side="direct", details=tail, **walk),
+            EigenExclusionCertificate(lam=lam, side="adjoint",
+                                      details=(("adjoint_lambda", conj),) + tail, **walk)]
+
+
+# Grid-shaped lists: direct and adjoint pairs at one lambda with signed zero
+# or nan parts (which no lambda text pair may be shared over) or infinite
+# ones, a lambda seen twice, and adjoints whose adjoint_lambda is not
+# conj(lam) although its parts are, up to sign or bit, those of lam.
+_GRID_POINTS = [cert for lam in (
+    complex(0.5, 0.0), complex(0.5, -0.0), complex(-0.0, 0.5), complex(0.0, -0.5),
+    complex(-0.0, -0.0), complex(math.nan, 0.5), complex(0.5, math.nan),
+    complex(math.inf, 0.5), complex(0.5, -math.inf), complex(0.3, 0.4), complex(0.3, 0.4))
+    for cert in _grid_point(lam)]
+_OFF_CONJUGATES = [cert for lam, conj in (
+    (complex(0.3, 0.4), complex(0.3, 0.4)), (complex(0.3, 0.4), complex(-0.3, -0.4)),
+    (complex(0.3, 0.4), complex(0.3, -0.4000000000000001)),
+    (complex(0.5, 0.0), complex(0.5, 0.0)), (complex(math.nan, 0.5), complex(math.nan, 0.5)),
+    (complex(0.3, 0.4), None)) for cert in _grid_point(lam, conj)]
+
+
 def _csv_text(certs) -> str:
     """``certificates.csv`` as plain csv.writer rows of each certificate's JSON form."""
     import csv
@@ -1122,6 +1151,8 @@ class TestCertificateRecords:
     @given(_certificate_lists())
     @example(_ALIASES)
     @example([_floor(0.5j, value=Fraction(1, 2)), _floor(0.5j, value=Fraction(1, 2))])
+    @example(_GRID_POINTS)
+    @example(_OFF_CONJUGATES)
     def test_report_is_stdlib_encoding_of_the_json_form(self, tmp_path_factory, certs):
         tmp_path = tmp_path_factory.mktemp("w")
         as_json = [certificate_to_json(c) for c in certs]
@@ -1133,6 +1164,8 @@ class TestCertificateRecords:
     @settings(max_examples=150, deadline=None)
     @given(_certificate_lists(_lambdas | st.sampled_from([Fraction(1, 3), 7])))
     @example(_ALIASES)
+    @example(_GRID_POINTS)
+    @example(_OFF_CONJUGATES)
     def test_csv_rows_are_the_plain_csv_writer_rows(self, tmp_path_factory, certs):
         path = tmp_path_factory.mktemp("w") / "certificates.csv"
         assert cli._write_certificates(path, certs) == "certificates.csv"
@@ -1144,6 +1177,8 @@ class TestCertificateRecords:
     @example([_floor(complex(math.nan, math.inf)), _floor(complex(-math.inf, -0.0)),
               replace(_floor(2j), side="adjoint", details=(
                   ("adjoint_lambda", complex(math.nan, -math.inf)), ("block", 1)))])
+    @example(_GRID_POINTS)
+    @example(_OFF_CONJUGATES + _GRID_POINTS)
     def test_one_walk_table_serves_both_writers(self, tmp_path_factory, certs):
         # as a run shares it: the CSV reads it first, the report after, and
         # each keeps its own spelling of nan and the infinities
@@ -1157,11 +1192,17 @@ class TestCertificateRecords:
             assert (tmp_path / "certificates.csv").read_bytes().decode() == _csv_text(certs)
             assert (tmp_path / "report.json").read_text() == stdlib_text(
                 {"a": as_json, "b": {"c": as_json[::-1]}})
-        assert len(walks.rows) == len({id(c) for c in certs})
+        # one text pair per lambda whose parts are nonzero and not nan, with
+        # the texts of its conjugate
+        assert walks.pairs.keys() == {c.lam for c in certs if type(c.lam) is complex
+                                      and c.lam.real and c.lam.imag and c.lam == c.lam}
+        for lam, (pair, conj) in walks.pairs.items():
+            assert pair == (repr(lam.real), repr(lam.imag))
+            assert conj == pair + (repr(lam.real), repr(-lam.imag))
 
     def test_writers_free_the_walk_table_without_the_cycle_collector(self, tmp_path):
-        # a run's table holds every certificate; a long-lived process that
-        # left it to the cycle collector would grow by one table per run
+        # a run's table holds a text pair per grid lambda; a long-lived process
+        # that left it to the cycle collector would grow by one table per run
         import gc
         import weakref
 

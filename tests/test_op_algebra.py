@@ -712,6 +712,62 @@ class TestLinesAgainstReference:
         assert seen == [2]
 
 
+def _double_loop_line(S, g, axis, keep=None):
+    """A sum's line the plain way: every named index tests every term, which
+    adds its value there, else its own blank if it has one."""
+    lines = [(t.line(g, axis, keep), type(t).blank is not op_algebra.OperatorExpr.blank, t)
+             for t in S.terms]
+    out = {x: 0 for line, _, _ in lines for x in line}
+    for x in out:
+        total = 0
+        for line, own, t in lines:
+            if x in line:
+                total = op_algebra._plus(total, line[x])
+            elif own:
+                total = op_algebra._plus(total, t.blank(*((g, x) if axis else (x, g))))
+        out[x] = total
+    return out
+
+
+@st.composite
+def mixed_sums(draw):
+    """Sums over spreads (hitting lines 0, 1 or more times), weighted
+    diagonals, permutations, scaled terms and nested sums, so that terms
+    with and without a blank of their own interleave and values carry
+    signed zeros, complex parts and infinite scalars."""
+    def term():
+        kind = draw(st.sampled_from(["spread", "sum-spread", "leaf", "scale", "sum"]))
+        if kind == "spread":
+            return draw(leaf_exprs().filter(lambda t: isinstance(t, Spread)))
+        if kind == "sum-spread":
+            return draw(st.sampled_from(draw(spread_sums()).terms))
+        if kind == "leaf":
+            return draw(weighted_leaves())
+        if kind == "scale":
+            return Scale(draw(SCALARS | WEIGHTS), draw(weighted_leaves()))
+        return Sum((draw(weighted_leaves()), Scale(draw(SCALARS), draw(weighted_leaves()))))
+
+    return Sum(tuple(term() for _ in range(draw(st.integers(1, 4)))))
+
+
+class TestSumLines:
+    @given(mixed_sums(), st.integers(1, 8), st.sampled_from([None, 3, 6]))
+    @settings(max_examples=300, deadline=None)
+    def test_term_by_term_fold_matches_the_double_loop(self, S, g, top):
+        keep = None if top is None else (lambda x: x <= top)
+        for axis in (0, 1):
+            # same keys in the same order, same values, types and signed zeros
+            assert repr(list(S.line(g, axis, keep).items())) == repr(
+                list(_double_loop_line(S, g, axis, keep).items()))
+
+    def test_an_index_named_later_first_adds_the_blanks_before_it(self):
+        # column 1: the spread names row 2 only after the scaled identity,
+        # whose blank there is 0.5 * 0 = 0.0, so row 2 reads 0.0 + 1
+        U = PermutationUnitary(identity_permutation())
+        S = Sum((Scale(0.5, U), Spread(SpreadSpec(naturals(), ArithmeticSequence(2, 1)))))
+        assert repr(S.line(1, 0)) == "{1: 0.5, 2: 1.0}" == repr(_double_loop_line(S, 1, 0))
+
+
 class TestArithmeticShortcuts:
     # 1 * x and 0 + x are skipped only for ints and Fractions; anything else
     # goes through the arithmetic, which may change its bits

@@ -57,6 +57,7 @@ from schauderspec import (
     identity_permutation,
     is_compact_structural,
     is_schauder,
+    lambda_grid,
     one_line_permutation,
     recognize_shift_form,
     replay_block_certificate,
@@ -568,6 +569,71 @@ class TestDeflateDiscrete:
     def test_no_tail_delegates_to_finite_machinery(self):
         with pytest.raises(PreconditionViolatedError):
             deflate_discrete(MultiplicityList(((1, 2), (2, INFINITE)),), SMALL)
+
+
+class TestWalkKeys:
+    """Each certificate carries the serialization key of its orbit walk: the
+    certifier makes it once per walk, any other certificate from its own
+    fields on first read."""
+
+    S = ShiftForm(sigma_bilateral(), RECIP)
+    CFG = CertificateGridConfig(moduli=3, phases=4, min_modulus=0.5)
+
+    @staticmethod
+    def own_key(cert):
+        return EigenExclusionCertificate.walk_key.func(cert)
+
+    def test_every_certificate_carries_the_key_of_its_own_fields(self):
+        grid = lambda_grid(self.CFG, 1.0)
+        certs = grid_certificates(self.S, grid, 1e30)
+        # stamped by the certifier before any read, one object per walk
+        assert all("walk_key" in vars(c) for c in certs)
+        assert len({id(c.walk_key) for c in certs}) == len({c.walk_key for c in certs}) == len(
+            {(c.side, abs(c.lam)) for c in certs})
+        # block-tagged, with constant floors on the ring |lambda| = 1/2
+        res = deflate_discrete(MultiplicityList(((Fraction(1, 2), INFINITE),),
+                                                OffsetRule(RECIP, 3)), self.CFG)
+        assert {c.detail("block") for c in res.certificates} == {0, 1}
+        assert any(c.regime == "constant-floor" for c in res.certificates)
+        singles = [f(self.S, lam, 1e30) for lam in (0.5j, 2, complex(-0.0, 0.25))
+                   for f in (shift_eigen_exclude, adjoint_exclusion)]
+        for c in (*certs, *res.certificates, *singles):
+            assert c.walk_key is not None and c.walk_key == self.own_key(c)
+        # each grid certificate equals its single-point twin, key and all
+        twins = [f(self.S, lam, 1e30) for lam in grid
+                 for f in (shift_eigen_exclude, adjoint_exclusion)]
+        assert list(certs) == twins
+        assert [c.walk_key for c in certs] == [c.walk_key for c in twins]
+
+    def test_a_replaced_certificate_gets_a_key_of_its_own(self):
+        cert = grid_certificates(self.S, (0.5j,), 1e30)[1]
+        same, moved = replace(cert), replace(cert, witness_index=cert.witness_index + 1)
+        assert "walk_key" not in vars(same) and "walk_key" not in vars(moved)
+        assert same.walk_key == cert.walk_key and same.walk_key is not cert.walk_key
+        assert moved.walk_key == self.own_key(moved) != cert.walk_key
+        # the adjoint lambda is not part of the key; the side is
+        assert replace(cert, details=(("adjoint_lambda", 3j),) + cert.details[1:]).walk_key \
+            == cert.walk_key != replace(cert, side="direct").walk_key
+        # fields, ==, hash and repr ignore the cached key
+        assert same == cert and hash(same) == hash(cert) and repr(same) == repr(cert)
+        assert "walk_key" not in repr(cert)
+
+    def test_marshal_runs_once_per_walk_for_the_grid_and_both_writers(self, monkeypatch, tmp_path):
+        import marshal
+        from types import SimpleNamespace
+
+        from schauderspec import cli, spectral
+        from schauderspec.serde import WalkTable, write_report
+
+        calls = []
+        monkeypatch.setattr(spectral, "marshal", SimpleNamespace(
+            dumps=lambda *args: calls.append(args) or marshal.dumps(*args)))
+        grid = lambda_grid(self.CFG, 1.0)
+        certs = grid_certificates(self.S, grid, 1e30)
+        walks = WalkTable()
+        cli._write_certificates(tmp_path / "certificates.csv", certs, walks)
+        write_report(tmp_path / "report.json", {"c": list(certs)}, walks)
+        assert len(calls) == len({(c.side, abs(c.lam)) for c in certs}) < len(certs)
 
 
 class TestDeflateFiniteSpectrum:

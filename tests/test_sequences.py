@@ -484,6 +484,17 @@ class TestRuleFacts:
         assert rule.abs_nonincreasing() is down
         assert rule.abs_nonincreasing(strict=True) is strict
 
+    @pytest.mark.xfail(strict=True, reason="a float term that decays underflows to 0.0, "
+                       "and the zero fact reads a tail of products as zero-free")
+    def test_a_float_term_that_underflows_to_zero_is_a_zero(self):
+        from schauderspec import Diagonal, is_schauder
+
+        # 2^-1074 is the least subnormal; the next term rounds to 0.0
+        rule = GeometricRule(1.0, 0.5)
+        assert rule.value(1074) == 5e-324 and rule.value(1075) == 0.0
+        assert rule.attains_zero() is not False
+        assert is_schauder(Diagonal(rule)).detail != "diagonal entries nonzero"
+
     @settings(max_examples=400, deadline=None)
     @given(rule=grammar_rules(), skip=st.integers(0, 8),
            r=st.sampled_from([0.3, 0.7, 1.7, Fraction(5, 7)]))
