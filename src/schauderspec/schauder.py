@@ -69,6 +69,8 @@ from .spectral import (
     KernelRangeVerdict,
     _ShiftCertifier,
     _grid_top,
+    _mint,
+    _prototype,
     _weights_zero_check,
     _zero_weight,
     corner_eigs,
@@ -590,9 +592,17 @@ def _scaled_unitary_certificates(value, grid, cfg: CertificateGridConfig,
                                 (("block", block),) + details)
     region = f"circle |lambda| = {v!r}"
     floor = (("block", block), ("scaled_unitary", v)) + details
-    return [EigenExclusionCertificate(complex(lam), 1, 1.0, "scalar-shift", 0.0,
-                                      "constant-floor", 1, side, region, floor)
-            if abs(abs(lam) - v) <= 1e-12 * max(v, 1.0)
+    floors = {}  # side -> the instance dict of its first floor certificate
+
+    def on_circle(lam, side):
+        if side in floors:
+            return _mint(floors[side], complex(lam))
+        cert = EigenExclusionCertificate(complex(lam), 1, 1.0, "scalar-shift", 0.0,
+                                         "constant-floor", 1, side, region, floor)
+        floors[side] = _prototype(cert)
+        return cert
+
+    return [on_circle(lam, side) if abs(abs(lam) - v) <= 1e-12 * max(v, 1.0)
             else certifier.certificate(lam, side)
             for lam in grid for side in ("direct", "adjoint")]
 
@@ -848,9 +858,9 @@ def audit_deflation(result: DeflationResult, n: int = 64) -> Tuple[bool, float]:
     for key in left.keys() | right.keys():
         a = left.get(key, 0)
         b = right.get(key, 0)
-        if a != b:
+        if a != b:  # equal entries differ by 0, or nan for infinities
             exact = False
-        d = abs(complex(a) - complex(b))
-        if d > worst:
-            worst = d
+            d = abs(complex(a) - complex(b))
+            if d > worst:
+                worst = d
     return exact, worst

@@ -170,20 +170,37 @@ def _orbits_in_words(perm) -> str:
         f"the finite cycle{'s' * (len(cycles) > 1)} {listed}" if cycles else "no finite cycle")
 
 
+def _prototype(cert: EigenExclusionCertificate) -> dict:
+    """``cert``'s instance dict, its ``walk_key`` made, for :func:`_mint` to copy."""
+    cert.walk_key  # the cached property keeps it in the instance dict
+    return vars(cert)
+
+
+def _mint(proto: dict, lam: complex, adjoint_lambda=None) -> EigenExclusionCertificate:
+    """The certificate of ``proto`` at ``lam``, with ``adjoint_lambda`` as an adjoint's
+    first detail: equal, instance dict order and ``walk_key`` too, to one built anew."""
+    cert, details = object.__new__(EigenExclusionCertificate), proto["details"]
+    if adjoint_lambda is not None:
+        details = (("adjoint_lambda", adjoint_lambda),) + details[1:]
+    cert.__dict__.update(proto, lam=lam, details=details)
+    return cert
+
+
 class _ShiftCertifier:
     """Direct and adjoint orbit-walk certificates for one shift.
 
     Each side's preconditions are checked before that side's first
-    certificate, so a grid walks each orbit once per side and distinct
-    ``log|lam|`` and raises the same errors, in the same order, as
-    certifying its points one by one.  Every certificate ends with
-    ``details``.
+    certificate, so a grid walks each distinct ``log|lam|`` once for both
+    sides and raises the same errors, in the same order, as certifying its
+    points one by one.  Every certificate ends with ``details``.
 
     Both sides read the two rays ``back`` and ``fwd`` of ``log|w|`` along
     the orbit of 1, each grown only as deep as some walk read it, so each
     orbit weight is evaluated at most once.  The adjoint walks the same
     moduli, ``|conj w| = |w|``, along the inverse permutation: its
     backward step k reads ``fwd[k]`` and its forward step k ``back[k]``.
+    Round to nearest is symmetric, so its partial sums are the direct
+    walk's forward and backward ones negated, and one walk decides both.
     """
 
     def __init__(self, s: ShiftForm, bound: float, step_cap: int,
@@ -198,7 +215,8 @@ class _ShiftCertifier:
         self.back_idx = self.fwd_idx = 1
         self.sides: set = set()  # sides whose preconditions hold
         self.memo: dict = {}  # (side, exact log|lam|) -> (regime, witness step, log magnitude)
-        self.walks: dict = {}  # (side, |lam|) -> a complex lam's certificate but lam, and walk_key
+        self.paused: dict = {}  # exact log|lam| -> (steps, backward, forward sums) to resume
+        self.walks: dict = {}  # (side, |lam|) -> the instance dict of its first certificate
 
     def _log_weight(self, idx: int, side: str) -> float:
         w = self.s.weights.value(idx)
@@ -254,31 +272,41 @@ class _ShiftCertifier:
         """First step whose forced coefficient exceeds ``log(bound)``.
 
         Walks both directions in lockstep, backward first at each step;
-        the cached prefix is summed in the order a fresh walk would.
+        the cached prefix is summed in the order a fresh walk would.  Past
+        each full step it checks the other side's witness on the two sums
+        swapped and negated (``0.0 - x``: no sum from +0.0 is -0.0); if that
+        is still open when this walk stops, it resumes from the step's sums.
         """
         la = log_abs(lam)
-        hit = self.memo.get((side, la))
+        memo = self.memo
+        hit = memo.get((side, la))
         if hit is not None:
             return hit
         if side == "direct":
             near, far, grow_near, grow_far = self.back, self.fwd, self._grow_back, self._grow_fwd
         else:
             near, far, grow_near, grow_far = self.fwd, self.back, self._grow_fwd, self._grow_back
+        other = "adjoint" if side == "direct" else "direct"
         log_bound, step_cap = self.log_bound, self.step_cap
         have_near, have_far = len(near), len(far)
-        bwd_log = fwd_log = 0.0
-        for k in range(step_cap):
+        start, bwd_log, fwd_log = self.paused.pop(la, (0, 0.0, 0.0))
+        watch = (other, la) not in memo
+        for k in range(start, step_cap):
             if k == have_near:
                 grow_near(side)
                 have_near += 1
-            bwd_log += la - near[k]
-            if bwd_log > log_bound:
-                hit = ("backward-orbit", k + 1, bwd_log)
+            b = bwd_log + (la - near[k])
+            if b > log_bound:
+                hit = ("backward-orbit", k + 1, b)
                 break
             if k == have_far:
                 grow_far(side)
                 have_far += 1
-            fwd_log += far[k] - la
+            bwd_log, fwd_log = b, fwd_log + (far[k] - la)
+            if watch and (fwd_log < -log_bound or b < -log_bound):
+                memo[other, la] = (("backward-orbit", k + 1, 0.0 - fwd_log)
+                                   if fwd_log < -log_bound else ("forward-orbit", k + 1, 0.0 - b))
+                watch = False
             if fwd_log > log_bound:
                 hit = ("forward-orbit", k + 1, fwd_log)
                 break
@@ -297,7 +325,9 @@ class _ShiftCertifier:
                 lam=lam, steps=step_cap, best_log_magnitude=best,
                 gap=log_bound - best,
             )
-        self.memo[side, la] = hit
+        if watch:  # a forward witness ends a full step, a backward one starts it
+            self.paused[la] = (k + (hit[0] == "forward-orbit"), 0.0 - fwd_log, 0.0 - bwd_log)
+        memo[side, la] = hit
         return hit
 
     def certificate(self, lam: Scalar,
@@ -311,32 +341,34 @@ class _ShiftCertifier:
             )
         # by modulus, not log: moduli that share a math.log print own regions
         key = (side, abs(walked)) if type(walked) is complex else None
-        walk = self.walks.get(key)
-        if walk is None:
-            if side not in self.sides:
-                self._check(side)
-            regime, k, log_mag = self._divergence(walked, side)
-            walk = [regime, k, _safe_exp(log_mag),
-                    f"circle |lambda| = {abs(complex(walked))!r}",
-                    (("log_magnitude", log_mag),) + self.details, None]
-            if key is not None:
-                self.walks[key] = walk
-        regime, k, magnitude, region, details, walk_key = walk
+        proto = self.walks.get(key)
+        if proto is not None:
+            return _mint(proto, complex(lam), walked if side == "adjoint" else None)
+        if side not in self.sides:
+            self._check(side)
+        regime, k, log_mag = self._divergence(walked, side)
+        details = (("log_magnitude", log_mag),) + self.details
         if side == "adjoint":
             details = (("adjoint_lambda", walked),) + details
-        # positional, in field order: this runs once per grid point and side
-        cert = EigenExclusionCertificate(complex(lam), k, magnitude, "scalar-shift",
-                                         self.bound, regime, 1, side, region, details)
-        if walk_key is not None:  # the walk's serialization key, made once per walk
-            cert.__dict__["walk_key"] = walk_key
-        elif key is not None:
-            walk[5] = cert.walk_key
+        # positional, in field order
+        cert = EigenExclusionCertificate(complex(lam), k, _safe_exp(log_mag), "scalar-shift",
+                                         self.bound, regime, 1, side,
+                                         f"circle |lambda| = {abs(complex(walked))!r}", details)
+        if key is not None:  # its walk_key is made once per walk
+            self.walks[key] = _prototype(cert)
         return cert
 
     def grid(self, grid: Sequence[Scalar]) -> list:
         """Direct then adjoint certificate for each ``lam`` of ``grid``."""
-        return [self.certificate(lam, side)
-                for lam in grid for side in ("direct", "adjoint")]
+        out = []
+        walks, certificate = self.walks, self.certificate
+        for lam in grid:
+            m = abs(lam) if type(lam) is complex else None  # = |conj lam|, for both sides
+            direct, adjoint = walks.get(("direct", m)), walks.get(("adjoint", m))
+            out.append(certificate(lam) if direct is None else _mint(direct, lam))
+            out.append(certificate(lam, "adjoint") if adjoint is None
+                       else _mint(adjoint, lam, lam.conjugate()))
+        return out
 
 
 def shift_eigen_exclude(s: ShiftForm, lam: Scalar, bound: float = DEFAULT_BOUND,
@@ -893,12 +925,9 @@ def lambda_grid(cfg: CertificateGridConfig, max_weight: float) -> Tuple[complex,
             math.exp(lo + (hi - lo) * i / (cfg.moduli - 1))
             for i in range(cfg.moduli)
         ]
-    out = []
-    for rr in radii:
-        for q in range(cfg.phases):
-            theta = 2.0 * math.pi * q / cfg.phases
-            out.append(complex(rr * math.cos(theta), rr * math.sin(theta)))
-    return tuple(out)
+    units = [(math.cos(theta), math.sin(theta))
+             for theta in [2.0 * math.pi * q / cfg.phases for q in range(cfg.phases)]]
+    return tuple([complex(rr * c, rr * s) for rr in radii for c, s in units])
 
 
 def grid_certificates(s: ShiftForm, grid: Sequence[Scalar],
@@ -910,7 +939,7 @@ def grid_certificates(s: ShiftForm, grid: Sequence[Scalar],
 
     The certificates come interleaved, direct then adjoint for each
     ``lam`` in grid order, each equal to what ``shift_eigen_exclude`` and
-    ``adjoint_exclusion`` return for that point alone; each side's orbit
-    is walked once per distinct ``log|lam|``.
+    ``adjoint_exclusion`` return for that point alone; one walk of the
+    orbit per distinct ``log|lam|`` decides both sides.
     """
     return tuple(_ShiftCertifier(s, bound, step_cap, check_weights).grid(grid))

@@ -509,6 +509,16 @@ def dense_audit(result, n):
     return left == right, worst
 
 
+AUDIT_ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(-100, 100, max_denominator=30),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, complex(math.inf, 0.0),
+                     complex(-0.0, -math.inf), complex(math.nan, 1.0), 1j, 0.5]),
+    st.floats(),
+    st.complex_numbers(),
+)
+
+
 class TestAuditDeflation:
     def test_mismatch_supported_on_both_sides(self):
         res = deflate_basic(RECIP, SMALL)
@@ -529,6 +539,45 @@ class TestAuditDeflation:
         right = corner_entries(bad.deflated, 16)
         assert (1, 1) not in left and right[1, 1] == -0.25
         assert audit_deflation(bad, 16) == dense_audit(bad, 16) == (False, 0.25)
+
+    @staticmethod
+    def audit_of(left, right):
+        """``audit_deflation`` of two given sparse corners."""
+        from unittest import mock
+
+        from schauderspec import schauder
+        res = deflate_basic(RECIP, SMALL)
+        with mock.patch.object(schauder, "corner_entries", side_effect=[left, right]):
+            return audit_deflation(res, 4)
+
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(AUDIT_ENTRIES, AUDIT_ENTRIES,
+                  st.sampled_from(["left", "right", "both", "same", "twin"]))))
+    @settings(max_examples=300, deadline=None)
+    def test_only_unequal_entries_are_converted(self, cells):
+        # equal entries differ by 0, or by nan for infinities, and neither
+        # raises the worst difference: the loop over every entry agrees
+        left, right = {}, {}
+        for key, (a, b, how) in cells.items():
+            if how != "right":
+                left[key] = a
+            if how != "left":
+                right[key] = {"same": a, "twin": complex(a)}.get(how, b)
+        exact, worst = True, 0.0
+        for key in left.keys() | right.keys():
+            a, b = left.get(key, 0), right.get(key, 0)
+            if a != b:
+                exact = False
+            d = abs(complex(a) - complex(b))
+            if d > worst:
+                worst = d
+        assert repr(self.audit_of(left, right)) == repr((exact, worst))
+
+    def test_an_exact_audit_converts_no_entry(self):
+        # no float holds 10**400; equal entries are not converted
+        huge = Fraction(10 ** 400, 3)
+        assert self.audit_of({(0, 0): huge}, {(0, 0): huge}) == (True, 0.0)
 
 
 class TestDeflateDiscrete:
@@ -634,6 +683,18 @@ class TestWalkKeys:
         cli._write_certificates(tmp_path / "certificates.csv", certs, walks)
         write_report(tmp_path / "report.json", {"c": list(certs)}, walks)
         assert len(calls) == len({(c.side, abs(c.lam)) for c in certs}) < len(certs)
+        # the constant floors of one block and side share one key too: the
+        # 8 floors on the ring |lambda| = 1/2 make 2
+        calls.clear()
+        res = deflate_discrete(MultiplicityList(((Fraction(1, 2), INFINITE),),
+                                                OffsetRule(RECIP, 3)), self.CFG)
+        floors = [c for c in res.certificates if c.regime == "constant-floor"]
+        walks = WalkTable()
+        cli._write_certificates(tmp_path / "floors.csv", res.certificates, walks)
+        write_report(tmp_path / "floors.json", {"c": list(res.certificates)}, walks)
+        assert len(floors) == 8 and len({c.walk_key for c in floors}) == 2
+        assert all("walk_key" in vars(c) for c in res.certificates)
+        assert len(calls) == len({c.walk_key for c in res.certificates}) == 12
 
 
 class TestDeflateFiniteSpectrum:

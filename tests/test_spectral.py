@@ -189,6 +189,16 @@ vanishing_rules = st.one_of(
     st.builds(GeometricRule, st.fractions(Fraction(1, 10), 10, max_denominator=20),
               st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=10)),
 )
+# weights that may rise and cancel, float and exact: the adjoint walk and an
+# unchecked direct walk certify them
+joint_walk_rules = st.one_of(
+    vanishing_rules,
+    st.builds(ExplicitThenRule,
+              st.lists(st.sampled_from([1.0, 0.5, 0.25, 2.0, 0.1, 1e-3, Fraction(1, 3),
+                                        Fraction(3, 2), 4]), min_size=1, max_size=6).map(tuple),
+              st.builds(PowerLawRule, st.sampled_from([1.0, Fraction(1, 2)]),
+                        st.sampled_from([0.5, 1]))),
+)
 grid_configs = st.builds(
     CertificateGridConfig, moduli=st.integers(1, 6), phases=st.integers(1, 8),
     min_modulus=st.floats(1e-3, 1.0),
@@ -217,6 +227,29 @@ class TestGridCertificates:
             assert (adjoint.regime, adjoint.witness_index,
                     adjoint.detail("log_magnitude")) == oracle_divergence(
                         adj, complex(lam).conjugate(), bound)
+
+    @given(st.builds(CertificateGridConfig, moduli=st.integers(1, 40),
+                     phases=st.integers(1, 64), min_modulus=st.floats(1e-6, 10.0),
+                     max_modulus=st.none() | st.floats(1e-6, 1e3)),
+           st.floats(1e-6, 1e3))
+    @example(CertificateGridConfig(moduli=64, phases=32), 1.0)
+    @example(CertificateGridConfig(moduli=16, phases=8, max_modulus=0.5), 2.0)
+    @settings(max_examples=100, deadline=None)
+    def test_lambda_grid_points_are_the_per_point_formula(self, cfg, max_weight):
+        # one cos and sin per phase: every grid float stays bit for bit
+        if cfg.moduli == 1:
+            radii = [cfg.min_modulus]
+        else:
+            lo = math.log(cfg.min_modulus)
+            hi = math.log(spectral._grid_top(cfg, max_weight))
+            radii = [math.exp(lo + (hi - lo) * i / (cfg.moduli - 1))
+                     for i in range(cfg.moduli)]
+        want = []
+        for rr in radii:
+            for q in range(cfg.phases):
+                theta = 2.0 * math.pi * q / cfg.phases
+                want.append(complex(rr * math.cos(theta), rr * math.sin(theta)))
+        assert repr(lambda_grid(cfg, max_weight)) == repr(tuple(want))
 
     def test_last_ulp_moduli_are_walked_separately(self):
         # one ring of a 16 x 8 grid carries |lambda| values one ulp apart;
@@ -251,7 +284,7 @@ class TestGridCertificates:
             "circle |lambda| = 0.001", f"circle |lambda| = {tiny!r}",
             "circle |lambda| = 0.5"}
         # the float 0.001 is walked directly; every complex walk is kept once
-        assert {key: walk[3] for key, walk in certifier.walks.items()} == {
+        assert {key: walk["covered_region"] for key, walk in certifier.walks.items()} == {
             (side, m): f"circle |lambda| = {m!r}"
             for side in ("direct", "adjoint") for m in (0.001, tiny, 0.5)}
         for lam, adjoint in zip(grid, certs[1::2]):
@@ -350,6 +383,52 @@ class TestGridCertificates:
             assert engine[1] == f"{ref.value}; run kernel_trivial instead"
             named = zero_at if failed_side == "direct" else sigma.forward(zero_at)
             assert str(ref.value) == f"zero weight at index {named}"
+
+    @given(joint_walk_rules, st.lists(st.one_of(
+               # a modulus, its next ulps up and a phase that keeps |lambda| exact
+               st.tuples(st.floats(1e-3, 10.0), st.integers(0, 3), st.integers(0, 3)),
+               # the modulus of a weight of the orbit, where sums cancel to 0.0
+               st.tuples(st.integers(1, 5), st.just(None), st.integers(0, 3))),
+               min_size=1, max_size=6),
+           st.sampled_from([0.25, 0.5, 0.9, 2.0, 1e6, 1e30]), st.booleans())
+    @example(ExplicitThenRule((0.25, 1.0), PowerLawRule(1.0, 0.5)), [(1, None, 0)], 0.25, False)
+    @settings(max_examples=150, deadline=None)
+    def test_one_walk_decides_both_sides(self, rule, points, bound, adjoint_first):
+        # the adjoint's sums are the direct walk's negated: at |lambda| = |w_1|
+        # and bound 1/4 the direct walk finds the adjoint's witness 0.0, not -0.0
+        s = basic_shift(rule)
+        grid = []
+        for m, ulps, phase in points:
+            if ulps is None:
+                m = abs(complex(rule.value(m)))
+            else:
+                for _ in range(ulps):
+                    m = math.nextafter(m, math.inf)
+            grid.append((complex(m, 0.0), complex(0.0, m), complex(-m, -0.0),
+                         complex(-0.0, -m))[phase])
+        certs = spectral._ShiftCertifier(s, bound, 100_000, check_weights=False).grid(grid)
+        twins = [f(s, lam, bound) for lam in grid for f in (
+            lambda s, lam, bound: shift_eigen_exclude(s, lam, bound, check_weights=False),
+            adjoint_exclusion)]
+        assert list(map(repr, certs)) == list(map(repr, twins))
+        sides = ("adjoint", "direct") if adjoint_first else ("direct", "adjoint")
+        certifier = spectral._ShiftCertifier(s, bound, 100_000, check_weights=False)
+        by_side = {(i, side): certifier.certificate(lam, side)
+                   for i, lam in enumerate(grid) for side in sides}
+        assert [repr(by_side[i, side]) for i in range(len(grid))
+                for side in ("direct", "adjoint")] == list(map(repr, certs))
+        adj = adjoint_shift_form(s)
+        for lam, direct, adjoint in zip(grid, certs[::2], certs[1::2]):
+            assert repr((direct.regime, direct.witness_index, direct.detail(
+                "log_magnitude"))) == repr(oracle_divergence(s, lam, bound))
+            assert repr((adjoint.regime, adjoint.witness_index, adjoint.detail(
+                "log_magnitude"))) == repr(oracle_divergence(adj, lam.conjugate(), bound))
+        # a certificate copied from its walk's first is the one the
+        # constructor builds, down to the order of its instance dict
+        for c in certs:
+            built = spectral.EigenExclusionCertificate(*(getattr(c, n) for n in c._record_fields))
+            assert (c == built and repr(c) == repr(built) and c.walk_key == built.walk_key
+                    and list(vars(c)) == list(vars(built)))
 
     @given(st.integers(0, 30), st.lists(st.floats(1e-3, 10.0), min_size=1,
                                        max_size=8))
