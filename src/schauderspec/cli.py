@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -41,10 +42,10 @@ from .schauder import (
 from .serde import (
     RUN_PARAMS,
     WalkTable,
-    certificate_to_json,
     check_param,
     parse_spec_document,
     report_to_json,
+    scalar_to_json,
     sequence_to_json,
     validate_document,
     write_report,
@@ -138,41 +139,39 @@ def _run_analysis(spec, cfg: CertificateGridConfig, truncation: int) -> dict:
     raise UnsupportedClassError(f"unknown analysis {spec.analysis!r}")
 
 
-def _write_csv(path: Path, header: list, rows) -> str:
+def _write_csv(path: Path, header: list, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    return path.name
 
 
 def _write_certificates(path: Path, certs, walks: WalkTable = None) -> str:
     """``certificates.csv``: csv.writer renders each walk's row tail once, by its
-    ``walk_key``; float lambdas (no quoting) go in front, texts from ``walks``,
-    and lines go out in chunks."""
-    lines = []
+    ``walk_key``; the lambda texts from ``walks`` go in front; lines go out in chunks."""
+    lines = ["lambda_re,lambda_im,side,kind,regime,block,witness_index,magnitude,bound\r\n"]
     writer = csv.writer(SimpleNamespace(write=lines.append))
-    writer.writerow(["lambda_re", "lambda_im", "side", "kind", "regime", "block",
-                     "witness_index", "magnitude", "bound"])
     walks = walks or WalkTable()
+    lam_of = walks.by_lam.get
     tails = {}  # walk key -> tail text
     with path.open("w", newline="") as fh:
         for cert in certs:
-            key = cert.walk_key
+            key, lam = cert.walk_key, cert.lam
             tail = tails.get(key)
             if tail is None:
-                c = certificate_to_json(cert)
-                writer.writerow([c["side"], c["kind"], c["regime"], c["details"].get("block", 0),
-                                 c["witnessIndex"], repr(c["magnitude"]), repr(c["bound"])])
+                magnitude, bound = walks.walk(cert)
+                writer.writerow([cert.side, cert.recurrence_kind, cert.regime,
+                                 scalar_to_json(dict(cert.details).get("block", 0)),
+                                 cert.witness_index, magnitude, bound])
                 tail = lines.pop()
                 if key is not None:
                     tails[key] = tail
-            texts = walks.texts(cert)
-            if texts is None:
-                writer.writerow([repr(cert.lam.real), repr(cert.lam.imag)])  # quoted where needed
-                lines.append(f"{lines.pop()[:-2]},{tail}")
-            else:
+            texts = lam_of(lam) or walks.lam(lam)
+            if texts:
                 lines.append(f"{texts[0]},{texts[1]},{tail}")
+            else:
+                writer.writerow([repr(lam.real), repr(lam.imag)])  # quoted where needed
+                lines.append(f"{lines.pop()[:-2]},{tail}")
             if len(lines) >= _CSV_CHUNK:
                 fh.write("".join(lines))
                 lines.clear()
@@ -181,21 +180,35 @@ def _write_certificates(path: Path, certs, walks: WalkTable = None) -> str:
 
 
 def _write_csv_artifacts(outdir: Path, spec, results: dict, truncation: int, walks=None) -> list:
-    written = []
-    certs = results.get("certificates") or results.get("report", {}).get(
-        "certificates", [])
-    if certs:
-        written.append(_write_certificates(outdir / "certificates.csv", certs, walks))
-    # Row-major over the numerically nonzero entries; the eigensolve reads
-    # the same entries, and builds a dense corner only to fall back on LAPACK.
-    entries = corner_entries(spec.operator, truncation)
-    cells = sorted((key, complex(v)) for key, v in entries.items())
-    written.append(_write_csv(outdir / "matrix.csv", ["i", "j", "re", "im"], (
-        [i + 1, j + 1, repr(z.real), repr(z.imag)] for (i, j), z in cells if z)))
-    eigs = corner_eigs(entries, min(truncation, 512))
-    written.append(_write_csv(outdir / "eigs.csv", ["re", "im"], (
-        [repr(e.real), repr(e.imag)] for e in eigs)))
-    return written
+    """Write the CSV artifacts and return their names.  Each goes to a temporary
+    sibling; all replace their targets only once every one is complete."""
+    written = {}  # name -> its temporary file
+
+    def tmp(name):
+        written[name] = outdir / (name + ".tmp")
+        return written[name]
+
+    try:
+        certs = results.get("certificates") or results.get("report", {}).get(
+            "certificates", [])
+        if certs:
+            _write_certificates(tmp("certificates.csv"), certs, walks)
+        # Row-major over the numerically nonzero entries; the eigensolve reads
+        # the same entries, and builds a dense corner only to fall back on LAPACK.
+        entries = corner_entries(spec.operator, truncation)
+        cells = sorted((key, complex(v)) for key, v in entries.items())
+        _write_csv(tmp("matrix.csv"), ["i", "j", "re", "im"], (
+            [i + 1, j + 1, repr(z.real), repr(z.imag)] for (i, j), z in cells if z))
+        eigs = corner_eigs(entries, min(truncation, 512))
+        _write_csv(tmp("eigs.csv"), ["re", "im"], (
+            [repr(e.real), repr(e.imag)] for e in eigs))
+    except BaseException:
+        for path in written.values():
+            path.unlink(missing_ok=True)
+        raise
+    for name, path in written.items():
+        os.replace(path, outdir / name)
+    return list(written)
 
 
 def _error_block(exc: Exception):

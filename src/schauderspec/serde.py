@@ -9,13 +9,12 @@ offending node.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import SpecFormatError
@@ -445,10 +444,7 @@ def certificate_to_json(cert: EigenExclusionCertificate) -> dict:
         "startIndex": cert.start_index,
         "side": cert.side,
         "coveredRegion": cert.covered_region,
-        "details": {
-            k: scalar_to_json(v) if isinstance(v, (complex, Fraction)) else v
-            for k, v in cert.details
-        },
+        "details": {k: scalar_to_json(v) for k, v in cert.details},
     }
 
 
@@ -484,93 +480,102 @@ def report_to_json(report: SchauderSpectrumReport) -> dict:
     }
 
 
-_FLUSH_PARTS = 4096
+_FLUSH_PARTS = 512
 # float.__repr__ spells the non-finite floats this way; json writes
 # NaN, Infinity and -Infinity.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _token(o):
-    """JSON token of a scalar, None for a container, in json.encoder's order.
+# Token functions of the exact JSON types; None marks a container.
+_TOKENS = {str: encode_basestring_ascii, int: int.__repr__,
+           float: lambda x: _NONFINITE.get(token := float.__repr__(x), token),
+           bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+           dict: None, list: None, tuple: None, EigenExclusionCertificate: None}
 
-    This is the path for subclasses of the JSON types and for the top
-    level; exact types go through ``write_report``'s token table.
-    """
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        token = float.__repr__(o)
-        return _NONFINITE.get(token, token)
-    if isinstance(o, (list, tuple, dict, EigenExclusionCertificate)):
-        return None
+
+def _token(o):
+    """JSON token of a scalar, None for a container, by its first class in ``_TOKENS``."""
+    for klass in type(o).__mro__:
+        if klass in _TOKENS:
+            to = _TOKENS[klass]
+            return to and to(o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-class _Slot(str):  # the token of a value that a certificate frame leaves open
-    pass
+def _exact_token(value):
+    """JSON token of a value of an exact JSON scalar type, else None."""
+    to = _TOKENS.get(type(value))
+    return to and to(value)
 
 
-# Token functions of the exact JSON types but float; None marks a container.
-_TOKENS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-    dict: None,
-    list: None,
-    tuple: None,
-    EigenExclusionCertificate: None,
-    _Slot: str,
-}
-# The values that change along one walk's certificates: lambdaRe, lambdaIm
-# and the details' adjoint_lambda re and im.  JSON text never holds a \x01.
-_SLOTS = [_Slot(f"\x01{i}") for i in range(4)]
+# certificate_to_json's text at indent "\n", keys sorted, with a NUL (which
+# JSON text never holds) for each part of its lambda and, in its details, of
+# a complex adjoint_lambda, imaginary first.
+_CERTIFICATE = (
+    '{\n  "bound": %s,\n  "coveredRegion": %s,\n  "details": %s,\n  "kind": %s,'
+    '\n  "lambdaIm": \0,\n  "lambdaRe": \0,\n  "magnitude": %s,\n  "regime": %s,'
+    '\n  "side": %s,\n  "startIndex": %s,\n  "witnessIndex": %s\n}')
+_ADJOINT_LAMBDA = '{\n      "im": \0,\n      "re": \0\n    }'
 
 
-def _float_token(x: float) -> str:
-    token = float.__repr__(x)
-    return _NONFINITE.get(token, token)
+def _report_frame(cert, nl: str, magnitude: str, bound: str) -> tuple:
+    """``cert``'s report text at indent ``nl``, cut at the NULs of ``_CERTIFICATE``,
+    with where a complex ``adjoint_lambda`` stands among its details (else None)
+    and their number; ``magnitude`` and ``bound`` are the ``repr`` of those
+    fields.  Empty unless each detail key is a str and each other value an
+    exact JSON scalar."""
+    details = dict(cert.details)  # the last of a repeated key, as JSON keeps it
+    if not all(type(key) is str for key in details):
+        return ()
+    keys = sorted(details)
+    values = [_ADJOINT_LAMBDA if key == "adjoint_lambda" and type(details[key]) is complex
+              else _exact_token(details[key]) for key in keys]
+    tokens = [
+        _NONFINITE.get(bound, bound) if type(cert.bound) is float else _exact_token(cert.bound),
+        _exact_token(cert.covered_region),
+        _exact_token(cert.recurrence_kind),
+        _NONFINITE.get(magnitude, magnitude) if type(cert.attained_magnitude) is float
+        else _exact_token(cert.attained_magnitude),
+        *map(_exact_token, (cert.regime, cert.side, cert.start_index, cert.witness_index))]
+    if None in values or None in tokens:
+        return ()
+    tokens.insert(2, "{" + ",".join([f"\n    {encode_basestring_ascii(key)}: {value}" for key, value
+                                     in zip(keys, values)]) + "\n  }" if keys else "{}")
+    at = (list(details).index("adjoint_lambda")
+          if type(details.get("adjoint_lambda")) is complex else None)
+    return (_CERTIFICATE % tuple(tokens)).replace("\n", nl).split("\0"), at, len(details)
 
 
 class WalkTable:
-    """The lambda texts that a run's certificate writers share.
-
-    ``texts(cert, adjoint)`` is the ``repr`` of the parts of ``cert.lam``,
-    then, if ``adjoint``, of its details' ``adjoint_lambda``, or None unless
-    the lambda's parts are exact floats.  Each grid lambda is spelled once:
-    its pair is kept if both parts are nonzero and not nan (``0.0 == -0.0``,
-    and nan equals nothing), and an ``adjoint_lambda`` that is ``conj(lam)``
-    flips the sign of its imaginary text.
-    """
+    """What a run's certificate writers share, each made once: ``by_key`` maps
+    a ``walk_key`` to the ``repr`` of its walk's magnitude and bound (see
+    ``walk``), and ``by_lam`` a lambda to its texts (see ``lam``)."""
 
     def __init__(self):
-        self.pairs = {}  # lam -> (its texts, with its conjugate's texts)
+        self.by_key = {}
+        self.by_lam = {}
 
-    def texts(self, cert, adjoint: bool = False):
-        lam = cert.lam
-        memo = self.pairs.get(lam) if type(lam) is complex else None
-        if memo is None:
-            if type(lam.real) is not float or type(lam.imag) is not float:
-                return None
-            pair = (repr(lam.real), repr(lam.imag))
-            memo = (pair, None)
-            if type(lam) is complex and lam.real and lam.imag and lam == lam:
-                re, im = pair
-                memo = self.pairs[lam] = (pair, (re, im, re, im[1:] if im[0] == "-" else "-" + im))
-        if not adjoint:
-            return memo[0]
-        conj = dict(cert.details)["adjoint_lambda"]  # the last, as JSON keeps it
-        if memo[1] is not None and conj == lam.conjugate():  # equal nonzero floats share their bits
-            return memo[1]
-        return memo[0] + (repr(conj.real), repr(conj.imag))
+    def walk(self, cert) -> tuple:
+        """The ``repr`` of ``cert``'s magnitude and bound, kept by its ``walk_key`` if any."""
+        key = cert.walk_key
+        reprs = self.by_key.get(key)
+        if reprs is None:
+            reprs = (repr(cert.attained_magnitude), repr(cert.bound))
+            if key is not None:
+                self.by_key[key] = reprs
+        return reprs
+
+    def lam(self, lam):
+        """The ``repr`` of ``lam``'s parts, then the report tokens of its parts
+        and of its conjugate's imaginary part, kept; None unless its parts are
+        nonzero and not nan (``0.0 == -0.0``, and nan equals nothing, so no
+        other lambda can take its texts)."""
+        if type(lam) is not complex or not (lam.real and lam.imag) or lam != lam:
+            return None
+        re, im = repr(lam.real), repr(lam.imag)
+        conj = im[1:] if im[0] == "-" else "-" + im
+        texts = self.by_lam[lam] = (re, im, *[_NONFINITE.get(t, t) for t in (re, im, conj)])
+        return texts
 
 
 def _key_text(key) -> str:
@@ -585,106 +590,88 @@ def _key_text(key) -> str:
 def write_report(path, report, walks: WalkTable = None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` to ``path``.
 
-    The text is streamed, never held whole: list loops hand the pending
-    parts to the file every ``_FLUSH_PARTS`` parts.  It goes to a
+    The text is streamed, never held whole: container loops hand the
+    pending parts to the file every ``_FLUSH_PARTS`` parts.  It goes to a
     temporary file beside ``path`` that replaces ``path`` only once it is
     complete, so a reader never sees a partial report.  Unlike
-    ``json.dumps`` it does not look for reference cycles.  A certificate
-    record is written as its ``certificate_to_json``: its walk's text once
-    per indent and ``walk_key``, as a frame that each certificate fills in
-    with its lambda texts from ``walks``, which other writers of the run
-    may share.
-    """
+    ``json.dumps`` it does not look for reference cycles.  A certificate is
+    written as its ``certificate_to_json``: its walk's text, cut once per
+    indent at the lambda parts, filled in with its lambda's tokens from
+    ``walks``, which the CSV writer shares (or as that dict, if a detail is
+    not a plain JSON scalar)."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     parts = []
-    key_heads = {}  # str key -> '"key": '
-    token_of = {**_TOKENS, float: _float_token}.get
     walks = walks or WalkTable()
-    frames = {}  # (walk key, indent) -> (text segments, slot picker, adjoint)
+    lam_of = walks.by_lam.get
+    frames = {}  # indent -> {walk key -> its _report_frame}
 
-    def certificate(cert, nl):
-        # Emit a walk's text once per indent, with slot tokens, and split it
-        # there; what that emit flushes goes to a buffer, not to the file.
-        nonlocal parts, fh
+    def certificate(cert, cuts, nl):
+        # Append the text of ``cert`` at indent ``nl``; ``cuts`` is frames[nl].
         key = cert.walk_key
-        frame = frames.get((key, nl))
+        frame = cuts.get(key)
         if frame is None:
-            doc = certificate_to_json(cert)
-            doc["lambdaRe"], doc["lambdaIm"] = _SLOTS[:2]
-            adjoint = type(dict(cert.details).get("adjoint_lambda")) is complex
-            if adjoint:
-                doc["details"]["adjoint_lambda"] = {"re": _SLOTS[2], "im": _SLOTS[3]}
-            saved, parts, fh = (parts, fh), [], io.StringIO()
-            emit(doc, nl)
-            text = (fh.getvalue() + "".join(parts)).split("\x01")
-            parts, fh = saved
-            frame = ([text[0], *[s[1:] for s in text[1:]]],
-                     itemgetter(*[int(s[0]) for s in text[1:]]), adjoint)
+            frame = _report_frame(cert, nl, *walks.walk(cert))
             if key is not None:
-                frames[key, nl] = frame
-        segments, pick, adjoint = frame
-        texts = walks.texts(cert, adjoint)
-        if texts is None:
-            lam, conj = cert.lam, adjoint and dict(cert.details)["adjoint_lambda"]
-            tokens = map(_token, pick((lam.real, lam.imag) + (
-                (conj.real, conj.imag) if adjoint else ())))
-        else:
-            picked = pick(texts)
-            tokens = map(_NONFINITE.get, picked, picked)
-        pieces = [None] * (2 * len(segments) - 1)
-        pieces[::2] = segments
-        pieces[1::2] = tokens
-        parts += pieces
+                cuts[key] = frame
+        if not frame:
+            emit(certificate_to_json(cert), nl)
+            return
+        cut, at, count = frame
+        lam = cert.lam
+        texts = lam_of(lam) or walks.lam(lam)
+        _re, _im, re, im, conj_im = texts or (None, None, _token(lam.real), _token(lam.imag), None)
+        if at is None:
+            a, b, c = cut
+            parts.append(f"{a}{im}{b}{re}{c}")
+            return
+        details = cert.details
+        conj = details[at][1] if len(details) == count else dict(details)["adjoint_lambda"]
+        conj_re = re
+        if not (texts and conj == lam.conjugate()):  # equal nonzero floats share their bits
+            conj_re, conj_im = _token(conj.real), _token(conj.imag)
+        a, b, c, d, e = cut
+        parts.append(f"{a}{conj_im}{b}{conj_re}{c}{im}{d}{re}{e}")
 
     def emit(o, nl):
         # Append the text of the container or certificate ``o``, which
         # opens at indent ``nl``.
         if isinstance(o, EigenExclusionCertificate):
-            certificate(o, nl)
+            certificate(o, frames.setdefault(nl, {}), nl)
             return
         if not o:
             parts.append("{}" if isinstance(o, dict) else "[]")
             return
         inner = nl + "  "
         head, sep = inner, "," + inner
+        cuts = frames.setdefault(inner, {})
         if isinstance(o, dict):
             parts.append("{")
             # Distinct dict keys never compare equal, so sorting the keys
             # gives the order json.dumps gets from sorting the items.
-            for key in sorted(o):
-                value = o[key]
-                if type(key) is str:
-                    key_head = key_heads.get(key)
-                    if key_head is None:
-                        key_head = key_heads[key] = \
-                            encode_basestring_ascii(key) + ": "
-                else:
-                    key_head = encode_basestring_ascii(_key_text(key)) + ": "
-                to = token_of(type(value), _token)
+            keys = sorted(o)
+            items = zip([encode_basestring_ascii(key if type(key) is str else _key_text(key))
+                         + ": " for key in keys], map(o.__getitem__, keys))
+        else:
+            parts.append("[")
+            items = zip(repeat(""), o)
+        for key_head, value in items:
+            if type(value) is EigenExclusionCertificate:
+                parts.append(head + key_head)
+                certificate(value, cuts, inner)
+            else:
+                to = _TOKENS.get(type(value), _token)
                 token = to and to(value)
                 if token is None:
                     parts.append(head + key_head)
                     emit(value, inner)
                 else:
                     parts.append(f"{head}{key_head}{token}")
-                head = sep
-            parts.append(nl + "}")
-        else:
-            parts.append("[")
-            for value in o:
-                to = token_of(type(value), _token)
-                token = to and to(value)
-                if token is None:
-                    parts.append(head)
-                    emit(value, inner)
-                else:
-                    parts.append(head + token)
-                head = sep
-                if len(parts) > _FLUSH_PARTS:
-                    fh.write("".join(parts))
-                    parts.clear()
-            parts.append(nl + "]")
+            head = sep
+            if len(parts) > _FLUSH_PARTS:
+                fh.write("".join(parts))
+                parts.clear()
+        parts.append(nl + ("}" if isinstance(o, dict) else "]"))
 
     try:
         with tmp.open("w") as fh:

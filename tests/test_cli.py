@@ -337,6 +337,8 @@ class TestRun:
         assert report["error"]["kind"] == "certificate-failure"
         assert report["error"]["exitCode"] == 4
         assert "residual guarantee" in report["error"]["message"]
+        # the CSVs written before the failure are temporaries, removed with it
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
     def test_classify_analysis(self, tmp_path):
         spec = write_spec(tmp_path, "diag.json", diag_spec("classify"))
@@ -1020,6 +1022,7 @@ class TestWriteReport:
         ("diag-spectrum", (), 0),
         ("cibws-deflate", ("--csv",), 0),
         ("cibws-deflate", ("--truncation=0",), 1),
+        ("../examples/dense-grid-deflate", ("--csv",), 0),
     ])
     def test_cli_report_is_stdlib_encoding(self, tmp_path, name, flags, code):
         from pathlib import Path
@@ -1043,15 +1046,15 @@ _detail_values = _cert_numbers | st.sampled_from(
 _walks = st.fixed_dictionaries({
     "witness_index": st.sampled_from([1, 1.0, True, 2, 0]),
     "attained_magnitude": _cert_numbers,
-    "recurrence_kind": st.sampled_from(["scalar-shift", "block-norm", 'q"uote']),
+    "recurrence_kind": st.sampled_from(["scalar-shift", "block-norm", 'q"uote', "%s", "%%"]),
     "bound": _cert_numbers,
     "regime": st.sampled_from(["forward-orbit", "constant-floor", "back,ward"]),
     "start_index": st.sampled_from([1, 1.0, True]),
     "side": st.sampled_from(["direct", "adjoint"]),
-    "covered_region": st.sampled_from(["circle |lambda| = 0.5", "", "{x}\n"]),
+    "covered_region": st.sampled_from(["circle |lambda| = 0.5", "", "{x}\n", "100%", "%s%%"]),
     "details": st.lists(st.tuples(
         st.sampled_from(["log_magnitude", "block", "scaled_unitary",
-                         "adjoint_lambda", "{0}"]),
+                         "adjoint_lambda", "{0}", "%", "%s", "%%"]),
         _detail_values), max_size=4).map(tuple),
 })
 _lambdas = (st.builds(complex, _floats, _floats)
@@ -1127,6 +1130,17 @@ _OFF_CONJUGATES = [cert for lam, conj in (
     (complex(0.3, 0.4), None)) for cert in _grid_point(lam, conj)]
 
 
+def _json_form(tree):
+    """``tree`` with each certificate record replaced by its ``certificate_to_json``."""
+    if isinstance(tree, EigenExclusionCertificate):
+        return certificate_to_json(tree)
+    if isinstance(tree, dict):
+        return {k: _json_form(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_json_form(v) for v in tree]
+    return tree
+
+
 def _csv_text(certs) -> str:
     """``certificates.csv`` as plain csv.writer rows of each certificate's JSON form."""
     import csv
@@ -1155,11 +1169,11 @@ class TestCertificateRecords:
     @example(_OFF_CONJUGATES)
     def test_report_is_stdlib_encoding_of_the_json_form(self, tmp_path_factory, certs):
         tmp_path = tmp_path_factory.mktemp("w")
-        as_json = [certificate_to_json(c) for c in certs]
-        for tree, want in ((certs, as_json),
-                           ({"a": {"b": certs}, "c": certs[::-1], "d": certs[0]},
-                            {"a": {"b": as_json}, "c": as_json[::-1], "d": as_json[0]})):
-            assert written_text(tmp_path, tree) == stdlib_text(want)
+        # certificates at several indents, among scalars, dicts and other lists
+        for tree in (certs, {"a": {"b": certs}, "c": certs[::-1], "d": certs[0]},
+                     [1, certs[0], {"x": certs, "y": [certs, 2.5, {"z": certs[-1]}]},
+                      [[certs[::-1], "%s"], []], None, certs[-1], {}]):
+            assert written_text(tmp_path, tree) == stdlib_text(_json_form(tree))
 
     @settings(max_examples=150, deadline=None)
     @given(_certificate_lists(_lambdas | st.sampled_from([Fraction(1, 3), 7])))
@@ -1192,13 +1206,14 @@ class TestCertificateRecords:
             assert (tmp_path / "certificates.csv").read_bytes().decode() == _csv_text(certs)
             assert (tmp_path / "report.json").read_text() == stdlib_text(
                 {"a": as_json, "b": {"c": as_json[::-1]}})
-        # one text pair per lambda whose parts are nonzero and not nan, with
-        # the texts of its conjugate
-        assert walks.pairs.keys() == {c.lam for c in certs if type(c.lam) is complex
-                                      and c.lam.real and c.lam.imag and c.lam == c.lam}
-        for lam, (pair, conj) in walks.pairs.items():
-            assert pair == (repr(lam.real), repr(lam.imag))
-            assert conj == pair + (repr(lam.real), repr(-lam.imag))
+        # texts per lambda whose parts are nonzero and not nan: the repr of its
+        # parts, and the report tokens of its parts and of its conjugate's
+        # imaginary part
+        assert walks.by_lam.keys() == {c.lam for c in certs if type(c.lam) is complex
+                                       and c.lam.real and c.lam.imag and c.lam == c.lam}
+        for lam, texts in walks.by_lam.items():
+            assert texts == (repr(lam.real), repr(lam.imag), json.dumps(lam.real),
+                             json.dumps(lam.imag), json.dumps(-lam.imag))
 
     def test_writers_free_the_walk_table_without_the_cycle_collector(self, tmp_path):
         # a run's table holds a text pair per grid lambda; a long-lived process
@@ -1216,6 +1231,29 @@ class TestCertificateRecords:
             assert gone() is None
         finally:
             gc.enable()
+
+    def test_grid_report_streams_in_bounded_chunks(self, tmp_path, monkeypatch):
+        # each certificate is one string: the writer still hands the report
+        # to the file in pieces, never the whole of it at once
+        from schauderspec import Diagonal, GeometricRule, deflate
+
+        certs = list(deflate(Diagonal(GeometricRule(1, Fraction(1, 2))),
+                             CertificateGridConfig(moduli=50, phases=50)).certificates)
+        assert len(certs) == 5000
+        chunks, real_open = [], Path.open
+
+        def recording_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: chunks.append(len(text)) or write(text)
+            return fh
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        text = written_text(tmp_path, {"certificates": certs})
+        monkeypatch.undo()
+        assert text == stdlib_text({"certificates": _json_form(certs)})
+        assert sum(chunks) == len(text) > 2_000_000
+        assert len(chunks) >= 4 and max(chunks) < 1_000_000
 
     def test_long_detail_list_streams_in_chunks(self, tmp_path):
         # the frame's own emit passes the flush threshold
