@@ -419,13 +419,6 @@ class ExpandedSpectrum:
     finite_tail: Optional[ScalarRule]
     infinite_values: tuple
 
-    def merged_rule(self) -> ScalarRule:
-        from .sequences import MergedAbsDecreasingRule
-
-        return MergedAbsDecreasingRule(
-            finite_parts=[self.finite_prefix] if self.finite_prefix else [],
-            rule_parts=[self.finite_tail] if self.finite_tail is not None else [])
-
 
 def expand_multiplicities(m: MultiplicityList) -> ExpandedSpectrum:
     """Expand finite multiplicities into a |.|-decreasing listing.

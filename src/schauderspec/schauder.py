@@ -860,7 +860,10 @@ def audit_deflation(result: DeflationResult, n: int = 64) -> Tuple[bool, float]:
         b = right.get(key, 0)
         if a != b:  # equal entries differ by 0, or nan for infinities
             exact = False
-            d = abs(complex(a) - complex(b))
+            try:
+                d = abs(complex(a) - complex(b))
+            except OverflowError:  # an exact entry, or the difference, is past float range
+                d = math.inf
             if d > worst:
                 worst = d
     return exact, worst

@@ -3,7 +3,7 @@
 Rules are lazy descriptions of infinite (or finite) sequences indexed
 from 1.  Named families keep rational parameters exact, so window
 equality checks elsewhere in the package stay exact rather than
-floating point.  Each family answers ``limit()`` and
+floating point.  Every rule answers ``length()``, ``limit()`` and
 ``tail_abs_sum(start)``, an upper bound on ``sum_{n>=start} |a_n|``
 (``math.inf`` when the tail provably diverges, ``None`` when unknown).
 
@@ -20,10 +20,11 @@ the real sequence the parameters name; a zero, a sign or a tail is one
 of the terms as ``value()`` computes them, whose sums and products are
 monotone: the first zero of a sign class of the monomial is where the
 terms' sign turns, found by bisection.  The form stops at one monomial:
-zeros of a sum of two are the Skolem problem.  A leaf outside the
-grammar answers for itself under products alone; a bare callable
-answers ``None``, so ``deflate`` and the orbit-walk certificates refuse
-it, naming the premise it leaves undecided.
+zeros of a sum of two are the Skolem problem.  The length, limit and
+tail sum of a nesting fold the form over its leaf's own answers.  A leaf
+outside the grammar answers for itself under products alone; a bare
+callable answers ``None``, so ``deflate`` and the orbit-walk
+certificates refuse it, naming the premise it leaves undecided.
 """
 
 from __future__ import annotations
@@ -90,13 +91,16 @@ class ScalarRule:
 
     def length(self) -> Optional[int]:
         """Number of terms for finite rules, ``None`` for infinite ones."""
-        return None
+        return _length(_kept_form(self)) if isinstance(self, _GRAMMAR) else None
 
     def limit(self) -> Optional[Scalar]:
-        return None
+        """The terms' limit; None for a finite rule, or when unknown."""
+        return _limit(_normal_form(self)) if isinstance(self, _GRAMMAR) else None
 
     def tail_abs_sum(self, start: int) -> Optional[float]:
-        return None
+        """An upper bound on ``sum_{n>=start} |a_n|``: ``math.inf`` when the
+        tail provably diverges, None when unknown."""
+        return _tail_abs_sum(_normal_form(self), start) if isinstance(self, _GRAMMAR) else None
 
     def attains_zero(self, skip: int = 0) -> Optional[bool]:
         """Whether some term is exactly zero."""
@@ -242,23 +246,6 @@ class AffineRule(ScalarRule):
     def value(self, n: int) -> Scalar:
         return self.base + self.inner.value(n)
 
-    def length(self):
-        return self.inner.length()
-
-    def limit(self):
-        il = self.inner.limit()
-        if il is None:
-            return None
-        return self.base + il
-
-    def tail_abs_sum(self, start: int):
-        if self.base == 0:
-            return self.inner.tail_abs_sum(start)
-        il = self.inner.limit()
-        if il is not None and self.base + il != 0:
-            return math.inf
-        return None
-
     def describe(self):
         return f"{self.base} + {self.inner.describe()}"
 
@@ -270,25 +257,6 @@ class ScaledRule(ScalarRule):
 
     def value(self, n: int) -> Scalar:
         return self.factor * self.inner.value(n)
-
-    def length(self):
-        return self.inner.length()
-
-    def limit(self):
-        if self.factor == 0:
-            return 0
-        il = self.inner.limit()
-        if il is None:
-            return None
-        return self.factor * il
-
-    def tail_abs_sum(self, start: int):
-        if self.factor == 0:
-            return 0.0
-        it = self.inner.tail_abs_sum(start)
-        if it is None:
-            return None
-        return float(abs(self.factor)) * it
 
     def describe(self):
         return f"{self.factor} * ({self.inner.describe()})"
@@ -309,16 +277,6 @@ class OffsetRule(ScalarRule):
         if n < 1:
             raise ValueError("rule index must be >= 1")
         return self.inner.value(n + self.offset)
-
-    def length(self):
-        il = self.inner.length()
-        return None if il is None else max(il - self.offset, 0)
-
-    def limit(self):
-        return self.inner.limit()
-
-    def tail_abs_sum(self, start: int):
-        return self.inner.tail_abs_sum(start + self.offset)
 
     def describe(self):
         return f"({self.inner.describe()}) shifted by {self.offset}"
@@ -343,19 +301,6 @@ class RepeatedRule(ScalarRule):
         if n < 1:
             raise ValueError("rule index must be >= 1")
         return self.inner.value((n + self.times - 1) // self.times)
-
-    def length(self):
-        il = self.inner.length()
-        return None if il is None else il * self.times
-
-    def limit(self):
-        return self.inner.limit()
-
-    def tail_abs_sum(self, start: int):
-        it = self.inner.tail_abs_sum((start + self.times - 1) // self.times)
-        if it is None:
-            return None
-        return self.times * it
 
     def describe(self):
         return f"({self.inner.describe()}) each repeated {self.times}x"
@@ -382,28 +327,6 @@ class ExplicitThenRule(ScalarRule):
                 f"finite rule of length {len(self.prefix)} probed at {n}"
             )
         return self.tail.value(n - len(self.prefix))
-
-    def length(self):
-        if self.tail is None:
-            return len(self.prefix)
-        tl = self.tail.length()
-        return None if tl is None else len(self.prefix) + tl
-
-    def limit(self):
-        if self.tail is None:
-            return None
-        return self.tail.limit()
-
-    def tail_abs_sum(self, start: int):
-        head = sum(
-            float(abs(v)) for i, v in enumerate(self.prefix, 1) if i >= start
-        )
-        if self.tail is None:
-            return head
-        rest = self.tail.tail_abs_sum(max(start - len(self.prefix), 1))
-        if rest is None:
-            return None
-        return head + rest
 
     def describe(self):
         tail = "end" if self.tail is None else self.tail.describe()
@@ -491,21 +414,76 @@ def _normal_form(rule: ScalarRule) -> _Form:
     return f
 
 
-def _split(rule: ScalarRule, skip: int):
-    """The form of ``rule``; (first index past ``skip``, last index, term) of
-    each prefix run past it; ``s``, after which the tail's terms start; and
-    the leaf, ``_END`` where an opaque leaf's terms end by ``s``."""
+def _kept_form(rule: ScalarRule) -> _Form:
+    """The form of ``rule``, with an endless constant tail kept as its term."""
     f = rule.__dict__.get("_form")
     if f is None:  # a record's form never changes: it is kept on the record once made
         f = rule.__dict__["_form"] = _normal_form(rule)
-        if f.b == 0 and f.leaf is not _END and rule.length() is None:
+        if f.b == 0 and f.leaf is not _END and _length(f) is None:
             f.leaf, f.ops = ConstantRule(f.term(f.end + 1)), ()
+    return f
+
+
+def _split(rule: ScalarRule, skip: int):
+    """The kept form of ``rule``; (first index past ``skip``, last index, term)
+    of each prefix run past it; ``s``, after which the tail's terms start; and
+    the leaf, ``_END`` where an opaque leaf's terms end by ``s``."""
+    f = _kept_form(rule)
     s, leaf = max(skip, f.end), f.leaf
     if leaf is not _END and not isinstance(leaf, _CLOSED):
-        ln = rule.length()
+        ln = _length(f)
         leaf = _END if ln is not None and ln <= s else leaf
+    return f, _head(f, skip), s, leaf
+
+
+def _head(f: _Form, skip: int) -> list:
+    """(first index past ``skip``, last index, term) of each prefix run past it."""
     ends = [n for n, _ in f.runs[1:]] + [f.end + 1]
-    return f, [(max(n, skip + 1), e - 1, v) for (n, v), e in zip(f.runs, ends) if e - 1 > skip], s, leaf
+    return [(max(n, skip + 1), e - 1, v) for (n, v), e in zip(f.runs, ends) if e - 1 > skip]
+
+
+def _length(f: _Form) -> Optional[int]:
+    """The prefix's length, or the last index at which the leaf has a term."""
+    if f.leaf is _END:
+        return f.end
+    ln = None if isinstance(f.leaf, _CLOSED) else f.leaf.length()
+    return None if ln is None else max(f.end, f.last(ln))
+
+
+def _limit(f: _Form) -> Optional[Scalar]:
+    """The leaf's limit through ``ops``; a zero factor's product is 0 whatever it
+    multiplies, and a finite rule has none."""
+    if _length(f) is not None:
+        return None
+    v = f.leaf.limit()
+    for op, c in f.ops:
+        if op == "*" and c == 0:
+            v = 0
+        elif v is not None:
+            v = c + v if op == "+" else c * v
+    return v
+
+
+def _tail_abs_sum(f: _Form, start: int) -> Optional[float]:
+    """The prefix runs' terms from ``start`` on, summed, and the tail's bound: the
+    leaf's from ``g(n)`` on, each of its terms taken up to ``t`` times, under the
+    factors in ``ops``.  Past a zero factor the tail is 0; a constant summed past
+    it leaves a tail that diverges unless its limit is 0, when it is unknown."""
+    head = sum(((e - n + 1) * float(abs(v)) for n, e, v in _head(f, start - 1)), 0.0)
+    if f.leaf is _END:
+        return head
+    cut = max((i + 1 for i, (op, c) in enumerate(f.ops) if op == "*" and c == 0), default=0)
+    ops = f.ops[cut:]
+    if any(op == "+" and c != 0 for op, c in ops):
+        lim = _limit(f)
+        return None if lim is None or lim == 0 else math.inf
+    tail = 0.0 if cut else f.leaf.tail_abs_sum(f.g(max(start - 1, f.end) + 1))
+    if tail is None:
+        return None
+    for op, c in ops:  # no factor here is 0: an infinite tail stays so, though c's float be 0.0
+        if op == "*" and tail != math.inf:
+            tail = float(abs(c)) * tail
+    return head + f.t * tail
 
 
 def _monomial(f: _Form):

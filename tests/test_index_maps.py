@@ -519,21 +519,6 @@ class TestExpandMultiplicities:
         with pytest.raises(ValueError):
             MultiplicityList(((1, 2), (1, 1)))
 
-    def test_merged_rule_orders_decreasingly(self):
-        from fractions import Fraction
-
-        from schauderspec import OffsetRule, PowerLawRule
-
-        m = MultiplicityList(
-            tuple((Fraction(1, k), 2) for k in range(1, 6)),
-            tail=OffsetRule(PowerLawRule(Fraction(1), 1), 5),
-        )
-        rule = expand_multiplicities(m).merged_rule()
-        vals = rule.values(14)
-        assert vals[:4] == [1, 1, Fraction(1, 2), Fraction(1, 2)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert vals[10] == Fraction(1, 6)
-
 
 class TestIndexSequences:
     def test_arithmetic_membership(self):

@@ -555,9 +555,11 @@ class TestAuditDeflation:
         st.tuples(AUDIT_ENTRIES, AUDIT_ENTRIES,
                   st.sampled_from(["left", "right", "both", "same", "twin"]))))
     @settings(max_examples=300, deadline=None)
+    @example({(0, 0): (1.2711610061536464e+308, 1.2711610061536462e+308j, "both")})
     def test_only_unequal_entries_are_converted(self, cells):
         # equal entries differ by 0, or by nan for infinities, and neither
-        # raises the worst difference: the loop over every entry agrees
+        # raises the worst difference; a difference past float range is inf:
+        # the loop over every entry agrees
         left, right = {}, {}
         for key, (a, b, how) in cells.items():
             if how != "right":
@@ -569,7 +571,10 @@ class TestAuditDeflation:
             a, b = left.get(key, 0), right.get(key, 0)
             if a != b:
                 exact = False
-            d = abs(complex(a) - complex(b))
+            try:
+                d = abs(complex(a) - complex(b))
+            except OverflowError:
+                d = math.inf
             if d > worst:
                 worst = d
         assert repr(self.audit_of(left, right)) == repr((exact, worst))
@@ -578,6 +583,12 @@ class TestAuditDeflation:
         # no float holds 10**400; equal entries are not converted
         huge = Fraction(10 ** 400, 3)
         assert self.audit_of({(0, 0): huge}, {(0, 0): huge}) == (True, 0.0)
+
+    def test_a_huge_exact_difference_is_inf(self):
+        # an unequal entry past float range is reported as the worst difference
+        huge = Fraction(10 ** 400, 3)
+        assert self.audit_of({(0, 0): huge}, {(0, 0): huge + 1}) == (False, math.inf)
+        assert self.audit_of({(1, 0): huge}, {}) == (False, math.inf)
 
 
 class TestDeflateDiscrete:

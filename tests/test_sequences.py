@@ -566,6 +566,60 @@ class TestRuleFacts:
                     assert _abs_exact(a) > _abs_exact(b) if strict else _abs_exact(a) >= _abs_exact(b)
 
 
+class TestLengthLimitAndTailSum:
+    """``length``, ``limit`` and ``tail_abs_sum`` of the grammar's nestings,
+    folded from their normal form, against the terms ``value()`` accepts."""
+
+    def test_a_zero_factor_of_a_finite_rule_has_no_limit(self):
+        rule = ScaledRule(0, ExplicitThenRule((1,), None))
+        assert rule.length() == 1 and rule.limit() is None
+
+    @pytest.mark.parametrize("rule, start, want", [
+        # a zero factor's terms are 0, whatever its inner rule
+        (ScaledRule(0, CallableRule(lambda n: 1)), 1, 0.0),
+        (ScaledRule(3, ScaledRule(0, GeometricRule(1, 2))), 1, 0.0),
+        # a summed constant: the tail diverges unless the limit is 0, when
+        # it is left unknown
+        (AffineRule(1, GeometricRule(1, Fraction(1, 2))), 1, math.inf),
+        (ExplicitThenRule((1, 2), AffineRule(1, ScaledRule(0, PowerLawRule(1, 1)))), 5, math.inf),
+        (AffineRule(-1, AffineRule(1, GeometricRule(1, Fraction(1, 2)))), 1, None),
+        # a divergent tail stays divergent under a factor whose float is 0.0
+        (ScaledRule(Fraction(1, 10 ** 400), PowerLawRule(1, 1)), 1, math.inf),
+        # a finite rule sums its terms
+        (AffineRule(1, ScaledRule(0, ExplicitThenRule((1,)))), 1, 1.0),
+        (ExplicitThenRule((1, 2)), 3, 0.0),
+        # a repeated prefix entry counts only its repeats from start on
+        (RepeatedRule(ExplicitThenRule((-2,), ConstantRule(0)), 3), 2, 4.0),
+    ])
+    def test_named_tail_sums(self, rule, start, want):
+        got = rule.tail_abs_sum(start)
+        assert got == want if want is None or math.isinf(want) else math.isclose(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule=st.one_of(grammar_rules(), FACT_RULES))
+    @example(rule=ScaledRule(0, ExplicitThenRule((1,), None)))
+    def test_length_counts_the_terms_and_a_finite_rule_has_no_limit(self, rule):
+        ln = rule.length()
+        rule.values(200 if ln is None else ln)
+        if ln is not None:
+            with pytest.raises(ValueError):
+                rule.value(ln + 1)
+            assert rule.limit() is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule=st.one_of(grammar_rules(), FACT_RULES), start=st.integers(1, 12))
+    def test_a_finite_tail_sum_bounds_the_terms(self, rule, start):
+        # over the next 200 terms, or all that remain; a finite rule's is
+        # their sum, up to rounding
+        bound, ln = rule.tail_abs_sum(start), rule.length()
+        count = 200 if ln is None else max(ln + 1 - start, 0)
+        total = math.fsum(float(abs(v)) for v in rule.values(count, start))
+        if ln is not None:
+            assert bound is not None and math.isclose(bound, total, abs_tol=1e-12)
+        if bound is not None and not math.isinf(bound):
+            assert bound >= total or math.isclose(bound, total)
+
+
 class MyFraction(Fraction):
     pass
 

@@ -855,6 +855,11 @@ class TestBlockNormBlowup:
         with pytest.raises(PreconditionViolatedError):
             block_norm_blowup(AffineRule(1, PowerLawRule(-1, 1)), 0.1, 2.0, 0.5)
 
+    def test_harmonic_gaps_under_a_factor_whose_float_is_zero_rejected(self):
+        gaps = ScaledRule(Fraction(1, 10 ** 400), PowerLawRule(1, 1))
+        with pytest.raises(PreconditionViolatedError, match="not certifiably summable"):
+            block_norm_blowup(AffineRule(1, gaps), 0.1, 2.0, 0.5)
+
     def test_zero_lambda_rejected(self):
         with pytest.raises(PreconditionViolatedError):
             block_norm_blowup(ALPHA_TO_ONE, 0.1, 2.0, 0)
